@@ -44,7 +44,6 @@ from .modelsel import (
     GridSpec,
     GridStage,
     ace,
-    fit_final,
     five_by_two_splits,
     grid_search,
 )

@@ -17,7 +17,7 @@ from .dataset import load_dataset, load_images
 from .imageproc import ingest
 from .model_io import load_model, save_model
 from .modelsel import GridSearchResult, ace, grid_search
-from .pipeline import fit_pipeline
+from .pipeline import PipelineConfig, fit_pipeline
 
 _LABEL_NAMES = {True: "live", False: "fake"}
 
@@ -67,90 +67,64 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_training_data(data_dir: str):
+def _load_data(data_dir: str):
     manifest = load_dataset(data_dir, skip_unreadable=True)
     for rel, reason in manifest.skipped:
         print(f"warning: skipping {rel}: {reason}", file=sys.stderr)
     return load_images(manifest)
 
 
-def _describe(cfg) -> str:
-    return repr(cfg)
-
-
-def _print_grid_table(result: GridSearchResult, stream) -> None:
-    names = [stage.name for stage in result.grid.stages]
-    print("candidate\t" + "\t".join(names) + "\tmean_ace\tstatus", file=stream)
+def _table_lines(result: GridSearchResult, columns) -> list[str]:
+    """Header plus one line per candidate: its index path, each stage's
+    config, the ``columns`` given as (name, cell function) pairs, status."""
+    stages = result.grid.stages
+    lines = ["\t".join(["candidate", *(s.name for s in stages), *(name for name, _ in columns), "status"])]
     for row in result.candidates:
-        configs = [
-            _describe(stage.candidates[i]) for stage, i in zip(result.grid.stages, row.indices)
-        ]
+        configs = [repr(stage.candidates[i]) for stage, i in zip(stages, row.indices)]
         status = f"failed: {row.message}" if row.failed else "ok"
-        cells = ["/".join(str(i) for i in row.indices), *configs, f"{row.mean_ace:.4f}", status]
-        print("\t".join(cells), file=stream)
+        cells = ["/".join(str(i) for i in row.indices), *configs, *(cell(row) for _, cell in columns), status]
+        lines.append("\t".join(cells))
+    return lines
 
 
-def _write_report(path: str, result: GridSearchResult) -> None:
-    names = [stage.name for stage in result.grid.stages]
-    lines = ["\t".join(["candidate", *names, "mean_ace", "fold_aces", "status"])]
-    for row in result.candidates:
-        configs = [
-            _describe(stage.candidates[i]) for stage, i in zip(result.grid.stages, row.indices)
-        ]
-        folds = ",".join(f"{a:.6f}" for a in row.fold_aces)
-        status = f"failed: {row.message}" if row.failed else "ok"
-        lines.append(
-            "\t".join(["/".join(str(i) for i in row.indices), *configs, f"{row.mean_ace:.6f}", folds, status])
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _select(parsed: ParsedConfig, images, labels, report: str | None = None) -> PipelineConfig:
+    """Grid-search the config, print the candidate table and the winner
+    (writing the TSV report first when asked), return the winner."""
+    result = grid_search(images, labels, parsed.grid_spec(), parsed.seed, augmented=parsed.augmented)
+    print("\n".join(_table_lines(result, [("mean_ace", lambda r: f"{r.mean_ace:.4f}")])))
+    if report is not None:
+        lines = _table_lines(result, [
+            ("mean_ace", lambda r: f"{r.mean_ace:.6f}"),
+            ("fold_aces", lambda r: ",".join(f"{a:.6f}" for a in r.fold_aces)),
+        ])
+        Path(report).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        print(f"report written to {report}")
+    best = next(r for r in result.candidates if r.indices == result.best_indices)
+    print(f"selected candidate {'/'.join(str(i) for i in best.indices)} "
+          f"with mean ACE {best.mean_ace:.4f}")
+    return parsed.pipeline_config(*result.best_configs())
 
 
-def _search(parsed: ParsedConfig, images, labels) -> GridSearchResult:
-    return grid_search(
-        images, labels, parsed.grid_spec(), parsed.seed, augmented=parsed.augmented
-    )
-
-
-def _best_pipeline_config(parsed: ParsedConfig, result: GridSearchResult):
-    pre, ext, tr, cl = result.best_configs()
-    return parsed.pipeline_config(pre, ext, tr, cl)
+def _fit_and_save(images, labels, config: PipelineConfig, out: str) -> None:
+    digest = save_model(out, fit_pipeline(images, labels, config))
+    print(f"model written to {out}")
+    print(f"model digest {digest}")
 
 
 def _cmd_train(args) -> int:
     parsed = parse_config_file(args.config)
-    images, labels = _load_training_data(args.data)
-    if parsed.is_grid:
-        result = _search(parsed, images, labels)
-        _print_grid_table(result, sys.stdout)
-        config = _best_pipeline_config(parsed, result)
-        best = next(r for r in result.candidates if r.indices == result.best_indices)
-        print(f"selected candidate {'/'.join(str(i) for i in best.indices)} "
-              f"with mean ACE {best.mean_ace:.4f}")
-    else:
-        config = parsed.single_config()
-    trained = fit_pipeline(images, labels, config)
-    digest = save_model(args.out, trained)
-    print(f"model written to {args.out}")
-    print(f"model digest {digest}")
+    images, labels = _load_data(args.data)
+    config = _select(parsed, images, labels) if parsed.is_grid else parsed.single_config()
+    _fit_and_save(images, labels, config, args.out)
     return 0
 
 
 def _cmd_gridsearch(args) -> int:
     parsed = parse_config_file(args.config)
-    images, labels = _load_training_data(args.data)
-    result = _search(parsed, images, labels)
-    _print_grid_table(result, sys.stdout)
-    _write_report(args.report, result)
-    print(f"report written to {args.report}")
-    best = next(r for r in result.candidates if r.indices == result.best_indices)
-    print(f"selected candidate {'/'.join(str(i) for i in best.indices)} "
-          f"with mean ACE {best.mean_ace:.4f}")
+    images, labels = _load_data(args.data)
+    config = _select(parsed, images, labels, args.report)
     if args.out:
-        config = _best_pipeline_config(parsed, result)
-        trained = fit_pipeline(images, labels, config)
-        digest = save_model(args.out, trained)
-        print(f"model written to {args.out}")
-        print(f"model digest {digest}")
+        _fit_and_save(images, labels, config, args.out)
     return 0
 
 
@@ -181,10 +155,7 @@ def _cmd_predict(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     model = load_model(args.model)
-    manifest = load_dataset(args.data, skip_unreadable=True)
-    for rel, reason in manifest.skipped:
-        print(f"warning: skipping {rel}: {reason}", file=sys.stderr)
-    images, labels = load_images(manifest)
+    images, labels = _load_data(args.data)
     predictions = [model.predict(img) for img in images]
     report = ace(predictions, labels)
     print(f"FPR {report.fpr * 100.0:.2f}%  ({report.live_wrong}/{report.live_total} live called fake)")

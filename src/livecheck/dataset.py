@@ -22,12 +22,14 @@ class DatasetManifest:
 
     ``entries`` holds (relative path, class name) pairs, live first,
     lexicographic within each class.  ``skipped`` lists unreadable
-    files that were dropped under ``skip_unreadable``.
+    files that were dropped under ``skip_unreadable``.  ``images`` holds
+    the decoded pixels of each entry.
     """
 
     root: Path
     entries: tuple[tuple[str, str], ...]
     skipped: tuple[tuple[str, str], ...] = field(default_factory=tuple)
+    images: tuple[np.ndarray, ...] = field(kw_only=True, repr=False, compare=False)
 
     def labels(self) -> np.ndarray:
         by_name = dict(CLASS_DIRS)
@@ -38,15 +40,17 @@ def load_dataset(root: str | Path, skip_unreadable: bool = False) -> DatasetMani
     """Scan and validate a dataset directory.
 
     Both class directories must exist and contain at least one image.
-    Every file is decoded once to prove readability; a broken file is
-    an error naming the path unless ``skip_unreadable`` is set, in
-    which case it lands in ``manifest.skipped``.
+    Every file is decoded exactly once and the pixels are kept for
+    ``load_images``; a broken file is an error naming the path unless
+    ``skip_unreadable`` is set, in which case it lands in
+    ``manifest.skipped``.
     """
     root = Path(root)
     if not root.is_dir():
         raise ValueError(f"dataset root {root} is not a directory")
     entries: list[tuple[str, str]] = []
     skipped: list[tuple[str, str]] = []
+    images: list[np.ndarray] = []
     for class_name, _ in CLASS_DIRS:
         class_dir = root / class_name
         if not class_dir.is_dir():
@@ -56,7 +60,7 @@ def load_dataset(root: str | Path, skip_unreadable: bool = False) -> DatasetMani
         for name in files:
             rel = f"{class_name}/{name}"
             try:
-                ingest((class_dir / name).read_bytes())
+                images.append(ingest((class_dir / name).read_bytes()))
             except ValueError as exc:
                 if skip_unreadable:
                     skipped.append((rel, str(exc)))
@@ -66,10 +70,9 @@ def load_dataset(root: str | Path, skip_unreadable: bool = False) -> DatasetMani
             kept_any = True
         if not kept_any:
             raise ValueError(f"class directory {class_dir} has no readable images")
-    return DatasetManifest(root=root, entries=tuple(entries), skipped=tuple(skipped))
+    return DatasetManifest(root=root, entries=tuple(entries), skipped=tuple(skipped), images=tuple(images))
 
 
 def load_images(manifest: DatasetManifest) -> tuple[list[np.ndarray], np.ndarray]:
-    """Decode every manifest entry; returns (images, labels)."""
-    images = [ingest((manifest.root / rel).read_bytes()) for rel, _ in manifest.entries]
-    return images, manifest.labels()
+    """The images ``load_dataset`` decoded, with their labels."""
+    return list(manifest.images), manifest.labels()

@@ -3,40 +3,40 @@
 Grid search walks the candidate pipelines stage by stage.  Every stage
 output is memoized under a key built from the stage configuration, the
 upstream result's key, and the split identity, so two candidates that
-share a prefix share its computation.  An optional on-disk cache makes
+share a prefix share its computation.  The split identity chains from a
+root key over the image content, the labels, the augmentation flag, the
+root seed and the package source, so no other data, seed or code
+version can reuse a result.  An optional on-disk cache makes
 results survive across runs; entries are evicted oldest-first once the
 directory exceeds its byte budget.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import os
 import pickle
+import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .augment import make_patches
-from .convnet import ConvNetConfig, init_banks
 from .pipeline import (
     FAKE_LABEL,
     LIVE_LABEL,
-    PipelineConfig,
-    TrainedPipeline,
     TransformConfig,
-    extract_features,
-    fit_pipeline,
+    feature_groups,
+    fit_transform,
     preprocess_image,
-    resolve_components,
-    seeded_extractor,
+    realize_extractor,
 )
 from .seeds import derive_seed
 from .svm import SvmParams, decision_scores, train_smo
-from .transform import Standardizer, fit_pca_randomized, project
+from .transform import project
 
 __all__ = [
     "EvalReport",
@@ -48,7 +48,6 @@ __all__ = [
     "GridSearchResult",
     "grid_search",
     "default_runners",
-    "fit_final",
     "CACHE_ENV_VAR",
 ]
 
@@ -217,26 +216,47 @@ class _Failure:
     message: str
 
 
-def config_digest(obj) -> str:
-    """Stable digest of a configuration object via its canonical repr."""
-    return hashlib.sha256(repr(obj).encode("utf-8")).hexdigest()
-
-
-def _split_identity(split_index: int, train_idx: np.ndarray, test_idx: np.ndarray) -> str:
+@functools.cache
+def _code_version() -> str:
+    """Digest of the package source, so edited code never reuses results."""
     h = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        h.update(path.name.encode("utf-8") + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
+def _root_key(images: list, labels: np.ndarray, augmented: bool, seed: int) -> str:
+    h = hashlib.sha256()
+    h.update(repr((_code_version(), bool(augmented), int(seed))).encode("utf-8"))
+    h.update(np.asarray(labels, dtype=np.float64).tobytes())
+    for img in images:
+        arr = np.ascontiguousarray(img)
+        h.update(repr((arr.shape, arr.dtype.str)).encode("utf-8"))
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+def _split_identity(root_key: str, split_index: int, train_idx: np.ndarray, test_idx: np.ndarray) -> str:
+    h = hashlib.sha256()
+    h.update(root_key.encode())
     h.update(str(split_index).encode())
     h.update(np.asarray(train_idx, dtype=np.int64).tobytes())
     h.update(np.asarray(test_idx, dtype=np.int64).tobytes())
     return h.hexdigest()
 
 
-def _stage_key(stage_name: str, cfg, upstream_key: str, split_id: str) -> str:
-    material = "\x1f".join((stage_name, config_digest(cfg), upstream_key, split_id))
+def _stage_key(stage_name: str, cfg, upstream_key: str) -> str:
+    # A config's repr is canonical: frozen dataclasses of plain values.
+    material = "\x1f".join((stage_name, repr(cfg), upstream_key))
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 
 class DiskCache:
-    """Pickle files under one directory with LRU eviction by mtime."""
+    """Pickle files under one directory with LRU eviction by mtime.
+
+    Loading an entry unpickles it, so only point this at a directory no
+    one untrusted can write to.
+    """
 
     def __init__(self, root: str | Path, budget_bytes: int = DEFAULT_CACHE_BUDGET):
         self.root = Path(root)
@@ -259,8 +279,16 @@ class DiskCache:
         return value
 
     def put(self, key: str, value) -> None:
-        with open(self._path(key), "wb") as fh:
-            pickle.dump(value, fh, protocol=pickle.HIGHEST_PROTOCOL)
+        # Write a temporary file and rename it into place, so a reader
+        # never sees a half-written entry.
+        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                pickle.dump(value, fh, protocol=pickle.HIGHEST_PROTOCOL)
+            os.replace(tmp, self._path(key))
+        except BaseException:
+            Path(tmp).unlink(missing_ok=True)
+            raise
         self._evict()
 
     def _evict(self) -> None:
@@ -291,17 +319,12 @@ class StageContext:
 
 
 @dataclass
-class _FeatureSplit:
-    train_X: np.ndarray
-    train_y: np.ndarray
-    test_groups: list[np.ndarray]  # per test image, one row per patch
+class _SplitRows:
+    """Feature rows, or their projections, of one split."""
 
-
-@dataclass
-class _ProjectedSplit:
-    train_Z: np.ndarray
+    train: np.ndarray
     train_y: np.ndarray
-    test_groups: list[np.ndarray]
+    test_groups: list[np.ndarray]  # per test image, one row per view
 
 
 def _run_preprocess(cfg, upstream, ctx: StageContext):
@@ -309,47 +332,31 @@ def _run_preprocess(cfg, upstream, ctx: StageContext):
 
 
 def _run_extract(cfg, pre_images, ctx: StageContext):
-    extractor = seeded_extractor(cfg, ctx.root_seed)
-    banks = init_banks(extractor) if isinstance(extractor, ConvNetConfig) else None
-
-    def views(index: int) -> list[np.ndarray]:
-        img = pre_images[index]
-        return make_patches(img) if ctx.augmented else [img]
-
-    train_rows = []
-    train_y = []
-    for i in ctx.train_idx:
-        for view in views(int(i)):
-            train_rows.append(extract_features(view, extractor, banks))
-            train_y.append(ctx.labels[int(i)])
-    lengths = {len(r) for r in train_rows}
-    test_groups = []
-    for i in ctx.test_idx:
-        group = [extract_features(view, extractor, banks) for view in views(int(i))]
-        lengths.update(len(r) for r in group)
-        test_groups.append(np.vstack(group))
-    if len(lengths) > 1:
-        raise ValueError(f"feature lengths differ across images: {sorted(lengths)}")
-    return _FeatureSplit(np.vstack(train_rows), np.asarray(train_y, dtype=np.float64), test_groups)
-
-
-def _run_transform(cfg, bundle: _FeatureSplit, ctx: StageContext):
-    standardizer = Standardizer.fit(bundle.train_X)
-    Xs = standardizer.apply(bundle.train_X)
-    k = resolve_components(cfg.pca_fraction, Xs.shape[1], Xs.shape[0])
-    pca = fit_pca_randomized(
-        Xs, k, seed=derive_seed(ctx.root_seed, "pca", ctx.split_index), whiten=cfg.whiten
+    extractor, banks = realize_extractor(cfg, ctx.root_seed)
+    order = np.concatenate([ctx.train_idx, ctx.test_idx])
+    groups = feature_groups([pre_images[int(i)] for i in order], ctx.augmented, extractor, banks)
+    train = groups[: len(ctx.train_idx)]
+    return _SplitRows(
+        train=np.vstack(train),
+        train_y=np.repeat(ctx.labels[ctx.train_idx], [len(g) for g in train]),
+        test_groups=groups[len(ctx.train_idx) :],
     )
-    return _ProjectedSplit(
-        train_Z=project(pca, Xs),
+
+
+def _run_transform(cfg, bundle: _SplitRows, ctx: StageContext):
+    standardizer, pca, train_Z = fit_transform(
+        bundle.train, cfg, derive_seed(ctx.root_seed, "pca", ctx.split_index)
+    )
+    return _SplitRows(
+        train=train_Z,
         train_y=bundle.train_y,
         test_groups=[project(pca, standardizer.apply(g)) for g in bundle.test_groups],
     )
 
 
-def _run_classify(cfg, bundle: _ProjectedSplit, ctx: StageContext):
+def _run_classify(cfg, bundle: _SplitRows, ctx: StageContext):
     model, _ = train_smo(
-        bundle.train_Z, bundle.train_y, cfg, seed=derive_seed(ctx.root_seed, "smo", ctx.split_index)
+        bundle.train, bundle.train_y, cfg, seed=derive_seed(ctx.root_seed, "smo", ctx.split_index)
     )
     predictions = np.empty(len(bundle.test_groups))
     for pos, group in enumerate(bundle.test_groups):
@@ -399,8 +406,8 @@ def grid_search(
 ) -> GridSearchResult:
     """Score every stage combination with 5x2 cross-validation.
 
-    Stage outputs are cached by (stage config, upstream key, split), so
-    shared prefixes are computed once.  ``cache_dir`` (or the
+    Stage outputs are cached by (stage config, upstream key, split, data),
+    so shared prefixes are computed once.  ``cache_dir`` (or the
     LIVECHECK_CACHE_DIR environment variable) adds a persistent layer.
     A candidate that raises on any split is scored with ACE 1.0 and
     flagged rather than aborting the search.  With caching on or off
@@ -426,6 +433,7 @@ def grid_search(
         if cache_dir is not None:
             disk = DiskCache(cache_dir, cache_budget)
 
+    root_key = _root_key(images, labels, augmented, seed)
     memo: dict[str, object] = {}
     executions = {stage.name: 0 for stage in grid.stages}
     hits = {stage.name: 0 for stage in grid.stages}
@@ -435,7 +443,7 @@ def grid_search(
         upstream_key = split_id
         for stage, choice in zip(grid.stages, combo):
             cfg = stage.candidates[choice]
-            key = _stage_key(stage.name, cfg, upstream_key, split_id)
+            key = _stage_key(stage.name, cfg, upstream_key)
             upstream_key = key
             if use_cache and key in memo:
                 hits[stage.name] += 1
@@ -476,7 +484,7 @@ def grid_search(
             root_seed=seed,
             augmented=augmented,
         )
-        split_id = _split_identity(split_index, ctx.train_idx, ctx.test_idx)
+        split_id = _split_identity(root_key, split_index, ctx.train_idx, ctx.test_idx)
         truth = labels[ctx.test_idx]
         for combo in combos:
             outcome = run_chain(combo, ctx, split_id)
@@ -514,7 +522,3 @@ def grid_search(
         cache_hits=hits,
     )
 
-
-def fit_final(images: list, labels: np.ndarray, config: PipelineConfig) -> TrainedPipeline:
-    """Train one pipeline on the full training set."""
-    return fit_pipeline(images, labels, config)

@@ -126,15 +126,44 @@ def resolve_components(fraction: float, feature_dim: int, n_samples: int) -> int
     return max(1, min(k, n_samples - 1, feature_dim))
 
 
-def seeded_extractor(extractor, root_seed: int):
-    """Fill in derived per-layer filter seeds for a convnet extractor."""
+def realize_extractor(extractor, root_seed: int):
+    """Fill in derived per-layer filter seeds for a convnet extractor and
+    draw its filter banks; returns (extractor, banks), banks None for LBP."""
     if not isinstance(extractor, ConvNetConfig):
-        return extractor
+        return extractor, None
     layers = tuple(
         replace(layer, seed=derive_seed(root_seed, "filters", index))
         for index, layer in enumerate(extractor.layers)
     )
-    return ConvNetConfig(layers=layers)
+    extractor = ConvNetConfig(layers=layers)
+    return extractor, init_banks(extractor)
+
+
+def feature_groups(images: list[np.ndarray], augmented: bool, extractor, banks) -> list[np.ndarray]:
+    """One feature matrix per image, one row per view: the ten crop/flip
+    patches when augmented, otherwise the image itself.
+
+    Feature vectors must come out the same length for every view, which
+    for the convnet extractor means equally sized inputs.
+    """
+    groups = []
+    for img in images:
+        views = aug.make_patches(img) if augmented else [img]
+        groups.append([extract_features(view, extractor, banks) for view in views])
+    lengths = {len(row) for rows in groups for row in rows}
+    if len(lengths) > 1:
+        raise ValueError(f"feature lengths differ across images: {sorted(lengths)}")
+    return [np.vstack(rows) for rows in groups]
+
+
+def fit_transform(X: np.ndarray, config: TransformConfig, seed: int):
+    """Fit standardizer and PCA on training rows; returns
+    (standardizer, pca, projected rows)."""
+    standardizer = Standardizer.fit(X)
+    Xs = standardizer.apply(X)
+    k = resolve_components(config.pca_fraction, Xs.shape[1], Xs.shape[0])
+    pca = fit_pca_randomized(Xs, k, seed=seed, whiten=config.whiten)
+    return standardizer, pca, project(pca, Xs)
 
 
 class TrainedPipeline:
@@ -177,9 +206,7 @@ def fit_pipeline(images: list[np.ndarray], labels: np.ndarray, config: PipelineC
     """Train the full pipeline on raw labeled images.
 
     All randomness (filter banks, PCA sketch, SMO probing) derives from
-    ``config.seed``.  Feature vectors must come out the same length for
-    every image, which for the convnet extractor means equally sized
-    inputs.
+    ``config.seed``.
     """
     labels = np.asarray(labels, dtype=np.float64)
     if len(images) != len(labels):
@@ -187,24 +214,11 @@ def fit_pipeline(images: list[np.ndarray], labels: np.ndarray, config: PipelineC
     if not np.all(np.isin(labels, (LIVE_LABEL, FAKE_LABEL))):
         raise ValueError("labels must be +1 (live) or -1 (fake)")
 
-    extractor = seeded_extractor(config.extractor, config.seed)
+    extractor, banks = realize_extractor(config.extractor, config.seed)
     config = replace(config, extractor=extractor)
-    banks = init_banks(extractor) if isinstance(extractor, ConvNetConfig) else None
-
     pre = [preprocess_image(img, config.preprocess) for img in images]
-    if config.augmented:
-        pre, labels = aug.augment_training(pre, labels)
-
-    rows = [extract_features(img, extractor, banks) for img in pre]
-    lengths = {len(r) for r in rows}
-    if len(lengths) > 1:
-        raise ValueError(f"feature lengths differ across images: {sorted(lengths)}")
-    X = np.vstack(rows)
-
-    standardizer = Standardizer.fit(X)
-    Xs = standardizer.apply(X)
-    k = resolve_components(config.transform.pca_fraction, X.shape[1], X.shape[0])
-    pca = fit_pca_randomized(Xs, k, seed=derive_seed(config.seed, "pca"), whiten=config.transform.whiten)
-    Z = project(pca, Xs)
-    classifier, _ = train_smo(Z, labels, config.classifier, seed=derive_seed(config.seed, "smo"))
+    groups = feature_groups(pre, config.augmented, extractor, banks)
+    standardizer, pca, Z = fit_transform(np.vstack(groups), config.transform, derive_seed(config.seed, "pca"))
+    y = np.repeat(labels, [len(g) for g in groups])
+    classifier, _ = train_smo(Z, y, config.classifier, seed=derive_seed(config.seed, "smo"))
     return TrainedPipeline(config, banks, standardizer, pca, classifier)

@@ -201,6 +201,33 @@ class TestGridSearch:
         assert loaded.classifier.support_vectors.shape[0] >= 1
 
 
+class TestTrainAndGridSearchAgree:
+    def test_same_table_selection_and_model(self, tmp_path, data_dir, capsys):
+        cfg = tmp_path / "grid.ini"
+        cfg.write_text(GRID_CONFIG, encoding="utf-8")
+        data = ["--config", str(cfg), "--data", str(data_dir)]
+        assert main(["train", *data, "--out", str(tmp_path / "t.lvck")]) == 0
+        train_out = capsys.readouterr().out.splitlines()
+        report = tmp_path / "report.tsv"
+        assert main(["gridsearch", *data, "--report", str(report), "--out", str(tmp_path / "g.lvck")]) == 0
+        grid_out = capsys.readouterr().out.splitlines()
+
+        table = train_out[:3]  # header + two candidates
+        assert table[0] == "candidate\tpreprocess\textract\ttransform\tclassify\tmean_ace\tstatus"
+        assert [row.split("\t")[0] for row in table[1:]] == ["0/0/0/0", "0/0/0/1"]
+        selected, digest = train_out[3], train_out[5]
+        assert re.fullmatch(r"selected candidate 0/0/0/[01] with mean ACE \d\.\d{4}", selected)
+        assert train_out == [*table, selected, f"model written to {tmp_path / 't.lvck'}", digest]
+        assert grid_out == [
+            *table,
+            f"report written to {report}",
+            selected,
+            f"model written to {tmp_path / 'g.lvck'}",
+            digest,
+        ]
+        assert (tmp_path / "t.lvck").read_bytes() == (tmp_path / "g.lvck").read_bytes()
+
+
 class TestDeterminism:
     def test_same_invocation_same_digest(self, tmp_path, data_dir, config_path, capsys):
         outs = []

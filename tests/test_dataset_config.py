@@ -5,6 +5,7 @@ import pytest
 
 from livecheck.config import parse_config, parse_config_file
 from livecheck.convnet import ConvNetConfig
+from livecheck import dataset
 from livecheck.dataset import load_dataset, load_images
 from livecheck.imageproc import write_pgm
 from livecheck.lbp import LbpConfig
@@ -61,6 +62,23 @@ class TestLoadDataset:
         assert len(manifest.entries) == 4
         assert len(manifest.skipped) == 1
         assert manifest.skipped[0][0] == "fake/0000_bad.pgm"
+
+    def test_each_file_decoded_once(self, tmp_path, monkeypatch):
+        _write_tree(tmp_path, n_live=3, n_fake=2)
+        (tmp_path / "fake" / "0000_bad.pgm").write_bytes(b"garbage")
+        decoded = []
+        original = dataset.ingest
+
+        def counting(data):
+            decoded.append(data)
+            return original(data)
+
+        monkeypatch.setattr(dataset, "ingest", counting)
+        images, labels = load_images(load_dataset(tmp_path, skip_unreadable=True))
+        files = sorted(p for p in tmp_path.rglob("*.pgm"))
+        assert sorted(decoded) == sorted(p.read_bytes() for p in files)  # six files, one decode each
+        assert len(images) == len(labels) == 5
+        np.testing.assert_array_equal(images[0], original((tmp_path / "live" / "0001.pgm").read_bytes()))
 
     def test_class_of_only_garbage_rejected(self, tmp_path):
         _write_tree(tmp_path)

@@ -1,9 +1,13 @@
 """Metric, 5x2 cross-validation, and the cached grid search engine."""
 
+import pickle
+
 import numpy as np
 import pytest
 
+from livecheck import modelsel
 from livecheck.modelsel import (
+    DiskCache,
     GridSpec,
     GridStage,
     ace,
@@ -322,3 +326,76 @@ class TestDiskCache:
         )
         total = sum(p.stat().st_size for p in tmp_path.glob("*.pkl"))
         assert total <= 70_000
+
+
+def _content_runners():
+    """Results that depend on the pixels and the augmentation flag: each
+    image's sum, thresholded by the classify config, inverted when
+    augmented."""
+
+    def run_extract(cfg, upstream, ctx):
+        return np.array([float(np.sum(img)) for img in ctx.images])
+
+    def run_classify(cfg, sums, ctx):
+        predictions = np.where(sums[ctx.test_idx] >= cfg, 1.0, -1.0)
+        return -predictions if ctx.augmented else predictions
+
+    return {"extract": run_extract, "classify": run_classify}
+
+
+def _bright_live(bright_live: bool):
+    """The toy split with live images bright (or dark) and fakes opposite."""
+    _, labels, splits = _toy_problem()
+    images = [np.full((2, 2), 1.0 if (label > 0) == bright_live else 0.0) for label in labels]
+    return images, labels, splits
+
+
+class TestCacheKey:
+    """A disk cache must never answer for other data, flags, seeds or code."""
+
+    GRID = GridSpec(stages=(GridStage("extract", ("sum",)), GridStage("classify", (2.0,))))
+
+    def _search(self, cache_dir, bright_live=True, augmented=False, seed=0):
+        images, labels, splits = _bright_live(bright_live)
+        return grid_search(
+            images, labels, self.GRID, seed=seed, splits=splits, augmented=augmented,
+            runners=_content_runners(), cache_dir=cache_dir,
+        )
+
+    def _assert_recomputed(self, warm, cold):
+        assert warm.executions == cold.executions == {"extract": 1, "classify": 1}
+        assert warm.cache_hits == {"extract": 0, "classify": 0}
+        assert [c.fold_aces for c in warm.candidates] == [c.fold_aces for c in cold.candidates]
+
+    def test_other_images_recompute(self, tmp_path):
+        assert self._search(tmp_path / "shared").candidates[0].mean_ace == 0.0
+        warm = self._search(tmp_path / "shared", bright_live=False)
+        cold = self._search(tmp_path / "cold", bright_live=False)
+        assert cold.candidates[0].mean_ace == 1.0
+        self._assert_recomputed(warm, cold)
+
+    def test_augmentation_flag_recomputes(self, tmp_path):
+        self._search(tmp_path / "shared", augmented=False)
+        warm = self._search(tmp_path / "shared", augmented=True)
+        cold = self._search(tmp_path / "cold", augmented=True)
+        assert cold.candidates[0].mean_ace == 1.0
+        self._assert_recomputed(warm, cold)
+
+    def test_root_seed_recomputes(self, tmp_path):
+        self._search(tmp_path / "shared", seed=0)
+        self._assert_recomputed(self._search(tmp_path / "shared", seed=1), self._search(tmp_path / "cold", seed=1))
+
+    def test_code_change_recomputes(self, tmp_path, monkeypatch):
+        self._search(tmp_path / "shared")
+        monkeypatch.setattr(modelsel, "_code_version", lambda: "edited")
+        self._assert_recomputed(self._search(tmp_path / "shared"), self._search(tmp_path / "cold"))
+
+
+class TestDiskCacheWrites:
+    def test_failed_write_leaves_nothing(self, tmp_path):
+        cache = DiskCache(tmp_path)
+        cache.put("kept", np.arange(3.0))
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            cache.put("lost", lambda: None)  # functions defined inline do not pickle
+        assert [p.name for p in tmp_path.iterdir()] == ["kept.pkl"]
+        assert cache.get("lost") is None
