@@ -13,9 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .imageproc import gaussian_kernel
+from .imageproc import gaussian_profile
 
 __all__ = [
     "ConvLayerConfig",
@@ -117,8 +116,16 @@ def conv_forward(x: np.ndarray, bank: np.ndarray) -> np.ndarray:
     size = bank.shape[2]
     if size > x.shape[1] or size > x.shape[2]:
         raise ValueError(f"filter {size}x{size} larger than input {x.shape[1]}x{x.shape[2]}")
-    windows = sliding_window_view(x, (size, size), axis=(1, 2))
-    return np.einsum("chwij,fcij->fhw", windows, bank)
+    channels, height, width = x.shape
+    out_h, out_w = height - size + 1, width - size + 1
+    # im2col: row (c, i, j) holds the input pixels weight bank[:, c, i, j]
+    # reads, in the order bank.reshape(F, -1) lays the weights out.
+    cols = np.empty((channels, size, size, out_h, out_w))
+    for i in range(size):
+        for j in range(size):
+            cols[:, i, j] = x[:, i : i + out_h, j : j + out_w]
+    out = bank.reshape(bank.shape[0], -1) @ cols.reshape(-1, out_h * out_w)
+    return out.reshape(bank.shape[0], out_h, out_w)
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -142,23 +149,29 @@ def lcn(x: np.ndarray, window: int = 9) -> np.ndarray:
         return x.copy()
     if window > min(x.shape[1], x.shape[2]):
         raise ValueError(f"window {window} larger than feature maps {x.shape[1]}x{x.shape[2]}")
-    channels = x.shape[0]
-    # Unit total mass across channels: each per-channel 2-D window sums
-    # to 1/C, so means and variances average over the channel axis too.
-    kernel = gaussian_kernel(window, window / 6.0) / channels
-    mean = _conv_same_sum(x, kernel)
+    # The window is outer(q, q) / C with q the unit-mass 1-D Gaussian, so
+    # its sum over channels is the separable blur of the channel mean.
+    profile = gaussian_profile(window, window / 6.0)
+    profile = profile / profile.sum()
+    mean = _blur_same(x.mean(axis=0), profile)
     centered = x - mean[None]
-    variance = _conv_same_sum(centered**2, kernel)
+    variance = _blur_same((centered**2).mean(axis=0), profile)
     sigma = np.sqrt(np.maximum(variance, 0.0))
     return centered / np.maximum(1.0, sigma)[None]
 
 
-def _conv_same_sum(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Sum over channels of same-size convolution with mirrored borders."""
-    radius = kernel.shape[0] // 2
-    padded = np.pad(x, ((0, 0), (radius, radius), (radius, radius)), mode="symmetric")
-    windows = sliding_window_view(padded, kernel.shape, axis=(1, 2))
-    return np.einsum("chwij,ij->hw", windows, kernel)
+def _blur_same(plane: np.ndarray, profile: np.ndarray) -> np.ndarray:
+    """Same-size separable convolution of a 2-D map with mirrored borders."""
+    radius = len(profile) // 2
+    height, width = plane.shape
+    padded = np.pad(plane, radius, mode="symmetric")
+    rows = profile[0] * padded[:, :width]
+    for j in range(1, len(profile)):
+        rows += profile[j] * padded[:, j : j + width]
+    out = profile[0] * rows[:height]
+    for i in range(1, len(profile)):
+        out += profile[i] * rows[i : i + height]
+    return out
 
 
 def _pool_count(extent: int, pool: int, stride: int) -> int:
@@ -190,8 +203,15 @@ def max_pool(x: np.ndarray, pool: int, stride: int | None = None) -> np.ndarray:
     pad_h = max(0, (out_h - 1) * stride + pool - height)
     pad_w = max(0, (out_w - 1) * stride + pool - width)
     padded = np.pad(x, ((0, 0), (0, pad_h), (0, pad_w)), constant_values=-np.inf)
-    windows = sliding_window_view(padded, (pool, pool), axis=(1, 2))
-    return windows[:, ::stride, ::stride].max(axis=(-2, -1))
+    span_h = (out_h - 1) * stride + 1
+    span_w = (out_w - 1) * stride + 1
+    cols = padded[:, :, 0:span_w:stride]
+    for k in range(1, pool):
+        cols = np.maximum(cols, padded[:, :, k : k + span_w : stride])
+    out = cols[:, 0:span_h:stride]
+    for k in range(1, pool):
+        out = np.maximum(out, cols[:, k : k + span_h : stride])
+    return out
 
 
 def convnet_features(img: np.ndarray, config: ConvNetConfig, banks: list[np.ndarray] | None = None) -> np.ndarray:

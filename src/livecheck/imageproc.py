@@ -25,6 +25,7 @@ __all__ = [
     "ingest",
     "write_pgm",
     "resize_bilinear",
+    "gaussian_profile",
     "gaussian_kernel",
     "convolve2d",
     "lowpass",
@@ -177,14 +178,22 @@ def resize_bilinear(img: np.ndarray, scale: float) -> np.ndarray:
     return top * (1.0 - fy)[:, None] + bottom * fy[:, None]
 
 
-def gaussian_kernel(size: int, sigma: float) -> np.ndarray:
-    """Return a ``size x size`` Gaussian kernel normalized to unit sum."""
+def gaussian_profile(size: int, sigma: float) -> np.ndarray:
+    """Return the length-``size`` 1-D Gaussian with peak one, unnormalized.
+
+    A 2-D Gaussian is the outer product of this profile with itself.
+    """
     if size < 1 or size % 2 == 0:
         raise ValueError(f"kernel size must be odd and positive, got {size}")
     if sigma <= 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     offsets = np.arange(size, dtype=np.float64) - size // 2
-    profile = np.exp(-(offsets**2) / (2.0 * sigma**2))
+    return np.exp(-(offsets**2) / (2.0 * sigma**2))
+
+
+def gaussian_kernel(size: int, sigma: float) -> np.ndarray:
+    """Return a ``size x size`` Gaussian kernel normalized to unit sum."""
+    profile = gaussian_profile(size, sigma)
     kernel = np.outer(profile, profile)
     return kernel / kernel.sum()
 

@@ -2,13 +2,14 @@
 
 Grid search walks the candidate pipelines stage by stage.  Every stage
 output is memoized under a key built from the stage configuration, the
-upstream result's key, and the split identity, so two candidates that
-share a prefix share its computation.  The split identity chains from a
-root key over the image content, the labels, the augmentation flag, the
-root seed and the package source, so no other data, seed or code
-version can reuse a result.  An optional on-disk cache makes
-results survive across runs; entries are evicted oldest-first once the
-directory exceeds its byte budget.
+name of the runner that computes it, the upstream result's key, and the
+split identity, so two candidates that share a prefix share its
+computation.  The split identity chains from a root key over the image
+content, the labels, the augmentation flag, the root seed and the
+package source, so no other data, seed or code version can reuse a
+result.  An optional on-disk cache makes results survive across runs;
+entries are evicted oldest-first once the directory exceeds its byte
+budget.
 """
 
 from __future__ import annotations
@@ -245,9 +246,9 @@ def _split_identity(root_key: str, split_index: int, train_idx: np.ndarray, test
     return h.hexdigest()
 
 
-def _stage_key(stage_name: str, cfg, upstream_key: str) -> str:
+def _stage_key(stage_name: str, cfg, runner_name: str, upstream_key: str) -> str:
     # A config's repr is canonical: frozen dataclasses of plain values.
-    material = "\x1f".join((stage_name, repr(cfg), upstream_key))
+    material = "\x1f".join((stage_name, runner_name, repr(cfg), upstream_key))
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 
@@ -415,16 +416,21 @@ def grid_search(
 
     Custom ``runners`` may replace any stage; a runner takes
     (config, upstream_value, StageContext) and the last stage must
-    return +1/-1 predictions for the test fold.
+    return +1/-1 predictions for the test fold.  A runner is a named
+    function or method: its module and qualified name are part of the
+    stage's cache key, so results of one runner never answer for another.
     """
     labels = np.asarray(labels, dtype=np.float64)
     if splits is None:
         splits = five_by_two_splits(labels, derive_seed(seed, "cv"))
     if runners is None:
         runners = default_runners()
+    runner_names = {}
     for stage in grid.stages:
         if stage.name not in runners:
             raise ValueError(f"no runner for stage {stage.name!r}")
+        run = runners[stage.name]
+        runner_names[stage.name] = f"{run.__module__}.{run.__qualname__}"
 
     disk = None
     if use_cache:
@@ -443,7 +449,7 @@ def grid_search(
         upstream_key = split_id
         for stage, choice in zip(grid.stages, combo):
             cfg = stage.candidates[choice]
-            key = _stage_key(stage.name, cfg, upstream_key)
+            key = _stage_key(stage.name, cfg, runner_names[stage.name], upstream_key)
             upstream_key = key
             if use_cache and key in memo:
                 hits[stage.name] += 1

@@ -9,13 +9,14 @@ SVM expansion.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import augment as aug
 from .convnet import ConvNetConfig, convnet_features, init_banks
-from .imageproc import clahe, crop, extract_roi, highpass, lowpass, resize_bilinear
+from .imageproc import as_image, clahe, crop, extract_roi, highpass, lowpass, resize_bilinear
 from .lbp import LbpConfig, lbp_features
 from .seeds import derive_seed
 from .svm import SvmModel, SvmParams, decision_score, train_smo
@@ -191,11 +192,20 @@ class TrainedPipeline:
 
     def decision_score(self, img: np.ndarray) -> float:
         """Margin of a raw image; averages the ten patches when the
-        pipeline was trained with augmentation."""
-        pre = preprocess_image(img, self.config.preprocess)
+        pipeline was trained with augmentation.
+
+        Raises ``ValueError`` for an image that is not a finite 2-D
+        array in [0, 1], or whose margin comes out non-finite, so an
+        unscorable input is never labelled.
+        """
+        pre = preprocess_image(as_image(img), self.config.preprocess)
         if self.config.augmented:
-            return aug.averaged_score(self, pre)
-        return self.score_image(pre)
+            score = aug.averaged_score(self, pre)
+        else:
+            score = self.score_image(pre)
+        if not math.isfinite(score):
+            raise ValueError(f"image cannot be scored: margin is {score}")
+        return score
 
     def predict(self, img: np.ndarray) -> float:
         """Hard label: +1 live, -1 fake; a zero margin counts as live."""

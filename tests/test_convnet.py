@@ -1,8 +1,12 @@
 """Random-filter convnet stages against direct-summation references."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from livecheck.augment import make_patches
+from livecheck.config import parse_config_file
 from livecheck.convnet import (
     ConvLayerConfig,
     ConvNetConfig,
@@ -14,20 +18,29 @@ from livecheck.convnet import (
     max_pool,
     relu,
 )
+from livecheck.pipeline import preprocess_image, realize_extractor
 
 from oracles import conv_valid_oracle, lcn_oracle, max_pool_oracle, pool_starts_oracle
+
+DEPLOYED_CONFIG = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "scan-convnet-aug.ini"
+
+# Both layers of the 16/32-filter network on a 56x56 input.
+DEPLOYED_CONV_SHAPES = [((1, 56, 56), (16, 1, 5, 5)), ((16, 18, 18), (32, 16, 5, 5))]
 
 
 class TestConvForward:
     def test_matches_oracle(self, rng):
+        shapes = []
         for _ in range(20):
             channels = int(rng.integers(1, 4))
             filters = int(rng.integers(1, 5))
             size = int(rng.choice([1, 3, 5]))
             height = int(rng.integers(size, 12))
             width = int(rng.integers(size, 12))
-            x = rng.standard_normal((channels, height, width))
-            bank = rng.standard_normal((filters, channels, size, size))
+            shapes.append(((channels, height, width), (filters, channels, size, size)))
+        for x_shape, bank_shape in shapes + DEPLOYED_CONV_SHAPES:
+            x = rng.standard_normal(x_shape)
+            bank = rng.standard_normal(bank_shape)
             np.testing.assert_allclose(
                 conv_forward(x, bank), conv_valid_oracle(x, bank), atol=1e-10
             )
@@ -73,12 +86,16 @@ class TestRelu:
 
 class TestLcn:
     def test_matches_oracle(self, rng):
+        cases = []
         for _ in range(10):
             channels = int(rng.integers(1, 4))
             height = int(rng.integers(5, 10))
             width = int(rng.integers(5, 10))
-            x = rng.standard_normal((channels, height, width)) * 3.0
-            np.testing.assert_allclose(lcn(x, 3), lcn_oracle(x, 3), atol=1e-10)
+            cases.append(((channels, height, width), 3))
+        cases.append(((8, 14, 14), 9))  # the deployed window on many channels
+        for shape, window in cases:
+            x = rng.standard_normal(shape) * 3.0
+            np.testing.assert_allclose(lcn(x, window), lcn_oracle(x, window), atol=1e-10)
 
     def test_window_five_matches_oracle(self, rng):
         x = rng.standard_normal((2, 8, 9))
@@ -111,13 +128,18 @@ class TestLcn:
 
 class TestMaxPool:
     def test_matches_oracle(self, rng):
+        cases = []
         for _ in range(30):
             channels = int(rng.integers(1, 4))
             height = int(rng.integers(2, 12))
             width = int(rng.integers(2, 12))
             pool = int(rng.integers(1, min(height, width) + 1))
             stride = int(rng.integers(1, pool + 2))
-            x = rng.standard_normal((channels, height, width))
+            cases.append(((channels, height, width), pool, stride))
+        # The deployed first-layer maps, non-overlapping and overlapping.
+        cases += [((16, 52, 52), 3, 3), ((16, 52, 52), 3, 2)]
+        for shape, pool, stride in cases:
+            x = rng.standard_normal(shape)
             np.testing.assert_array_equal(
                 max_pool(x, pool, stride), max_pool_oracle(x, pool, stride)
             )
@@ -185,22 +207,35 @@ class TestFilterInit:
 
 class TestNetwork:
     def test_composition_equals_manual_stages(self, rng):
-        """convnet_features is exactly conv, relu, lcn, pool per layer."""
-        config = ConvNetConfig(
+        """convnet_features is exactly conv, relu, lcn, pool per layer.
+
+        The benchmark rebuilds the network from these public stages and
+        requires bit-identical margins, so the deployed scan-convnet-aug
+        model is pinned too: fusing or batching layers must fail here.
+        """
+        small = ConvNetConfig(
             layers=(
                 ConvLayerConfig(num_filters=3, filter_size=3, pool_size=2, lcn_window=3, seed=5),
                 ConvLayerConfig(num_filters=4, filter_size=3, pool_size=2, lcn_window=1, seed=6),
             )
         )
-        img = rng.uniform(0.0, 1.0, size=(16, 16))
-        banks = init_banks(config)
-        x = img[None]
-        for layer, bank in zip(config.layers, banks):
-            x = relu(conv_forward(x, bank))
-            if layer.lcn_window > 1:
-                x = lcn(x, layer.lcn_window)
-            x = max_pool(x, layer.pool_size, layer.stride)
-        np.testing.assert_array_equal(convnet_features(img, config), x.reshape(-1))
+        deployed = parse_config_file(DEPLOYED_CONFIG)
+        scan_net, scan_banks = realize_extractor(deployed.extract[0], deployed.seed)
+        scan_img = make_patches(
+            preprocess_image(rng.uniform(0.0, 1.0, size=(64, 64)), deployed.preprocess[0])
+        )[0]
+        cases = [
+            (small, rng.uniform(0.0, 1.0, size=(16, 16)), init_banks(small)),
+            (scan_net, scan_img, scan_banks),
+        ]
+        for config, img, banks in cases:
+            x = img[None]
+            for layer, bank in zip(config.layers, banks):
+                x = relu(conv_forward(x, bank))
+                if layer.lcn_window > 1:
+                    x = lcn(x, layer.lcn_window)
+                x = max_pool(x, layer.pool_size, layer.stride)
+            np.testing.assert_array_equal(convnet_features(img, config, banks), x.reshape(-1))
 
     def test_degenerate_layer_is_flat_relu(self, rng):
         """1x1 filter of weight one, no lcn, pool 1: flattened relu."""

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from livecheck import modelsel
+from livecheck.lbp import LbpConfig
 from livecheck.modelsel import (
+    STAGE_CLASSIFY,
+    STAGE_EXTRACT,
+    STAGE_PREPROCESS,
+    STAGE_TRANSFORM,
     DiskCache,
     GridSpec,
     GridStage,
@@ -14,8 +19,9 @@ from livecheck.modelsel import (
     five_by_two_splits,
     grid_search,
 )
-from livecheck.pipeline import TransformConfig
+from livecheck.pipeline import PreprocessConfig, TransformConfig
 from livecheck.svm import SvmParams
+from livecheck.synthdata import make_texture_dataset
 
 
 class TestAce:
@@ -389,6 +395,30 @@ class TestCacheKey:
         self._search(tmp_path / "shared")
         monkeypatch.setattr(modelsel, "_code_version", lambda: "edited")
         self._assert_recomputed(self._search(tmp_path / "shared"), self._search(tmp_path / "cold"))
+
+    def test_other_runner_recomputes(self, tmp_path):
+        """A custom runner never receives the default runner's results."""
+        images, labels = make_texture_dataset(4, size=24, seed=5)
+        grid = GridSpec(
+            stages=(
+                GridStage(STAGE_PREPROCESS, (PreprocessConfig(),)),
+                GridStage(STAGE_EXTRACT, (LbpConfig(variant="uniform", blocks=(1, 1)),)),
+                GridStage(STAGE_TRANSFORM, (TransformConfig(pca_fraction=0.5),)),
+                GridStage(STAGE_CLASSIFY, (SvmParams(C=1.0, gamma=0.5),)),
+            )
+        )
+
+        def always_live(cfg, bundle, ctx):
+            return np.ones(len(ctx.test_idx))
+
+        grid_search(images, labels, grid, seed=0, cache_dir=tmp_path)
+        custom = grid_search(
+            images, labels, grid, seed=0, cache_dir=tmp_path,
+            runners={**modelsel.default_runners(), STAGE_CLASSIFY: always_live},
+        )
+        assert custom.executions[STAGE_CLASSIFY] == 10
+        assert custom.cache_hits[STAGE_TRANSFORM] == 10
+        assert custom.candidates[0].mean_ace == 0.5  # every fake called live
 
 
 class TestDiskCacheWrites:
