@@ -416,9 +416,11 @@ def grid_search(
 
     Custom ``runners`` may replace any stage; a runner takes
     (config, upstream_value, StageContext) and the last stage must
-    return +1/-1 predictions for the test fold.  A runner is a named
-    function or method: its module and qualified name are part of the
-    stage's cache key, so results of one runner never answer for another.
+    return +1/-1 predictions for the test fold.  A runner enters the
+    stage's cache key by its module and qualified name only, so closures
+    or wrappers that share one name share entries.  A runner without a
+    qualified name (a ``functools.partial``, a callable instance) enters
+    by its repr, which usually holds its id, so it reuses no disk entry.
     """
     labels = np.asarray(labels, dtype=np.float64)
     if splits is None:
@@ -430,7 +432,8 @@ def grid_search(
         if stage.name not in runners:
             raise ValueError(f"no runner for stage {stage.name!r}")
         run = runners[stage.name]
-        runner_names[stage.name] = f"{run.__module__}.{run.__qualname__}"
+        name = getattr(run, "__qualname__", None) or repr(run)
+        runner_names[stage.name] = f"{getattr(run, '__module__', None)}.{name}"
 
     disk = None
     if use_cache:

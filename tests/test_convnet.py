@@ -224,18 +224,20 @@ class TestNetwork:
         scan_img = make_patches(
             preprocess_image(rng.uniform(0.0, 1.0, size=(64, 64)), deployed.preprocess[0])
         )[0]
+        # The small network passes no banks, so convnet_features must draw
+        # the same filters as init_banks.
         cases = [
-            (small, rng.uniform(0.0, 1.0, size=(16, 16)), init_banks(small)),
-            (scan_net, scan_img, scan_banks),
+            (small, rng.uniform(0.0, 1.0, size=(16, 16)), init_banks(small), None),
+            (scan_net, scan_img, scan_banks, scan_banks),
         ]
-        for config, img, banks in cases:
+        for config, img, banks, passed_banks in cases:
             x = img[None]
             for layer, bank in zip(config.layers, banks):
                 x = relu(conv_forward(x, bank))
                 if layer.lcn_window > 1:
                     x = lcn(x, layer.lcn_window)
                 x = max_pool(x, layer.pool_size, layer.stride)
-            np.testing.assert_array_equal(convnet_features(img, config, banks), x.reshape(-1))
+            np.testing.assert_array_equal(convnet_features(img, config, passed_banks), x.reshape(-1))
 
     def test_degenerate_layer_is_flat_relu(self, rng):
         """1x1 filter of weight one, no lcn, pool 1: flattened relu."""

@@ -1,17 +1,13 @@
 """Metric, 5x2 cross-validation, and the cached grid search engine."""
 
+import functools
 import pickle
 
 import numpy as np
 import pytest
 
 from livecheck import modelsel
-from livecheck.lbp import LbpConfig
 from livecheck.modelsel import (
-    STAGE_CLASSIFY,
-    STAGE_EXTRACT,
-    STAGE_PREPROCESS,
-    STAGE_TRANSFORM,
     DiskCache,
     GridSpec,
     GridStage,
@@ -19,9 +15,8 @@ from livecheck.modelsel import (
     five_by_two_splits,
     grid_search,
 )
-from livecheck.pipeline import PreprocessConfig, TransformConfig
+from livecheck.pipeline import TransformConfig
 from livecheck.svm import SvmParams
-from livecheck.synthdata import make_texture_dataset
 
 
 class TestAce:
@@ -361,11 +356,12 @@ class TestCacheKey:
 
     GRID = GridSpec(stages=(GridStage("extract", ("sum",)), GridStage("classify", (2.0,))))
 
-    def _search(self, cache_dir, bright_live=True, augmented=False, seed=0):
+    def _search(self, cache_dir, bright_live=True, augmented=False, seed=0, **kwargs):
         images, labels, splits = _bright_live(bright_live)
+        kwargs.setdefault("runners", _content_runners())
         return grid_search(
             images, labels, self.GRID, seed=seed, splits=splits, augmented=augmented,
-            runners=_content_runners(), cache_dir=cache_dir,
+            cache_dir=cache_dir, **kwargs,
         )
 
     def _assert_recomputed(self, warm, cold):
@@ -397,28 +393,28 @@ class TestCacheKey:
         self._assert_recomputed(self._search(tmp_path / "shared"), self._search(tmp_path / "cold"))
 
     def test_other_runner_recomputes(self, tmp_path):
-        """A custom runner never receives the default runner's results."""
-        images, labels = make_texture_dataset(4, size=24, seed=5)
-        grid = GridSpec(
-            stages=(
-                GridStage(STAGE_PREPROCESS, (PreprocessConfig(),)),
-                GridStage(STAGE_EXTRACT, (LbpConfig(variant="uniform", blocks=(1, 1)),)),
-                GridStage(STAGE_TRANSFORM, (TransformConfig(pca_fraction=0.5),)),
-                GridStage(STAGE_CLASSIFY, (SvmParams(C=1.0, gamma=0.5),)),
-            )
-        )
+        """A differently named runner never receives another's results."""
 
-        def always_live(cfg, bundle, ctx):
-            return np.ones(len(ctx.test_idx))
+        def run_inverted(cfg, sums, ctx):
+            return -np.where(sums[ctx.test_idx] >= cfg, 1.0, -1.0)
 
-        grid_search(images, labels, grid, seed=0, cache_dir=tmp_path)
-        custom = grid_search(
-            images, labels, grid, seed=0, cache_dir=tmp_path,
-            runners={**modelsel.default_runners(), STAGE_CLASSIFY: always_live},
-        )
-        assert custom.executions[STAGE_CLASSIFY] == 10
-        assert custom.cache_hits[STAGE_TRANSFORM] == 10
-        assert custom.candidates[0].mean_ace == 0.5  # every fake called live
+        assert self._search(tmp_path, runners=_content_runners()).candidates[0].mean_ace == 0.0
+        warm = self._search(tmp_path, runners={**_content_runners(), "classify": run_inverted})
+        assert warm.executions == {"extract": 0, "classify": 1}
+        assert warm.cache_hits == {"extract": 1, "classify": 0}
+        assert warm.candidates[0].mean_ace == 1.0
+
+    def test_partial_runner(self, tmp_path):
+        """A runner without a qualified name runs with and without a cache."""
+
+        def run_signed(cfg, sums, ctx, sign):
+            return sign * np.where(sums[ctx.test_idx] >= cfg, 1.0, -1.0)
+
+        runners = {**_content_runners(), "classify": functools.partial(run_signed, sign=-1.0)}
+        uncached = self._search(None, runners=runners, use_cache=False)
+        cached = self._search(tmp_path, runners=runners)
+        assert uncached.candidates[0].mean_ace == cached.candidates[0].mean_ace == 1.0
+        assert cached.executions == {"extract": 1, "classify": 1}
 
 
 class TestDiskCacheWrites:
