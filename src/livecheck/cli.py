@@ -135,12 +135,12 @@ def _cmd_predict(args) -> int:
     for image_path in args.images:
         try:
             img = ingest(Path(image_path).read_bytes())
+            started = time.perf_counter()
+            score = model.decision_score(img)
         except (OSError, ValueError) as exc:
             print(f"error: {image_path}: {exc}", file=sys.stderr)
             failures += 1
             continue
-        started = time.perf_counter()
-        score = model.decision_score(img)
         elapsed = time.perf_counter() - started
         timings.append(elapsed)
         label = _LABEL_NAMES[score >= 0.0]

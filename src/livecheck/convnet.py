@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imageproc import gaussian_profile
+from .imageproc import _blur_same, gaussian_profile
 
 __all__ = [
     "ConvLayerConfig",
@@ -158,20 +158,6 @@ def lcn(x: np.ndarray, window: int = 9) -> np.ndarray:
     variance = _blur_same((centered**2).mean(axis=0), profile)
     sigma = np.sqrt(np.maximum(variance, 0.0))
     return centered / np.maximum(1.0, sigma)[None]
-
-
-def _blur_same(plane: np.ndarray, profile: np.ndarray) -> np.ndarray:
-    """Same-size separable convolution of a 2-D map with mirrored borders."""
-    radius = len(profile) // 2
-    height, width = plane.shape
-    padded = np.pad(plane, radius, mode="symmetric")
-    rows = profile[0] * padded[:, :width]
-    for j in range(1, len(profile)):
-        rows += profile[j] * padded[:, j : j + width]
-    out = profile[0] * rows[:height]
-    for i in range(1, len(profile)):
-        out += profile[i] * rows[i : i + height]
-    return out
 
 
 def _pool_count(extent: int, pool: int, stride: int) -> int:

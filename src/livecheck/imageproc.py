@@ -219,12 +219,30 @@ def convolve2d(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return np.einsum("hwij,ij->hw", windows, kernel[::-1, ::-1])
 
 
-_LOWPASS_KERNEL = gaussian_kernel(GAUSS_SIZE, GAUSS_SIGMA)
+def _blur_same(plane: np.ndarray, profile: np.ndarray) -> np.ndarray:
+    """Same-size separable convolution of a 2-D map with mirrored borders."""
+    radius = len(profile) // 2
+    height, width = plane.shape
+    padded = np.pad(plane, radius, mode="symmetric")
+    rows = profile[0] * padded[:, :width]
+    for j in range(1, len(profile)):
+        rows += profile[j] * padded[:, j : j + width]
+    out = profile[0] * rows[:height]
+    for i in range(1, len(profile)):
+        out += profile[i] * rows[i : i + height]
+    return out
 
 
 def lowpass(img: np.ndarray) -> np.ndarray:
-    """Smooth with the fixed 13x13, sigma 3 Gaussian."""
-    return convolve2d(img, _LOWPASS_KERNEL)
+    """Smooth with the fixed 13x13, sigma 3 Gaussian (mirrored borders)."""
+    img = np.asarray(img, dtype=np.float64)
+    if img.ndim != 2:
+        raise ValueError("lowpass expects a 2-D image")
+    if GAUSS_SIZE > min(img.shape):
+        raise ValueError(f"kernel {GAUSS_SIZE}x{GAUSS_SIZE} larger than image {img.shape}")
+    # gaussian_kernel is the outer product of this unit-sum profile with itself
+    profile = gaussian_profile(GAUSS_SIZE, GAUSS_SIGMA)
+    return _blur_same(img, profile / profile.sum())
 
 
 def highpass(img: np.ndarray) -> np.ndarray:
@@ -238,10 +256,30 @@ def highpass(img: np.ndarray) -> np.ndarray:
 
 
 def _window_reduce(img: np.ndarray, box: int, reducer) -> np.ndarray:
+    """Reduce every box x box window of the mirror-extended image.
+
+    ``reducer`` is an exact binary ufunc (``np.maximum``, ``np.minimum``),
+    so the square window splits into a run down each column, then a run
+    along each row, with results identical in any order.
+    """
     radius = box // 2
     padded = img if radius == 0 else np.pad(img, radius, mode="symmetric")
-    windows = sliding_window_view(padded, (box, box))
-    return reducer(windows, axis=(-2, -1))
+    return _running_reduce(_running_reduce(padded, box, reducer).T, box, reducer).T
+
+
+def _running_reduce(a: np.ndarray, box: int, reducer) -> np.ndarray:
+    """Reduce each run of ``box`` consecutive rows of ``a``.
+
+    The reduced span doubles (1, 2, 4, ...) while it fits in the box;
+    one reduce of two overlapping spans then covers the box, so a box
+    of side b costs about log2(b) elementwise passes.
+    """
+    extent = a.shape[0] - box + 1
+    span = 1
+    while 2 * span <= box:
+        a = reducer(a[:-span], a[span:])
+        span *= 2
+    return reducer(a[:extent], a[box - span : box - span + extent])
 
 
 def morph_close(img: np.ndarray, box: int) -> np.ndarray:
@@ -257,8 +295,8 @@ def morph_close(img: np.ndarray, box: int) -> np.ndarray:
         raise ValueError(f"box side must be odd and positive, got {box}")
     if box > min(img.shape):
         raise ValueError(f"box {box} larger than image {img.shape}")
-    dilated = _window_reduce(img, box, np.max)
-    return _window_reduce(dilated, box, np.min)
+    dilated = _window_reduce(img, box, np.maximum)
+    return _window_reduce(dilated, box, np.minimum)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,9 @@ float64 in C order; the header lists array names and shapes, so the
 payload length is fully determined.
 
 Loading verifies the magic, version, digest, every declared length,
-and that nothing trails the digest.  Stored filter banks are used
+the presence and JSON type of every header key and array, and that
+nothing trails the digest; any failure is a ``ValueError`` naming the
+stage and key.  Stored filter banks are used
 as-is on load rather than re-derived from seeds, so a model file keeps
 scoring identically even if filter initialization ever changes.
 """
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -35,6 +38,7 @@ MAGIC = b"LVCK"
 FORMAT_VERSION = 1
 
 _STAGE_ORDER = ("preprocess", "augment", "extract", "transform", "classify")
+_LAYER_KEYS = ("num_filters", "filter_size", "pool_size", "pool_stride", "lcn_window", "seed")
 
 
 def _encode_stage(header: dict, arrays: list[tuple[str, np.ndarray]]) -> bytes:
@@ -43,6 +47,31 @@ def _encode_stage(header: dict, arrays: list[tuple[str, np.ndarray]]) -> bytes:
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     body = b"".join(np.ascontiguousarray(arr, dtype="<f8").tobytes() for _, arr in arrays)
     return struct.pack("<I", len(head)) + head + body
+
+
+def _field(header: dict, stage: str, key: str, kind: type):
+    """``header[key]`` checked to be a ``kind``; anything else is corruption.
+
+    A ``float`` field also takes a JSON integer; a boolean passes only
+    as ``bool``.
+    """
+    if key not in header:
+        raise ValueError(f"corrupt model file: stage {stage} key {key} missing")
+    value = header[key]
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        raise ValueError(f"corrupt model file: stage {stage} key {key} is not a {kind.__name__}")
+    return float(value) if kind is float else value
+
+
+def _ints(header: dict, stage: str, key: str, length: int | None = None) -> tuple[int, ...]:
+    """``header[key]`` as a tuple of integers, of ``length`` items if given."""
+    values = _field(header, stage, key, list)
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in values):
+        raise ValueError(f"corrupt model file: stage {stage} key {key} is not a list of integers")
+    if length is not None and len(values) != length:
+        raise ValueError(f"corrupt model file: stage {stage} key {key} does not hold {length} integers")
+    return tuple(values)
 
 
 def _decode_stage(payload: bytes, stage: str) -> tuple[dict, dict[str, np.ndarray]]:
@@ -55,17 +84,22 @@ def _decode_stage(payload: bytes, stage: str) -> tuple[dict, dict[str, np.ndarra
         header = json.loads(payload[4 : 4 + head_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"corrupt model file: stage {stage} header unreadable") from exc
+    if not isinstance(header, dict):
+        raise ValueError(f"corrupt model file: stage {stage} header is not an object")
     arrays: dict[str, np.ndarray] = {}
     offset = 4 + head_len
-    for spec in header.get("arrays", ()):
-        shape = tuple(int(s) for s in spec["shape"])
+    for spec in _field(header, stage, "arrays", list):
+        if not isinstance(spec, dict):
+            raise ValueError(f"corrupt model file: stage {stage} key arrays holds a non-object")
+        name = _field(spec, stage, "name", str)
+        shape = _ints(spec, stage, "shape")
         if any(s < 0 for s in shape):
             raise ValueError(f"corrupt model file: stage {stage} declares a negative shape")
-        nbytes = int(np.prod(shape, dtype=np.int64)) * 8
+        nbytes = math.prod(shape) * 8
         if offset + nbytes > len(payload):
-            raise ValueError(f"corrupt model file: stage {stage} array {spec['name']} truncated")
+            raise ValueError(f"corrupt model file: stage {stage} array {name} truncated")
         flat = np.frombuffer(payload, dtype="<f8", count=nbytes // 8, offset=offset)
-        arrays[spec["name"]] = flat.reshape(shape).astype(np.float64)
+        arrays[name] = flat.reshape(shape).astype(np.float64)
         offset += nbytes
     if offset != len(payload):
         raise ValueError(f"corrupt model file: stage {stage} has trailing bytes")
@@ -79,17 +113,7 @@ def _extract_stage(pipeline: TrainedPipeline) -> bytes:
         return _encode_stage(header, [])
     header = {
         "method": "convnet",
-        "layers": [
-            {
-                "num_filters": layer.num_filters,
-                "filter_size": layer.filter_size,
-                "pool_size": layer.pool_size,
-                "pool_stride": layer.pool_stride,
-                "lcn_window": layer.lcn_window,
-                "seed": layer.seed,
-            }
-            for layer in extractor.layers
-        ],
+        "layers": [{key: int(getattr(layer, key)) for key in _LAYER_KEYS} for layer in extractor.layers],
     }
     arrays = [(f"bank{i}", bank) for i, bank in enumerate(pipeline.banks)]
     return _encode_stage(header, arrays)
@@ -103,20 +127,20 @@ def model_bytes(pipeline: TrainedPipeline) -> bytes:
             {
                 "scale": pre.scale,
                 "filter": pre.filter,
-                "roi": pre.roi,
-                "equalize": pre.equalize,
+                "roi": bool(pre.roi),
+                "equalize": bool(pre.equalize),
                 "clahe_tiles": list(pre.clahe_tiles),
                 "clahe_clip": pre.clahe_clip,
-                "seed": pipeline.config.seed,
+                "seed": int(pipeline.config.seed),
             },
             [],
         ),
-        _encode_stage({"enabled": pipeline.config.augmented}, []),
+        _encode_stage({"enabled": bool(pipeline.config.augmented)}, []),
         _extract_stage(pipeline),
         _encode_stage(
             {
                 "pca_fraction": pipeline.config.transform.pca_fraction,
-                "whiten": pipeline.pca.whiten,
+                "whiten": bool(pipeline.pca.whiten),
                 "epsilon": pipeline.pca.epsilon,
             },
             [
@@ -132,7 +156,7 @@ def model_bytes(pipeline: TrainedPipeline) -> bytes:
                 "C": pipeline.config.classifier.C,
                 "gamma": pipeline.config.classifier.gamma,
                 "tol": pipeline.config.classifier.tol,
-                "max_passes": pipeline.config.classifier.max_passes,
+                "max_passes": int(pipeline.config.classifier.max_passes),
                 "bias": pipeline.classifier.bias,
             },
             [
@@ -184,53 +208,65 @@ def model_from_bytes(data: bytes) -> TrainedPipeline:
     tr_h, tr_arrays = _decode_stage(blocks[3], "transform")
     cl_h, cl_arrays = _decode_stage(blocks[4], "classify")
 
+    pre = "preprocess"
     preprocess = PreprocessConfig(
-        scale=float(pre_h["scale"]),
-        filter=str(pre_h["filter"]),
-        roi=bool(pre_h["roi"]),
-        equalize=bool(pre_h["equalize"]),
-        clahe_tiles=tuple(pre_h["clahe_tiles"]),
-        clahe_clip=float(pre_h["clahe_clip"]),
+        scale=_field(pre_h, pre, "scale", float),
+        filter=_field(pre_h, pre, "filter", str),
+        roi=_field(pre_h, pre, "roi", bool),
+        equalize=_field(pre_h, pre, "equalize", bool),
+        clahe_tiles=_ints(pre_h, pre, "clahe_tiles", 2),
+        clahe_clip=_field(pre_h, pre, "clahe_clip", float),
     )
     banks = None
-    if ext_h["method"] == "lbp":
-        extractor = LbpConfig(variant=ext_h["variant"], blocks=tuple(ext_h["blocks"]))
-    elif ext_h["method"] == "convnet":
-        extractor = ConvNetConfig(
-            layers=tuple(ConvLayerConfig(**layer) for layer in ext_h["layers"])
+    method = _field(ext_h, "extract", "method", str)
+    if method == "lbp":
+        extractor = LbpConfig(
+            variant=_field(ext_h, "extract", "variant", str), blocks=_ints(ext_h, "extract", "blocks", 2)
         )
-        banks = [ext_arrays[f"bank{i}"] for i in range(len(extractor.layers))]
+    elif method == "convnet":
+        layers = []
+        for layer in _field(ext_h, "extract", "layers", list):
+            if not isinstance(layer, dict):
+                raise ValueError("corrupt model file: stage extract key layers holds a non-object")
+            layers.append(ConvLayerConfig(**{key: _field(layer, "extract", key, int) for key in _LAYER_KEYS}))
+        extractor = ConvNetConfig(layers=tuple(layers))
+        banks = [_field(ext_arrays, "extract", f"bank{i}", np.ndarray) for i in range(len(layers))]
     else:
-        raise ValueError(f"corrupt model file: unknown extractor {ext_h['method']!r}")
+        raise ValueError(f"corrupt model file: unknown extractor {method!r}")
 
-    transform = TransformConfig(pca_fraction=float(tr_h["pca_fraction"]), whiten=bool(tr_h["whiten"]))
+    tr, cl = "transform", "classify"
+    whiten = _field(tr_h, tr, "whiten", bool)
+    gamma = _field(cl_h, cl, "gamma", float)
     params = SvmParams(
-        C=float(cl_h["C"]),
-        gamma=float(cl_h["gamma"]),
-        tol=float(cl_h["tol"]),
-        max_passes=int(cl_h["max_passes"]),
+        C=_field(cl_h, cl, "C", float),
+        gamma=gamma,
+        tol=_field(cl_h, cl, "tol", float),
+        max_passes=_field(cl_h, cl, "max_passes", int),
     )
     config = PipelineConfig(
         preprocess=preprocess,
         extractor=extractor,
-        transform=transform,
+        transform=TransformConfig(pca_fraction=_field(tr_h, tr, "pca_fraction", float), whiten=whiten),
         classifier=params,
-        augmented=bool(aug_h["enabled"]),
-        seed=int(pre_h["seed"]),
+        augmented=_field(aug_h, "augment", "enabled", bool),
+        seed=_field(pre_h, pre, "seed", int),
     )
-    standardizer = Standardizer(means=tr_arrays["feature_means"], stds=tr_arrays["feature_stds"])
+    standardizer = Standardizer(
+        means=_field(tr_arrays, tr, "feature_means", np.ndarray),
+        stds=_field(tr_arrays, tr, "feature_stds", np.ndarray),
+    )
     pca = PcaModel(
-        mean=tr_arrays["pca_mean"],
-        components=tr_arrays["components"],
-        component_variances=tr_arrays["component_variances"],
-        whiten=bool(tr_h["whiten"]),
-        epsilon=float(tr_h["epsilon"]),
+        mean=_field(tr_arrays, tr, "pca_mean", np.ndarray),
+        components=_field(tr_arrays, tr, "components", np.ndarray),
+        component_variances=_field(tr_arrays, tr, "component_variances", np.ndarray),
+        whiten=whiten,
+        epsilon=_field(tr_h, tr, "epsilon", float),
     )
     classifier = SvmModel(
-        support_vectors=cl_arrays["support_vectors"],
-        dual_coefs=cl_arrays["dual_coefs"],
-        bias=float(cl_h["bias"]),
-        gamma=float(cl_h["gamma"]),
+        support_vectors=_field(cl_arrays, cl, "support_vectors", np.ndarray),
+        dual_coefs=_field(cl_arrays, cl, "dual_coefs", np.ndarray),
+        bias=_field(cl_h, cl, "bias", float),
+        gamma=gamma,
     )
     return TrainedPipeline(config, banks, standardizer, pca, classifier)
 

@@ -134,6 +134,23 @@ class TestPredict:
         assert "error:" in captured.err and "broken.pgm" in captured.err
         assert len(captured.out.splitlines()) == 1  # the good one still prints
 
+    def test_unscorable_image_exit_one_but_rest_scored(self, tmp_path, data_dir, capsys):
+        """An image too small for the 13x13 highpass is reported, not fatal."""
+        cfg = tmp_path / "highpass.ini"
+        cfg.write_text(SINGLE_CONFIG + "[preprocess]\nfilter = highpass\n", encoding="utf-8")
+        model = tmp_path / "highpass.lvck"
+        assert main(["train", "--config", str(cfg), "--data", str(data_dir), "--out", str(model)]) == 0
+        tiny = tmp_path / "tiny.pgm"
+        tiny.write_bytes(b"P5\n4 4\n255\n" + bytes(range(16)))
+        good = str(data_dir / "live" / "0002.pgm")
+        capsys.readouterr()
+        code = main(["predict", "--model", str(model), str(tiny), good])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert f"error: {tiny}: kernel 13x13 larger than image (4, 4)" in captured.err
+        lines = captured.out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(good + "\t")
+
     def test_timing_flag_reports_on_stderr(self, data_dir, trained_model, capsys):
         target = str(data_dir / "live" / "0001.pgm")
         code = main(["predict", "--model", str(trained_model), "--timing", target])

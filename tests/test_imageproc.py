@@ -21,8 +21,21 @@ from livecheck.imageproc import (
 from oracles import (
     conv2d_same_reflect,
     morph_close_oracle,
+    morph_close_window_view,
     resize_bilinear_oracle,
 )
+
+
+def _finger_frame(height=480, width=640):
+    """A sensor-sized frame: an off-center elliptical print of curved
+    ridges with a soft edge on a dark background graded left to right."""
+    y, x = np.mgrid[0:height, 0:width].astype(np.float64)
+    cy, cx = 0.55 * height, 0.45 * width
+    radius = np.hypot((y - cy) / (0.3 * height), (x - cx) / (0.18 * width))
+    ridges = 0.5 + 0.5 * np.sin(2.0 * np.pi * np.hypot(y - 0.2 * height, x - cx) / 9.0)
+    mask = np.clip(6.0 * (1.0 - radius), 0.0, 1.0)
+    background = 0.02 * x / width
+    return background + mask * (0.1 + 0.8 * ridges - background)
 
 
 class TestIngest:
@@ -150,6 +163,12 @@ class TestFiltering:
             np.testing.assert_allclose(
                 convolve2d(img, kernel), conv2d_same_reflect(img, kernel), atol=1e-12
             )
+        # lowpass is the convolution with the 13x13, sigma 3 Gaussian
+        for shape in ((13, 13), (13, 22), (27, 13), (40, 50)):
+            img = rng.uniform(0.0, 1.0, size=shape)
+            np.testing.assert_allclose(
+                lowpass(img), conv2d_same_reflect(img, gaussian_kernel(13, 3.0)), atol=1e-12
+            )
 
     def test_convolve_kernel_flip(self):
         """An asymmetric kernel distinguishes convolution from correlation."""
@@ -196,9 +215,15 @@ class TestFiltering:
 
 class TestMorphology:
     def test_matches_oracle(self, rng):
-        for _ in range(8):
-            img = rng.uniform(0.0, 1.0, size=(int(rng.integers(5, 10)), int(rng.integers(5, 10))))
-            np.testing.assert_allclose(morph_close(img, 3), morph_close_oracle(img, 3), atol=1e-15)
+        cases = [(3, (int(rng.integers(5, 10)), int(rng.integers(5, 10)))) for _ in range(8)]
+        # boxes as large as the shorter side, as extract_roi uses on small crops
+        cases += [(5, (5, 8)), (9, (13, 9)), (21, (21, 26)), (21, (30, 21))]
+        for box, shape in cases:
+            img = rng.uniform(0.0, 1.0, size=shape)
+            np.testing.assert_array_equal(morph_close(img, box), morph_close_oracle(img, box))
+        # the deployed size: ROI closing of a full sensor frame
+        frame = _finger_frame()
+        np.testing.assert_array_equal(morph_close(frame, 21), morph_close_window_view(frame, 21))
 
     def test_constant_unchanged(self):
         img = np.full((9, 9), 0.4)
@@ -250,6 +275,9 @@ class TestRoi:
         """Images narrower than the closing box still get a region."""
         rect = extract_roi(np.ones((7, 9)))
         assert rect.width <= 9 and rect.height <= 7
+
+    def test_sensor_frame_geometry_pinned(self):
+        assert extract_roi(_finger_frame()) == RoiRect(x0=73, y0=41, width=451, height=439)
 
     def test_crop_extracts_expected_window(self):
         img = np.arange(30, dtype=np.float64).reshape(5, 6) / 30.0

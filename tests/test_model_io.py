@@ -1,5 +1,10 @@
 """Binary model files: byte-exact round trips and corruption handling."""
 
+import functools
+import hashlib
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -52,6 +57,54 @@ def _convnet_pipeline():
         seed=23,
     )
     return fit_pipeline(images, labels, config), images
+
+
+def _split(blob):
+    """Decode a model byte stream into (header, array bytes) per stage."""
+    stages, offset = [], 6
+    while offset < len(blob) - 32:
+        (length,) = struct.unpack_from("<Q", blob, offset)
+        block = blob[offset + 8 : offset + 8 + length]
+        (head_len,) = struct.unpack_from("<I", block, 0)
+        stages.append((json.loads(block[4 : 4 + head_len]), block[4 + head_len :]))
+        offset += 8 + length
+    return stages
+
+
+def _join(stages):
+    """Re-encode stages as a well-formed, correctly checksummed model."""
+    out = bytearray(MAGIC + struct.pack("<H", FORMAT_VERSION))
+    for header, body in stages:
+        head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        block = struct.pack("<I", len(head)) + head + body
+        out += struct.pack("<Q", len(block)) + block
+    return bytes(out) + hashlib.sha256(bytes(out)).digest()
+
+
+def _key_paths(node, path=()):
+    """Paths to every dict key in a decoded JSON header, nested ones too."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield path + (key,)
+            yield from _key_paths(value, path + (key,))
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            yield from _key_paths(value, path + (index,))
+
+
+_DROP = object()
+
+
+def _mutated(header, path, new):
+    """A deep copy of ``header`` with the key at ``path`` set to ``new``,
+    or removed for ``_DROP``."""
+    copy = json.loads(json.dumps(header))
+    parent = functools.reduce(lambda node, step: node[step], path[:-1], copy)
+    if new is _DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = new
+    return copy
 
 
 @pytest.fixture(scope="module")
@@ -143,3 +196,32 @@ class TestCorruption:
     def test_missing_file(self, tmp_path):
         with pytest.raises((ValueError, OSError)):
             load_model(tmp_path / "absent.lvck")
+
+    def test_header_keys_dropped_or_retyped(self, lbp_trained, convnet_trained):
+        """A checksummed file whose headers miss a key or hold a list where
+        another type belongs names the corruption; a string there is a
+        ValueError too.  Random integer lists load or are a ValueError."""
+        rng = np.random.default_rng(29)
+        for pipeline, _ in (lbp_trained, convnet_trained):
+            stages = _split(model_bytes(pipeline))
+            assert _join(stages) == model_bytes(pipeline)
+            for index, (header, body) in enumerate(stages):
+                for path in list(_key_paths(header)):
+                    value = functools.reduce(lambda node, step: node[step], path, header)
+                    random_ints = rng.integers(-2, 9, size=rng.integers(0, 4)).tolist()
+                    for new, match in (
+                        (_DROP, "corrupt model file"),
+                        ([value], "corrupt model file"),
+                        (json.dumps(value), None),
+                        (random_ints, None),
+                    ):
+                        mutated = _mutated(header, path, new)
+                        blob = _join(stages[:index] + [(mutated, body)] + stages[index + 1 :])
+                        if new is random_ints:
+                            try:
+                                model_from_bytes(blob)
+                            except ValueError:
+                                pass
+                            continue
+                        with pytest.raises(ValueError, match=match):
+                            model_from_bytes(blob)
