@@ -34,13 +34,14 @@ pts = np.vstack([upper, lower])
 y = np.concatenate([np.ones(120), -np.ones(120)])
 
 params = SvmParams(C=10.0, gamma=2.0)
-model, diag = train_smo(pts, y, params, seed=5, collect_diagnostics=True)
+model, diag = train_smo(pts, y, params, collect_diagnostics=True)
 scores = decision_scores(model, pts)
 accuracy = np.mean(np.sign(scores) == y)
 print(f"moons: {model.support_vectors.shape[0]} support vectors of {len(y)} points")
-print(f"training accuracy {accuracy:.1%} after {diag.sweeps} sweeps")
+print(f"training accuracy {accuracy:.1%} after {diag.sweeps} sweep(s) of {len(y)} pair steps")
 
-# The dual objective is what SMO maximizes; it should never decrease.
+# The dual objective is what SMO maximizes, sampled every n steps and at
+# the end; it should never decrease.
 obj = diag.dual_objectives
 print("dual objective head:", np.round(obj[:3], 3), "... tail:", np.round(obj[-2:], 3))
 print("monotone:", bool(np.all(np.diff(obj) >= -1e-9)))

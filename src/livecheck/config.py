@@ -116,7 +116,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "c": (_parse_float, "10.0"),
         "gamma": (_parse_float, "0.1"),
         "tol": (_parse_float, "1e-3"),
-        "max_passes": (_parse_int, "10"),
+        "max_passes": (_parse_int, "10"),  # retired; parsed so old files load, then ignored
     },
     "augment": {
         "enabled": (_parse_bool, "false"),
@@ -179,9 +179,7 @@ def _build_transform(fields: dict) -> TransformConfig:
 
 
 def _build_classify(fields: dict) -> SvmParams:
-    return SvmParams(
-        C=fields["c"], gamma=fields["gamma"], tol=fields["tol"], max_passes=fields["max_passes"]
-    )
+    return SvmParams(C=fields["c"], gamma=fields["gamma"], tol=fields["tol"])
 
 
 @dataclass(frozen=True)

@@ -156,7 +156,6 @@ def model_bytes(pipeline: TrainedPipeline) -> bytes:
                 "C": pipeline.config.classifier.C,
                 "gamma": pipeline.config.classifier.gamma,
                 "tol": pipeline.config.classifier.tol,
-                "max_passes": int(pipeline.config.classifier.max_passes),
                 "bias": pipeline.classifier.bias,
             },
             [
@@ -237,12 +236,7 @@ def model_from_bytes(data: bytes) -> TrainedPipeline:
     tr, cl = "transform", "classify"
     whiten = _field(tr_h, tr, "whiten", bool)
     gamma = _field(cl_h, cl, "gamma", float)
-    params = SvmParams(
-        C=_field(cl_h, cl, "C", float),
-        gamma=gamma,
-        tol=_field(cl_h, cl, "tol", float),
-        max_passes=_field(cl_h, cl, "max_passes", int),
-    )
+    params = SvmParams(C=_field(cl_h, cl, "C", float), gamma=gamma, tol=_field(cl_h, cl, "tol", float))
     config = PipelineConfig(
         preprocess=preprocess,
         extractor=extractor,

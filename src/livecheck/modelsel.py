@@ -356,9 +356,7 @@ def _run_transform(cfg, bundle: _SplitRows, ctx: StageContext):
 
 
 def _run_classify(cfg, bundle: _SplitRows, ctx: StageContext):
-    model, _ = train_smo(
-        bundle.train, bundle.train_y, cfg, seed=derive_seed(ctx.root_seed, "smo", ctx.split_index)
-    )
+    model, _ = train_smo(bundle.train, bundle.train_y, cfg)
     predictions = np.empty(len(bundle.test_groups))
     for pos, group in enumerate(bundle.test_groups):
         score = float(decision_scores(model, group).mean())
@@ -417,23 +415,30 @@ def grid_search(
     Custom ``runners`` may replace any stage; a runner takes
     (config, upstream_value, StageContext) and the last stage must
     return +1/-1 predictions for the test fold.  A runner enters the
-    stage's cache key by its module and qualified name only, so closures
-    or wrappers that share one name share entries.  A runner without a
-    qualified name (a ``functools.partial``, a callable instance) enters
-    by its repr, which usually holds its id, so it reuses no disk entry.
+    stage's cache key by its module and qualified name.  Only a runner
+    with an importable name uses the disk cache.  A runner without a
+    qualified name (a ``functools.partial``, a callable instance), a
+    lambda, or one defined inside a function (a closure, whose name
+    holds ``<locals>`` and does not tell it from its siblings) is
+    memoized within this call only, and so is every stage after it.
     """
     labels = np.asarray(labels, dtype=np.float64)
     if splits is None:
         splits = five_by_two_splits(labels, derive_seed(seed, "cv"))
     if runners is None:
         runners = default_runners()
-    runner_names = {}
+    # A stage's key names its runner and the runners upstream of it, so
+    # it may go to disk only while every one of those names is unique.
+    runner_names, on_disk = {}, {}
+    portable = True
     for stage in grid.stages:
         if stage.name not in runners:
             raise ValueError(f"no runner for stage {stage.name!r}")
         run = runners[stage.name]
-        name = getattr(run, "__qualname__", None) or repr(run)
+        name = getattr(run, "__qualname__", None)
         runner_names[stage.name] = f"{getattr(run, '__module__', None)}.{name}"
+        portable = portable and bool(name) and "<" not in name
+        on_disk[stage.name] = portable
 
     disk = None
     if use_cache:
@@ -458,8 +463,9 @@ def grid_search(
                 hits[stage.name] += 1
                 value = memo[key]
                 continue
-            if disk is not None:
-                cached = disk.get(key)
+            stage_disk = disk if on_disk[stage.name] else None
+            if stage_disk is not None:
+                cached = stage_disk.get(key)
                 if cached is not None:
                     hits[stage.name] += 1
                     memo[key] = cached
@@ -475,8 +481,8 @@ def grid_search(
                 value = _Failure(f"{type(exc).__name__}: {exc}")
             if use_cache:
                 memo[key] = value
-            if disk is not None and not isinstance(value, _Failure):
-                disk.put(key, value)
+            if stage_disk is not None and not isinstance(value, _Failure):
+                stage_disk.put(key, value)
         return value
 
     combos = list(itertools.product(*[range(len(s.candidates)) for s in grid.stages]))

@@ -215,7 +215,7 @@ class TrainedPipeline:
 def fit_pipeline(images: list[np.ndarray], labels: np.ndarray, config: PipelineConfig) -> TrainedPipeline:
     """Train the full pipeline on raw labeled images.
 
-    All randomness (filter banks, PCA sketch, SMO probing) derives from
+    All randomness (filter banks, PCA sketch) derives from
     ``config.seed``.
     """
     labels = np.asarray(labels, dtype=np.float64)
@@ -230,5 +230,5 @@ def fit_pipeline(images: list[np.ndarray], labels: np.ndarray, config: PipelineC
     groups = feature_groups(pre, config.augmented, extractor, banks)
     standardizer, pca, Z = fit_transform(np.vstack(groups), config.transform, derive_seed(config.seed, "pca"))
     y = np.repeat(labels, [len(g) for g in groups])
-    classifier, _ = train_smo(Z, y, config.classifier, seed=derive_seed(config.seed, "smo"))
+    classifier, _ = train_smo(Z, y, config.classifier)
     return TrainedPipeline(config, banks, standardizer, pca, classifier)

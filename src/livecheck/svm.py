@@ -1,16 +1,18 @@
 """Binary RBF-kernel support vector machine trained in the dual with SMO.
 
-The solver sweeps the training set looking for Karush-Kuhn-Tucker
-violations and optimizes one pair of dual variables at a time, which
-keeps the equality constraint sum(alpha_i * y_i) = 0 intact by
-construction.  A cache of decision values is updated incrementally
-after every successful step.  The partner variable is chosen by the
-largest error gap first, then by seeded random probing, so training is
-fully reproducible for a given seed.
+The solver optimizes two dual variables at a time, which keeps the
+equality constraint sum(alpha_i * y_i) = 0 intact by construction.  It
+picks the pair by second-order working-set selection (Fan, Chen & Lin,
+JMLR 2005, the LIBSVM rule): the most violating variable first, then
+the partner whose step gains the most dual objective.  It stops when
+the maximal Karush-Kuhn-Tucker violation is at most ``tol``.  Every
+choice is deterministic, so training depends only on the data and the
+parameters.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,29 +29,24 @@ __all__ = [
     "predict",
 ]
 
-_MAX_SWEEPS = 10_000
-_STEP_EPS = 1e-7
+_MAX_SWEEPS = 10_000  # steps are capped at this many times the sample count
+_CURVATURE_FLOOR = 1e-12
 _SV_EPS = 1e-12
 
 
 @dataclass(frozen=True)
 class SvmParams:
-    """Training knobs: soft margin C, kernel width gamma, stopping rule."""
+    """Training knobs: soft margin C, kernel width gamma, KKT stopping gap tol."""
 
     C: float = 10.0
     gamma: float = 0.1
     tol: float = 1e-3
-    max_passes: int = 10
 
     def __post_init__(self):
-        if self.C <= 0.0:
-            raise ValueError(f"C must be positive, got {self.C}")
-        if self.gamma <= 0.0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if self.tol <= 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.max_passes < 1:
-            raise ValueError(f"max_passes must be positive, got {self.max_passes}")
+        for name in ("C", "gamma", "tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass
@@ -90,105 +87,70 @@ def rbf_gram(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
 
 
 class _SmoSolver:
-    def __init__(self, X, y, params: SvmParams, seed: int):
-        self.X = X
+    def __init__(self, X, y, params: SvmParams):
         self.y = y
         self.params = params
-        self.rng = np.random.default_rng(seed)
         self.K = rbf_gram(X, X, params.gamma)
         self.n = len(y)
         self.alphas = np.zeros(self.n)
         self.bias = 0.0
-        # Decision values f(x_i); with all alphas and bias at zero the
-        # cache starts at zero and is kept exact incrementally.
-        self.F = np.zeros(self.n)
+        # s = -y * (gradient of the dual), s_t = y_t - sum_k alpha_k y_k K_tk,
+        # updated by two kernel rows after every step.
+        self.s = y.copy()
 
-    def _take_step(self, i: int, j: int) -> bool:
-        if i == j:
-            return False
-        C = self.params.C
-        a1, a2 = self.alphas[i], self.alphas[j]
-        y1, y2 = self.y[i], self.y[j]
-        E1 = self.F[i] - y1
-        E2 = self.F[j] - y2
-
-        if y1 == y2:
-            low, high = max(0.0, a1 + a2 - C), min(C, a1 + a2)
-        else:
-            low, high = max(0.0, a2 - a1), min(C, C + a2 - a1)
-        if low >= high:
-            return False
-
-        eta = self.K[i, i] + self.K[j, j] - 2.0 * self.K[i, j]
-        if eta <= 0.0:
-            return False  # coincident points; no curvature along this pair
-        a2_new = np.clip(a2 + y2 * (E1 - E2) / eta, low, high)
-        if abs(a2_new - a2) < _STEP_EPS * (a2_new + a2 + _STEP_EPS):
-            return False
-        a1_new = np.clip(a1 + y1 * y2 * (a2 - a2_new), 0.0, C)
-
-        d1 = y1 * (a1_new - a1)
-        d2 = y2 * (a2_new - a2)
-        b1 = self.bias - E1 - d1 * self.K[i, i] - d2 * self.K[i, j]
-        b2 = self.bias - E2 - d1 * self.K[i, j] - d2 * self.K[j, j]
-        if 0.0 < a1_new < C:
-            new_bias = b1
-        elif 0.0 < a2_new < C:
-            new_bias = b2
-        else:
-            new_bias = (b1 + b2) / 2.0
-
-        self.F += d1 * self.K[i] + d2 * self.K[j] + (new_bias - self.bias)
-        self.alphas[i], self.alphas[j] = a1_new, a2_new
-        self.bias = new_bias
-        return True
-
-    def _examine(self, i: int) -> bool:
-        E_i = self.F[i] - self.y[i]
-        r = self.y[i] * E_i
-        tol, C = self.params.tol, self.params.C
-        if not ((r < -tol and self.alphas[i] < C) or (r > tol and self.alphas[i] > 0.0)):
-            return False
-        # Second choice: the partner with the largest error gap makes
-        # the biggest unconstrained step.
-        errors = self.F - self.y
-        j = int(np.argmax(np.abs(errors - E_i)))
-        if self._take_step(i, j):
-            return True
-        for j in self.rng.permutation(self.n):
-            if j != i and self._take_step(i, int(j)):
-                return True
-        return False
+    def _candidates(self) -> tuple[np.ndarray, np.ndarray]:
+        # s over I_up (alpha may move along +y) and over I_low (along -y),
+        # with -inf / +inf where a variable sits on the bound it would cross.
+        y, alphas, C = self.y, self.alphas, self.params.C
+        s_up = np.where(np.where(y > 0, alphas < C, alphas > 0), self.s, -np.inf)
+        s_low = np.where(np.where(y > 0, alphas > 0, alphas < C), self.s, np.inf)
+        return s_up, s_low
 
     def dual_objective(self) -> float:
+        # K (alpha * y) = y - s, so no Gram product is needed.
         ay = self.alphas * self.y
-        return float(self.alphas.sum() - 0.5 * (ay @ self.K @ ay))
+        return float(self.alphas.sum() - 0.5 * (ay @ (self.y - self.s)))
 
     def solve(self, collect_objectives: bool = False) -> SmoDiagnostics:
         diag = SmoDiagnostics(alphas=self.alphas)
-        quiet_passes = 0
-        while quiet_passes < self.params.max_passes and diag.sweeps < _MAX_SWEEPS:
-            changed = sum(self._examine(i) for i in range(self.n))
-            diag.sweeps += 1
-            if collect_objectives:
+        y, K, alphas, C = self.y, self.K, self.alphas, self.params.C
+        diagonal = np.diag(K)
+        steps = 0
+        while steps < _MAX_SWEEPS * self.n:
+            s_up, s_low = self._candidates()
+            i = int(np.argmax(s_up))
+            if s_up[i] - s_low.min() <= self.params.tol:
+                break
+            # Partner j maximizes the dual gain b^2 / a of the pair's step.
+            b = s_up[i] - s_low
+            a = np.maximum(diagonal[i] + diagonal - 2.0 * K[i], _CURVATURE_FLOOR)
+            j = int(np.argmax(np.where(b > 0.0, b * b / a, -np.inf)))
+            room_i = C - alphas[i] if y[i] > 0 else alphas[i]
+            room_j = alphas[j] if y[j] > 0 else C - alphas[j]
+            t = min(b[j] / a[j], room_i, room_j)
+            # A variable that uses all its room lands exactly on its bound.
+            alphas[i] = (C if y[i] > 0 else 0.0) if t == room_i else alphas[i] + y[i] * t
+            alphas[j] = (0.0 if y[j] > 0 else C) if t == room_j else alphas[j] - y[j] * t
+            self.s -= t * (K[i] - K[j])
+            steps += 1
+            if collect_objectives and steps % self.n == 0:
                 diag.dual_objectives.append(self.dual_objective())
-            quiet_passes = 0 if changed else quiet_passes + 1
+        if collect_objectives:
+            diag.dual_objectives.append(self.dual_objective())
+        diag.sweeps = math.ceil(steps / self.n)
         self._finalize_bias()
-        diag.alphas = self.alphas.copy()
+        diag.alphas = alphas.copy()
         return diag
 
     def _finalize_bias(self):
-        # Average the exact bias over unbounded support vectors; they
-        # sit on the margin, so each gives an independent estimate.
-        C = self.params.C
-        slack = 1e-8 * max(1.0, C)
-        unbounded = (self.alphas > slack) & (self.alphas < C - slack)
-        if unbounded.any():
-            ay = self.alphas * self.y
-            residual = self.y[unbounded] - ay @ self.K[:, unbounded]
-            new_bias = float(residual.mean())
-            self.F += new_bias - self.bias
-            self.bias = new_bias
+        # Free support vectors sit on the margin, where the bias equals s;
+        # without any, the midpoint of the two extremes satisfies KKT best.
+        free = (self.alphas > 0.0) & (self.alphas < self.params.C)
+        if free.any():
+            self.bias = float(self.s[free].mean())
+        else:
+            s_up, s_low = self._candidates()
+            self.bias = float((s_up.max() + s_low.min()) / 2.0)
 
 
 def train_smo(
@@ -201,8 +163,10 @@ def train_smo(
     """Train an RBF-SVM on labels in {-1, +1}.
 
     Returns the fitted model and, when ``collect_diagnostics`` is set,
-    the final dual variables plus the per-sweep dual objective curve.
-    Training data must contain both classes and only finite values.
+    the final dual variables plus the dual objective after every n
+    steps and at the end.  Training data must contain both classes and
+    only finite values.  ``seed`` is accepted and unused: the solver is
+    deterministic.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -215,7 +179,7 @@ def train_smo(
     if np.unique(y).size < 2:
         raise ValueError("training data contains a single class")
 
-    solver = _SmoSolver(X, y, params, seed)
+    solver = _SmoSolver(X, y, params)
     diag = solver.solve(collect_objectives=collect_diagnostics)
 
     keep = solver.alphas > _SV_EPS

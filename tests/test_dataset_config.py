@@ -211,6 +211,18 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="preprocess.filter"):
             parse_config("[preprocess]\nfilter = bandpass\n[search]\nseed = 0\n")
 
+    def test_non_finite_classifier_values_rejected(self):
+        for key in ("c", "gamma", "tol"):
+            for value in ("nan", "inf"):
+                with pytest.raises(ValueError, match="finite"):
+                    parse_config(f"[classify]\n{key} = {value}\n[search]\nseed = 0\n")
+
+    def test_retired_max_passes_still_parses(self):
+        cfg = parse_config("[classify]\nmax_passes = 10\n[search]\nseed = 0\n")
+        assert cfg.single_config().classifier == parse_config(MINIMAL).single_config().classifier
+        with pytest.raises(ValueError, match="classify.max_passes"):
+            parse_config("[classify]\nmax_passes = many\n[search]\nseed = 0\n")
+
     def test_empty_alternative_rejected(self):
         with pytest.raises(ValueError, match="empty alternative"):
             parse_config("[classify]\nc = 1||10\n[search]\nseed = 0\n")

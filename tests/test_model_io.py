@@ -151,6 +151,18 @@ class TestRoundTrip:
         for img in images[:3]:
             assert loaded.decision_score(img) == pipeline.decision_score(img)
 
+    def test_retired_max_passes_key_still_loads(self, lbp_trained):
+        """Files written while SvmParams had max_passes carry it in the
+        classify header; the reader ignores it."""
+        pipeline, images = lbp_trained
+        stages = _split(model_bytes(pipeline))
+        classify, body = stages[-1]
+        assert "max_passes" not in classify
+        legacy = model_from_bytes(_join(stages[:-1] + [({**classify, "max_passes": 10}, body)]))
+        assert model_bytes(legacy) == model_bytes(pipeline)
+        for img in images:
+            assert legacy.decision_score(img) == pipeline.decision_score(img)
+
     def test_config_fields_survive(self, lbp_trained):
         pipeline, _ = lbp_trained
         loaded = model_from_bytes(model_bytes(pipeline))
@@ -196,6 +208,16 @@ class TestCorruption:
     def test_missing_file(self, tmp_path):
         with pytest.raises((ValueError, OSError)):
             load_model(tmp_path / "absent.lvck")
+
+    def test_non_finite_classifier_values_rejected(self, lbp_trained):
+        pipeline, _ = lbp_trained
+        stages = _split(model_bytes(pipeline))
+        classify, body = stages[-1]
+        for key in ("C", "gamma", "tol"):
+            for value in (float("nan"), float("inf")):
+                blob = _join(stages[:-1] + [({**classify, key: value}, body)])
+                with pytest.raises(ValueError, match="finite"):
+                    model_from_bytes(blob)
 
     def test_header_keys_dropped_or_retyped(self, lbp_trained, convnet_trained):
         """A checksummed file whose headers miss a key or hold a list where

@@ -114,23 +114,38 @@ def _toy_problem():
     return images, labels, [(train, test)]
 
 
+# Runners that use the disk cache are defined at module level: a runner
+# defined inside a function is memoized within one search only.
+
+
+def _named_extract(cfg, upstream, ctx):
+    return cfg
+
+
+def _named_classify(cfg, upstream, ctx):
+    truth = ctx.labels[ctx.test_idx]
+    if upstream == "good":
+        return truth.copy()
+    if upstream == "half":
+        flipped = truth.copy()
+        flipped[: len(flipped) // 2] *= -1.0
+        return flipped
+    return -truth
+
+
+NAMED_RUNNERS = {"extract": _named_extract, "classify": _named_classify}
+
+
 def _counting_runners(calls):
     """Two-stage synthetic pipeline with observable execution counts."""
 
     def run_extract(cfg, upstream, ctx):
         calls["extract"] += 1
-        return cfg
+        return _named_extract(cfg, upstream, ctx)
 
     def run_classify(cfg, upstream, ctx):
         calls["classify"] += 1
-        truth = ctx.labels[ctx.test_idx]
-        if upstream == "good":
-            return truth.copy()
-        if upstream == "half":
-            flipped = truth.copy()
-            flipped[: len(flipped) // 2] *= -1.0
-            return flipped
-        return -truth
+        return _named_classify(cfg, upstream, ctx)
 
     return {"extract": run_extract, "classify": run_classify}
 
@@ -279,17 +294,13 @@ class TestDiskCache:
                 GridStage("classify", ("a", "b")),
             )
         )
-        first_calls = {"extract": 0, "classify": 0}
         first = grid_search(
-            images, labels, grid, seed=0, splits=splits,
-            runners=_counting_runners(first_calls), cache_dir=tmp_path,
+            images, labels, grid, seed=0, splits=splits, runners=NAMED_RUNNERS, cache_dir=tmp_path,
         )
-        second_calls = {"extract": 0, "classify": 0}
         second = grid_search(
-            images, labels, grid, seed=0, splits=splits,
-            runners=_counting_runners(second_calls), cache_dir=tmp_path,
+            images, labels, grid, seed=0, splits=splits, runners=NAMED_RUNNERS, cache_dir=tmp_path,
         )
-        assert second_calls == {"extract": 0, "classify": 0}
+        assert first.executions == {"extract": 2, "classify": 4}
         assert second.executions == {"extract": 0, "classify": 0}
         assert first.best_indices == second.best_indices
         for a, b in zip(first.candidates, second.candidates):
@@ -299,10 +310,7 @@ class TestDiskCache:
         monkeypatch.setenv("LIVECHECK_CACHE_DIR", str(tmp_path))
         images, labels, splits = _toy_problem()
         grid = GridSpec(stages=(GridStage("extract", ("good",)), GridStage("classify", ("a",))))
-        grid_search(
-            images, labels, grid, seed=0, splits=splits,
-            runners=_counting_runners({"extract: ": 0, "extract": 0, "classify": 0}),
-        )
+        grid_search(images, labels, grid, seed=0, splits=splits, runners=NAMED_RUNNERS)
         assert len(list(tmp_path.glob("*.pkl"))) > 0
 
     def test_byte_budget_evicts_old_entries(self, tmp_path):
@@ -314,34 +322,41 @@ class TestDiskCache:
             )
         )
 
-        def run_extract(cfg, upstream, ctx):
-            return np.zeros(4096)  # ~32 KiB pickled
-
-        def run_classify(cfg, upstream, ctx):
-            return ctx.labels[ctx.test_idx].copy()
-
         grid_search(
             images, labels, grid, seed=0, splits=splits,
-            runners={"extract": run_extract, "classify": run_classify},
+            runners={"extract": _zeros_extract, "classify": _truth_classify},
             cache_dir=tmp_path, cache_budget=70_000,
         )
         total = sum(p.stat().st_size for p in tmp_path.glob("*.pkl"))
-        assert total <= 70_000
+        assert 0 < total <= 70_000
+
+
+def _zeros_extract(cfg, upstream, ctx):
+    return np.zeros(4096)  # ~32 KiB pickled
+
+
+def _truth_classify(cfg, upstream, ctx):
+    return ctx.labels[ctx.test_idx].copy()
+
+
+def _sum_extract(cfg, upstream, ctx):
+    return np.array([float(np.sum(img)) for img in ctx.images])
+
+
+def _threshold_classify(cfg, sums, ctx):
+    predictions = np.where(sums[ctx.test_idx] >= cfg, 1.0, -1.0)
+    return -predictions if ctx.augmented else predictions
+
+
+def _inverted_classify(cfg, sums, ctx):
+    return -np.where(sums[ctx.test_idx] >= cfg, 1.0, -1.0)
 
 
 def _content_runners():
     """Results that depend on the pixels and the augmentation flag: each
     image's sum, thresholded by the classify config, inverted when
     augmented."""
-
-    def run_extract(cfg, upstream, ctx):
-        return np.array([float(np.sum(img)) for img in ctx.images])
-
-    def run_classify(cfg, sums, ctx):
-        predictions = np.where(sums[ctx.test_idx] >= cfg, 1.0, -1.0)
-        return -predictions if ctx.augmented else predictions
-
-    return {"extract": run_extract, "classify": run_classify}
+    return {"extract": _sum_extract, "classify": _threshold_classify}
 
 
 def _bright_live(bright_live: bool):
@@ -394,12 +409,8 @@ class TestCacheKey:
 
     def test_other_runner_recomputes(self, tmp_path):
         """A differently named runner never receives another's results."""
-
-        def run_inverted(cfg, sums, ctx):
-            return -np.where(sums[ctx.test_idx] >= cfg, 1.0, -1.0)
-
         assert self._search(tmp_path, runners=_content_runners()).candidates[0].mean_ace == 0.0
-        warm = self._search(tmp_path, runners={**_content_runners(), "classify": run_inverted})
+        warm = self._search(tmp_path, runners={**_content_runners(), "classify": _inverted_classify})
         assert warm.executions == {"extract": 0, "classify": 1}
         assert warm.cache_hits == {"extract": 1, "classify": 0}
         assert warm.candidates[0].mean_ace == 1.0
@@ -415,6 +426,41 @@ class TestCacheKey:
         cached = self._search(tmp_path, runners=runners)
         assert uncached.candidates[0].mean_ace == cached.candidates[0].mean_ace == 1.0
         assert cached.executions == {"extract": 1, "classify": 1}
+
+    def test_closures_sharing_a_name_recompute(self, tmp_path):
+        """Two closures from one factory share a qualified name but not results."""
+
+        def make_classify(sign):
+            def classify(cfg, sums, ctx):
+                return sign * np.where(sums[ctx.test_idx] >= cfg, 1.0, -1.0)
+
+            return classify
+
+        truthful, inverted = make_classify(1.0), make_classify(-1.0)
+        assert truthful.__qualname__ == inverted.__qualname__
+        first = self._search(tmp_path, runners={**_content_runners(), "classify": truthful})
+        assert first.candidates[0].mean_ace == 0.0
+        assert len(list(tmp_path.glob("*.pkl"))) == 1  # only the named extract stage
+        second = self._search(tmp_path, runners={**_content_runners(), "classify": inverted})
+        assert second.executions == {"extract": 0, "classify": 1}
+        assert second.cache_hits == {"extract": 1, "classify": 0}
+        assert second.candidates[0].mean_ace == 1.0
+
+    def test_closure_upstream_keeps_later_stages_off_disk(self, tmp_path):
+        """A named runner downstream of a closure is keyed by the closure's
+        name, so it must not reuse a disk entry either."""
+
+        def make_extract(offset):
+            def extract(cfg, upstream, ctx):
+                return np.array([float(np.sum(img)) + offset for img in ctx.images])
+
+            return extract
+
+        self._search(tmp_path, runners={**_content_runners(), "extract": make_extract(0.0)})
+        shifted = self._search(tmp_path, runners={**_content_runners(), "extract": make_extract(-10.0)})
+        assert list(tmp_path.glob("*.pkl")) == []
+        assert shifted.executions == {"extract": 1, "classify": 1}
+        assert shifted.candidates[0].mean_ace == 0.5
 
 
 class TestDiskCacheWrites:

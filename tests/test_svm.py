@@ -110,12 +110,33 @@ class TestTraining:
         assert curve.size >= 1
         assert np.all(np.diff(curve) >= -1e-9 * np.maximum(1.0, np.abs(curve[:-1])))
 
+    def test_duality_gap_small(self, rng):
+        """The fitted model's primal objective nearly meets the dual's."""
+        cases = [
+            (*xor_data(), SvmParams(C=10.0, gamma=1.0)),
+            (*blob_data(rng), SvmParams(C=10.0, gamma=0.5)),
+            (*blob_data(rng, n=30), SvmParams(C=5.0, gamma=0.8)),
+            (*blob_data(rng, n=30, gap=1.0), SvmParams(C=3.0, gamma=0.7)),
+            (*blob_data(rng, n=24, gap=0.8), SvmParams(C=2.0, gamma=1.0)),
+        ]
+        for X, y, params in cases:
+            model, diag = train_smo(X, y, params, collect_diagnostics=True)
+            ay = diag.alphas * y
+            quadratic = ay @ rbf_gram(X, X, params.gamma) @ ay
+            hinge = np.maximum(0.0, 1.0 - y * decision_scores(model, X))
+            primal = 0.5 * quadratic + params.C * hinge.sum()
+            dual = diag.alphas.sum() - 0.5 * quadratic
+            assert (primal - dual) / max(1.0, abs(primal)) <= 5e-3
+
     def test_seeded_training_reproducible(self, rng):
         X, y = blob_data(rng, n=20, gap=1.0)
         m1, _ = train_smo(X, y, SvmParams(), seed=42)
         m2, _ = train_smo(X, y, SvmParams(), seed=42)
         np.testing.assert_array_equal(m1.dual_coefs, m2.dual_coefs)
         assert m1.bias == m2.bias
+        m3, _ = train_smo(X, y, SvmParams(), seed=7)  # the solver uses no randomness
+        np.testing.assert_array_equal(m1.dual_coefs, m3.dual_coefs)
+        assert m1.bias == m3.bias
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
@@ -131,7 +152,9 @@ class TestTraining:
             train_smo(np.zeros((3, 2)), np.array([0.0, 1.0, 2.0]), SvmParams())
 
     def test_bad_params_rejected(self):
-        for kwargs in ({"C": 0.0}, {"gamma": -1.0}, {"tol": 0.0}, {"max_passes": 0}):
+        bad = [{"C": 0.0}, {"gamma": -1.0}, {"tol": 0.0}]
+        bad += [{name: value} for name in ("C", "gamma", "tol") for value in (np.nan, np.inf)]
+        for kwargs in bad:
             with pytest.raises(ValueError):
                 SvmParams(**kwargs)
 
