@@ -1,26 +1,36 @@
 """Evaluation metric, cross-validation splits, and cached grid search.
 
-Grid search walks the candidate pipelines stage by stage.  Every stage
-output is memoized under a key built from the stage configuration, the
-name of the runner that computes it, the upstream result's key, and the
-split identity, so two candidates that share a prefix share its
-computation.  The split identity chains from a root key over the image
-content, the labels, the augmentation flag, the root seed and the
-package source, so no other data, seed or code version can reuse a
-result.  An optional on-disk cache makes results survive across runs;
+Grid search walks the candidate pipelines stage by stage, calling each
+stage's runner once per split.  Every stage output is memoized under a
+key built from the stage configuration, the name of the runner that
+computes it, the upstream result's key, and the split identity, so two
+candidates that share a prefix share its computation.  The split
+identity chains from a root key over the image content, the labels,
+the augmentation flag, the root seed and the package source, so no
+other data, seed or code version can reuse a result.
+
+Preprocessing and feature extraction do not depend on the split, so
+the default runners for those stages also share per-image results
+across the splits of one search: each image is preprocessed once per
+preprocessing config and extracted once per extractor.  Those results
+are keyed by the stage, its config and the digest of the input image's
+content, and are dropped when the search returns.  The split then only
+chooses which rows train and which test.
+
+An optional on-disk cache makes stage results survive across runs;
 entries are evicted oldest-first once the directory exceeds its byte
 budget.
 """
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import hashlib
 import itertools
 import os
 import pickle
 import tempfile
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,8 +40,10 @@ from .pipeline import (
     FAKE_LABEL,
     LIVE_LABEL,
     TransformConfig,
-    feature_groups,
+    check_feature_lengths,
+    check_labels,
     fit_transform,
+    image_features,
     preprocess_image,
     realize_extractor,
 )
@@ -226,14 +238,20 @@ def _code_version() -> str:
     return h.hexdigest()
 
 
+def _content_digest(img) -> bytes:
+    """SHA-256 of an array's shape, dtype and bytes."""
+    arr = np.ascontiguousarray(img)
+    h = hashlib.sha256(repr((arr.shape, arr.dtype.str)).encode("utf-8"))
+    h.update(arr.tobytes())
+    return h.digest()
+
+
 def _root_key(images: list, labels: np.ndarray, augmented: bool, seed: int) -> str:
     h = hashlib.sha256()
     h.update(repr((_code_version(), bool(augmented), int(seed))).encode("utf-8"))
     h.update(np.asarray(labels, dtype=np.float64).tobytes())
     for img in images:
-        arr = np.ascontiguousarray(img)
-        h.update(repr((arr.shape, arr.dtype.str)).encode("utf-8"))
-        h.update(arr.tobytes())
+        h.update(_content_digest(img))
     return h.hexdigest()
 
 
@@ -269,14 +287,15 @@ class DiskCache:
 
     def get(self, key: str):
         path = self._path(key)
-        if not path.is_file():
-            return None
         try:
             with open(path, "rb") as fh:
                 value = pickle.load(fh)
         except Exception:
-            return None  # treat unreadable entries as misses
-        os.utime(path, (time.time(), time.time()))
+            return None  # treat missing or unreadable entries as misses
+        try:
+            os.utime(path)
+        except FileNotFoundError:
+            pass  # evicted by a concurrent search since it was read
         return value
 
     def put(self, key: str, value) -> None:
@@ -293,7 +312,13 @@ class DiskCache:
         self._evict()
 
     def _evict(self) -> None:
-        entries = [(p.stat().st_mtime, p.stat().st_size, p) for p in self.root.glob("*.pkl")]
+        entries = []
+        for path in self.root.glob("*.pkl"):
+            try:
+                st = path.stat()
+            except FileNotFoundError:
+                continue  # removed by a concurrent search
+            entries.append((st.st_mtime, st.st_size, path))
         total = sum(size for _, size, _ in entries)
         for _, size, path in sorted(entries):
             if total <= self.budget:
@@ -328,14 +353,43 @@ class _SplitRows:
     test_groups: list[np.ndarray]  # per test image, one row per view
 
 
+# Per-image results of the default preprocess and extract runners.
+# ``grid_search`` opens one memo per call, so every split after the
+# first finds each image's result there; no other call sees it.
+_IMAGE_MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "livecheck_image_memo", default=None
+)
+
+
+def _per_image(tag: tuple, images: list, compute) -> list:
+    """``[compute(img) for img in images]``, reusing results from the
+    running search's memo under ``tag`` and each image's content."""
+    memo = _IMAGE_MEMO.get()
+    if memo is None:
+        return [compute(img) for img in images]
+    out = []
+    for img in images:
+        key = (*tag, _content_digest(img))
+        if key not in memo:
+            memo[key] = compute(img)
+        out.append(memo[key])
+    return out
+
+
 def _run_preprocess(cfg, upstream, ctx: StageContext):
-    return [preprocess_image(img, cfg) for img in ctx.images]
+    return _per_image(
+        (STAGE_PREPROCESS, repr(cfg)), ctx.images, lambda img: preprocess_image(img, cfg)
+    )
 
 
 def _run_extract(cfg, pre_images, ctx: StageContext):
     extractor, banks = realize_extractor(cfg, ctx.root_seed)
     order = np.concatenate([ctx.train_idx, ctx.test_idx])
-    groups = feature_groups([pre_images[int(i)] for i in order], ctx.augmented, extractor, banks)
+    groups = check_feature_lengths(_per_image(
+        (STAGE_EXTRACT, repr(cfg), int(ctx.root_seed), bool(ctx.augmented)),
+        [pre_images[int(i)] for i in order],
+        lambda img: image_features(img, ctx.augmented, extractor, banks),
+    ))
     train = groups[: len(ctx.train_idx)]
     return _SplitRows(
         train=np.vstack(train),
@@ -405,24 +459,36 @@ def grid_search(
 ) -> GridSearchResult:
     """Score every stage combination with 5x2 cross-validation.
 
+    ``images`` and ``labels`` must pair up one to one, and every label
+    must be +1 or -1; otherwise ``ValueError`` is raised before any
+    stage runs.
+
     Stage outputs are cached by (stage config, upstream key, split, data),
-    so shared prefixes are computed once.  ``cache_dir`` (or the
-    LIVECHECK_CACHE_DIR environment variable) adds a persistent layer.
-    A candidate that raises on any split is scored with ACE 1.0 and
+    so shared prefixes are computed once.  The default preprocess and
+    extract runners also share each image's result across the splits
+    of this call, keyed by its content; nothing they keep outlives the
+    call.  ``executions`` counts runner calls and ``cache_hits`` the
+    stage results reused, so neither depends on that per-image sharing.
+    ``cache_dir`` (or the LIVECHECK_CACHE_DIR environment variable) adds
+    a persistent layer.  ``use_cache=False`` turns every layer off.  A
+    candidate that raises on any split is scored with ACE 1.0 and
     flagged rather than aborting the search.  With caching on or off
     the returned tables are identical.
 
     Custom ``runners`` may replace any stage; a runner takes
     (config, upstream_value, StageContext) and the last stage must
-    return +1/-1 predictions for the test fold.  A runner enters the
-    stage's cache key by its module and qualified name.  Only a runner
-    with an importable name uses the disk cache.  A runner without a
+    return +1/-1 predictions for the test fold.  Runners must not modify
+    their upstream value in place, since cached values are shared.  A
+    runner may read the split from the context: its output is never
+    shared with another split.  A runner enters the stage's cache key
+    by its module and qualified name.  Only a runner with an importable
+    name uses the disk cache.  A runner without a
     qualified name (a ``functools.partial``, a callable instance), a
     lambda, or one defined inside a function (a closure, whose name
     holds ``<locals>`` and does not tell it from its siblings) is
     memoized within this call only, and so is every stage after it.
     """
-    labels = np.asarray(labels, dtype=np.float64)
+    labels = check_labels(images, labels)
     if splits is None:
         splits = five_by_two_splits(labels, derive_seed(seed, "cv"))
     if runners is None:
@@ -489,25 +555,29 @@ def grid_search(
     fold_tables: dict[tuple[int, ...], list[float]] = {c: [] for c in combos}
     failures: dict[tuple[int, ...], str] = {}
 
-    for split_index, (train_idx, test_idx) in enumerate(splits):
-        ctx = StageContext(
-            images=images,
-            labels=labels,
-            train_idx=np.asarray(train_idx),
-            test_idx=np.asarray(test_idx),
-            split_index=split_index,
-            root_seed=seed,
-            augmented=augmented,
-        )
-        split_id = _split_identity(root_key, split_index, ctx.train_idx, ctx.test_idx)
-        truth = labels[ctx.test_idx]
-        for combo in combos:
-            outcome = run_chain(combo, ctx, split_id)
-            if isinstance(outcome, _Failure):
-                fold_tables[combo].append(1.0)
-                failures.setdefault(combo, outcome.message)
-            else:
-                fold_tables[combo].append(ace(np.asarray(outcome), truth).ace)
+    memo_token = _IMAGE_MEMO.set({} if use_cache else None)
+    try:
+        for split_index, (train_idx, test_idx) in enumerate(splits):
+            ctx = StageContext(
+                images=images,
+                labels=labels,
+                train_idx=np.asarray(train_idx),
+                test_idx=np.asarray(test_idx),
+                split_index=split_index,
+                root_seed=seed,
+                augmented=augmented,
+            )
+            split_id = _split_identity(root_key, split_index, ctx.train_idx, ctx.test_idx)
+            truth = labels[ctx.test_idx]
+            for combo in combos:
+                outcome = run_chain(combo, ctx, split_id)
+                if isinstance(outcome, _Failure):
+                    fold_tables[combo].append(1.0)
+                    failures.setdefault(combo, outcome.message)
+                else:
+                    fold_tables[combo].append(ace(np.asarray(outcome), truth).ace)
+    finally:
+        _IMAGE_MEMO.reset(memo_token)
 
     results = []
     for combo in combos:

@@ -140,21 +140,27 @@ def realize_extractor(extractor, root_seed: int):
     return extractor, init_banks(extractor)
 
 
-def feature_groups(images: list[np.ndarray], augmented: bool, extractor, banks) -> list[np.ndarray]:
-    """One feature matrix per image, one row per view: the ten crop/flip
-    patches when augmented, otherwise the image itself.
+def image_features(img: np.ndarray, augmented: bool, extractor, banks) -> np.ndarray:
+    """Feature matrix of one image, one row per view: the ten crop/flip
+    patches when augmented, otherwise the image itself."""
+    views = aug.make_patches(img) if augmented else [img]
+    return np.vstack([extract_features(view, extractor, banks) for view in views])
 
-    Feature vectors must come out the same length for every view, which
-    for the convnet extractor means equally sized inputs.
-    """
-    groups = []
-    for img in images:
-        views = aug.make_patches(img) if augmented else [img]
-        groups.append([extract_features(view, extractor, banks) for view in views])
-    lengths = {len(row) for rows in groups for row in rows}
+
+def check_feature_lengths(groups: list[np.ndarray]) -> list[np.ndarray]:
+    """Return the per-image feature matrices after checking that every
+    row has the same length, which for the convnet extractor means
+    equally sized inputs."""
+    lengths = {group.shape[1] for group in groups}
     if len(lengths) > 1:
         raise ValueError(f"feature lengths differ across images: {sorted(lengths)}")
-    return [np.vstack(rows) for rows in groups]
+    return groups
+
+
+def feature_groups(images: list[np.ndarray], augmented: bool, extractor, banks) -> list[np.ndarray]:
+    """One feature matrix per image (see ``image_features``), all with
+    rows of one length."""
+    return check_feature_lengths([image_features(img, augmented, extractor, banks) for img in images])
 
 
 def fit_transform(X: np.ndarray, config: TransformConfig, seed: int):
@@ -212,18 +218,24 @@ class TrainedPipeline:
         return LIVE_LABEL if self.decision_score(img) >= 0.0 else FAKE_LABEL
 
 
+def check_labels(images: list, labels) -> np.ndarray:
+    """Return ``labels`` as floats after checking that there is one per
+    image and that each is +1 (live) or -1 (fake)."""
+    labels = np.asarray(labels, dtype=np.float64)
+    if len(images) != len(labels):
+        raise ValueError(f"got {len(images)} images but {len(labels)} labels")
+    if not np.all(np.isin(labels, (LIVE_LABEL, FAKE_LABEL))):
+        raise ValueError("labels must be +1 (live) or -1 (fake)")
+    return labels
+
+
 def fit_pipeline(images: list[np.ndarray], labels: np.ndarray, config: PipelineConfig) -> TrainedPipeline:
     """Train the full pipeline on raw labeled images.
 
     All randomness (filter banks, PCA sketch) derives from
     ``config.seed``.
     """
-    labels = np.asarray(labels, dtype=np.float64)
-    if len(images) != len(labels):
-        raise ValueError(f"got {len(images)} images but {len(labels)} labels")
-    if not np.all(np.isin(labels, (LIVE_LABEL, FAKE_LABEL))):
-        raise ValueError("labels must be +1 (live) or -1 (fake)")
-
+    labels = check_labels(images, labels)
     extractor, banks = realize_extractor(config.extractor, config.seed)
     config = replace(config, extractor=extractor)
     pre = [preprocess_image(img, config.preprocess) for img in images]

@@ -2,21 +2,27 @@
 
 import functools
 import pickle
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from livecheck import modelsel
+from livecheck import modelsel, pipeline
+from livecheck.convnet import ConvLayerConfig, ConvNetConfig
+from livecheck.lbp import LbpConfig
 from livecheck.modelsel import (
     DiskCache,
     GridSpec,
     GridStage,
     ace,
+    default_runners,
     five_by_two_splits,
     grid_search,
 )
-from livecheck.pipeline import TransformConfig
+from livecheck.pipeline import PreprocessConfig, TransformConfig, feature_groups
 from livecheck.svm import SvmParams
+from livecheck.synthdata import make_texture_dataset
 
 
 class TestAce:
@@ -471,3 +477,203 @@ class TestDiskCacheWrites:
             cache.put("lost", lambda: None)  # functions defined inline do not pickle
         assert [p.name for p in tmp_path.iterdir()] == ["kept.pkl"]
         assert cache.get("lost") is None
+
+
+class TestDiskCacheConcurrency:
+    """Searches sharing one cache directory remove each other's entries."""
+
+    def test_entry_vanishing_before_eviction_stat(self, tmp_path, monkeypatch):
+        cache = DiskCache(tmp_path)
+        cache.put("old", np.arange(3.0))
+        listed = type(tmp_path).glob
+
+        def glob_then_vanish(self, pattern):
+            paths = list(listed(self, pattern))
+            (self / "old.pkl").unlink(missing_ok=True)  # another search evicts it
+            return iter(paths)
+
+        monkeypatch.setattr(type(tmp_path), "glob", glob_then_vanish)
+        cache.put("new", np.arange(4.0))
+        np.testing.assert_array_equal(cache.get("new"), np.arange(4.0))
+        assert cache.get("old") is None
+
+    def test_entry_vanishing_after_read(self, tmp_path, monkeypatch):
+        cache = DiskCache(tmp_path)
+        cache.put("key", np.arange(3.0))
+        load = pickle.load
+
+        def load_then_vanish(fh):
+            value = load(fh)
+            Path(fh.name).unlink()  # evicted by another search
+            return value
+
+        monkeypatch.setattr(pickle, "load", load_then_vanish)
+        np.testing.assert_array_equal(cache.get("key"), np.arange(3.0))
+        assert list(tmp_path.glob("*.pkl")) == []
+
+
+class TestInputValidation:
+    GRID = GridSpec(stages=(GridStage("extract", ("good",)), GridStage("classify", ("a",))))
+
+    def _rejected(self, images, labels, message):
+        calls = {"extract": 0, "classify": 0}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            grid_search(images, labels, self.GRID, seed=0, runners=_counting_runners(calls))
+        assert calls == {"extract": 0, "classify": 0}
+
+    def test_length_mismatch_rejected(self):
+        images, labels, _ = _toy_problem()
+        self._rejected(images[:-1], labels, "got 19 images but 20 labels")
+        self._rejected(images, labels[:-2], "got 20 images but 18 labels")
+
+    def test_labels_other_than_plus_minus_one_rejected(self):
+        images, labels, _ = _toy_problem()
+        self._rejected(images, (labels > 0).astype(float), "labels must be +1 (live) or -1 (fake)")
+        self._rejected(images, labels * 2.0, "labels must be +1 (live) or -1 (fake)")
+
+
+def _split_echo_extract(cfg, upstream, ctx):
+    return ctx.split_index, ctx.train_idx.copy(), ctx.test_idx.copy()
+
+
+def _split_echo_classify(cfg, seen, ctx):
+    """Right on every test image exactly when the extract stage saw this
+    split's own indices."""
+    truth = ctx.labels[ctx.test_idx]
+    split_index, train_idx, test_idx = seen
+    own = (
+        split_index == ctx.split_index
+        and np.array_equal(train_idx, ctx.train_idx)
+        and np.array_equal(test_idx, ctx.test_idx)
+    )
+    return truth.copy() if own else -truth
+
+
+class TestSplitContract:
+    """A custom extract runner may read the split; its output is never
+    shared across splits (the benchmark's traced runners rely on this)."""
+
+    GRID = GridSpec(stages=(GridStage("extract", ("echo",)), GridStage("classify", ("a", "b"))))
+    RUNNERS = {"extract": _split_echo_extract, "classify": _split_echo_classify}
+
+    def _search(self, **kwargs):
+        images, labels, _ = _toy_problem()
+        splits = five_by_two_splits(labels, seed=4)
+        return grid_search(images, labels, self.GRID, seed=0, splits=splits, runners=self.RUNNERS, **kwargs)
+
+    def test_each_split_reads_its_own_indices(self, tmp_path):
+        searches = [
+            self._search(use_cache=False),
+            self._search(cache_dir=tmp_path),
+            self._search(cache_dir=tmp_path),  # served from disk
+        ]
+        for result in searches:
+            assert [c.fold_aces for c in result.candidates] == [(0.0,) * 10] * 2
+        assert searches[0].executions == {"extract": 20, "classify": 20}
+        assert searches[1].executions == {"extract": 10, "classify": 20}
+        assert searches[2].executions == {"extract": 0, "classify": 0}
+
+
+class TestPerImageMemo:
+    """The default preprocess and extract runners compute each image's
+    result once per search, keyed by its content."""
+
+    GRID = GridSpec(
+        stages=(
+            GridStage("preprocess", (PreprocessConfig(filter="highpass"),)),
+            GridStage("extract", (LbpConfig(variant="uniform"), LbpConfig(variant="uniform", blocks=(2, 2)))),
+            GridStage("transform", (TransformConfig(pca_fraction=0.5),)),
+            GridStage("classify", (SvmParams(C=1.0, gamma=0.05), SvmParams(C=10.0, gamma=0.05))),
+        )
+    )
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = {"preprocess": 0, "lbp": 0}
+
+        def count(name, run):
+            def counting(*args, **kwargs):
+                calls[name] += 1
+                return run(*args, **kwargs)
+
+            return counting
+
+        monkeypatch.setattr(modelsel, "preprocess_image", count("preprocess", modelsel.preprocess_image))
+        monkeypatch.setattr(pipeline, "lbp_features", count("lbp", pipeline.lbp_features))
+        return calls
+
+    def _search(self, **kwargs):
+        images, labels = make_texture_dataset(6, size=24, seed=8, blur_sigma=0.6)
+        return grid_search(images, labels, self.GRID, seed=2, augmented=True, **kwargs)
+
+    def test_one_extraction_per_extractor_and_view(self, counted):
+        """12 images: one preprocess each, one LBP per (extractor, patch)."""
+        for _ in range(2):  # nothing outlives a search
+            counted.update(preprocess=0, lbp=0)
+            result = self._search()
+            assert counted == {"preprocess": 12, "lbp": 2 * 12 * 10}
+            assert result.executions == {"preprocess": 10, "extract": 20, "transform": 20, "classify": 40}
+            assert result.cache_hits == {"preprocess": 30, "extract": 20, "transform": 20, "classify": 0}
+
+    def test_uncached_search_recomputes_everything(self, counted):
+        """4 candidates x 10 splits, each preprocessing 12 images and
+        extracting their 120 patches."""
+        uncached = self._search(use_cache=False)
+        assert counted == {"preprocess": 4 * 10 * 12, "lbp": 4 * 10 * 12 * 10}
+        assert uncached.executions == {"preprocess": 40, "extract": 40, "transform": 40, "classify": 40}
+        cached = self._search()
+        assert [c.fold_aces for c in cached.candidates] == [c.fold_aces for c in uncached.candidates]
+        assert cached.best_indices == uncached.best_indices
+
+    def test_custom_preprocess_feeds_default_extract(self):
+        """Rows follow the preprocessed pixels, not the config or index."""
+        images, labels = make_texture_dataset(3, size=16, seed=5)
+
+        def run_preprocess(cfg, upstream, ctx):
+            return [img**cfg for img in ctx.images]
+
+        seen = []
+
+        def run_classify(cfg, rows, ctx):
+            seen.append((ctx.split_index, rows))
+            return ctx.labels[ctx.test_idx].copy()
+
+        extractor = LbpConfig(variant="uniform", blocks=(2, 2))
+        grid = GridSpec(
+            stages=(
+                GridStage("preprocess", (1.0, 2.0)),
+                GridStage("extract", (extractor,)),
+                GridStage("classify", ("a",)),
+            )
+        )
+        runners = {**default_runners(), "preprocess": run_preprocess, "classify": run_classify}
+        splits = five_by_two_splits(labels, seed=1)
+        grid_search(images, labels, grid, seed=0, augmented=True, splits=splits, runners=runners)
+        assert len(seen) == 2 * len(splits)
+        for (split_index, rows), power in zip(seen, [1.0, 2.0] * len(splits)):
+            train_idx, test_idx = splits[split_index]
+            expected = feature_groups([img**power for img in images], True, extractor, None)
+            np.testing.assert_array_equal(rows.train, np.vstack([expected[i] for i in train_idx]))
+            np.testing.assert_array_equal(rows.train_y, np.repeat(labels[train_idx], 10))
+            assert len(rows.test_groups) == len(test_idx)
+            for group, i in zip(rows.test_groups, test_idx):
+                np.testing.assert_array_equal(group, expected[i])
+
+    @pytest.mark.parametrize("use_cache", [True, False])
+    def test_mixed_size_convnet_still_fails(self, use_cache):
+        images, labels = make_texture_dataset(3, size=24, seed=4)
+        images = [img if i % 2 else img[:20, :20] for i, img in enumerate(images)]
+        layer = ConvLayerConfig(num_filters=2, filter_size=3, pool_size=2, lcn_window=3)
+        grid = GridSpec(
+            stages=(
+                GridStage("preprocess", (PreprocessConfig(),)),
+                GridStage("extract", (ConvNetConfig(layers=(layer,)),)),
+                GridStage("transform", (TransformConfig(pca_fraction=0.5),)),
+                GridStage("classify", (SvmParams(C=1.0, gamma=0.1),)),
+            )
+        )
+        result = grid_search(images, labels, grid, seed=3, augmented=True, use_cache=use_cache)
+        (candidate,) = result.candidates
+        assert candidate.failed
+        assert candidate.message == "ValueError: feature lengths differ across images: [98, 162]"
+        assert candidate.fold_aces == (1.0,) * 10
