@@ -9,12 +9,13 @@ friendly topology.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .imageproc import _blur_same, gaussian_profile
+from .imageproc import gaussian_profile
 
 __all__ = [
     "ConvLayerConfig",
@@ -150,14 +151,36 @@ def lcn(x: np.ndarray, window: int = 9) -> np.ndarray:
     if window > min(x.shape[1], x.shape[2]):
         raise ValueError(f"window {window} larger than feature maps {x.shape[1]}x{x.shape[2]}")
     # The window is outer(q, q) / C with q the unit-mass 1-D Gaussian, so
-    # its sum over channels is the separable blur of the channel mean.
-    profile = gaussian_profile(window, window / 6.0)
-    profile = profile / profile.sum()
-    mean = _blur_same(x.mean(axis=0), profile)
+    # its sum over channels is the separable blur of the channel mean,
+    # rows @ plane @ cols.T with the mirrored border folded into the bands.
+    rows = _lcn_band(x.shape[1], window)
+    cols = _lcn_band(x.shape[2], window)
+    mean = rows @ x.mean(axis=0) @ cols.T
     centered = x - mean[None]
-    variance = _blur_same((centered**2).mean(axis=0), profile)
+    variance = rows @ (centered**2).mean(axis=0) @ cols.T
     sigma = np.sqrt(np.maximum(variance, 0.0))
     return centered / np.maximum(1.0, sigma)[None]
+
+
+@functools.lru_cache(maxsize=2 * MAX_LAYERS)  # a row and a column band per layer
+def _lcn_band(length: int, window: int) -> np.ndarray:
+    """Read-only (length, length) matrix of the unit-mass LCN Gaussian.
+
+    Row i holds the taps that output i of a same-size blur applies, with
+    taps that fall off either end moved onto their mirror images inside
+    (symmetric reflection, the edge sample repeated).
+    """
+    profile = gaussian_profile(window, window / 6.0)
+    profile = profile / profile.sum()
+    radius = window // 2
+    out_idx = np.repeat(np.arange(length), window)
+    src = out_idx + np.tile(np.arange(-radius, radius + 1), length)
+    src = np.where(src < 0, -src - 1, src)
+    src = np.where(src >= length, 2 * length - 1 - src, src)
+    band = np.bincount(out_idx * length + src, weights=np.tile(profile, length), minlength=length * length)
+    band = band.reshape(length, length)
+    band.flags.writeable = False
+    return band
 
 
 def _pool_count(extent: int, pool: int, stride: int) -> int:

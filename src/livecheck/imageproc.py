@@ -242,6 +242,7 @@ def lowpass(img: np.ndarray) -> np.ndarray:
         raise ValueError(f"kernel {GAUSS_SIZE}x{GAUSS_SIZE} larger than image {img.shape}")
     # gaussian_kernel is the outer product of this unit-sum profile with itself
     profile = gaussian_profile(GAUSS_SIZE, GAUSS_SIGMA)
+    # Keep the slice loop: it rounds alike at every pixel, so flat regions stay exactly tied for LBP's >=.
     return _blur_same(img, profile / profile.sum())
 
 

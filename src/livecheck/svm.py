@@ -82,8 +82,14 @@ def rbf_gram(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
     """Kernel matrix between the rows of two sample matrices."""
     A = np.atleast_2d(np.asarray(A, dtype=np.float64))
     B = np.atleast_2d(np.asarray(B, dtype=np.float64))
-    sq = (A**2).sum(axis=1)[:, None] + (B**2).sum(axis=1)[None, :] - 2.0 * (A @ B.T)
-    return np.exp(-gamma * np.maximum(sq, 0.0))
+    # In place, so at most two (len(A), len(B)) arrays are alive at once.
+    cross = A @ B.T
+    cross *= 2.0
+    out = (A**2).sum(axis=1)[:, None] + (B**2).sum(axis=1)[None, :]
+    out -= cross
+    np.maximum(out, 0.0, out=out)
+    out *= -gamma
+    return np.exp(out, out=out)
 
 
 class _SmoSolver:

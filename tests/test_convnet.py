@@ -8,6 +8,7 @@ import pytest
 from livecheck.augment import make_patches
 from livecheck.config import parse_config_file
 from livecheck.convnet import (
+    MAX_LAYERS,
     ConvLayerConfig,
     ConvNetConfig,
     conv_forward,
@@ -17,7 +18,9 @@ from livecheck.convnet import (
     lcn,
     max_pool,
     relu,
+    _lcn_band,
 )
+from livecheck.imageproc import convolve2d, gaussian_profile
 from livecheck.pipeline import preprocess_image, realize_extractor
 
 from oracles import conv_valid_oracle, lcn_oracle, max_pool_oracle, pool_starts_oracle
@@ -93,9 +96,44 @@ class TestLcn:
             width = int(rng.integers(5, 10))
             cases.append(((channels, height, width), 3))
         cases.append(((8, 14, 14), 9))  # the deployed window on many channels
+        # non-square maps whose short side equals the window, so the mirror
+        # folds reach the far half of the band
+        cases += [((3, 9, 12), 9), ((2, 12, 9), 9)]
         for shape, window in cases:
             x = rng.standard_normal(shape) * 3.0
             np.testing.assert_allclose(lcn(x, window), lcn_oracle(x, window), atol=1e-10)
+
+    def test_deployed_map_matches_2d_convolution(self, rng):
+        """The first-layer maps of the deployed network, against a dense 2-D window."""
+        x = np.maximum(rng.standard_normal((16, 52, 52)), 0.0)
+        q = gaussian_profile(9, 1.5)
+        kernel = np.outer(q, q) / np.outer(q, q).sum()
+        mean = convolve2d(x.mean(axis=0), kernel)
+        centered = x - mean[None]
+        sigma = np.sqrt(np.maximum(convolve2d((centered**2).mean(axis=0), kernel), 0.0))
+        expected = centered / np.maximum(1.0, sigma)[None]
+        np.testing.assert_allclose(lcn(x, 9), expected, atol=1e-12, rtol=0.0)
+
+    def test_cache_hit_matches_miss(self, rng):
+        x = rng.standard_normal((4, 20, 23))
+        _lcn_band.cache_clear()
+        miss = lcn(x, 9)
+        hit = lcn(x, 9)
+        assert _lcn_band.cache_info().hits >= 2
+        np.testing.assert_array_equal(miss, hit)
+
+    def test_cached_bands_read_only(self):
+        band = _lcn_band(17, 9)
+        with pytest.raises(ValueError):
+            band[0, 0] = 1.0
+        np.testing.assert_allclose(band.sum(axis=1), 1.0, atol=1e-15)
+
+    def test_cache_stays_bounded(self, rng):
+        bound = _lcn_band.cache_info().maxsize
+        assert bound == 2 * MAX_LAYERS
+        for size in range(9, 9 + 2 * bound):
+            lcn(rng.standard_normal((1, size, size + 1)), 9)
+        assert _lcn_band.cache_info().currsize <= bound
 
     def test_window_five_matches_oracle(self, rng):
         x = rng.standard_normal((2, 8, 9))

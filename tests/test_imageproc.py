@@ -208,6 +208,21 @@ class TestFiltering:
         img = np.full((15, 15), 0.6)
         np.testing.assert_allclose(lowpass(img), 0.6, atol=1e-12)
 
+    def test_lowpass_keeps_flat_regions_exactly_flat(self, rng):
+        """Every pixel rounds the same way, so flat input stays tied.
+
+        LBP thresholds the highpass residual with ``>=``, and CLAHE output
+        has many flat runs; a blur whose rounding depends on the pixel
+        position (a dense band-matrix product, for example) breaks those
+        ties and changes the LBP histograms.
+        """
+        assert np.unique(lowpass(np.full((300, 381), 0.6))).size == 1
+        img = np.full((64, 80), 0.35)
+        img[:, 40:] = rng.uniform(0.0, 1.0, size=(64, 40))
+        reach = 13 // 2  # the lowpass radius
+        flat = highpass(img)[:, : 40 - reach]
+        assert np.unique(flat).size == 1
+
     def test_lowpass_rejects_small_images(self):
         with pytest.raises(ValueError):
             lowpass(np.zeros((12, 40)))

@@ -59,6 +59,15 @@ class TestKernel:
         np.testing.assert_allclose(np.diag(K), 1.0, atol=1e-12)
         assert K.min() > 0.0
 
+    def test_gram_in_place_matches_expression(self, rng):
+        """The in-place Gram rounds exactly like the one-line expression."""
+        gamma = 0.02
+        for rows_a, rows_b, dim in ((240, 240, 5), (1, 79, 5), (10, 79, 5), (30, 17, 40)):
+            A = rng.standard_normal((rows_a, dim))
+            B = rng.standard_normal((rows_b, dim))
+            sq = (A**2).sum(axis=1)[:, None] + (B**2).sum(axis=1)[None, :] - 2.0 * (A @ B.T)
+            np.testing.assert_array_equal(rbf_gram(A, B, gamma), np.exp(-gamma * np.maximum(sq, 0.0)))
+
     def test_mismatched_vectors_rejected(self):
         with pytest.raises(ValueError):
             rbf_kernel(np.zeros(2), np.zeros(3), 1.0)
