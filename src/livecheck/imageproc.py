@@ -43,6 +43,7 @@ GAUSS_SIGMA = 3.0
 
 ROI_CLOSE_BOX = 21
 ROI_SIGMA_FACTOR = 3.0
+_STRIP_ROWS = 128  # rows per ROI-closing strip; faster on 480x640 frames than 32, 64 or 256
 
 
 def as_image(data) -> np.ndarray:
@@ -50,9 +51,9 @@ def as_image(data) -> np.ndarray:
     img = np.asarray(data, dtype=np.float64)
     if img.ndim != 2 or img.shape[0] < 1 or img.shape[1] < 1:
         raise ValueError(f"expected a non-empty 2-D image, got shape {img.shape}")
-    if not np.all(np.isfinite(img)):
-        raise ValueError("image contains non-finite values")
-    if img.min() < 0.0 or img.max() > 1.0:
+    if not (img.min() >= 0.0 and img.max() <= 1.0):  # NaN and +-inf fail this test too
+        if not np.all(np.isfinite(img)):
+            raise ValueError("image contains non-finite values")
         raise ValueError("image intensities must lie in [0, 1]")
     return img
 
@@ -257,15 +258,21 @@ def highpass(img: np.ndarray) -> np.ndarray:
 
 
 def _window_reduce(img: np.ndarray, box: int, reducer) -> np.ndarray:
-    """Reduce every box x box window of the mirror-extended image.
+    """Reduce every box x box window of the mirror-extended image; return it transposed.
 
-    ``reducer`` is an exact binary ufunc (``np.maximum``, ``np.minimum``),
-    so the square window splits into a run down each column, then a run
-    along each row, with results identical in any order.
+    ``reducer`` is an exact binary ufunc (``np.maximum``, ``np.minimum``), so the
+    window splits into a run down each column, then along each row, and the image
+    can go through in cache-sized strips of ``_STRIP_ROWS`` rows, each padded from
+    its neighbour rows and mirrored only at the image's top and bottom edges.
     """
     radius = box // 2
-    padded = img if radius == 0 else np.pad(img, radius, mode="symmetric")
-    return _running_reduce(_running_reduce(padded, box, reducer).T, box, reducer).T
+    out = np.empty(img.shape[::-1])
+    for y0 in range(0, len(img), _STRIP_ROWS):
+        y1 = min(y0 + _STRIP_ROWS, len(img))
+        lo, hi = max(y0 - radius, 0), min(y1 + radius, len(img))
+        strip = np.pad(img[lo:hi], ((radius - (y0 - lo), radius - (hi - y1)), (radius, radius)), "symmetric")
+        out[:, y0:y1] = _running_reduce(np.ascontiguousarray(_running_reduce(strip, box, reducer).T), box, reducer)
+    return out
 
 
 def _running_reduce(a: np.ndarray, box: int, reducer) -> np.ndarray:
@@ -296,8 +303,8 @@ def morph_close(img: np.ndarray, box: int) -> np.ndarray:
         raise ValueError(f"box side must be odd and positive, got {box}")
     if box > min(img.shape):
         raise ValueError(f"box {box} larger than image {img.shape}")
-    dilated = _window_reduce(img, box, np.maximum)
-    return _window_reduce(dilated, box, np.minimum)
+    # each pass returns its result transposed, so the erosion hands back (H, W)
+    return _window_reduce(_window_reduce(img, box, np.maximum), box, np.minimum)
 
 
 @dataclass(frozen=True)
@@ -367,20 +374,17 @@ def crop(img: np.ndarray, rect: RoiRect) -> np.ndarray:
 # Contrast-limited adaptive histogram equalization
 
 
-def _tile_edges(extent: int, tiles: int) -> np.ndarray:
-    return (np.arange(tiles + 1) * extent) // tiles
-
-
-def _blend_weights(coords: np.ndarray, centers: np.ndarray):
-    """Indices of the two bracketing tile centers and the blend factor."""
-    if len(centers) == 1:
-        zeros = np.zeros(len(coords), dtype=np.intp)
-        return zeros, zeros, np.zeros(len(coords))
-    idx = np.searchsorted(centers, coords, side="right") - 1
-    idx = np.clip(idx, 0, len(centers) - 2)
-    span = centers[idx + 1] - centers[idx]
-    weight = np.clip((coords - centers[idx]) / span, 0.0, 1.0)
-    return idx, idx + 1, weight
+def _axis_tiles(extent: int, tiles: int):
+    """Tile of each pixel along one axis, the tile whose center is at or
+    before it (the next center follows) and the blend factor toward the next."""
+    edges = (np.arange(tiles + 1) * extent) // tiles
+    tile = np.repeat(np.arange(tiles), np.diff(edges))
+    if tiles == 1:
+        return tile, tile, np.zeros(extent)
+    coords = np.arange(extent, dtype=np.float64)
+    centers = (edges[:-1] + edges[1:] - 1) / 2.0
+    idx = np.clip(np.searchsorted(centers, coords, side="right") - 1, 0, tiles - 2)
+    return tile, idx, np.clip((coords - centers[idx]) / (centers[idx + 1] - centers[idx]), 0.0, 1.0)
 
 
 def clahe(img: np.ndarray, tiles: tuple[int, int] = (8, 8), clip: float = 2.0) -> np.ndarray:
@@ -407,30 +411,26 @@ def clahe(img: np.ndarray, tiles: tuple[int, int] = (8, 8), clip: float = 2.0) -
         raise ValueError(f"clip limit must be positive, got {clip}")
 
     bins = 256
-    binned = np.minimum((img * bins).astype(np.intp), bins - 1)
-    row_edges = _tile_edges(height, rows)
-    col_edges = _tile_edges(width, cols)
+    row_tile, top, wy = _axis_tiles(height, rows)
+    col_tile, left, wx = _axis_tiles(width, cols)
+    # key = the pixel's bin plus the start of its tile's bins, (i * cols + j) * bins for tile (i, j)
+    keys = np.minimum((img * bins).astype(np.intp), bins - 1)
+    keys += (row_tile * (cols * bins))[:, None] + col_tile * bins
+    hist = np.bincount(keys.ravel(), minlength=rows * cols * bins).reshape(-1, bins)
+    sizes = hist.sum(axis=1, keepdims=True)
+    if math.isfinite(clip):
+        limit = clip * sizes / bins
+        excess = np.maximum(hist - limit, 0.0).sum(axis=1, keepdims=True)
+        hist = np.minimum(hist, limit) + excess / bins
+    flat = (np.cumsum(hist, axis=1) / sizes).ravel()
 
-    cdfs = np.empty((rows, cols, bins))
-    for ti in range(rows):
-        for tj in range(cols):
-            tile = binned[row_edges[ti] : row_edges[ti + 1], col_edges[tj] : col_edges[tj + 1]]
-            hist = np.bincount(tile.ravel(), minlength=bins).astype(np.float64)
-            if math.isfinite(clip):
-                limit = clip * tile.size / bins
-                excess = np.maximum(hist - limit, 0.0).sum()
-                hist = np.minimum(hist, limit) + excess / bins
-            cdfs[ti, tj] = np.cumsum(hist) / tile.size
-
-    center_y = (row_edges[:-1] + row_edges[1:] - 1) / 2.0
-    center_x = (col_edges[:-1] + col_edges[1:] - 1) / 2.0
-    top, bot, wy = _blend_weights(np.arange(height, dtype=np.float64), center_y)
-    left, right, wx = _blend_weights(np.arange(width, dtype=np.float64), center_x)
-
+    # move each key in place to the top-left of the tiles the pixel blends; the right and lower
+    # neighbours lie dx and dy further on, or at the same tile for a single column or row
+    keys += ((top - row_tile) * (cols * bins))[:, None] + (left - col_tile) * bins
+    dx, dy = bins * (cols > 1), cols * bins * (rows > 1)
     wy = wy[:, None]
-    wx = wx[None, :]
-    out = (1.0 - wy) * (1.0 - wx) * cdfs[top[:, None], left[None, :], binned]
-    out += (1.0 - wy) * wx * cdfs[top[:, None], right[None, :], binned]
-    out += wy * (1.0 - wx) * cdfs[bot[:, None], left[None, :], binned]
-    out += wy * wx * cdfs[bot[:, None], right[None, :], binned]
+    out = (1.0 - wy) * (1.0 - wx) * flat.take(keys)
+    out += (1.0 - wy) * wx * flat[dx:].take(keys)
+    out += wy * (1.0 - wx) * flat[dy:].take(keys)
+    out += wy * wx * flat[dy + dx :].take(keys)
     return out

@@ -103,6 +103,61 @@ def morph_close_window_view(img, box):
     return window_reduce(window_reduce(np.asarray(img, dtype=np.float64), np.max), np.min)
 
 
+def clahe_fancy_index(img, tiles, clip):
+    """CLAHE with one histogram per tile in a Python loop and the four
+    corner CDFs gathered by 3-D fancy indexing.
+
+    Independent of the single bincount and flat-array gathers the package
+    uses, with the same floating-point operations in the same order, so
+    the two must agree bit for bit.
+    """
+    img = np.asarray(img, dtype=np.float64)
+    rows, cols = int(tiles[0]), int(tiles[1])
+    height, width = img.shape
+
+    def tile_edges(extent, count):
+        return (np.arange(count + 1) * extent) // count
+
+    def blend_weights(coords, centers):
+        if len(centers) == 1:
+            zeros = np.zeros(len(coords), dtype=np.intp)
+            return zeros, zeros, np.zeros(len(coords))
+        idx = np.searchsorted(centers, coords, side="right") - 1
+        idx = np.clip(idx, 0, len(centers) - 2)
+        span = centers[idx + 1] - centers[idx]
+        weight = np.clip((coords - centers[idx]) / span, 0.0, 1.0)
+        return idx, idx + 1, weight
+
+    bins = 256
+    binned = np.minimum((img * bins).astype(np.intp), bins - 1)
+    row_edges = tile_edges(height, rows)
+    col_edges = tile_edges(width, cols)
+
+    cdfs = np.empty((rows, cols, bins))
+    for ti in range(rows):
+        for tj in range(cols):
+            tile = binned[row_edges[ti] : row_edges[ti + 1], col_edges[tj] : col_edges[tj + 1]]
+            hist = np.bincount(tile.ravel(), minlength=bins).astype(np.float64)
+            if math.isfinite(clip):
+                limit = clip * tile.size / bins
+                excess = np.maximum(hist - limit, 0.0).sum()
+                hist = np.minimum(hist, limit) + excess / bins
+            cdfs[ti, tj] = np.cumsum(hist) / tile.size
+
+    center_y = (row_edges[:-1] + row_edges[1:] - 1) / 2.0
+    center_x = (col_edges[:-1] + col_edges[1:] - 1) / 2.0
+    top, bot, wy = blend_weights(np.arange(height, dtype=np.float64), center_y)
+    left, right, wx = blend_weights(np.arange(width, dtype=np.float64), center_x)
+
+    wy = wy[:, None]
+    wx = wx[None, :]
+    out = (1.0 - wy) * (1.0 - wx) * cdfs[top[:, None], left[None, :], binned]
+    out += (1.0 - wy) * wx * cdfs[top[:, None], right[None, :], binned]
+    out += wy * (1.0 - wx) * cdfs[bot[:, None], left[None, :], binned]
+    out += wy * wx * cdfs[bot[:, None], right[None, :], binned]
+    return out
+
+
 def lbp_code_oracle(img, row, col):
     """Code of the pixel at (row, col), neighbors clockwise from top-left."""
     img = np.asarray(img, dtype=np.float64)

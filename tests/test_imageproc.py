@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from livecheck.imageproc import (
+    _STRIP_ROWS,
     RoiRect,
+    as_image,
     clahe,
     convolve2d,
     crop,
@@ -19,6 +21,7 @@ from livecheck.imageproc import (
 )
 
 from oracles import (
+    clahe_fancy_index,
     conv2d_same_reflect,
     morph_close_oracle,
     morph_close_window_view,
@@ -36,6 +39,22 @@ def _finger_frame(height=480, width=640):
     mask = np.clip(6.0 * (1.0 - radius), 0.0, 1.0)
     background = 0.02 * x / width
     return background + mask * (0.1 + 0.8 * ridges - background)
+
+
+class TestAsImage:
+    def test_non_finite_rejected_as_non_finite(self):
+        for value in (np.nan, np.inf, -np.inf):
+            img = np.full((3, 4), 0.5)
+            img[1, 2] = value
+            with pytest.raises(ValueError, match="non-finite"):
+                as_image(img)
+
+    def test_out_of_range_rejected_as_range(self):
+        for value in (1.0000001, -1e-12):
+            img = np.full((3, 4), 0.5)
+            img[2, 3] = value
+            with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+                as_image(img)
 
 
 class TestIngest:
@@ -240,6 +259,22 @@ class TestMorphology:
         frame = _finger_frame()
         np.testing.assert_array_equal(morph_close(frame, 21), morph_close_window_view(frame, 21))
 
+    def test_strip_boundaries_match_window_view(self, rng):
+        """Heights around the strip size, boxes up to the short side, and
+        non-contiguous input all close exactly as the whole-frame windows."""
+        cases = [((height, 640), 21) for height in
+                 (_STRIP_ROWS - 1, _STRIP_ROWS, _STRIP_ROWS + 1, _STRIP_ROWS + 10, 2 * _STRIP_ROWS + 1)]
+        cases += [((300, 21), 21), ((21, 300), 21), ((150, 40), 1), ((150, 40), 3)]
+        for shape, box in cases:
+            img = rng.uniform(0.0, 1.0, size=shape)
+            out = morph_close(img, box)
+            np.testing.assert_array_equal(out, morph_close_window_view(img, box))
+            assert out.flags.c_contiguous and not np.shares_memory(out, img)
+        view = rng.uniform(0.0, 1.0, size=(2 * _STRIP_ROWS + 5, 90)).T
+        out = morph_close(view, 21)
+        np.testing.assert_array_equal(out, morph_close_window_view(view, 21))
+        assert out.flags.c_contiguous and not np.shares_memory(out, view)
+
     def test_constant_unchanged(self):
         img = np.full((9, 9), 0.4)
         np.testing.assert_array_equal(morph_close(img, 5), img)
@@ -347,6 +382,20 @@ class TestClahe:
         order = np.argsort(img.ravel())
         diffs = np.diff(out.ravel()[order])
         assert diffs.min() >= -1e-12
+
+    def test_matches_fancy_index_oracle(self, rng):
+        """Bit-equal to per-tile histograms and 3-D fancy-indexed blending."""
+        cases = [((37, 53), grid) for grid in ((8, 8), (1, 1), (1, 5), (3, 2), (7, 9))]
+        cases += [((1, 19), (1, 4)), ((23, 23), (3, 3))]
+        for shape, grid in cases:
+            img = rng.uniform(0.0, 1.0, size=shape)
+            for clip in (2.0, 0.5, np.inf):
+                np.testing.assert_array_equal(clahe(img, grid, clip), clahe_fancy_index(img, grid, clip))
+        flat = np.full((20, 30), 0.3)
+        np.testing.assert_array_equal(clahe(flat, (3, 4), 2.0), clahe_fancy_index(flat, (3, 4), 2.0))
+        frame = _finger_frame()
+        roi = crop(frame, extract_roi(frame))
+        np.testing.assert_array_equal(clahe(roi, (8, 8), 2.0), clahe_fancy_index(roi, (8, 8), 2.0))
 
     def test_bad_grid_rejected(self):
         with pytest.raises(ValueError):
