@@ -66,6 +66,7 @@ class SmoDiagnostics:
     alphas: np.ndarray
     dual_objectives: list[float] = field(default_factory=list)
     sweeps: int = 0
+    """Pair steps taken divided by the sample count n, rounded up."""
 
 
 def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> float:
@@ -119,31 +120,58 @@ class _SmoSolver:
 
     def solve(self, collect_objectives: bool = False) -> SmoDiagnostics:
         diag = SmoDiagnostics(alphas=self.alphas)
-        y, K, alphas, C = self.y, self.K, self.alphas, self.params.C
+        K, alphas, s, C, tol, n = self.K, self.alphas, self.s, self.params.C, self.params.tol, self.n
+        y = self.y.tolist()
+        positive = (self.y > 0).tolist()
         diagonal = np.diag(K)
+        # The candidate arrays live across steps: a step shifts every entry
+        # by the same dk as s (±inf stays ±inf, a finite entry gets exactly
+        # the bits a rebuild from s would), and only i and j can change set.
+        s_up, s_low = self._candidates()
+        b, a, gain, dk = (np.empty(n) for _ in range(4))
+        not_ascent = np.empty(n, dtype=bool)
         steps = 0
-        while steps < _MAX_SWEEPS * self.n:
-            s_up, s_low = self._candidates()
-            i = int(np.argmax(s_up))
-            if s_up[i] - s_low.min() <= self.params.tol:
+        while steps < _MAX_SWEEPS * n:
+            i = int(s_up.argmax())
+            top = s_up[i]
+            if top - s_low.min() <= tol:
                 break
             # Partner j maximizes the dual gain b^2 / a of the pair's step.
-            b = s_up[i] - s_low
-            a = np.maximum(diagonal[i] + diagonal - 2.0 * K[i], _CURVATURE_FLOOR)
-            j = int(np.argmax(np.where(b > 0.0, b * b / a, -np.inf)))
-            room_i = C - alphas[i] if y[i] > 0 else alphas[i]
-            room_j = alphas[j] if y[j] > 0 else C - alphas[j]
-            t = min(b[j] / a[j], room_i, room_j)
+            np.subtract(top, s_low, out=b)
+            row_i = K[i]
+            np.add(diagonal, diagonal[i], out=a)
+            np.multiply(row_i, 2.0, out=dk)  # dk is scratch until the update
+            np.subtract(a, dk, out=a)
+            np.maximum(a, _CURVATURE_FLOOR, out=a)
+            np.multiply(b, b, out=gain)
+            np.divide(gain, a, out=gain)
+            np.less_equal(b, 0.0, out=not_ascent)
+            gain[not_ascent] = -np.inf
+            j = int(gain.argmax())
+            alpha_i, alpha_j = alphas.item(i), alphas.item(j)
+            room_i = C - alpha_i if positive[i] else alpha_i
+            room_j = alpha_j if positive[j] else C - alpha_j
+            t = min(b.item(j) / a.item(j), room_i, room_j)
             # A variable that uses all its room lands exactly on its bound.
-            alphas[i] = (C if y[i] > 0 else 0.0) if t == room_i else alphas[i] + y[i] * t
-            alphas[j] = (0.0 if y[j] > 0 else C) if t == room_j else alphas[j] - y[j] * t
-            self.s -= t * (K[i] - K[j])
+            alpha_i = (C if positive[i] else 0.0) if t == room_i else alpha_i + y[i] * t
+            alpha_j = (0.0 if positive[j] else C) if t == room_j else alpha_j - y[j] * t
+            alphas[i], alphas[j] = alpha_i, alpha_j
+            np.subtract(row_i, K[j], out=dk)
+            dk *= t
+            s -= dk
+            s_up -= dk
+            s_low -= dk
+            for k, alpha in ((i, alpha_i), (j, alpha_j)):
+                below, above = alpha < C, alpha > 0.0
+                s_k = s.item(k)
+                s_up[k] = s_k if (below if positive[k] else above) else -np.inf
+                s_low[k] = s_k if (above if positive[k] else below) else np.inf
             steps += 1
-            if collect_objectives and steps % self.n == 0:
+            if collect_objectives and steps % n == 0:
                 diag.dual_objectives.append(self.dual_objective())
         if collect_objectives:
             diag.dual_objectives.append(self.dual_objective())
-        diag.sweeps = math.ceil(steps / self.n)
+        diag.sweeps = math.ceil(steps / n)
         self._finalize_bias()
         diag.alphas = alphas.copy()
         return diag

@@ -318,3 +318,58 @@ def svm_score_oracle(support_vectors, dual_coefs, bias, gamma, x):
             sq += (a - b) ** 2
         total += coef * math.exp(-gamma * sq)
     return total + bias
+
+
+def smo_reference(K, y, params, collect_objectives=False, max_sweeps=10_000):
+    """WSS2 SMO that rebuilds both candidate arrays from ``s`` every step.
+
+    The package's solver keeps the candidate arrays alive across steps
+    and fills fixed buffers; this loop recomputes everything with fresh
+    numpy expressions, in the same floating-point order, so the two must
+    agree bit for bit.  Returns ``(alphas, bias, sweeps, objectives)``.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    K = np.asarray(K, dtype=np.float64)
+    C, tol, n = params.C, params.tol, len(y)
+    alphas = np.zeros(n)
+    s = y.copy()
+
+    def candidates():
+        s_up = np.where(np.where(y > 0, alphas < C, alphas > 0), s, -np.inf)
+        s_low = np.where(np.where(y > 0, alphas > 0, alphas < C), s, np.inf)
+        return s_up, s_low
+
+    def dual_objective():
+        ay = alphas * y
+        return float(alphas.sum() - 0.5 * (ay @ (y - s)))
+
+    objectives = []
+    diagonal = np.diag(K)
+    steps = 0
+    while steps < max_sweeps * n:
+        s_up, s_low = candidates()
+        i = int(np.argmax(s_up))
+        if s_up[i] - s_low.min() <= tol:
+            break
+        b = s_up[i] - s_low
+        a = np.maximum(diagonal[i] + diagonal - 2.0 * K[i], 1e-12)
+        j = int(np.argmax(np.where(b > 0.0, b * b / a, -np.inf)))
+        room_i = C - alphas[i] if y[i] > 0 else alphas[i]
+        room_j = alphas[j] if y[j] > 0 else C - alphas[j]
+        t = min(b[j] / a[j], room_i, room_j)
+        alphas[i] = (C if y[i] > 0 else 0.0) if t == room_i else alphas[i] + y[i] * t
+        alphas[j] = (0.0 if y[j] > 0 else C) if t == room_j else alphas[j] - y[j] * t
+        s -= t * (K[i] - K[j])
+        steps += 1
+        if collect_objectives and steps % n == 0:
+            objectives.append(dual_objective())
+    if collect_objectives:
+        objectives.append(dual_objective())
+
+    free = (alphas > 0.0) & (alphas < C)
+    if free.any():
+        bias = float(s[free].mean())
+    else:
+        s_up, s_low = candidates()
+        bias = float((s_up.max() + s_low.min()) / 2.0)
+    return alphas, bias, math.ceil(steps / n), objectives

@@ -1,8 +1,14 @@
 """SMO training: convergence, KKT satisfaction, kernel-expansion scoring."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from livecheck import svm
+from livecheck.imageproc import highpass
+from livecheck.lbp import LbpConfig
+from livecheck.pipeline import TransformConfig, fit_transform, image_features
 from livecheck.svm import (
     SvmParams,
     decision_score,
@@ -12,8 +18,9 @@ from livecheck.svm import (
     rbf_kernel,
     train_smo,
 )
+from livecheck.synthdata import make_texture_dataset
 
-from oracles import svm_score_oracle
+from oracles import smo_reference, svm_score_oracle
 
 
 def xor_data():
@@ -29,6 +36,16 @@ def blob_data(rng, n=40, gap=3.0):
     X = np.vstack([a, b])
     y = np.concatenate([np.ones(n // 2), -np.ones(n // 2)])
     return X, y
+
+
+def lbp_pca_rows():
+    """120 augmented uniform-LBP rows of 12 highpassed textures after
+    standardization and PCA, as one select-lbp-aug fold fit sees them."""
+    images, labels = make_texture_dataset(6, size=64, seed=17, blur_sigma=0.4)
+    config = LbpConfig(variant="uniform", blocks=(2, 2))
+    X = np.vstack([image_features(highpass(img), True, config, None) for img in images])
+    _, _, Z = fit_transform(X, TransformConfig(pca_fraction=0.5), seed=3)
+    return Z, np.repeat(labels, 10)
 
 
 def kkt_violation(X, y, alphas, model, params):
@@ -166,6 +183,88 @@ class TestTraining:
         for kwargs in bad:
             with pytest.raises(ValueError):
                 SvmParams(**kwargs)
+
+
+def oracle_cases():
+    rng = np.random.default_rng(77)
+    overlap = blob_data(rng, n=40, gap=0.5)
+    base = rng.standard_normal((12, 2))
+    # Each row twice, once per label: the pair's curvature is exactly zero.
+    duplicated = np.vstack([base, base, rng.standard_normal((6, 2))])
+    duplicated_labels = np.concatenate([np.ones(12), -np.ones(12), np.ones(3), -np.ones(3)])
+    unbalanced = np.vstack([rng.standard_normal((3, 2)) + 1.0, rng.standard_normal((40, 2))])
+    unbalanced_labels = np.concatenate([np.ones(3), -np.ones(40)])
+    return {
+        "blobs": (*blob_data(rng), SvmParams(C=10.0, gamma=0.5)),
+        "xor": (*xor_data(), SvmParams(C=10.0, gamma=1.0)),
+        "overlap-small-C": (*overlap, SvmParams(C=0.1, gamma=1.0)),
+        "duplicated-rows": (duplicated, duplicated_labels, SvmParams(C=5.0, gamma=0.5)),
+        "unbalanced": (unbalanced, unbalanced_labels, SvmParams(C=10.0, gamma=0.5)),
+        "two-samples": (np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1.0, -1.0]), SvmParams()),
+        "no-steps": (*blob_data(rng, n=20), SvmParams(tol=100.0)),
+        "lbp-pca": (*lbp_pca_rows(), SvmParams(C=10.0, gamma=0.05)),
+    }
+
+
+class TestSolverOracle:
+    """The live-candidate solver against the rebuild-every-step loop."""
+
+    @pytest.mark.parametrize("case", list(oracle_cases()))
+    def test_bit_identical(self, case):
+        X, y, params = oracle_cases()[case]
+        model, diag = train_smo(X, y, params, collect_diagnostics=True)
+        alphas, bias, sweeps, objectives = smo_reference(
+            rbf_gram(X, X, params.gamma), y, params, collect_objectives=True
+        )
+        np.testing.assert_array_equal(diag.alphas, alphas)
+        assert model.bias == bias
+        assert diag.sweeps == sweeps
+        np.testing.assert_array_equal(diag.dual_objectives, objectives)
+        if case == "no-steps":
+            assert sweeps == 0 and not alphas.any()
+        else:
+            assert sweeps >= 1
+
+    def test_step_cap(self, monkeypatch):
+        X, y = lbp_pca_rows()
+        params = SvmParams(C=10.0, gamma=0.05, tol=1e-12)
+        _, _, uncapped, _ = smo_reference(rbf_gram(X, X, params.gamma), y, params)
+        assert uncapped > 1  # needs more than n steps
+        monkeypatch.setattr(svm, "_MAX_SWEEPS", 1)
+        model, diag = train_smo(X, y, params, collect_diagnostics=True)
+        assert diag.sweeps == 1
+        assert diag.alphas.min() >= 0.0 and diag.alphas.max() <= params.C
+        assert abs(float(np.sum(diag.alphas * y))) <= 1e-12
+        alphas, bias, sweeps, objectives = smo_reference(
+            rbf_gram(X, X, params.gamma), y, params, collect_objectives=True, max_sweeps=1
+        )
+        np.testing.assert_array_equal(diag.alphas, alphas)
+        assert (model.bias, diag.sweeps) == (bias, sweeps)
+        np.testing.assert_array_equal(diag.dual_objectives, objectives)
+
+    def test_diagnostics_do_not_steer_training(self):
+        for X, y, params in oracle_cases().values():
+            quiet, _ = train_smo(X, y, params)
+            traced, _ = train_smo(X, y, params, collect_diagnostics=True)
+            assert quiet.support_vectors.tobytes() == traced.support_vectors.tobytes()
+            assert quiet.dual_coefs.tobytes() == traced.dual_coefs.tobytes()
+            assert quiet.bias == traced.bias
+
+    def test_solve_allocates_no_square_array(self):
+        """Past the Gram, solve() holds only a handful of n-vectors."""
+        n = 2000
+        rng = np.random.default_rng(5)
+        X = np.vstack([rng.standard_normal((n // 2, 5)) + 0.5, rng.standard_normal((n // 2, 5))])
+        y = np.concatenate([np.ones(n // 2), -np.ones(n // 2)])
+        solver = svm._SmoSolver(X, y, SvmParams(C=10.0, gamma=0.05))
+        tracemalloc.start()
+        try:
+            diag = solver.solve()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert diag.sweeps >= 1
+        assert peak < 32 * n * 8  # an n x n temporary would be 31 MiB
 
 
 class TestScoring:
