@@ -32,8 +32,8 @@ def hflip(img: np.ndarray) -> np.ndarray:
     return img[:, ::-1].copy()
 
 
-def make_patches(img: np.ndarray) -> list[np.ndarray]:
-    """Return the ten crop/flip patches of an image.
+def make_patches(img: np.ndarray) -> np.ndarray:
+    """Return the ten crop/flip patches of an image as one (10, ph, pw) stack.
 
     Patch height and width are ``floor(0.8 * dim)``; the center crop
     origin is the floor of half the leftover margin.  Images too small
@@ -55,11 +55,10 @@ def make_patches(img: np.ndarray) -> list[np.ndarray]:
         (height - ph, width - pw),
         ((height - ph) // 2, (width - pw) // 2),
     ]
-    patches = []
-    for oy, ox in origins:
-        patch = img[oy : oy + ph, ox : ox + pw].copy()
-        patches.append(patch)
-        patches.append(hflip(patch))
+    patches = np.empty((PATCHES_PER_IMAGE, ph, pw))
+    for slot, (oy, ox) in enumerate(origins):
+        patches[2 * slot] = img[oy : oy + ph, ox : ox + pw]
+        patches[2 * slot + 1] = patches[2 * slot, :, ::-1]
     return patches
 
 

@@ -101,32 +101,42 @@ def init_banks(config: ConvNetConfig, in_channels: int = 1) -> list[np.ndarray]:
     return banks
 
 
+def _check_maps(x: np.ndarray, name: str) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim not in (3, 4):
+        raise ValueError(f"{name} expects a (C, H, W) or (P, C, H, W) tensor, got shape {x.shape}")
+    return x
+
+
 def conv_forward(x: np.ndarray, bank: np.ndarray) -> np.ndarray:
     """Valid cross-correlation of a (C, H, W) tensor with a (F, C, s, s) bank.
 
-    No kernel flip and no padding: output is (F, H-s+1, W-s+1).
+    No kernel flip and no padding: output is (F, H-s+1, W-s+1).  A
+    leading view axis, (P, C, H, W) in and (P, F, ...) out, runs every
+    view through the same per-view product.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _check_maps(x, "conv_forward")
     bank = np.asarray(bank, dtype=np.float64)
-    if x.ndim != 3:
-        raise ValueError(f"conv_forward expects a (C, H, W) tensor, got shape {x.shape}")
     if bank.ndim != 4 or bank.shape[2] != bank.shape[3]:
         raise ValueError(f"bank must be (F, C, s, s), got shape {bank.shape}")
-    if bank.shape[1] != x.shape[0]:
-        raise ValueError(f"bank expects {bank.shape[1]} channels, input has {x.shape[0]}")
+    if bank.shape[1] != x.shape[-3]:
+        raise ValueError(f"bank expects {bank.shape[1]} channels, input has {x.shape[-3]}")
     size = bank.shape[2]
-    if size > x.shape[1] or size > x.shape[2]:
-        raise ValueError(f"filter {size}x{size} larger than input {x.shape[1]}x{x.shape[2]}")
-    channels, height, width = x.shape
+    channels, height, width = x.shape[-3:]
+    if size > height or size > width:
+        raise ValueError(f"filter {size}x{size} larger than input {height}x{width}")
     out_h, out_w = height - size + 1, width - size + 1
+    views = x.reshape(-1, channels, height, width)
     # im2col: row (c, i, j) holds the input pixels weight bank[:, c, i, j]
     # reads, in the order bank.reshape(F, -1) lays the weights out.
-    cols = np.empty((channels, size, size, out_h, out_w))
+    cols = np.empty((len(views), channels, size, size, out_h, out_w))
     for i in range(size):
         for j in range(size):
-            cols[:, i, j] = x[:, i : i + out_h, j : j + out_w]
-    out = bank.reshape(bank.shape[0], -1) @ cols.reshape(-1, out_h * out_w)
-    return out.reshape(bank.shape[0], out_h, out_w)
+            cols[:, :, i, j] = views[:, :, i : i + out_h, j : j + out_w]
+    # One GEMM per view, each with the shapes of a single-view call, so a
+    # view's output has the same bits alone or in a stack.
+    out = np.matmul(bank.reshape(bank.shape[0], -1), cols.reshape(len(views), -1, out_h * out_w))
+    return out.reshape(*x.shape[:-3], bank.shape[0], out_h, out_w)
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -139,27 +149,27 @@ def lcn(x: np.ndarray, window: int = 9) -> np.ndarray:
     A Gaussian window (sigma = window / 6) normalized to unit mass over
     all channels subtracts the local weighted mean, then divides by the
     local weighted standard deviation wherever it exceeds one.  Borders
-    are mirror-extended.  ``window=1`` is a no-op.
+    are mirror-extended.  ``window=1`` is a no-op.  Takes (C, H, W) or
+    (P, C, H, W); each view is normalized on its own.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3:
-        raise ValueError(f"lcn expects a (C, H, W) tensor, got shape {x.shape}")
+    x = _check_maps(x, "lcn")
     if window < 1 or window % 2 == 0:
         raise ValueError(f"window must be odd and positive, got {window}")
     if window == 1:
         return x.copy()
-    if window > min(x.shape[1], x.shape[2]):
-        raise ValueError(f"window {window} larger than feature maps {x.shape[1]}x{x.shape[2]}")
+    height, width = x.shape[-2:]
+    if window > min(height, width):
+        raise ValueError(f"window {window} larger than feature maps {height}x{width}")
     # The window is outer(q, q) / C with q the unit-mass 1-D Gaussian, so
     # its sum over channels is the separable blur of the channel mean,
     # rows @ plane @ cols.T with the mirrored border folded into the bands.
-    rows = _lcn_band(x.shape[1], window)
-    cols = _lcn_band(x.shape[2], window)
-    mean = rows @ x.mean(axis=0) @ cols.T
-    centered = x - mean[None]
-    variance = rows @ (centered**2).mean(axis=0) @ cols.T
+    rows = _lcn_band(height, window)
+    cols = _lcn_band(width, window)
+    mean = rows @ x.mean(axis=-3) @ cols.T
+    centered = x - mean[..., None, :, :]
+    variance = rows @ (centered**2).mean(axis=-3) @ cols.T
     sigma = np.sqrt(np.maximum(variance, 0.0))
-    return centered / np.maximum(1.0, sigma)[None]
+    return centered / np.maximum(1.0, sigma)[..., None, :, :]
 
 
 @functools.lru_cache(maxsize=2 * MAX_LAYERS)  # a row and a column band per layer
@@ -196,35 +206,36 @@ def max_pool(x: np.ndarray, pool: int, stride: int | None = None) -> np.ndarray:
     """Per-channel max over pool x pool windows at the given stride.
 
     Windows that run past the bottom or right edge are kept and reduced
-    over their valid part, so every input pixel belongs to at least one
-    window.
+    over their valid part, so with stride <= pool every input pixel
+    belongs to at least one window.  Takes (C, H, W) or (P, C, H, W).
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3:
-        raise ValueError(f"max_pool expects a (C, H, W) tensor, got shape {x.shape}")
+    x = _check_maps(x, "max_pool")
     if stride is None:
         stride = pool
     if pool < 1 or stride < 1:
         raise ValueError(f"pool and stride must be positive, got {pool}, {stride}")
-    _, height, width = x.shape
+    height, width = x.shape[-2:]
     out_h = _pool_count(height, pool, stride)
     out_w = _pool_count(width, pool, stride)
-    pad_h = max(0, (out_h - 1) * stride + pool - height)
-    pad_w = max(0, (out_w - 1) * stride + pool - width)
-    padded = np.pad(x, ((0, 0), (0, pad_h), (0, pad_w)), constant_values=-np.inf)
-    span_h = (out_h - 1) * stride + 1
-    span_w = (out_w - 1) * stride + 1
-    cols = padded[:, :, 0:span_w:stride]
+    # Columns first, then rows.  Offset k of a window is valid for the
+    # windows that start before extent - k, always a prefix of them, so
+    # a partial window is reduced over its valid part without padding.
+    cols = x[..., : (out_w - 1) * stride + 1 : stride].copy()
     for k in range(1, pool):
-        cols = np.maximum(cols, padded[:, :, k : k + span_w : stride])
-    out = cols[:, 0:span_h:stride]
+        n = min(out_w, -(-(width - k) // stride))
+        np.maximum(cols[..., :n], x[..., k : k + (n - 1) * stride + 1 : stride], out=cols[..., :n])
+    out = cols[..., : (out_h - 1) * stride + 1 : stride, :].copy()
     for k in range(1, pool):
-        out = np.maximum(out, cols[:, k : k + span_h : stride])
+        n = min(out_h, -(-(height - k) // stride))
+        np.maximum(
+            out[..., :n, :], cols[..., k : k + (n - 1) * stride + 1 : stride, :], out=out[..., :n, :]
+        )
     return out
 
 
 def convnet_features(img: np.ndarray, config: ConvNetConfig, banks: list[np.ndarray] | None = None) -> np.ndarray:
-    """Run a 2-D image through every layer and flatten the final maps.
+    """Run a 2-D image, or an (N, H, W) stack of them, through every layer
+    and flatten the final maps to one row per image: (d,) or (N, d).
 
     ``banks`` may carry previously materialized filters (for example,
     ones loaded from a stored model); otherwise they are drawn from the
@@ -232,16 +243,16 @@ def convnet_features(img: np.ndarray, config: ConvNetConfig, banks: list[np.ndar
     any layer raise ``ValueError``.
     """
     img = np.asarray(img, dtype=np.float64)
-    if img.ndim != 2:
-        raise ValueError(f"convnet_features expects a 2-D image, got shape {img.shape}")
+    if img.ndim not in (2, 3):
+        raise ValueError(f"convnet_features expects a 2-D image or a stack of them, got shape {img.shape}")
     if banks is None:
         banks = init_banks(config, in_channels=1)
     if len(banks) != len(config.layers):
         raise ValueError(f"expected {len(config.layers)} filter banks, got {len(banks)}")
-    x = img[None]
+    x = img[..., None, :, :]
     for layer, bank in zip(config.layers, banks):
         x = relu(conv_forward(x, bank))
         if layer.lcn_window > 1:
             x = lcn(x, layer.lcn_window)
         x = max_pool(x, layer.pool_size, layer.stride)
-    return x.reshape(-1).copy()
+    return x.reshape(*img.shape[:-2], -1).copy()

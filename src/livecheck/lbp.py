@@ -61,16 +61,22 @@ def uniform_label(code: int) -> int:
 
 
 def lbp_map(img: np.ndarray) -> np.ndarray:
-    """Codes for every interior pixel; output is (H-2, W-2) uint8."""
+    """Codes for every interior pixel of an (..., H, W) image or stack of
+    images; output is (..., H-2, W-2) uint8."""
     img = np.asarray(img, dtype=np.float64)
-    if img.ndim != 2 or img.shape[0] < 3 or img.shape[1] < 3:
+    if img.ndim < 2 or img.shape[-2] < 3 or img.shape[-1] < 3:
         raise ValueError(f"lbp_map needs at least a 3x3 image, got {img.shape}")
-    height, width = img.shape
-    center = img[1:-1, 1:-1]
+    height, width = img.shape[-2:]
+    center = img[..., 1:-1, 1:-1]
     codes = np.zeros(center.shape, dtype=np.uint8)
-    for k, (dy, dx) in enumerate(_OFFSETS):
-        neighbor = img[1 + dy : height - 1 + dy, 1 + dx : width - 1 + dx]
-        codes |= (neighbor >= center).astype(np.uint8) << (7 - k)
+    ge = np.empty(center.shape, dtype=bool)
+    bits = ge.view(np.uint8)
+    # Horner form: shift the code left, then OR in the next neighbor's bit,
+    # so the first offset ends up the most significant.
+    for dy, dx in _OFFSETS:
+        np.greater_equal(img[..., 1 + dy : height - 1 + dy, 1 + dx : width - 1 + dx], center, out=ge)
+        np.left_shift(codes, 1, out=codes)
+        np.bitwise_or(codes, bits, out=codes)
     return codes
 
 
@@ -110,19 +116,25 @@ def _block_bounds(extent: int, blocks: int) -> list[tuple[int, int]]:
 def lbp_features(img: np.ndarray, config: LbpConfig) -> np.ndarray:
     """Concatenated per-block histograms of LBP codes, each L1-normalized.
 
+    Takes an (..., H, W) image or stack and returns (..., d) rows.
     Blocks tile the code map in row-major order; every block histogram
-    sums to one, so the full vector sums to the number of blocks.
+    sums to one, so each row sums to the number of blocks.
     """
     codes = lbp_map(img)
     values = codes if config.variant == "original" else UNIFORM_LABELS[codes]
     bins = config.bins
     rows, cols = config.blocks
-    row_bounds = _block_bounds(codes.shape[0], rows)
-    col_bounds = _block_bounds(codes.shape[1], cols)
-    parts = []
-    for r0, r1 in row_bounds:
-        for c0, c1 in col_bounds:
-            block = values[r0:r1, c0:c1]
-            hist = np.bincount(block.ravel(), minlength=bins).astype(np.float64)
-            parts.append(hist / block.size)
-    return np.concatenate(parts)
+    row_bounds = _block_bounds(codes.shape[-2], rows)
+    col_bounds = _block_bounds(codes.shape[-1], cols)
+    views = values.reshape(-1, *values.shape[-2:])
+    out = np.empty((len(views), config.feature_length))
+    for view, row in zip(views, out):
+        start = 0
+        for r0, r1 in row_bounds:
+            for c0, c1 in col_bounds:
+                block = view[r0:r1, c0:c1]
+                hist = row[start : start + bins]
+                hist[:] = np.bincount(block.ravel(), minlength=bins)
+                hist /= block.size
+                start += bins
+    return out.reshape(*values.shape[:-2], -1)

@@ -246,12 +246,12 @@ def _content_digest(img) -> bytes:
     return h.digest()
 
 
-def _root_key(images: list, labels: np.ndarray, augmented: bool, seed: int) -> str:
+def _root_key(images: list, labels: np.ndarray, augmented: bool, seed: int, digest) -> str:
     h = hashlib.sha256()
     h.update(repr((_code_version(), bool(augmented), int(seed))).encode("utf-8"))
     h.update(np.asarray(labels, dtype=np.float64).tobytes())
     for img in images:
-        h.update(_content_digest(img))
+        h.update(digest(img))
     return h.hexdigest()
 
 
@@ -353,10 +353,26 @@ class _SplitRows:
     test_groups: list[np.ndarray]  # per test image, one row per view
 
 
-# Per-image results of the default preprocess and extract runners.
+@dataclass
+class _ImageMemo:
+    """Per-image results of the default preprocess and extract runners,
+    keyed by content, and each array's content digest by ``id``.  The
+    digest map holds a reference to every array it keys, so no id is
+    reused while the search runs."""
+
+    results: dict = field(default_factory=dict)
+    digests: dict = field(default_factory=dict)
+
+    def digest(self, img) -> bytes:
+        entry = self.digests.get(id(img))
+        if entry is None:
+            entry = self.digests[id(img)] = (img, _content_digest(img))
+        return entry[1]
+
+
 # ``grid_search`` opens one memo per call, so every split after the
 # first finds each image's result there; no other call sees it.
-_IMAGE_MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+_IMAGE_MEMO: contextvars.ContextVar[_ImageMemo | None] = contextvars.ContextVar(
     "livecheck_image_memo", default=None
 )
 
@@ -369,10 +385,10 @@ def _per_image(tag: tuple, images: list, compute) -> list:
         return [compute(img) for img in images]
     out = []
     for img in images:
-        key = (*tag, _content_digest(img))
-        if key not in memo:
-            memo[key] = compute(img)
-        out.append(memo[key])
+        key = (*tag, memo.digest(img))
+        if key not in memo.results:
+            memo.results[key] = compute(img)
+        out.append(memo.results[key])
     return out
 
 
@@ -513,7 +529,11 @@ def grid_search(
         if cache_dir is not None:
             disk = DiskCache(cache_dir, cache_budget)
 
-    root_key = _root_key(images, labels, augmented, seed)
+    # Hashing the inputs for the root key also seeds the per-image memo's
+    # digest map, so the preprocess runner hashes nothing again.
+    image_memo = _ImageMemo() if use_cache else None
+    digest = image_memo.digest if image_memo is not None else _content_digest
+    root_key = _root_key(images, labels, augmented, seed, digest)
     memo: dict[str, object] = {}
     executions = {stage.name: 0 for stage in grid.stages}
     hits = {stage.name: 0 for stage in grid.stages}
@@ -555,7 +575,7 @@ def grid_search(
     fold_tables: dict[tuple[int, ...], list[float]] = {c: [] for c in combos}
     failures: dict[tuple[int, ...], str] = {}
 
-    memo_token = _IMAGE_MEMO.set({} if use_cache else None)
+    memo_token = _IMAGE_MEMO.set(image_memo)
     try:
         for split_index, (train_idx, test_idx) in enumerate(splits):
             ctx = StageContext(

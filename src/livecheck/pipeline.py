@@ -113,6 +113,8 @@ def extract_features(
     extractor: LbpConfig | ConvNetConfig,
     banks: list[np.ndarray] | None = None,
 ) -> np.ndarray:
+    """Feature vector of a 2-D image, or one row per view of an (N, H, W)
+    stack."""
     if isinstance(extractor, LbpConfig):
         return lbp_features(img, extractor)
     if isinstance(extractor, ConvNetConfig):
@@ -140,11 +142,31 @@ def realize_extractor(extractor, root_seed: int):
     return extractor, init_banks(extractor)
 
 
+# Views go through an extractor in groups whose first-layer output (the
+# LBP label map, or the first convnet layer's responses) stays under this
+# many bytes; a view larger than that runs alone.
+_VIEW_GROUP_BYTES = 1 << 20
+
+
+def _first_layer_bytes(view_shape: tuple[int, int], extractor) -> int:
+    height, width = view_shape
+    if isinstance(extractor, ConvNetConfig):
+        layer = extractor.layers[0]
+        side = layer.filter_size - 1
+        return 8 * layer.num_filters * max(1, height - side) * max(1, width - side)
+    return 8 * max(1, height - 2) * max(1, width - 2)
+
+
 def image_features(img: np.ndarray, augmented: bool, extractor, banks) -> np.ndarray:
     """Feature matrix of one image, one row per view: the ten crop/flip
-    patches when augmented, otherwise the image itself."""
-    views = aug.make_patches(img) if augmented else [img]
-    return np.vstack([extract_features(view, extractor, banks) for view in views])
+    patches when augmented, otherwise the image itself.  The views go
+    through the extractor as stacks whose first-layer output stays under
+    1 MiB; each row has the same bits as the view extracted alone."""
+    views = aug.make_patches(img) if augmented else np.asarray(img, dtype=np.float64)[None]
+    group = max(1, _VIEW_GROUP_BYTES // _first_layer_bytes(views.shape[1:], extractor))
+    return np.concatenate(
+        [extract_features(views[i : i + group], extractor, banks) for i in range(0, len(views), group)]
+    )
 
 
 def check_feature_lengths(groups: list[np.ndarray]) -> list[np.ndarray]:
@@ -190,25 +212,26 @@ class TrainedPipeline:
         self.pca = pca
         self.classifier = classifier
 
+    def _score_row(self, features: np.ndarray) -> float:
+        return decision_score(self.classifier, project(self.pca, self.standardizer.apply(features)))
+
     def score_image(self, img: np.ndarray) -> float:
         """Margin of one already-preprocessed image (or patch)."""
-        features = extract_features(img, self.config.extractor, self.banks)
-        z = project(self.pca, self.standardizer.apply(features))
-        return decision_score(self.classifier, z)
+        return self._score_row(extract_features(img, self.config.extractor, self.banks))
 
     def decision_score(self, img: np.ndarray) -> float:
         """Margin of a raw image; averages the ten patches when the
         pipeline was trained with augmentation.
 
-        Raises ``ValueError`` for an image that is not a finite 2-D
-        array in [0, 1], or whose margin comes out non-finite, so an
-        unscorable input is never labelled.
+        The views are extracted together and scored one row at a time,
+        so the margin equals ``averaged_score`` (or ``score_image``) of
+        the preprocessed image bit for bit.  Raises ``ValueError`` for an
+        image that is not a finite 2-D array in [0, 1], or whose margin
+        comes out non-finite, so an unscorable input is never labelled.
         """
         pre = preprocess_image(as_image(img), self.config.preprocess)
-        if self.config.augmented:
-            score = aug.averaged_score(self, pre)
-        else:
-            score = self.score_image(pre)
+        rows = image_features(pre, self.config.augmented, self.config.extractor, self.banks)
+        score = float(np.mean([self._score_row(row) for row in rows]))
         if not math.isfinite(score):
             raise ValueError(f"image cannot be scored: margin is {score}")
         return score

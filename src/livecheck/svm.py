@@ -13,6 +13,7 @@ parameters.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,6 +68,10 @@ class SmoDiagnostics:
     dual_objectives: list[float] = field(default_factory=list)
     sweeps: int = 0
     """Pair steps taken divided by the sample count n, rounded up."""
+    kkt_gap: float = 0.0
+    """Final maximal KKT violation, max s_up - min s_low."""
+    converged: bool = True
+    """False when the step cap stopped the solver with the gap above tol."""
 
 
 def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> float:
@@ -172,6 +177,8 @@ class _SmoSolver:
         if collect_objectives:
             diag.dual_objectives.append(self.dual_objective())
         diag.sweeps = math.ceil(steps / n)
+        diag.kkt_gap = float(s_up.max() - s_low.min())
+        diag.converged = diag.kkt_gap <= tol
         self._finalize_bias()
         diag.alphas = alphas.copy()
         return diag
@@ -198,7 +205,9 @@ def train_smo(
 
     Returns the fitted model and, when ``collect_diagnostics`` is set,
     the final dual variables plus the dual objective after every n
-    steps and at the end.  Training data must contain both classes and
+    steps and at the end, the final KKT gap and whether it met ``tol``.
+    A run that the step cap stops short of ``tol`` emits a
+    ``RuntimeWarning``.  Training data must contain both classes and
     only finite values.  ``seed`` is accepted and unused: the solver is
     deterministic.
     """
@@ -215,6 +224,13 @@ def train_smo(
 
     solver = _SmoSolver(X, y, params)
     diag = solver.solve(collect_objectives=collect_diagnostics)
+    if not diag.converged:
+        warnings.warn(
+            f"SMO stopped at its cap of {diag.sweeps} sweeps with KKT gap {diag.kkt_gap:.3g} "
+            f"above tol {params.tol:g}; the model is not at the optimum",
+            RuntimeWarning,
+            stacklevel=2,
+        )
 
     keep = solver.alphas > _SV_EPS
     model = SvmModel(

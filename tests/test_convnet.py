@@ -217,6 +217,83 @@ class TestMaxPool:
             max_pool(rng.standard_normal((1, 3, 3)), 4, 1)
 
 
+class TestPadFreePool:
+    """max_pool reduces a partial last window over its valid part, with no
+    padded copy of the map; each geometry against the direct oracle."""
+
+    @pytest.mark.parametrize(
+        "shape, pool, stride",
+        [
+            ((2, 9, 10), 3, 2),  # overlapping windows, last one partial
+            ((2, 10, 11), 2, 3),  # gapped windows, last one partial
+            ((2, 7, 7), 3, 1),  # overlapping, the last two partial
+            ((2, 5, 6), 5, 1),  # pool equal to the height
+            ((2, 6, 6), 6, 6),  # one window covering the map
+            ((3, 1, 9), 1, 2),  # a 1-row map
+            ((3, 9, 1), 1, 2),  # a 1-column map
+            ((3, 1, 9), 1, 1),
+        ],
+    )
+    def test_matches_oracle(self, rng, shape, pool, stride):
+        x = rng.standard_normal(shape)
+        np.testing.assert_array_equal(max_pool(x, pool, stride), max_pool_oracle(x, pool, stride))
+        stack = rng.standard_normal((4, *shape))
+        out = max_pool(stack, pool, stride)
+        for view, pooled in zip(stack, out):
+            np.testing.assert_array_equal(pooled, max_pool_oracle(view, pool, stride))
+
+
+class TestStacks:
+    """A leading view axis gives each view the bits it gets alone."""
+
+    def test_conv_forward(self, rng):
+        for (channels, height, width), bank_shape in DEPLOYED_CONV_SHAPES + [((2, 9, 11), (4, 2, 3, 3))]:
+            x = rng.standard_normal((3, channels, height, width))
+            bank = rng.standard_normal(bank_shape)
+            out = conv_forward(x, bank)
+            assert out.shape == (3, *conv_forward(x[0], bank).shape)
+            for view, got in zip(x, out):
+                np.testing.assert_array_equal(got, conv_forward(view, bank))
+
+    def test_lcn_and_relu(self, rng):
+        for shape, window in (((3, 16, 52, 52), 9), ((4, 2, 7, 9), 3), ((2, 3, 5, 5), 1)):
+            x = rng.standard_normal(shape)
+            out = lcn(x, window)
+            for view, got in zip(x, out):
+                np.testing.assert_array_equal(got, lcn(view, window))
+            np.testing.assert_array_equal(relu(x)[1], relu(x[1]))
+
+    def test_max_pool(self, rng):
+        for shape, pool, stride in (((3, 16, 52, 52), 3, 3), ((2, 4, 9, 10), 3, 2), ((2, 1, 7, 8), 2, 3)):
+            x = rng.standard_normal(shape)
+            out = max_pool(x, pool, stride)
+            for view, got in zip(x, out):
+                np.testing.assert_array_equal(got, max_pool(view, pool, stride))
+
+    def test_convnet_features(self, rng):
+        deployed = parse_config_file(DEPLOYED_CONFIG)
+        scan_net, scan_banks = realize_extractor(deployed.extract[0], deployed.seed)
+        views = make_patches(preprocess_image(rng.uniform(0.0, 1.0, size=(64, 64)), deployed.preprocess[0]))
+        small = ConvNetConfig(
+            layers=(
+                ConvLayerConfig(num_filters=3, filter_size=3, pool_size=3, pool_stride=2, lcn_window=3, seed=5),
+                ConvLayerConfig(num_filters=4, filter_size=3, pool_size=2, lcn_window=1, seed=6),
+            )
+        )
+        cases = [(scan_net, views, scan_banks), (small, rng.uniform(0.0, 1.0, size=(4, 17, 19)), None)]
+        for config, stack, banks in cases:
+            rows = convnet_features(stack, config, banks)
+            assert rows.shape[0] == len(stack)
+            for view, row in zip(stack, rows):
+                np.testing.assert_array_equal(row, convnet_features(view, config, banks))
+
+    def test_higher_rank_rejected(self, rng):
+        with pytest.raises(ValueError):
+            conv_forward(rng.standard_normal((1, 1, 1, 5, 5)), rng.standard_normal((1, 1, 3, 3)))
+        with pytest.raises(ValueError):
+            convnet_features(rng.uniform(size=(1, 2, 8, 8)), ConvNetConfig(layers=(ConvLayerConfig(1, 3, 2),)))
+
+
 class TestFilterInit:
     def test_shape_and_scale(self):
         layer = ConvLayerConfig(num_filters=8, filter_size=5, pool_size=2, seed=3)

@@ -121,3 +121,39 @@ class TestFeatures:
             LbpConfig(variant="rotation")
         with pytest.raises(ValueError):
             LbpConfig(blocks=(0, 1))
+
+
+class TestStacks:
+    """A stack of views gives each view the bits it gets alone."""
+
+    def _views(self, rng):
+        views = rng.uniform(0.0, 1.0, size=(5, 13, 16))
+        views[1] = np.round(views[1] * 3) / 3  # many exact ties for >=
+        views[2] = 0.5  # a constant view: every code 255
+        return views
+
+    def test_map_equals_single_views(self, rng):
+        views = self._views(rng)
+        stacked = lbp_map(views)
+        assert stacked.shape == (5, 11, 14) and stacked.dtype == np.uint8
+        for view, codes in zip(views, stacked):
+            np.testing.assert_array_equal(codes, lbp_map(view))
+        np.testing.assert_array_equal(lbp_map(views.reshape(5, 1, 13, 16))[:, 0], stacked)
+
+    def test_features_equal_single_views(self, rng):
+        views = self._views(rng)
+        for variant in ("original", "uniform"):
+            for blocks in ((1, 1), (2, 2)):
+                config = LbpConfig(variant=variant, blocks=blocks)
+                stacked = lbp_features(views, config)
+                assert stacked.shape == (5, config.feature_length)
+                for view, row in zip(views, stacked):
+                    np.testing.assert_array_equal(row, lbp_features(view, config))
+
+    def test_single_view_matches_oracle_exactly(self, rng):
+        """Counts are exact integers divided by the block size."""
+        img = rng.uniform(0.0, 1.0, size=(15, 12))
+        for variant in ("original", "uniform"):
+            for blocks in ((1, 1), (2, 2)):
+                got = lbp_features(img, LbpConfig(variant=variant, blocks=blocks))
+                np.testing.assert_array_equal(got, lbp_histogram_oracle(img, variant, blocks))

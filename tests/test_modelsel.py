@@ -589,17 +589,21 @@ class TestPerImageMemo:
 
     @pytest.fixture
     def counted(self, monkeypatch):
-        calls = {"preprocess": 0, "lbp": 0}
+        """Preprocess calls, LBP calls, and LBP views: one image's views
+        go to ``lbp_features`` as one stack, counted by its length."""
+        calls = {"preprocess": 0, "lbp_calls": 0, "lbp": 0}
 
-        def count(name, run):
+        def count(name, run, views=None):
             def counting(*args, **kwargs):
                 calls[name] += 1
+                if views is not None:
+                    calls[views] += len(args[0])
                 return run(*args, **kwargs)
 
             return counting
 
         monkeypatch.setattr(modelsel, "preprocess_image", count("preprocess", modelsel.preprocess_image))
-        monkeypatch.setattr(pipeline, "lbp_features", count("lbp", pipeline.lbp_features))
+        monkeypatch.setattr(pipeline, "lbp_features", count("lbp_calls", pipeline.lbp_features, "lbp"))
         return calls
 
     def _search(self, **kwargs):
@@ -607,11 +611,12 @@ class TestPerImageMemo:
         return grid_search(images, labels, self.GRID, seed=2, augmented=True, **kwargs)
 
     def test_one_extraction_per_extractor_and_view(self, counted):
-        """12 images: one preprocess each, one LBP per (extractor, patch)."""
+        """12 images: one preprocess each, one LBP per (extractor, patch),
+        in one call per (extractor, image)."""
         for _ in range(2):  # nothing outlives a search
-            counted.update(preprocess=0, lbp=0)
+            counted.update(preprocess=0, lbp_calls=0, lbp=0)
             result = self._search()
-            assert counted == {"preprocess": 12, "lbp": 2 * 12 * 10}
+            assert counted == {"preprocess": 12, "lbp_calls": 2 * 12, "lbp": 2 * 12 * 10}
             assert result.executions == {"preprocess": 10, "extract": 20, "transform": 20, "classify": 40}
             assert result.cache_hits == {"preprocess": 30, "extract": 20, "transform": 20, "classify": 0}
 
@@ -619,11 +624,31 @@ class TestPerImageMemo:
         """4 candidates x 10 splits, each preprocessing 12 images and
         extracting their 120 patches."""
         uncached = self._search(use_cache=False)
-        assert counted == {"preprocess": 4 * 10 * 12, "lbp": 4 * 10 * 12 * 10}
+        assert counted == {"preprocess": 4 * 10 * 12, "lbp_calls": 4 * 10 * 12, "lbp": 4 * 10 * 12 * 10}
         assert uncached.executions == {"preprocess": 40, "extract": 40, "transform": 40, "classify": 40}
         cached = self._search()
         assert [c.fold_aces for c in cached.candidates] == [c.fold_aces for c in uncached.candidates]
         assert cached.best_indices == uncached.best_indices
+
+    def test_each_array_hashed_once_per_search(self, monkeypatch):
+        """12 raw images hashed for the root key and 12 preprocessed ones
+        on first use; every later split and stage finds them by id."""
+        calls = []
+        real = modelsel._content_digest
+
+        def counting(img):
+            calls.append(img.shape)
+            return real(img)
+
+        monkeypatch.setattr(modelsel, "_content_digest", counting)
+        for _ in range(2):  # the id map does not outlive a search
+            calls.clear()
+            cached = self._search()
+            assert len(calls) == 2 * 12
+        calls.clear()
+        uncached = self._search(use_cache=False)
+        assert len(calls) == 12  # the root key only
+        assert [c.fold_aces for c in cached.candidates] == [c.fold_aces for c in uncached.candidates]
 
     def test_custom_preprocess_feeds_default_extract(self):
         """Rows follow the preprocessed pixels, not the config or index."""

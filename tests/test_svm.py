@@ -242,6 +242,28 @@ class TestSolverOracle:
         assert (model.bias, diag.sweeps) == (bias, sweeps)
         np.testing.assert_array_equal(diag.dual_objectives, objectives)
 
+    def test_capped_run_is_flagged(self, monkeypatch):
+        """A run the step cap stops short of tol warns and reports its
+        gap; the cap changes nothing else it returns."""
+        X, y = lbp_pca_rows()
+        params = SvmParams(C=10.0, gamma=0.05, tol=1e-12)
+        monkeypatch.setattr(svm, "_MAX_SWEEPS", 1)
+        with pytest.warns(RuntimeWarning, match="KKT gap"):
+            model, diag = train_smo(X, y, params, collect_diagnostics=True)
+        assert not diag.converged and diag.kkt_gap > params.tol
+        alphas, bias, _, _ = smo_reference(rbf_gram(X, X, params.gamma), y, params, max_sweeps=1)
+        np.testing.assert_array_equal(diag.alphas, alphas)
+        assert model.bias == bias
+        with pytest.warns(RuntimeWarning):
+            quiet, none = train_smo(X, y, params)  # warns without diagnostics too
+        assert none is None and quiet.bias == model.bias
+
+    def test_converged_run_reports_its_gap(self, recwarn):
+        for X, y, params in oracle_cases().values():
+            _, diag = train_smo(X, y, params, collect_diagnostics=True)
+            assert diag.converged and diag.kkt_gap <= params.tol
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_diagnostics_do_not_steer_training(self):
         for X, y, params in oracle_cases().values():
             quiet, _ = train_smo(X, y, params)
