@@ -8,7 +8,7 @@ optimization.  Model selection runs a cached grid search under 5x2
 cross-validation on the average classification error.
 """
 
-from .augment import augment_training, averaged_score, hflip, make_patches
+from .augment import augment_training, make_patches
 from .config import ParsedConfig, parse_config, parse_config_file
 from .convnet import (
     ConvLayerConfig,
@@ -59,7 +59,7 @@ from .pipeline import (
     preprocess_image,
 )
 from .seeds import derive_seed
-from .svm import SvmModel, SvmParams, decision_score, decision_scores, predict, rbf_kernel, train_smo
+from .svm import SvmModel, SvmParams, decision_score, decision_scores, predict, train_smo
 from .synthdata import make_texture_dataset, ridge_image, write_dataset_tree
 from .transform import PcaModel, Standardizer, fit_pca_randomized, project
 

@@ -1,4 +1,4 @@
-"""Crop/flip augmentation and patch-averaged scoring.
+"""Crop/flip augmentation: the ten views an image is trained and scored on.
 
 Each image expands into ten patches: crops of 80% of each dimension
 anchored at the four corners and the center, each followed by its
@@ -14,22 +14,12 @@ import numpy as np
 __all__ = [
     "PATCH_FRACTION",
     "PATCHES_PER_IMAGE",
-    "hflip",
     "make_patches",
     "augment_training",
-    "averaged_score",
 ]
 
 PATCH_FRACTION = 0.8
 PATCHES_PER_IMAGE = 10
-
-
-def hflip(img: np.ndarray) -> np.ndarray:
-    """Mirror the columns; applying it twice restores the input."""
-    img = np.asarray(img, dtype=np.float64)
-    if img.ndim != 2:
-        raise ValueError(f"hflip expects a 2-D image, got shape {img.shape}")
-    return img[:, ::-1].copy()
 
 
 def make_patches(img: np.ndarray) -> np.ndarray:
@@ -76,9 +66,3 @@ def augment_training(images: list[np.ndarray], labels: np.ndarray) -> tuple[list
         out_images.extend(make_patches(img))
     out_labels = np.repeat(labels, PATCHES_PER_IMAGE)
     return out_images, out_labels
-
-
-def averaged_score(scorer, img: np.ndarray) -> float:
-    """Mean of ``scorer.score_image`` over the ten patches of ``img``."""
-    scores = [scorer.score_image(patch) for patch in make_patches(img)]
-    return float(np.mean(scores))

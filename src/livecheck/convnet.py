@@ -128,14 +128,21 @@ def conv_forward(x: np.ndarray, bank: np.ndarray) -> np.ndarray:
     out_h, out_w = height - size + 1, width - size + 1
     views = x.reshape(-1, channels, height, width)
     # im2col: row (c, i, j) holds the input pixels weight bank[:, c, i, j]
-    # reads, in the order bank.reshape(F, -1) lays the weights out.
+    # reads.
     cols = np.empty((len(views), channels, size, size, out_h, out_w))
     for i in range(size):
         for j in range(size):
             cols[:, :, i, j] = views[:, :, i : i + out_h, j : j + out_w]
-    # One GEMM per view, each with the shapes of a single-view call, so a
-    # view's output has the same bits alone or in a stack.
-    out = np.matmul(bank.reshape(bank.shape[0], -1), cols.reshape(len(views), -1, out_h * out_w))
+    # One (F, s*s) @ (s*s, H'W') GEMM per view and input channel, summed
+    # in channel order.  Each has the shapes of a single-view call, so a
+    # view's output has the same bits alone or in a stack.  One GEMM over
+    # all C*s*s inputs rounded differently at 1 and 2 BLAS threads; the
+    # s*s-deep products do not (tests/test_blas_threads.py).
+    weights = np.ascontiguousarray(bank.reshape(bank.shape[0], channels, -1).transpose(1, 0, 2))
+    cols = cols.reshape(len(views), channels, size * size, out_h * out_w)
+    out = np.matmul(weights[0], cols[:, 0])
+    for c in range(1, channels):
+        out += np.matmul(weights[c], cols[:, c])
     return out.reshape(*x.shape[:-3], bank.shape[0], out_h, out_w)
 
 

@@ -19,7 +19,7 @@ from .convnet import ConvNetConfig, convnet_features, init_banks
 from .imageproc import as_image, clahe, crop, extract_roi, highpass, lowpass, resize_bilinear
 from .lbp import LbpConfig, lbp_features
 from .seeds import derive_seed
-from .svm import SvmModel, SvmParams, decision_score, train_smo
+from .svm import SvmModel, SvmParams, decision_scores, train_smo
 from .transform import PcaModel, Standardizer, fit_pca_randomized, project
 
 __all__ = [
@@ -212,26 +212,21 @@ class TrainedPipeline:
         self.pca = pca
         self.classifier = classifier
 
-    def _score_row(self, features: np.ndarray) -> float:
-        return decision_score(self.classifier, project(self.pca, self.standardizer.apply(features)))
-
-    def score_image(self, img: np.ndarray) -> float:
-        """Margin of one already-preprocessed image (or patch)."""
-        return self._score_row(extract_features(img, self.config.extractor, self.banks))
-
     def decision_score(self, img: np.ndarray) -> float:
         """Margin of a raw image; averages the ten patches when the
         pipeline was trained with augmentation.
 
-        The views are extracted together and scored one row at a time,
-        so the margin equals ``averaged_score`` (or ``score_image``) of
-        the preprocessed image bit for bit.  Raises ``ValueError`` for an
-        image that is not a finite 2-D array in [0, 1], or whose margin
-        comes out non-finite, so an unscorable input is never labelled.
+        The views are extracted, standardized, projected and scored as
+        one matrix.  Every stage gives a row the bits it would get alone,
+        so the margin equals the mean of the views scored one at a time,
+        bit for bit.  Raises ``ValueError`` for an image that is not a
+        finite 2-D array in [0, 1], or whose margin comes out non-finite,
+        so an unscorable input is never labelled.
         """
         pre = preprocess_image(as_image(img), self.config.preprocess)
         rows = image_features(pre, self.config.augmented, self.config.extractor, self.banks)
-        score = float(np.mean([self._score_row(row) for row in rows]))
+        z = project(self.pca, self.standardizer.apply(rows))
+        score = float(decision_scores(self.classifier, z).mean())
         if not math.isfinite(score):
             raise ValueError(f"image cannot be scored: margin is {score}")
         return score

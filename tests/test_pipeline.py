@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from livecheck import pipeline
-from livecheck.augment import averaged_score, make_patches
+from livecheck.augment import make_patches
 from livecheck.config import parse_config_file
 from livecheck.convnet import ConvLayerConfig, ConvNetConfig
 from livecheck.lbp import LbpConfig
@@ -26,6 +26,8 @@ from livecheck.pipeline import (
 )
 from livecheck.svm import SvmParams
 from livecheck.synthdata import make_texture_dataset
+
+from oracles import averaged_score, score_image
 
 
 @pytest.fixture(scope="module")
@@ -104,16 +106,16 @@ def augmented_model(request):
 
 class TestStackedViews:
     def test_margin_equals_per_patch_average(self, augmented_model):
-        """Stacked extraction, then row-by-row scoring, gives the margin of
-        the per-patch reference bit for bit."""
+        """Stacked extraction, then scoring the view matrix in one call,
+        gives the margin of the per-patch reference bit for bit."""
         model, held = augmented_model
         for img in held:
             pre = preprocess_image(img, model.config.preprocess)
-            assert model.decision_score(img) == averaged_score(model, pre)
+            assert model.decision_score(img) == averaged_score(lambda patch: score_image(model, patch), pre)
 
     def test_unaugmented_margin_equals_score_image(self, lbp_model):
         model, img = lbp_model
-        assert model.decision_score(img) == model.score_image(preprocess_image(img, model.config.preprocess))
+        assert model.decision_score(img) == score_image(model, preprocess_image(img, model.config.preprocess))
 
     # 25x25 patches: the convnet's first layer writes 4 x 23 x 23 doubles
     # per view and LBP's label map 23 x 23, so 50,784 bytes hold three

@@ -15,12 +15,11 @@ from livecheck.svm import (
     decision_scores,
     predict,
     rbf_gram,
-    rbf_kernel,
     train_smo,
 )
 from livecheck.synthdata import make_texture_dataset
 
-from oracles import smo_reference, svm_score_oracle
+from oracles import rbf_kernel, smo_reference, svm_score_oracle, svm_scores_gemm
 
 
 def xor_data():
@@ -46,6 +45,16 @@ def lbp_pca_rows():
     X = np.vstack([image_features(highpass(img), True, config, None) for img in images])
     _, _, Z = fit_transform(X, TransformConfig(pca_fraction=0.5), seed=3)
     return Z, np.repeat(labels, 10)
+
+
+def random_model(rng, n_sv, dim):
+    """An RBF expansion with random support vectors and signed weights."""
+    return svm.SvmModel(
+        support_vectors=rng.standard_normal((n_sv, dim)),
+        dual_coefs=rng.uniform(-2.0, 2.0, size=n_sv),
+        bias=float(rng.standard_normal()),
+        gamma=float(rng.uniform(0.02, 0.5)),
+    )
 
 
 def kkt_violation(X, y, alphas, model, params):
@@ -306,7 +315,37 @@ class TestScoring:
         Q = rng.standard_normal((5, 2))
         batch = decision_scores(model, Q)
         singles = [decision_score(model, q) for q in Q]
-        np.testing.assert_allclose(batch, singles, atol=1e-12)
+        np.testing.assert_array_equal(batch, singles)
+
+    @pytest.mark.parametrize("rows", [1, 37])
+    @pytest.mark.parametrize("dim", [1, 3, 7, 13, 26, 45])
+    @pytest.mark.parametrize("n_sv", [1, 2, 9, 80])
+    def test_batch_invariant_bits(self, rng, rows, dim, n_sv):
+        """A row's margin has the same bits in a batch as alone, for
+        feature lengths off every multiple of 4 and 8 and for a single
+        support vector."""
+        model = random_model(rng, n_sv, dim)
+        X = rng.standard_normal((rows, dim))
+        batch = decision_scores(model, X)
+        assert batch.shape == (rows,)
+        for i in range(rows):
+            assert decision_score(model, X[i]) == batch[i]
+            np.testing.assert_array_equal(decision_scores(model, X[i : i + 1]), batch[i : i + 1])
+        np.testing.assert_array_equal(decision_scores(model, np.asfortranarray(X)), batch)
+
+    @pytest.mark.parametrize("dim", [1, 7, 26])
+    @pytest.mark.parametrize("n_sv", [1, 80])
+    def test_matches_gemm_and_expansion_oracles(self, rng, dim, n_sv):
+        """Within 1e-12 of one Gram GEMM and of the term-by-term sum."""
+        model = random_model(rng, n_sv, dim)
+        X = rng.standard_normal((37, dim))
+        scores = decision_scores(model, X)
+        np.testing.assert_allclose(scores, svm_scores_gemm(model, X), rtol=0, atol=1e-12)
+        want = [
+            svm_score_oracle(model.support_vectors, model.dual_coefs, model.bias, model.gamma, x)
+            for x in X[:5]
+        ]
+        np.testing.assert_allclose(scores[:5], want, rtol=0, atol=1e-12)
 
     def test_zero_score_counts_as_live(self, rng):
         X, y = blob_data(rng, n=12)

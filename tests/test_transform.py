@@ -10,7 +10,7 @@ from livecheck.transform import (
     project,
 )
 
-from oracles import pca_exact, principal_angles
+from oracles import pca_exact, principal_angles, project_gemm
 
 
 def gapped_matrix(rng, n=50, d=20, k=5):
@@ -115,7 +115,7 @@ class TestRandomizedPca:
     def test_single_vector_projection(self, rng):
         X = gapped_matrix(rng)
         model = fit_pca_randomized(X, k=4, seed=6)
-        np.testing.assert_allclose(project(model, X[2]), project(model, X)[2], atol=1e-12)
+        np.testing.assert_array_equal(project(model, X[2]), project(model, X)[2])
 
     def test_k_bounds_enforced(self, rng):
         X = rng.standard_normal((10, 5))
@@ -141,3 +141,48 @@ class TestRandomizedPca:
         )
         out = project(model, np.array([1.0, 1.0]))
         assert np.all(np.isfinite(out))
+
+
+def random_pca(rng, d, k, whiten):
+    """A PCA model with random orthonormal component rows."""
+    return PcaModel(
+        mean=rng.standard_normal(d),
+        components=np.linalg.qr(rng.standard_normal((d, k)))[0].T.copy(),
+        component_variances=rng.uniform(0.05, 3.0, size=k),
+        whiten=whiten,
+    )
+
+
+# Feature lengths off every multiple of 4 and 8, so BLAS kernels run
+# their tail code; k=1 makes each row's product a single dot.
+BATCH_SHAPES = [(d, k) for d in (1, 3, 7, 13, 26, 45, 61) for k in sorted({1, (d + 1) // 2, d})]
+
+
+class TestBatchInvariance:
+    @pytest.mark.parametrize("rows", [1, 37])
+    @pytest.mark.parametrize("d, k", BATCH_SHAPES)
+    def test_batch_equals_single_rows(self, rng, rows, d, k):
+        """A row projects to the same bits in a batch, as a one-row
+        matrix and as a 1-D vector."""
+        for whiten in (True, False):
+            model = random_pca(rng, d, k, whiten)
+            X = rng.standard_normal((rows, d)) * 3.0
+            batch = project(model, X)
+            assert batch.shape == (rows, k)
+            for i in range(rows):
+                np.testing.assert_array_equal(project(model, X[i]), batch[i])
+                np.testing.assert_array_equal(project(model, X[i : i + 1])[0], batch[i])
+
+    def test_strided_input_projects_like_contiguous(self, rng):
+        model = random_pca(rng, 21, 5, True)
+        X = rng.standard_normal((21, 37)).T  # column-major rows
+        np.testing.assert_array_equal(project(model, X), project(model, np.ascontiguousarray(X)))
+        np.testing.assert_array_equal(project(model, X[::2]), project(model, X)[::2])
+
+    @pytest.mark.parametrize("d, k", BATCH_SHAPES)
+    def test_matches_gemm_oracle(self, rng, d, k):
+        """The row-by-row products stay within 1e-12 of one GEMM."""
+        for whiten in (True, False):
+            model = random_pca(rng, d, k, whiten)
+            X = rng.standard_normal((37, d)) * 3.0
+            np.testing.assert_allclose(project(model, X), project_gemm(model, X), rtol=0, atol=1e-12)
