@@ -28,7 +28,7 @@ import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
-from .convnet import ConvLayerConfig, ConvNetConfig
+from .convnet import MAX_LAYERS, ConvLayerConfig, ConvNetConfig
 from .lbp import LbpConfig
 from .modelsel import (
     STAGE_CLASSIFY,
@@ -153,8 +153,9 @@ def _build_extract(fields: dict):
     if fields["method"] == "lbp":
         return LbpConfig(variant=fields["variant"], blocks=fields["blocks"])
     layers = fields["layers"]
-    if layers < 1:
-        raise ValueError(f"bad value for extract.layers: {layers}")
+    # checked before the per-layer lists are broadcast to this length
+    if not 1 <= layers <= MAX_LAYERS:
+        raise ValueError(f"bad value for extract.layers: {layers} is not in 1..{MAX_LAYERS}")
     filters = _broadcast(fields["filters"], layers, "extract.filters")
     sizes = _broadcast(fields["filter_sizes"], layers, "extract.filter_sizes")
     pools = _broadcast(fields["pool_sizes"], layers, "extract.pool_sizes")

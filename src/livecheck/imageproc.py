@@ -322,6 +322,11 @@ class RoiRect:
         if self.x0 < 0 or self.y0 < 0:
             raise ValueError("RoiRect origin must be non-negative")
 
+    @property
+    def window(self) -> tuple[slice, slice]:
+        """Row and column slices that cut the rectangle out of an image."""
+        return slice(self.y0, self.y0 + self.height), slice(self.x0, self.x0 + self.width)
+
 
 def extract_roi(img: np.ndarray) -> RoiRect:
     """Locate the foreground region of a fingerprint image.
@@ -367,7 +372,7 @@ def crop(img: np.ndarray, rect: RoiRect) -> np.ndarray:
     height, width = img.shape
     if rect.x0 + rect.width > width or rect.y0 + rect.height > height:
         raise ValueError(f"rectangle {rect} exceeds image {height}x{width}")
-    return img[rect.y0 : rect.y0 + rect.height, rect.x0 : rect.x0 + rect.width].copy()
+    return img[rect.window].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +405,11 @@ def clahe(img: np.ndarray, tiles: tuple[int, int] = (8, 8), clip: float = 2.0) -
 
     Input must lie in [0, 1]; so does the output.
     """
-    img = as_image(img)
+    return _clahe(as_image(img), tiles, clip)
+
+
+def _clahe(img: np.ndarray, tiles: tuple[int, int], clip: float) -> np.ndarray:
+    """``clahe`` of an image already validated by ``as_image``."""
     rows, cols = int(tiles[0]), int(tiles[1])
     if rows < 1 or cols < 1:
         raise ValueError(f"tile grid must be positive, got {tiles}")

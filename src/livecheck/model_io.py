@@ -61,7 +61,27 @@ def _field(header: dict, stage: str, key: str, kind: type):
     accepted = (int, float) if kind is float else kind
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
         raise ValueError(f"corrupt model file: stage {stage} key {key} is not a {kind.__name__}")
-    return float(value) if kind is float else value
+    if kind is not float:
+        return value
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer beyond the float range
+        raise ValueError(f"corrupt model file: stage {stage} key {key} is out of range") from None
+
+
+def _array(arrays: dict, stage: str, name: str, shape: tuple, dims: dict) -> np.ndarray:
+    """``arrays[name]`` checked against ``shape``.  An integer entry is
+    a fixed length; a string entry names a length that every array
+    using the name must share, bound in ``dims`` at its first use."""
+    value = _field(arrays, stage, name, np.ndarray)
+    if value.ndim != len(shape) or any(
+        dims.setdefault(want, got) != got if isinstance(want, str) else want != got
+        for want, got in zip(shape, value.shape)
+    ):
+        raise ValueError(
+            f"corrupt model file: stage {stage} array {name} has shape {value.shape}, expected {shape}"
+        )
+    return value
 
 
 def _ints(header: dict, stage: str, key: str, length: int | None = None) -> tuple[int, ...]:
@@ -82,7 +102,7 @@ def _decode_stage(payload: bytes, stage: str) -> tuple[dict, dict[str, np.ndarra
         raise ValueError(f"corrupt model file: stage {stage} header overruns block")
     try:
         header = json.loads(payload[4 : 4 + head_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"corrupt model file: stage {stage} header unreadable") from exc
     if not isinstance(header, dict):
         raise ValueError(f"corrupt model file: stage {stage} header is not an object")
@@ -229,7 +249,11 @@ def model_from_bytes(data: bytes) -> TrainedPipeline:
                 raise ValueError("corrupt model file: stage extract key layers holds a non-object")
             layers.append(ConvLayerConfig(**{key: _field(layer, "extract", key, int) for key in _LAYER_KEYS}))
         extractor = ConvNetConfig(layers=tuple(layers))
-        banks = [_field(ext_arrays, "extract", f"bank{i}", np.ndarray) for i in range(len(layers))]
+        banks = []
+        for i, layer in enumerate(layers):
+            channels = layers[i - 1].num_filters if i else 1
+            shape = (layer.num_filters, channels, layer.filter_size, layer.filter_size)
+            banks.append(_array(ext_arrays, "extract", f"bank{i}", shape, {}))
     else:
         raise ValueError(f"corrupt model file: unknown extractor {method!r}")
 
@@ -245,20 +269,22 @@ def model_from_bytes(data: bytes) -> TrainedPipeline:
         augmented=_field(aug_h, "augment", "enabled", bool),
         seed=_field(pre_h, pre, "seed", int),
     )
+    # d features, k components, m support vectors
+    dims: dict[str, int] = {}
     standardizer = Standardizer(
-        means=_field(tr_arrays, tr, "feature_means", np.ndarray),
-        stds=_field(tr_arrays, tr, "feature_stds", np.ndarray),
+        means=_array(tr_arrays, tr, "feature_means", ("d",), dims),
+        stds=_array(tr_arrays, tr, "feature_stds", ("d",), dims),
     )
     pca = PcaModel(
-        mean=_field(tr_arrays, tr, "pca_mean", np.ndarray),
-        components=_field(tr_arrays, tr, "components", np.ndarray),
-        component_variances=_field(tr_arrays, tr, "component_variances", np.ndarray),
+        mean=_array(tr_arrays, tr, "pca_mean", ("d",), dims),
+        components=_array(tr_arrays, tr, "components", ("k", "d"), dims),
+        component_variances=_array(tr_arrays, tr, "component_variances", ("k",), dims),
         whiten=whiten,
         epsilon=_field(tr_h, tr, "epsilon", float),
     )
     classifier = SvmModel(
-        support_vectors=_field(cl_arrays, cl, "support_vectors", np.ndarray),
-        dual_coefs=_field(cl_arrays, cl, "dual_coefs", np.ndarray),
+        support_vectors=_array(cl_arrays, cl, "support_vectors", ("m", "k"), dims),
+        dual_coefs=_array(cl_arrays, cl, "dual_coefs", ("m",), dims),
         bias=_field(cl_h, cl, "bias", float),
         gamma=gamma,
     )

@@ -414,24 +414,34 @@ def _run_extract(cfg, pre_images, ctx: StageContext):
     )
 
 
+def _split_rows(rows: np.ndarray, groups: list[np.ndarray]) -> list[np.ndarray]:
+    """Cut stacked ``rows`` back into pieces as long as ``groups``."""
+    return np.split(rows, np.cumsum([len(g) for g in groups])[:-1])
+
+
 def _run_transform(cfg, bundle: _SplitRows, ctx: StageContext):
     standardizer, pca, train_Z = fit_transform(
         bundle.train, cfg, derive_seed(ctx.root_seed, "pca", ctx.split_index)
     )
+    # One call for the whole test fold: a row projects to the same bits
+    # alone or in a batch.
+    test_Z = project(pca, standardizer.apply(np.vstack(bundle.test_groups)))
     return _SplitRows(
         train=train_Z,
         train_y=bundle.train_y,
-        test_groups=[project(pca, standardizer.apply(g)) for g in bundle.test_groups],
+        test_groups=_split_rows(test_Z, bundle.test_groups),
     )
 
 
 def _run_classify(cfg, bundle: _SplitRows, ctx: StageContext):
     model, _ = train_smo(bundle.train, bundle.train_y, cfg)
-    predictions = np.empty(len(bundle.test_groups))
-    for pos, group in enumerate(bundle.test_groups):
-        score = float(decision_scores(model, group).mean())
-        predictions[pos] = LIVE_LABEL if score >= 0.0 else FAKE_LABEL
-    return predictions
+    # One call for the whole test fold: a row scores the same bits alone
+    # or in a batch, so each image's mean is that of its own call.
+    scores = decision_scores(model, np.vstack(bundle.test_groups))
+    return np.array([
+        LIVE_LABEL if float(part.mean()) >= 0.0 else FAKE_LABEL
+        for part in _split_rows(scores, bundle.test_groups)
+    ])
 
 
 def default_runners() -> dict:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import augment as aug
 from .convnet import ConvNetConfig, convnet_features, init_banks
-from .imageproc import as_image, clahe, crop, extract_roi, highpass, lowpass, resize_bilinear
+from .imageproc import _clahe, as_image, extract_roi, highpass, lowpass, resize_bilinear
 from .lbp import LbpConfig, lbp_features
 from .seeds import derive_seed
 from .svm import SvmModel, SvmParams, decision_scores, train_smo
@@ -94,13 +94,20 @@ class PipelineConfig:
 
 
 def preprocess_image(img: np.ndarray, config: PreprocessConfig) -> np.ndarray:
-    out = np.asarray(img, dtype=np.float64)
+    """Apply ``config`` to a raw image.
+
+    Raises ``ValueError`` for an image that is not a finite 2-D array in
+    [0, 1]; that is the only validation the image gets.
+    """
+    out = as_image(img)
     if config.scale < 1.0:
         out = resize_bilinear(out, config.scale)
     if config.roi:
-        out = crop(out, extract_roi(out))
+        out = out[extract_roi(out).window]
+        if not config.equalize and config.filter == "none":
+            out = out.copy()  # no later step makes a new array
     if config.equalize:
-        out = clahe(out, config.clahe_tiles, config.clahe_clip)
+        out = _clahe(out, config.clahe_tiles, config.clahe_clip)
     if config.filter == "lowpass":
         out = lowpass(out)
     elif config.filter == "highpass":
@@ -223,7 +230,7 @@ class TrainedPipeline:
         finite 2-D array in [0, 1], or whose margin comes out non-finite,
         so an unscorable input is never labelled.
         """
-        pre = preprocess_image(as_image(img), self.config.preprocess)
+        pre = preprocess_image(img, self.config.preprocess)
         rows = image_features(pre, self.config.augmented, self.config.extractor, self.banks)
         z = project(self.pca, self.standardizer.apply(rows))
         score = float(decision_scores(self.classifier, z).mean())

@@ -31,6 +31,7 @@ __all__ = [
 
 _MAX_SWEEPS = 10_000  # steps are capped at this many times the sample count
 _CURVATURE_FLOOR = 1e-12
+_CURVATURE_CACHE_BYTES = 128 << 10  # every row fits at n=120; small enough for solve()'s memory pin
 _SV_EPS = 1e-12
 
 
@@ -114,33 +115,44 @@ class _SmoSolver:
 
     def solve(self, collect_objectives: bool = False) -> SmoDiagnostics:
         diag = SmoDiagnostics(alphas=self.alphas)
-        K, alphas, s, C, tol, n = self.K, self.alphas, self.s, self.params.C, self.params.tol, self.n
+        K, alphas, C, tol, n = self.K, self.alphas, self.params.C, self.params.tol, self.n
         y = self.y.tolist()
         positive = (self.y > 0).tolist()
         diagonal = np.diag(K)
-        # The candidate arrays live across steps: a step shifts every entry
-        # by the same dk as s (±inf stays ±inf, a finite entry gets exactly
-        # the bits a rebuild from s would), and only i and j can change set.
-        s_up, s_low = self._candidates()
-        b, a, gain, dk = (np.empty(n) for _ in range(4))
-        not_ascent = np.empty(n, dtype=bool)
+        # s and the candidate arrays are the rows of one matrix, so one
+        # subtraction updates all three: a step shifts every entry by the
+        # same dk (±inf stays ±inf, a finite entry gets exactly the bits a
+        # rebuild from s would), and only i and j can change set.
+        state = np.vstack((self.s, *self._candidates()))
+        self.s, s_up, s_low = state
+        b, a_scratch, gain, dk = (np.empty(n) for _ in range(4))
+        # Curvature rows a_i by working index i, in one block within a byte
+        # budget; rows past it are computed on every step and not stored.
+        cache = np.empty((min(n, _CURVATURE_CACHE_BYTES // (8 * n)), n))
+        slots: dict[int, int] = {}
         steps = 0
         while steps < _MAX_SWEEPS * n:
             i = int(s_up.argmax())
-            top = s_up[i]
-            if top - s_low.min() <= tol:
+            top = s_up.item(i)
+            if top - s_low.item(int(s_low.argmin())) <= tol:
                 break
             # Partner j maximizes the dual gain b^2 / a of the pair's step.
             np.subtract(top, s_low, out=b)
             row_i = K[i]
-            np.add(diagonal, diagonal[i], out=a)
-            np.multiply(row_i, 2.0, out=dk)  # dk is scratch until the update
-            np.subtract(a, dk, out=a)
-            np.maximum(a, _CURVATURE_FLOOR, out=a)
+            if i in slots:
+                a = cache[slots[i]]
+            else:
+                a = cache[slots.setdefault(i, len(slots))] if len(slots) < len(cache) else a_scratch
+                np.add(diagonal, diagonal[i], out=a)
+                np.multiply(row_i, 2.0, out=dk)  # dk is scratch until the update
+                np.subtract(a, dk, out=a)
+                np.maximum(a, _CURVATURE_FLOOR, out=a)
             np.multiply(b, b, out=gain)
             np.divide(gain, a, out=gain)
-            np.less_equal(b, 0.0, out=not_ascent)
-            gain[not_ascent] = -np.inf
+            # b's sign makes every non-ascent gain <= 0, while the largest b
+            # (> tol) has a positive gain unless tol is below about 1e-154 and
+            # b^2 underflows, so argmax picks what a -inf mask would.
+            np.copysign(gain, b, out=gain)
             j = int(gain.argmax())
             alpha_i, alpha_j = alphas.item(i), alphas.item(j)
             room_i = C - alpha_i if positive[i] else alpha_i
@@ -152,12 +164,10 @@ class _SmoSolver:
             alphas[i], alphas[j] = alpha_i, alpha_j
             np.subtract(row_i, K[j], out=dk)
             dk *= t
-            s -= dk
-            s_up -= dk
-            s_low -= dk
+            state -= dk
             for k, alpha in ((i, alpha_i), (j, alpha_j)):
                 below, above = alpha < C, alpha > 0.0
-                s_k = s.item(k)
+                s_k = state.item(0, k)
                 s_up[k] = s_k if (below if positive[k] else above) else -np.inf
                 s_low[k] = s_k if (above if positive[k] else below) else np.inf
             steps += 1

@@ -2,9 +2,9 @@
 
 Everything here is written the dumb way on purpose: explicit Python
 loops, per-pixel index arithmetic, textbook formulas.  No function in
-this module shares code with the package, except the per-view scoring
-references at the end, which compose the package's public stages one
-view at a time.
+this module shares code with the package, except the references at
+the end, which compose the package's stages one view or one image at a
+time.
 """
 
 from __future__ import annotations
@@ -15,8 +15,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from livecheck.augment import make_patches
-from livecheck.pipeline import extract_features
-from livecheck.svm import decision_score
+from livecheck.imageproc import clahe, crop, extract_roi, highpass, lowpass, resize_bilinear
+from livecheck.pipeline import extract_features, fit_transform
+from livecheck.seeds import derive_seed
+from livecheck.svm import decision_score, decision_scores, train_smo
 from livecheck.transform import project
 
 
@@ -428,3 +430,40 @@ def score_image(model, img):
 def averaged_score(score, img):
     """Mean of ``score(patch)`` over the ten crop/flip patches of ``img``."""
     return float(np.mean([score(patch) for patch in make_patches(img)]))
+
+
+def preprocess_stepwise(img, config):
+    """``preprocess_image`` through the public steps: ``crop`` copies the
+    ROI, and ``clahe`` validates its input again."""
+    out = np.asarray(img, dtype=np.float64)
+    if config.scale < 1.0:
+        out = resize_bilinear(out, config.scale)
+    if config.roi:
+        out = crop(out, extract_roi(out))
+    if config.equalize:
+        out = clahe(out, config.clahe_tiles, config.clahe_clip)
+    if config.filter == "lowpass":
+        out = lowpass(out)
+    elif config.filter == "highpass":
+        out = highpass(out)
+    return out
+
+
+def transform_runner_per_image(cfg, bundle, ctx):
+    """The grid search's transform stage with one standardize and
+    project call per test image; returns (train rows, test groups)."""
+    standardizer, pca, train_Z = fit_transform(
+        bundle.train, cfg, derive_seed(ctx.root_seed, "pca", ctx.split_index)
+    )
+    return train_Z, [project(pca, standardizer.apply(g)) for g in bundle.test_groups]
+
+
+def classify_runner_per_image(cfg, bundle, ctx):
+    """The grid search's classify stage with one ``decision_scores``
+    call per test image; a zero mean margin counts as live."""
+    model, _ = train_smo(bundle.train, bundle.train_y, cfg)
+    predictions = np.empty(len(bundle.test_groups))
+    for pos, group in enumerate(bundle.test_groups):
+        score = float(decision_scores(model, group).mean())
+        predictions[pos] = 1.0 if score >= 0.0 else -1.0
+    return predictions

@@ -24,6 +24,8 @@ from livecheck.pipeline import PreprocessConfig, TransformConfig, feature_groups
 from livecheck.svm import SvmParams
 from livecheck.synthdata import make_texture_dataset
 
+from oracles import classify_runner_per_image, transform_runner_per_image
+
 
 class TestAce:
     def test_perfect_predictions(self):
@@ -702,3 +704,34 @@ class TestPerImageMemo:
         assert candidate.failed
         assert candidate.message == "ValueError: feature lengths differ across images: [98, 162]"
         assert candidate.fold_aces == (1.0,) * 10
+
+
+class TestBatchedFoldRunners:
+    """The default transform and classify runners handle a test fold in
+    one call each and give every image what its own call gives."""
+
+    @pytest.mark.parametrize("augmented", [False, True], ids=["1-row", "10-row"])
+    def test_equal_to_per_image_loop(self, augmented):
+        images, labels = make_texture_dataset(6, size=32, seed=8, blur_sigma=0.4)
+        train_idx = np.array([0, 2, 4, 7, 9])
+        ctx = modelsel.StageContext(
+            images=images,
+            labels=labels,
+            train_idx=train_idx,
+            test_idx=np.setdiff1d(np.arange(12), train_idx),  # 7 images: an odd fold
+            split_index=3,
+            root_seed=11,
+            augmented=augmented,
+        )
+        pre = modelsel._run_preprocess(PreprocessConfig(filter="highpass"), None, ctx)
+        rows = modelsel._run_extract(LbpConfig(variant="uniform", blocks=(1, 1)), pre, ctx)
+        cfg = TransformConfig(pca_fraction=0.5)
+        projected = modelsel._run_transform(cfg, rows, ctx)
+        train_Z, groups = transform_runner_per_image(cfg, rows, ctx)
+        np.testing.assert_array_equal(projected.train, train_Z)
+        assert [len(g) for g in projected.test_groups] == [10 if augmented else 1] * 7
+        for got, want in zip(projected.test_groups, groups, strict=True):
+            np.testing.assert_array_equal(got, want)
+        for params in (SvmParams(C=1.0, gamma=0.05), SvmParams(C=10.0, gamma=0.5)):
+            predictions = modelsel._run_classify(params, projected, ctx)
+            np.testing.assert_array_equal(predictions, classify_runner_per_image(params, projected, ctx))

@@ -27,7 +27,7 @@ from livecheck.pipeline import (
 from livecheck.svm import SvmParams
 from livecheck.synthdata import make_texture_dataset
 
-from oracles import averaged_score, score_image
+from oracles import averaged_score, preprocess_stepwise, score_image
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +76,46 @@ class TestUnscorableInputsRejected:
             broken.decision_score(img)
         with pytest.raises(ValueError, match="cannot be scored"):
             broken.predict(img)
+
+
+def _finger_on_black(rng, height=120, width=96):
+    """Ridges in an off-centre rectangle of a black frame, so the ROI is a
+    proper sub-image."""
+    img = np.zeros((height, width))
+    rows, cols = np.mgrid[0:70, 0:50]
+    img[30:100, 20:70] = 0.5 + 0.4 * np.sin(0.9 * rows + 0.3 * cols) * rng.uniform(0.8, 1.0, (70, 50))
+    return img
+
+
+class TestPreprocess:
+    @pytest.mark.parametrize("filter", ["none", "lowpass", "highpass"])
+    @pytest.mark.parametrize("equalize", [False, True])
+    @pytest.mark.parametrize("roi", [False, True])
+    @pytest.mark.parametrize("scale", [1.0, 0.75])
+    def test_equals_public_steps(self, rng, scale, roi, equalize, filter):
+        """The ROI is read as a view and validated once, with the bits of
+        copying it and validating it again; the output never aliases the
+        input unless no step runs."""
+        img = _finger_on_black(rng)
+        config = PreprocessConfig(scale=scale, filter=filter, roi=roi, equalize=equalize, clahe_tiles=(4, 4))
+        before = img.copy()
+        out = preprocess_image(img, config)
+        want = preprocess_stepwise(img, config)
+        frame = [int(scale * n) for n in img.shape]
+        assert not roi or (out.shape[0] < frame[0] and out.shape[1] < frame[1])
+        np.testing.assert_array_equal(out, want)
+        np.testing.assert_array_equal(img, before)
+        ran = scale < 1.0 or roi or equalize or filter != "none"
+        assert np.shares_memory(out, img) != ran
+
+    @pytest.mark.parametrize("roi", [False, True])
+    @pytest.mark.parametrize("equalize", [False, True])
+    def test_invalid_image_rejected(self, rng, roi, equalize):
+        img = _finger_on_black(rng)
+        config = PreprocessConfig(roi=roi, equalize=equalize)
+        for bad in (_with_nan_pixel(img), img * 5.0, img - 0.5, img[None]):
+            with pytest.raises(ValueError):
+                preprocess_image(bad, config)
 
 
 DEPLOYED_CONVNET = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "scan-convnet-aug.ini"

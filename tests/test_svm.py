@@ -212,6 +212,8 @@ def oracle_cases():
         "two-samples": (np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1.0, -1.0]), SvmParams()),
         "no-steps": (*blob_data(rng, n=20), SvmParams(tol=100.0)),
         "lbp-pca": (*lbp_pca_rows(), SvmParams(C=10.0, gamma=0.05)),
+        # 156 distinct working rows, and the curvature cache holds 40 at n=400.
+        "cache-overflow": (*blob_data(rng, n=400, gap=0.5), SvmParams(C=1.0, gamma=0.5)),
     }
 
 
@@ -233,6 +235,31 @@ class TestSolverOracle:
             assert sweeps == 0 and not alphas.any()
         else:
             assert sweeps >= 1
+
+    def test_bit_identical_without_curvature_cache(self, monkeypatch):
+        """With no byte budget every curvature row is computed afresh,
+        with the bits a cached row has."""
+        monkeypatch.setattr(svm, "_CURVATURE_CACHE_BYTES", 0)
+        for X, y, params in oracle_cases().values():
+            model, diag = train_smo(X, y, params, collect_diagnostics=True)
+            alphas, bias, sweeps, _ = smo_reference(rbf_gram(X, X, params.gamma), y, params)
+            np.testing.assert_array_equal(diag.alphas, alphas)
+            assert (model.bias, diag.sweeps) == (bias, sweeps)
+
+    @pytest.mark.filterwarnings("ignore:SMO stopped at its cap:RuntimeWarning")
+    def test_bit_identical_at_tiny_tol(self, monkeypatch):
+        """At tol=1e-200 the solver's sign-folded gains still pick the
+        partner that the reference's -inf mask picks; the two could part
+        only where every ascent gain b^2 / a underflows to zero."""
+        monkeypatch.setattr(svm, "_MAX_SWEEPS", 3)
+        for X, y, params in oracle_cases().values():
+            params = SvmParams(C=params.C, gamma=params.gamma, tol=1e-200)
+            model, diag = train_smo(X, y, params, collect_diagnostics=True)
+            alphas, bias, sweeps, _ = smo_reference(
+                rbf_gram(X, X, params.gamma), y, params, max_sweeps=3
+            )
+            np.testing.assert_array_equal(diag.alphas, alphas)
+            assert (model.bias, diag.sweeps) == (bias, sweeps)
 
     def test_step_cap(self, monkeypatch):
         X, y = lbp_pca_rows()
