@@ -5,7 +5,8 @@ several candidates separated by ``|``; the file then describes a grid
 over the cross product.  Commas are reserved for per-layer lists in
 the convnet keys, so ``filters = 16,32|8,8`` reads as two candidates
 of a two-layer network.  Unknown sections or keys are rejected by
-name.  The ``[search]`` section must carry the root seed; there is no
+name.  A grid of more than 1,024 candidates is refused before any is
+built.  The ``[search]`` section must carry the root seed; there is no
 implicit randomness anywhere.
 
 Example::
@@ -24,8 +25,10 @@ Example::
 from __future__ import annotations
 
 import configparser
+import dataclasses
+import functools
 import itertools
-from dataclasses import dataclass
+import math
 from pathlib import Path
 
 from .convnet import MAX_LAYERS, ConvLayerConfig, ConvNetConfig
@@ -126,8 +129,21 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
     },
 }
 
-_LBP_KEYS = ("variant", "blocks")
-_CONVNET_KEYS = ("layers", "filters", "filter_sizes", "pool_sizes", "pool_strides", "lcn_windows")
+# per-layer INI list -> ConvLayerConfig field
+_LAYER_FIELDS = {
+    "filters": "num_filters",
+    "filter_sizes": "filter_size",
+    "pool_sizes": "pool_size",
+    "pool_strides": "pool_stride",
+    "lcn_windows": "lcn_window",
+}
+# the method key selects which other extract keys matter
+_METHOD_KEYS = {
+    "lbp": tuple(f.name for f in dataclasses.fields(LbpConfig)),
+    "convnet": ("layers", *_LAYER_FIELDS),
+}
+# candidates a whole grid may hold; each one is trained on every split
+_MAX_CANDIDATES = 1024
 
 
 def _broadcast(values: tuple[int, ...], layers: int, key: str) -> tuple[int, ...]:
@@ -138,52 +154,27 @@ def _broadcast(values: tuple[int, ...], layers: int, key: str) -> tuple[int, ...
     raise ValueError(f"bad value for {key}: expected 1 or {layers} entries, got {len(values)}")
 
 
-def _build_preprocess(fields: dict) -> PreprocessConfig:
-    return PreprocessConfig(
-        scale=fields["scale"],
-        filter=fields["filter"],
-        roi=fields["roi"],
-        equalize=fields["equalize"],
-        clahe_tiles=fields["clahe_tiles"],
-        clahe_clip=fields["clahe_clip"],
-    )
-
-
-def _build_extract(fields: dict):
-    if fields["method"] == "lbp":
-        return LbpConfig(variant=fields["variant"], blocks=fields["blocks"])
+def _build_extract(method: str, **fields):
+    if method == "lbp":
+        return LbpConfig(**fields)
     layers = fields["layers"]
     # checked before the per-layer lists are broadcast to this length
     if not 1 <= layers <= MAX_LAYERS:
         raise ValueError(f"bad value for extract.layers: {layers} is not in 1..{MAX_LAYERS}")
-    filters = _broadcast(fields["filters"], layers, "extract.filters")
-    sizes = _broadcast(fields["filter_sizes"], layers, "extract.filter_sizes")
-    pools = _broadcast(fields["pool_sizes"], layers, "extract.pool_sizes")
-    strides = _broadcast(fields["pool_strides"], layers, "extract.pool_strides")
-    windows = _broadcast(fields["lcn_windows"], layers, "extract.lcn_windows")
+    per_layer = {
+        name: _broadcast(fields[key], layers, f"extract.{key}") for key, name in _LAYER_FIELDS.items()
+    }
     return ConvNetConfig(
-        layers=tuple(
-            ConvLayerConfig(
-                num_filters=filters[i],
-                filter_size=sizes[i],
-                pool_size=pools[i],
-                pool_stride=strides[i],
-                lcn_window=windows[i],
-            )
-            for i in range(layers)
-        )
+        layers=tuple(ConvLayerConfig(**dict(zip(per_layer, values))) for values in zip(*per_layer.values()))
     )
 
 
-def _build_transform(fields: dict) -> TransformConfig:
-    return TransformConfig(pca_fraction=fields["pca_fraction"], whiten=fields["whiten"])
+def _build_classify(c: float, gamma: float, tol: float, max_passes: int) -> SvmParams:
+    # configparser lowercases keys, so C arrives as c; max_passes is retired
+    return SvmParams(C=c, gamma=gamma, tol=tol)
 
 
-def _build_classify(fields: dict) -> SvmParams:
-    return SvmParams(C=fields["c"], gamma=fields["gamma"], tol=fields["tol"])
-
-
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ParsedConfig:
     """Candidate lists per stage plus the run-wide flags."""
 
@@ -246,25 +237,20 @@ def _section_alternatives(parser: configparser.ConfigParser, section: str) -> di
     return out
 
 
+def _count(alternatives: dict[str, list], keys) -> int:
+    return math.prod(len(alternatives[key]) for key in keys)
+
+
 def _section_candidates(alternatives: dict[str, list], build) -> tuple:
-    keys = list(alternatives)
-    candidates = []
-    for combo in itertools.product(*(alternatives[k] for k in keys)):
-        candidates.append(build(dict(zip(keys, combo))))
-    return tuple(candidates)
+    return tuple(build(**dict(zip(alternatives, combo))) for combo in itertools.product(*alternatives.values()))
 
 
 def _extract_candidates(alternatives: dict[str, list]) -> tuple:
-    # The method key selects which other keys matter, so candidates are
-    # the union over methods, not a blind product of everything.
+    # candidates are the union over methods, not a blind product of every key
     candidates = []
     for method in alternatives["method"]:
-        keys = _LBP_KEYS if method == "lbp" else _CONVNET_KEYS
-        sub = {k: alternatives[k] for k in keys}
-        for combo in itertools.product(*(sub[k] for k in keys)):
-            fields = dict(zip(keys, combo))
-            fields["method"] = method
-            candidates.append(_build_extract(fields))
+        used = {key: alternatives[key] for key in _METHOD_KEYS[method]}
+        candidates += _section_candidates(used, functools.partial(_build_extract, method))
     return tuple(candidates)
 
 
@@ -296,10 +282,15 @@ def parse_config(text: str) -> ParsedConfig:
     if seed < 0:
         raise ValueError("bad value for search.seed: must be non-negative")
 
+    extract_count = sum(_count(ext, _METHOD_KEYS[method]) for method in ext["method"])
+    size = _count(pre, pre) * extract_count * _count(tr, tr) * _count(cl, cl)
+    if size > _MAX_CANDIDATES:
+        raise ValueError(f"config grid has {size} candidates; at most {_MAX_CANDIDATES} are allowed")
+
     return ParsedConfig(
-        preprocess=_section_candidates(pre, _build_preprocess),
+        preprocess=_section_candidates(pre, PreprocessConfig),
         extract=_extract_candidates(ext),
-        transform=_section_candidates(tr, _build_transform),
+        transform=_section_candidates(tr, TransformConfig),
         classify=_section_candidates(cl, _build_classify),
         augmented=augment["enabled"][0],
         seed=seed,

@@ -6,22 +6,27 @@ augment, extract, transform, classify), then a SHA-256 digest of
 everything before it.  Each stage block is a u32-length-prefixed JSON
 header followed by the raw bytes of its arrays as little-endian
 float64 in C order; the header lists array names and shapes, so the
-payload length is fully determined.
+payload length is fully determined.  Header keys are the field names
+of the stage's config dataclass, so adding a field changes the format.
 
 Loading verifies the magic, version, digest, every declared length,
-the presence and JSON type of every header key and array, and that
-nothing trails the digest; any failure is a ``ValueError`` naming the
-stage and key.  Stored filter banks are used
-as-is on load rather than re-derived from seeds, so a model file keeps
-scoring identically even if filter initialization ever changes.
+the presence and JSON type of every header key and array, that arrays,
+``epsilon`` and ``bias`` are finite, and that nothing trails the
+digest; any failure is a ``ValueError`` naming the stage and key.
+Stored filter banks are used as-is on load rather than re-derived from
+seeds, so a model file keeps scoring identically even if filter
+initialization ever changes.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import json
 import math
 import struct
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +43,6 @@ MAGIC = b"LVCK"
 FORMAT_VERSION = 1
 
 _STAGE_ORDER = ("preprocess", "augment", "extract", "transform", "classify")
-_LAYER_KEYS = ("num_filters", "filter_size", "pool_size", "pool_stride", "lcn_window", "seed")
 
 
 def _encode_stage(header: dict, arrays: list[tuple[str, np.ndarray]]) -> bytes:
@@ -53,8 +57,10 @@ def _field(header: dict, stage: str, key: str, kind: type):
     """``header[key]`` checked to be a ``kind``; anything else is corruption.
 
     A ``float`` field also takes a JSON integer; a boolean passes only
-    as ``bool``.
+    as ``bool``; a ``tuple[int, int]`` field is a list of two integers.
     """
+    if typing.get_origin(kind) is tuple:
+        return _ints(header, stage, key, len(typing.get_args(kind)))
     if key not in header:
         raise ValueError(f"corrupt model file: stage {stage} key {key} missing")
     value = header[key]
@@ -67,6 +73,14 @@ def _field(header: dict, stage: str, key: str, kind: type):
         return float(value)
     except OverflowError:  # a JSON integer beyond the float range
         raise ValueError(f"corrupt model file: stage {stage} key {key} is out of range") from None
+
+
+def _finite(header: dict, stage: str, key: str, low: float = -math.inf) -> float:
+    """``header[key]`` as a finite float no less than ``low``."""
+    value = _field(header, stage, key, float)
+    if not (math.isfinite(value) and value >= low):
+        raise ValueError(f"corrupt model file: stage {stage} key {key} is out of range: {value}")
+    return value
 
 
 def _array(arrays: dict, stage: str, name: str, shape: tuple, dims: dict) -> np.ndarray:
@@ -92,6 +106,28 @@ def _ints(header: dict, stage: str, key: str, length: int | None = None) -> tupl
     if length is not None and len(values) != length:
         raise ValueError(f"corrupt model file: stage {stage} key {key} does not hold {length} integers")
     return tuple(values)
+
+
+@functools.cache
+def _kinds(cls) -> dict[str, object]:
+    """Field name -> annotated type of a stage config dataclass."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+
+
+def _config_header(config) -> dict:
+    """One key per config field: bools and ints cast to plain Python (a
+    numpy scalar is not JSON), tuples as lists, floats and strings as-is."""
+    casts = {bool: bool, int: int, tuple: list}
+    return {
+        name: casts.get(typing.get_origin(kind) or kind, lambda value: value)(getattr(config, name))
+        for name, kind in _kinds(type(config)).items()
+    }
+
+
+def _config_from_header(cls, header: dict, stage: str):
+    """``cls`` built from the header keys named after its fields."""
+    return cls(**{name: _field(header, stage, name, kind) for name, kind in _kinds(cls).items()})
 
 
 def _decode_stage(payload: bytes, stage: str) -> tuple[dict, dict[str, np.ndarray]]:
@@ -120,6 +156,8 @@ def _decode_stage(payload: bytes, stage: str) -> tuple[dict, dict[str, np.ndarra
             raise ValueError(f"corrupt model file: stage {stage} array {name} truncated")
         flat = np.frombuffer(payload, dtype="<f8", count=nbytes // 8, offset=offset)
         arrays[name] = flat.reshape(shape).astype(np.float64)
+        if not np.isfinite(arrays[name]).all():
+            raise ValueError(f"corrupt model file: stage {stage} array {name} holds non-finite values")
         offset += nbytes
     if offset != len(payload):
         raise ValueError(f"corrupt model file: stage {stage} has trailing bytes")
@@ -129,59 +167,32 @@ def _decode_stage(payload: bytes, stage: str) -> tuple[dict, dict[str, np.ndarra
 def _extract_stage(pipeline: TrainedPipeline) -> bytes:
     extractor = pipeline.config.extractor
     if isinstance(extractor, LbpConfig):
-        header = {"method": "lbp", "variant": extractor.variant, "blocks": list(extractor.blocks)}
-        return _encode_stage(header, [])
-    header = {
-        "method": "convnet",
-        "layers": [{key: int(getattr(layer, key)) for key in _LAYER_KEYS} for layer in extractor.layers],
-    }
-    arrays = [(f"bank{i}", bank) for i, bank in enumerate(pipeline.banks)]
-    return _encode_stage(header, arrays)
+        return _encode_stage({"method": "lbp", **_config_header(extractor)}, [])
+    header = {"method": "convnet", "layers": [_config_header(layer) for layer in extractor.layers]}
+    return _encode_stage(header, [(f"bank{i}", bank) for i, bank in enumerate(pipeline.banks)])
 
 
 def model_bytes(pipeline: TrainedPipeline) -> bytes:
     """Serialize a trained pipeline; same pipeline, same bytes."""
-    pre = pipeline.config.preprocess
+    config, pca, classifier = pipeline.config, pipeline.pca, pipeline.classifier
     stages = [
-        _encode_stage(
-            {
-                "scale": pre.scale,
-                "filter": pre.filter,
-                "roi": bool(pre.roi),
-                "equalize": bool(pre.equalize),
-                "clahe_tiles": list(pre.clahe_tiles),
-                "clahe_clip": pre.clahe_clip,
-                "seed": int(pipeline.config.seed),
-            },
-            [],
-        ),
-        _encode_stage({"enabled": bool(pipeline.config.augmented)}, []),
+        _encode_stage({**_config_header(config.preprocess), "seed": int(config.seed)}, []),
+        _encode_stage({"enabled": bool(config.augmented)}, []),
         _extract_stage(pipeline),
         _encode_stage(
-            {
-                "pca_fraction": pipeline.config.transform.pca_fraction,
-                "whiten": bool(pipeline.pca.whiten),
-                "epsilon": pipeline.pca.epsilon,
-            },
+            # whiten comes from the fitted PCA, the value scoring reads
+            {**_config_header(config.transform), "whiten": bool(pca.whiten), "epsilon": pca.epsilon},
             [
                 ("feature_means", pipeline.standardizer.means),
                 ("feature_stds", pipeline.standardizer.stds),
-                ("pca_mean", pipeline.pca.mean),
-                ("components", pipeline.pca.components),
-                ("component_variances", pipeline.pca.component_variances),
+                ("pca_mean", pca.mean),
+                ("components", pca.components),
+                ("component_variances", pca.component_variances),
             ],
         ),
         _encode_stage(
-            {
-                "C": pipeline.config.classifier.C,
-                "gamma": pipeline.config.classifier.gamma,
-                "tol": pipeline.config.classifier.tol,
-                "bias": pipeline.classifier.bias,
-            },
-            [
-                ("support_vectors", pipeline.classifier.support_vectors),
-                ("dual_coefs", pipeline.classifier.dual_coefs),
-            ],
+            {**_config_header(config.classifier), "bias": classifier.bias},
+            [("support_vectors", classifier.support_vectors), ("dual_coefs", classifier.dual_coefs)],
         ),
     ]
     out = bytearray()
@@ -227,27 +238,18 @@ def model_from_bytes(data: bytes) -> TrainedPipeline:
     tr_h, tr_arrays = _decode_stage(blocks[3], "transform")
     cl_h, cl_arrays = _decode_stage(blocks[4], "classify")
 
-    pre = "preprocess"
-    preprocess = PreprocessConfig(
-        scale=_field(pre_h, pre, "scale", float),
-        filter=_field(pre_h, pre, "filter", str),
-        roi=_field(pre_h, pre, "roi", bool),
-        equalize=_field(pre_h, pre, "equalize", bool),
-        clahe_tiles=_ints(pre_h, pre, "clahe_tiles", 2),
-        clahe_clip=_field(pre_h, pre, "clahe_clip", float),
-    )
+    pre, tr, cl = "preprocess", "transform", "classify"
+    preprocess = _config_from_header(PreprocessConfig, pre_h, pre)
     banks = None
     method = _field(ext_h, "extract", "method", str)
     if method == "lbp":
-        extractor = LbpConfig(
-            variant=_field(ext_h, "extract", "variant", str), blocks=_ints(ext_h, "extract", "blocks", 2)
-        )
+        extractor = _config_from_header(LbpConfig, ext_h, "extract")
     elif method == "convnet":
         layers = []
         for layer in _field(ext_h, "extract", "layers", list):
             if not isinstance(layer, dict):
                 raise ValueError("corrupt model file: stage extract key layers holds a non-object")
-            layers.append(ConvLayerConfig(**{key: _field(layer, "extract", key, int) for key in _LAYER_KEYS}))
+            layers.append(_config_from_header(ConvLayerConfig, layer, "extract"))
         extractor = ConvNetConfig(layers=tuple(layers))
         banks = []
         for i, layer in enumerate(layers):
@@ -257,15 +259,11 @@ def model_from_bytes(data: bytes) -> TrainedPipeline:
     else:
         raise ValueError(f"corrupt model file: unknown extractor {method!r}")
 
-    tr, cl = "transform", "classify"
-    whiten = _field(tr_h, tr, "whiten", bool)
-    gamma = _field(cl_h, cl, "gamma", float)
-    params = SvmParams(C=_field(cl_h, cl, "C", float), gamma=gamma, tol=_field(cl_h, cl, "tol", float))
     config = PipelineConfig(
         preprocess=preprocess,
         extractor=extractor,
-        transform=TransformConfig(pca_fraction=_field(tr_h, tr, "pca_fraction", float), whiten=whiten),
-        classifier=params,
+        transform=_config_from_header(TransformConfig, tr_h, tr),
+        classifier=_config_from_header(SvmParams, cl_h, cl),
         augmented=_field(aug_h, "augment", "enabled", bool),
         seed=_field(pre_h, pre, "seed", int),
     )
@@ -279,14 +277,14 @@ def model_from_bytes(data: bytes) -> TrainedPipeline:
         mean=_array(tr_arrays, tr, "pca_mean", ("d",), dims),
         components=_array(tr_arrays, tr, "components", ("k", "d"), dims),
         component_variances=_array(tr_arrays, tr, "component_variances", ("k",), dims),
-        whiten=whiten,
-        epsilon=_field(tr_h, tr, "epsilon", float),
+        whiten=config.transform.whiten,
+        epsilon=_finite(tr_h, tr, "epsilon", low=0.0),
     )
     classifier = SvmModel(
         support_vectors=_array(cl_arrays, cl, "support_vectors", ("m", "k"), dims),
         dual_coefs=_array(cl_arrays, cl, "dual_coefs", ("m",), dims),
-        bias=_field(cl_h, cl, "bias", float),
-        gamma=gamma,
+        bias=_finite(cl_h, cl, "bias"),
+        gamma=config.classifier.gamma,
     )
     return TrainedPipeline(config, banks, standardizer, pca, classifier)
 

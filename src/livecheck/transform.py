@@ -67,14 +67,7 @@ class PcaModel:
     epsilon: float = WHITEN_EPSILON
 
 
-def fit_pca_randomized(
-    X: np.ndarray,
-    k: int,
-    seed: int,
-    whiten: bool = True,
-    oversample: int = _OVERSAMPLE,
-    power_iters: int = _POWER_ITERS,
-) -> PcaModel:
+def fit_pca_randomized(X: np.ndarray, k: int, seed: int, whiten: bool = True) -> PcaModel:
     """Fit a k-component PCA of ``X`` with the randomized algorithm.
 
     Components are rows, orthonormal, ordered by decreasing variance,
@@ -95,9 +88,9 @@ def fit_pca_randomized(
     mean = X.mean(axis=0)
     centered = X - mean
 
-    sketch_width = min(k + oversample, d)
+    sketch_width = min(k + _OVERSAMPLE, d)
     basis = np.linalg.qr(centered @ rng.standard_normal((d, sketch_width)))[0]
-    for _ in range(power_iters):
+    for _ in range(_POWER_ITERS):
         basis = np.linalg.qr(centered.T @ basis)[0]
         basis = np.linalg.qr(centered @ basis)[0]
 

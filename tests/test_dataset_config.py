@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from livecheck import config as config_module
 from livecheck.config import parse_config, parse_config_file
 from livecheck.convnet import ConvNetConfig
 from livecheck import dataset
@@ -237,3 +238,40 @@ class TestParseConfig:
         assert parse_config_file(path).seed == 7
         with pytest.raises(ValueError, match="does not exist"):
             parse_config_file(tmp_path / "other.ini")
+
+
+class TestGridBound:
+    # six alternatives for each of six keys: 6**6 = 46,656 candidates from 242 bytes
+    WIDE_PREPROCESS = (
+        "[preprocess]\n"
+        "scale = 1|0.9|0.8|0.7|0.6|0.5\n"
+        "filter = none|lowpass|highpass|none|lowpass|highpass\n"
+        "roi = true|false|true|false|true|false\n"
+        "equalize = true|false|true|false|true|false\n"
+        "clahe_tiles = 8x8|4x4|2x2|8x8|4x4|2x2\n"
+        "clahe_clip = 1|2|3|4|5|6\n"
+        "[search]\nseed = 1\n"
+    )
+
+    def test_wide_section_rejected_before_it_is_built(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(config_module, "PreprocessConfig", lambda **kw: built.append(kw))
+        with pytest.raises(ValueError, match="46656 candidates"):
+            parse_config(self.WIDE_PREPROCESS)
+        assert built == []
+
+    def test_bound_counts_the_whole_grid(self):
+        # 4 * 4 * 4 * 4 * 4 = 1024 is allowed; one more C alternative is not
+        scale = "scale = 1|0.9|0.8|0.7\nclahe_clip = 1|2|3|4\n[transform]\npca_fraction = 0.1|0.2|0.3|0.4\n"
+        ok = f"[preprocess]\n{scale}[classify]\nc = 1|2|3|4\ngamma = 1|2|3|4\n[search]\nseed = 1\n"
+        assert parse_config(ok).grid_spec().size == 1024
+        with pytest.raises(ValueError, match="1280 candidates"):
+            parse_config(ok.replace("c = 1|2|3|4", "c = 1|2|3|4|5"))
+
+    def test_extract_counts_only_the_keys_its_method_reads(self):
+        # 1,024 convnet filter counts do not matter to an LBP-only grid
+        filters = "|".join(["8"] * 1024)
+        text = f"[extract]\nmethod = lbp\nvariant = uniform|original\nfilters = {filters}\n[search]\nseed = 1\n"
+        assert len(parse_config(text).extract) == 2
+        with pytest.raises(ValueError, match="1026 candidates"):
+            parse_config(text.replace("method = lbp", "method = lbp|convnet"))

@@ -284,9 +284,16 @@ def test_cli_reports_hostile_files_in_one_line(tmp_path):
     for label in ("live", "fake"):
         (data / label).mkdir(parents=True)
         (data / label / "only.pgm").write_bytes(HOSTILE_PGM[0])
+    stages = _split(blob)
+    transform, body = stages[3]
+    values = np.frombuffer(body, dtype="<f8").copy()
+    d = transform["arrays"][0]["shape"][0]
+    values[d : 2 * d] = np.inf  # feature_stds, the second array
     models = {
         "truncated.lvck": blob[: len(blob) // 2],
         "nested.lvck": _deeply_nested_first_stage(blob),
+        "infinite_epsilon.lvck": _join(stages[:3] + [({**transform, "epsilon": math.inf}, body)] + stages[4:]),
+        "infinite_stds.lvck": _join(stages[:3] + [(transform, values.tobytes())] + stages[4:]),
     }
     runs = []
     for name, content in models.items():

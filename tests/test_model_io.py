@@ -22,11 +22,13 @@ from livecheck.model_io import (
 from livecheck.pipeline import (
     PipelineConfig,
     PreprocessConfig,
+    TrainedPipeline,
     TransformConfig,
     fit_pipeline,
 )
-from livecheck.svm import SvmParams
+from livecheck.svm import SvmModel, SvmParams
 from livecheck.synthdata import make_texture_dataset
+from livecheck.transform import PcaModel, Standardizer
 
 
 def _lbp_pipeline():
@@ -57,6 +59,9 @@ def _convnet_pipeline():
         seed=23,
     )
     return fit_pipeline(images, labels, config), images
+
+
+_STAGES = ("preprocess", "augment", "extract", "transform", "classify")
 
 
 def _split(blob):
@@ -219,6 +224,46 @@ class TestCorruption:
                 with pytest.raises(ValueError, match="finite"):
                     model_from_bytes(blob)
 
+    def test_non_finite_arrays_rejected(self, lbp_trained, convnet_trained):
+        """One inf or nan anywhere in a stage's arrays, e.g. ``feature_stds``
+        all inf, would otherwise give every image the same margin."""
+        for pipeline, _ in (lbp_trained, convnet_trained):
+            stages = _split(model_bytes(pipeline))
+            for index, (header, body) in enumerate(stages):
+                offset = 0
+                for spec in header["arrays"]:
+                    count = int(np.prod(spec["shape"]))
+                    for value in (np.inf, -np.inf, np.nan):
+                        values = np.frombuffer(body, dtype="<f8").copy()
+                        values[offset + count // 2] = value
+                        blob = _join(stages[:index] + [(header, values.tobytes())] + stages[index + 1 :])
+                        match = f"stage {_STAGES[index]} array {spec['name']} holds non-finite"
+                        with pytest.raises(ValueError, match=match):
+                            model_from_bytes(blob)
+                    offset += count
+
+    def test_epsilon_and_bias_must_be_finite(self, lbp_trained):
+        stages = _split(model_bytes(lbp_trained[0]))
+        cases = [("transform", "epsilon", v) for v in (float("inf"), float("nan"), -1e-8)]
+        cases += [("classify", "bias", v) for v in (float("inf"), float("-inf"), float("nan"))]
+        for stage, key, value in cases:
+            index = _STAGES.index(stage)
+            header, body = stages[index]
+            blob = _join(stages[:index] + [({**header, key: value}, body)] + stages[index + 1 :])
+            with pytest.raises(ValueError, match=f"corrupt model file: stage {stage} key {key}"):
+                model_from_bytes(blob)
+
+    def test_infinite_clahe_clip_is_valid(self, lbp_trained):
+        """An unbounded clip is plain adaptive equalization, not corruption."""
+        pipeline, images = lbp_trained
+        stages = _split(model_bytes(pipeline))
+        preprocess, body = stages[0]
+        blob = _join([({**preprocess, "clahe_clip": float("inf")}, body)] + stages[1:])
+        loaded = model_from_bytes(blob)
+        assert loaded.config.preprocess.clahe_clip == float("inf")
+        assert model_bytes(loaded) == blob
+        assert np.isfinite(loaded.decision_score(images[0]))
+
     def test_header_keys_dropped_or_retyped(self, lbp_trained, convnet_trained):
         """A checksummed file whose headers miss a key or hold a list where
         another type belongs names the corruption; a string there is a
@@ -247,3 +292,82 @@ class TestCorruption:
                             continue
                         with pytest.raises(ValueError, match=match):
                             model_from_bytes(blob)
+
+
+def _golden_pipelines():
+    """Hand-built LBP and convnet pipelines with every config field off
+    its default and some values as numpy scalars.  Nothing is trained,
+    so the bytes depend on the file format alone."""
+    d, k, m = 4, 2, 3
+    standardizer = Standardizer(means=np.arange(d) / 8.0, stds=np.arange(1, d + 1) / 4.0)
+    pca = PcaModel(
+        mean=np.linspace(-1.0, 1.0, d),
+        components=np.arange(k * d, dtype=np.float64).reshape(k, d) / 16.0,
+        component_variances=np.array([2.5, 0.75]),
+        whiten=np.bool_(False),
+        epsilon=1e-6,
+    )
+    classifier = SvmModel(
+        support_vectors=np.arange(m * k, dtype=np.float64).reshape(m, k) / 2.0 - 1.0,
+        dual_coefs=np.array([0.5, -1.25, 0.75]),
+        bias=np.float64(-0.25),
+        gamma=0.125,
+    )
+    shared = dict(
+        transform=TransformConfig(pca_fraction=0.25, whiten=False),
+        classifier=SvmParams(C=np.float64(2.5), gamma=0.125, tol=1e-4),
+        augmented=np.bool_(True),
+        seed=np.int64(17),
+    )
+    lbp = PipelineConfig(
+        preprocess=PreprocessConfig(
+            scale=0.5, filter="lowpass", roi=np.bool_(True), equalize=True,
+            clahe_tiles=(np.int64(4), 3), clahe_clip=3.5,
+        ),
+        extractor=LbpConfig(variant="original", blocks=(np.int64(2), 3)),
+        **shared,
+    )
+    net = ConvNetConfig(
+        layers=(
+            ConvLayerConfig(
+                num_filters=np.int64(2), filter_size=np.int64(3), pool_size=2,
+                pool_stride=1, lcn_window=3, seed=5,
+            ),
+            ConvLayerConfig(
+                num_filters=3, filter_size=1, pool_size=3, pool_stride=2,
+                lcn_window=1, seed=np.int64(6),
+            ),
+        )
+    )
+    convnet = PipelineConfig(
+        preprocess=PreprocessConfig(
+            scale=0.75, filter="highpass", roi=np.bool_(True), equalize=np.bool_(True),
+            clahe_tiles=(2, 5), clahe_clip=float("inf"),
+        ),
+        extractor=net,
+        **shared,
+    )
+    banks = [
+        np.arange(2 * 1 * 3 * 3, dtype=np.float64).reshape(2, 1, 3, 3) / 32.0 - 0.25,
+        np.array([0.5, -0.5, 1.0, 0.25, -1.0, 0.125]).reshape(3, 2, 1, 1),
+    ]
+    return {
+        "lbp": TrainedPipeline(lbp, None, standardizer, pca, classifier),
+        "convnet": TrainedPipeline(convnet, banks, standardizer, pca, classifier),
+    }
+
+
+class TestGoldenFormat:
+    """The bytes of a model file are pinned: a change to the writer or to
+    a stage config's fields shows here, and needs a FORMAT_VERSION bump."""
+
+    DIGESTS = {
+        "lbp": "396487618345f533bcee47395fe6331514cb423e24e2a85edfbc6bf9a895c18c",
+        "convnet": "350b91c356802c468be5ba06cd3115a8e02c2aa0cd6a9ddf0182982ff1dc7828",
+    }
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_digest_pinned_and_round_trip_exact(self, name):
+        blob = model_bytes(_golden_pipelines()[name])
+        assert model_digest(blob) == self.DIGESTS[name]
+        assert model_bytes(model_from_bytes(blob)) == blob
