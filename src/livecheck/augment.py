@@ -14,6 +14,7 @@ import numpy as np
 __all__ = [
     "PATCH_FRACTION",
     "PATCHES_PER_IMAGE",
+    "patch_windows",
     "make_patches",
     "augment_training",
 ]
@@ -22,17 +23,18 @@ PATCH_FRACTION = 0.8
 PATCHES_PER_IMAGE = 10
 
 
-def make_patches(img: np.ndarray) -> np.ndarray:
-    """Return the ten crop/flip patches of an image as one (10, ph, pw) stack.
+def patch_windows(shape: tuple[int, ...]) -> tuple[tuple[int, int], list[tuple[int, int, bool]]]:
+    """The patch shape and, in patch order, each patch's ``(row, col,
+    flipped)``: its crop's origin in an image of ``shape`` and whether it
+    is mirrored.
 
     Patch height and width are ``floor(0.8 * dim)``; the center crop
     origin is the floor of half the leftover margin.  Images too small
     to yield a non-empty crop are rejected.
     """
-    img = np.asarray(img, dtype=np.float64)
-    if img.ndim != 2:
-        raise ValueError(f"make_patches expects a 2-D image, got shape {img.shape}")
-    height, width = img.shape
+    if len(shape) != 2:
+        raise ValueError(f"make_patches expects a 2-D image, got shape {tuple(shape)}")
+    height, width = shape
     # floor(0.8 * dim) in exact integer arithmetic
     ph = 4 * height // 5
     pw = 4 * width // 5
@@ -45,10 +47,17 @@ def make_patches(img: np.ndarray) -> np.ndarray:
         (height - ph, width - pw),
         ((height - ph) // 2, (width - pw) // 2),
     ]
-    patches = np.empty((PATCHES_PER_IMAGE, ph, pw))
-    for slot, (oy, ox) in enumerate(origins):
-        patches[2 * slot] = img[oy : oy + ph, ox : ox + pw]
-        patches[2 * slot + 1] = patches[2 * slot, :, ::-1]
+    return (ph, pw), [(oy, ox, flipped) for oy, ox in origins for flipped in (False, True)]
+
+
+def make_patches(img: np.ndarray) -> np.ndarray:
+    """The ten crop/flip patches of ``patch_windows`` as one (10, ph, pw) stack."""
+    img = np.asarray(img, dtype=np.float64)
+    (ph, pw), windows = patch_windows(img.shape)
+    patches = np.empty((len(windows), ph, pw))
+    for patch, (oy, ox, flipped) in zip(patches, windows):
+        crop = img[oy : oy + ph, ox : ox + pw]
+        patch[:] = crop[:, ::-1] if flipped else crop
     return patches
 
 

@@ -12,7 +12,9 @@ __all__ = [
     "uniform_label",
     "lbp_map",
     "lbp_features",
+    "lbp_window_features",
     "UNIFORM_LABELS",
+    "MIRROR_CODES",
     "N_ORIGINAL_BINS",
     "N_UNIFORM_BINS",
 ]
@@ -38,6 +40,16 @@ def _uniform_table() -> np.ndarray:
 
 
 UNIFORM_LABELS = _uniform_table()
+
+
+# lbp_map(img[:, ::-1]) == MIRROR_CODES[lbp_map(img)][:, ::-1]: a flip
+# turns neighbor (dy, dx) into (dy, -dx), moving each ring bit.  That
+# reverses the ring, which keeps every code's uniform label.
+_FLIPPED = [_OFFSETS.index((dy, -dx)) for dy, dx in _OFFSETS]
+MIRROR_CODES = np.array(
+    [sum((code >> (7 - k) & 1) << (7 - m) for k, m in enumerate(_FLIPPED)) for code in range(256)], dtype=np.uint8
+)
+_UNIFORM_LABELS_U8 = UNIFORM_LABELS.astype(np.uint8)
 
 
 def lbp_code(patch: np.ndarray) -> int:
@@ -138,3 +150,35 @@ def lbp_features(img: np.ndarray, config: LbpConfig) -> np.ndarray:
                 hist /= block.size
                 start += bins
     return out.reshape(*values.shape[:-2], -1)
+
+
+def lbp_window_features(img: np.ndarray, config: LbpConfig, shape: tuple[int, int], windows) -> np.ndarray:
+    """``lbp_features`` of ``shape`` crops of a 2-D image, one row per
+    ``(row, col, flipped)`` window: the crop at that origin, mirrored when
+    ``flipped``.  The image's label map is computed once; a crop's map is
+    a window of it and a mirror's the flipped window of the mirrored
+    labels.  Each view is counted by one ``bincount`` keyed by ``label +
+    block * bins``, so its row has the bits it gets alone."""
+    height, width = shape
+    if height < 3 or width < 3:
+        raise ValueError(f"lbp_map needs at least a 3x3 image, got {tuple(shape)}")
+    codes = lbp_map(img)
+    if config.variant == "original":
+        labels, mirrored = codes, MIRROR_CODES[codes]
+    else:
+        labels = mirrored = _UNIFORM_LABELS_U8[codes]
+    bins = config.bins
+    map_height, map_width = height - 2, width - 2
+    row_bounds = _block_bounds(map_height, config.blocks[0])
+    col_bounds = _block_bounds(map_width, config.blocks[1])
+    sizes = np.array([(r1 - r0) * (c1 - c0) for r0, r1 in row_bounds for c0, c1 in col_bounds])
+    block_rows = np.repeat(np.arange(len(row_bounds)), [r1 - r0 for r0, r1 in row_bounds])
+    block_cols = np.repeat(np.arange(len(col_bounds)), [c1 - c0 for c0, c1 in col_bounds])
+    offsets = (block_rows[:, None] * len(col_bounds) + block_cols) * bins
+    counts = np.empty((len(windows), config.feature_length), dtype=np.intp)
+    keys = np.empty((map_height, map_width), dtype=np.intp)
+    for view, (row, col, flipped) in zip(counts, windows):
+        window = (mirrored if flipped else labels)[row : row + map_height, col : col + map_width]
+        np.add(window[:, ::-1] if flipped else window, offsets, out=keys)
+        view[:] = np.bincount(keys.ravel(), minlength=len(view))
+    return (counts.reshape(len(windows), len(sizes), bins) / sizes[:, None]).reshape(len(windows), -1)

@@ -28,6 +28,7 @@ import contextvars
 import functools
 import hashlib
 import itertools
+import math
 import os
 import pickle
 import tempfile
@@ -273,6 +274,11 @@ def _stage_key(stage_name: str, cfg, runner_name: str, upstream_key: str) -> str
 class DiskCache:
     """Pickle files under one directory with LRU eviction by mtime.
 
+    Writes keep a running byte total, so the directory is scanned, and
+    its oldest entries removed, only on the first write and when the
+    total passes the budget; another search's writes and removals count
+    from the next scan on.
+
     Loading an entry unpickles it, so only point this at a directory no
     one untrusted can write to.
     """
@@ -281,6 +287,7 @@ class DiskCache:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.budget = int(budget_bytes)
+        self._bytes = math.inf  # unknown until the first write scans
 
     def _path(self, key: str) -> Path:
         return self.root / f"{key}.pkl"
@@ -305,13 +312,18 @@ class DiskCache:
         try:
             with os.fdopen(fd, "wb") as fh:
                 pickle.dump(value, fh, protocol=pickle.HIGHEST_PROTOCOL)
+                size = fh.tell()
             os.replace(tmp, self._path(key))
         except BaseException:
             Path(tmp).unlink(missing_ok=True)
             raise
-        self._evict()
+        self._bytes += size
+        if self._bytes > self.budget:
+            self._bytes = self._evict()
 
-    def _evict(self) -> None:
+    def _evict(self) -> int:
+        """Remove the oldest entries until the directory fits the budget;
+        returns the bytes left."""
         entries = []
         for path in self.root.glob("*.pkl"):
             try:
@@ -325,6 +337,7 @@ class DiskCache:
                 break
             path.unlink(missing_ok=True)
             total -= size
+        return total
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 from . import augment as aug
 from .convnet import ConvNetConfig, convnet_features, init_banks
 from .imageproc import _clahe, as_image, extract_roi, highpass, lowpass, resize_bilinear
-from .lbp import LbpConfig, lbp_features
+from .lbp import LbpConfig, lbp_features, lbp_window_features
 from .seeds import derive_seed
 from .svm import SvmModel, SvmParams, decision_scores, train_smo
 from .transform import PcaModel, Standardizer, fit_pca_randomized, project
@@ -149,27 +149,31 @@ def realize_extractor(extractor, root_seed: int):
     return extractor, init_banks(extractor)
 
 
-# Views go through an extractor in groups whose first-layer output (the
-# LBP label map, or the first convnet layer's responses) stays under this
-# many bytes; a view larger than that runs alone.
+# Convnet views go through the network in groups whose first-layer
+# responses stay under this many bytes; a view larger than that runs
+# alone.
 _VIEW_GROUP_BYTES = 1 << 20
 
 
-def _first_layer_bytes(view_shape: tuple[int, int], extractor) -> int:
+def _first_layer_bytes(view_shape: tuple[int, int], extractor: ConvNetConfig) -> int:
     height, width = view_shape
-    if isinstance(extractor, ConvNetConfig):
-        layer = extractor.layers[0]
-        side = layer.filter_size - 1
-        return 8 * layer.num_filters * max(1, height - side) * max(1, width - side)
-    return 8 * max(1, height - 2) * max(1, width - 2)
+    layer = extractor.layers[0]
+    side = layer.filter_size - 1
+    return 8 * layer.num_filters * max(1, height - side) * max(1, width - side)
 
 
 def image_features(img: np.ndarray, augmented: bool, extractor, banks) -> np.ndarray:
     """Feature matrix of one image, one row per view: the ten crop/flip
-    patches when augmented, otherwise the image itself.  The views go
-    through the extractor as stacks whose first-layer output stays under
-    1 MiB; each row has the same bits as the view extracted alone."""
-    views = aug.make_patches(img) if augmented else np.asarray(img, dtype=np.float64)[None]
+    patches when augmented, otherwise the image itself.  LBP counts the
+    ten views from the image's one label map; the convnet runs the patches
+    as stacks whose first-layer output stays under 1 MiB.  Each row has
+    the same bits as the view extracted alone."""
+    img = np.asarray(img, dtype=np.float64)
+    if augmented and isinstance(extractor, LbpConfig):
+        return lbp_window_features(img, extractor, *aug.patch_windows(img.shape))
+    if not isinstance(extractor, ConvNetConfig):
+        return extract_features(img[None], extractor, banks)
+    views = aug.make_patches(img) if augmented else img[None]
     group = max(1, _VIEW_GROUP_BYTES // _first_layer_bytes(views.shape[1:], extractor))
     return np.concatenate(
         [extract_features(views[i : i + group], extractor, banks) for i in range(0, len(views), group)]

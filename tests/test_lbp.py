@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from livecheck.lbp import (
+    MIRROR_CODES,
     N_ORIGINAL_BINS,
     N_UNIFORM_BINS,
     UNIFORM_LABELS,
@@ -157,3 +158,37 @@ class TestStacks:
             for blocks in ((1, 1), (2, 2)):
                 got = lbp_features(img, LbpConfig(variant=variant, blocks=blocks))
                 np.testing.assert_array_equal(got, lbp_histogram_oracle(img, variant, blocks))
+
+
+class TestMirror:
+    """A horizontal flip maps every code through ``MIRROR_CODES`` and
+    keeps its uniform label."""
+
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_flipped_map(self, rng, ties):
+        for _ in range(20):
+            height, width = rng.integers(3, 40, size=2)
+            img = rng.uniform(0.0, 1.0, size=(height, width))
+            if ties:
+                img = np.round(img * 2) / 2
+            codes = lbp_map(img)
+            np.testing.assert_array_equal(lbp_map(img[:, ::-1]), MIRROR_CODES[codes][:, ::-1])
+            np.testing.assert_array_equal(
+                UNIFORM_LABELS[lbp_map(img[:, ::-1])], UNIFORM_LABELS[codes][:, ::-1]
+            )
+
+    def test_permutation_matches_per_patch_codes(self):
+        """Each code built as a 3x3 patch (neighbors clockwise from the
+        top-left, most significant bit first) and flipped gives its mirror."""
+        ring = ((-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1))
+        for code in range(256):
+            patch = np.full((3, 3), 0.5)
+            for k, (dy, dx) in enumerate(ring):
+                patch[1 + dy, 1 + dx] = 1.0 if code >> (7 - k) & 1 else 0.0
+            assert lbp_code(patch) == code
+            assert lbp_code(patch[:, ::-1]) == MIRROR_CODES[code]
+
+    def test_involution_keeps_labels(self):
+        codes = np.arange(256)
+        np.testing.assert_array_equal(MIRROR_CODES[MIRROR_CODES[codes]], codes)
+        np.testing.assert_array_equal(UNIFORM_LABELS[MIRROR_CODES], UNIFORM_LABELS)

@@ -1,6 +1,7 @@
 """Metric, 5x2 cross-validation, and the cached grid search engine."""
 
 import functools
+import os
 import pickle
 import re
 from pathlib import Path
@@ -481,21 +482,66 @@ class TestDiskCacheWrites:
         assert cache.get("lost") is None
 
 
+class TestDiskCacheBudget:
+    """The cache keeps a running byte total and scans its directory only
+    on the first write and when that total passes the budget."""
+
+    def _counting_scans(self, tmp_path, monkeypatch) -> list:
+        scans = []
+        listed = type(tmp_path).glob
+
+        def counting(self, pattern):
+            scans.append(pattern)
+            return listed(self, pattern)
+
+        monkeypatch.setattr(type(tmp_path), "glob", counting)
+        return scans
+
+    def test_puts_under_budget_do_not_scan(self, tmp_path, monkeypatch):
+        scans = self._counting_scans(tmp_path, monkeypatch)
+        cache = DiskCache(tmp_path)
+        for i in range(20):
+            cache.put(f"k{i}", np.arange(float(i)))
+        assert scans == ["*.pkl"]
+        assert len(list(tmp_path.iterdir())) == 20
+
+    def test_total_past_budget_scans_and_evicts_oldest(self, tmp_path, monkeypatch):
+        size = len(pickle.dumps(np.zeros(100), protocol=pickle.HIGHEST_PROTOCOL))
+        for i in range(3):
+            DiskCache(tmp_path).put(f"k{i}", np.zeros(100))
+            os.utime(tmp_path / f"k{i}.pkl", (1000 + i, 1000 + i))
+        scans = self._counting_scans(tmp_path, monkeypatch)
+        cache = DiskCache(tmp_path, budget_bytes=4 * size)
+        cache.put("k3", np.zeros(100))
+        assert len(scans) == 1  # four entries fit
+        cache.put("k4", np.zeros(100))
+        assert len(scans) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["k1.pkl", "k2.pkl", "k3.pkl", "k4.pkl"]
+        cache.put("k5", np.zeros(100))  # the total after the rescan counts on
+        assert len(scans) == 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["k2.pkl", "k3.pkl", "k4.pkl", "k5.pkl"]
+
+
 class TestDiskCacheConcurrency:
     """Searches sharing one cache directory remove each other's entries."""
 
     def test_entry_vanishing_before_eviction_stat(self, tmp_path, monkeypatch):
-        cache = DiskCache(tmp_path)
+        # The budget holds "new" alone, so writing it scans the directory.
+        budget = len(pickle.dumps(np.arange(4.0), protocol=pickle.HIGHEST_PROTOCOL))
+        cache = DiskCache(tmp_path, budget)
         cache.put("old", np.arange(3.0))
         listed = type(tmp_path).glob
+        scans = []
 
         def glob_then_vanish(self, pattern):
+            scans.append(pattern)
             paths = list(listed(self, pattern))
             (self / "old.pkl").unlink(missing_ok=True)  # another search evicts it
             return iter(paths)
 
         monkeypatch.setattr(type(tmp_path), "glob", glob_then_vanish)
         cache.put("new", np.arange(4.0))
+        assert scans == ["*.pkl"]
         np.testing.assert_array_equal(cache.get("new"), np.arange(4.0))
         assert cache.get("old") is None
 
@@ -592,20 +638,22 @@ class TestPerImageMemo:
     @pytest.fixture
     def counted(self, monkeypatch):
         """Preprocess calls, LBP calls, and LBP views: one image's views
-        go to ``lbp_features`` as one stack, counted by its length."""
+        go to ``lbp_window_features`` in one call, counted by its windows."""
         calls = {"preprocess": 0, "lbp_calls": 0, "lbp": 0}
 
         def count(name, run, views=None):
             def counting(*args, **kwargs):
                 calls[name] += 1
                 if views is not None:
-                    calls[views] += len(args[0])
+                    calls[views] += len(args[3])
                 return run(*args, **kwargs)
 
             return counting
 
         monkeypatch.setattr(modelsel, "preprocess_image", count("preprocess", modelsel.preprocess_image))
-        monkeypatch.setattr(pipeline, "lbp_features", count("lbp_calls", pipeline.lbp_features, "lbp"))
+        monkeypatch.setattr(
+            pipeline, "lbp_window_features", count("lbp_calls", pipeline.lbp_window_features, "lbp")
+        )
         return calls
 
     def _search(self, **kwargs):

@@ -8,11 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from livecheck import pipeline
+from livecheck import lbp, pipeline
 from livecheck.augment import make_patches
 from livecheck.config import parse_config_file
 from livecheck.convnet import ConvLayerConfig, ConvNetConfig
-from livecheck.lbp import LbpConfig
+from livecheck.lbp import LbpConfig, lbp_features, lbp_map
 from livecheck.pipeline import (
     PipelineConfig,
     PreprocessConfig,
@@ -158,14 +158,14 @@ class TestStackedViews:
         assert model.decision_score(img) == score_image(model, preprocess_image(img, model.config.preprocess))
 
     # 25x25 patches: the convnet's first layer writes 4 x 23 x 23 doubles
-    # per view and LBP's label map 23 x 23, so 50,784 bytes hold three
-    # convnet views or all ten LBP views.
+    # per view, so 50,784 bytes hold three views.  LBP counts all ten
+    # views from the image's one label map, whatever the budget.
     @pytest.mark.parametrize(
         "budget, groups",
         [
-            (1, {"lbp": [1] * 10, "convnet": [1] * 10}),
-            (3 * 8 * 4 * 23 * 23, {"lbp": [10], "convnet": [3, 3, 3, 1]}),
-            (1 << 30, {"lbp": [10], "convnet": [10]}),
+            (1, [1] * 10),
+            (3 * 8 * 4 * 23 * 23, [3, 3, 3, 1]),
+            (1 << 30, [10]),
         ],
     )
     def test_view_groups_do_not_change_rows(self, augmented_model, monkeypatch, budget, groups):
@@ -176,18 +176,75 @@ class TestStackedViews:
         views = make_patches(pre)
         want = np.vstack([extract_features(view, model.config.extractor, model.banks) for view in views])
         monkeypatch.setattr(pipeline, "_VIEW_GROUP_BYTES", budget)
-        calls = []
-        real = pipeline.extract_features
+        calls, maps = [], []
+        real_extract, real_map = pipeline.extract_features, lbp.lbp_map
 
-        def counting(stack, *args):
+        def counting_extract(stack, *args):
             calls.append(len(stack))
-            return real(stack, *args)
+            return real_extract(stack, *args)
 
-        monkeypatch.setattr(pipeline, "extract_features", counting)
+        def counting_map(img):
+            maps.append(np.shape(img))
+            return real_map(img)
+
+        monkeypatch.setattr(pipeline, "extract_features", counting_extract)
+        monkeypatch.setattr(lbp, "lbp_map", counting_map)
         rows = image_features(pre, True, model.config.extractor, model.banks)
         np.testing.assert_array_equal(rows, want)
-        kind = "lbp" if isinstance(model.config.extractor, LbpConfig) else "convnet"
-        assert calls == groups[kind]
+        if isinstance(model.config.extractor, LbpConfig):
+            assert (calls, maps) == ([], [pre.shape])
+        else:
+            assert (calls, maps) == (groups, [])
+
+
+def _lbp_image(rng, shape, kind):
+    img = rng.uniform(0.0, 1.0, size=shape)
+    if kind == "ties":
+        return np.round(img * 3) / 3  # many exact ties for >=
+    return np.full(shape, 0.5) if kind == "constant" else img
+
+
+class TestAugmentedLbpViews:
+    """LBP counts an image's ten views from its one label map: every row
+    and every error is what each view extracted alone gives."""
+
+    @pytest.mark.parametrize("kind", ["random", "ties", "constant"])
+    @pytest.mark.parametrize("shape", [(64, 64), (63, 50), (17, 13)])
+    @pytest.mark.parametrize("blocks", [(1, 1), (2, 2), (3, 2)])
+    @pytest.mark.parametrize("variant", ["original", "uniform"])
+    def test_rows_equal_per_view_features(self, rng, variant, blocks, shape, kind):
+        img = _lbp_image(rng, shape, kind)
+        config = LbpConfig(variant=variant, blocks=blocks)
+        rows = image_features(img, True, config, None)
+        want = np.vstack([lbp_features(view, config) for view in make_patches(img)])
+        assert rows.shape == want.shape and rows.dtype == want.dtype
+        assert rows.tobytes() == want.tobytes()
+
+    @staticmethod
+    def _same_error(img, config):
+        with pytest.raises(ValueError) as alone:
+            lbp_features(make_patches(img)[0], config)
+        with pytest.raises(ValueError) as shared:
+            image_features(img, True, config, None)
+        assert str(shared.value) == str(alone.value)
+        return str(shared.value)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 3), (3, 4)])
+    def test_views_under_three_by_three_rejected(self, shape):
+        img = np.zeros(shape)
+        lbp_map(img)  # the whole image is large enough
+        assert "at least a 3x3" in self._same_error(img, LbpConfig())
+
+    @pytest.mark.parametrize("blocks", [(12, 1), (1, 9)])
+    def test_grid_too_fine_for_the_view_rejected(self, rng, blocks):
+        """17x13 has a 15x11 label map, its 13x10 views 11x8 ones."""
+        img = rng.uniform(0.0, 1.0, size=(17, 13))
+        lbp_features(img, LbpConfig(blocks=blocks))  # the whole image's map takes the grid
+        assert "too fine for extent" in self._same_error(img, LbpConfig(blocks=blocks))
+
+    def test_image_too_small_to_crop_rejected(self):
+        with pytest.raises(ValueError, match="too small to crop"):
+            image_features(np.zeros((1, 4)), True, LbpConfig(), None)
 
 
 def test_sensor_sized_augmented_convnet_memory():
@@ -205,3 +262,21 @@ def test_sensor_sized_augmented_convnet_memory():
         tracemalloc.stop()
     assert rows.shape[0] == 10
     assert peak < 110 * 2**20
+
+
+@pytest.mark.parametrize("blocks", [(1, 1), (2, 2)])
+@pytest.mark.parametrize("variant", ["original", "uniform"])
+def test_sensor_sized_augmented_lbp_memory(variant, blocks):
+    """Ten 384x512 views of a 480x640 frame through LBP: one label map of
+    the frame and one view's keys at a time.  The traced peak was 3.6-3.9
+    MiB when pinned, so 5 MiB leaves about 30%; the ten-view float patch
+    stack alone is 15.6 MiB, and ten views' intp keys would be too."""
+    img = np.random.default_rng(0).uniform(0.0, 1.0, size=(480, 640))
+    tracemalloc.start()
+    try:
+        rows = image_features(img, True, LbpConfig(variant=variant, blocks=blocks), None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (10, LbpConfig(variant=variant, blocks=blocks).feature_length)
+    assert peak < 5 * 2**20
