@@ -13,9 +13,9 @@ Preprocessing and feature extraction do not depend on the split, so
 the default runners for those stages also share per-image results
 across the splits of one search: each image is preprocessed once per
 preprocessing config and extracted once per extractor.  Those results
-are keyed by the stage, its config and the digest of the input image's
-content, and are dropped when the search returns.  The split then only
-chooses which rows train and which test.
+go into the search's stage memo, keyed by the stage, its config and
+the input image's identity, and are dropped when the search returns.
+The split then only chooses which rows train and which test.
 
 An optional on-disk cache makes stage results survive across runs;
 entries are evicted oldest-first once the directory exceeds its byte
@@ -230,6 +230,9 @@ class _Failure:
     message: str
 
 
+_MISSING = object()  # a disk miss, told apart from a stored ``None``
+
+
 @functools.cache
 def _code_version() -> str:
     """Digest of the package source, so edited code never reuses results."""
@@ -247,12 +250,12 @@ def _content_digest(img) -> bytes:
     return h.digest()
 
 
-def _root_key(images: list, labels: np.ndarray, augmented: bool, seed: int, digest) -> str:
+def _root_key(images: list, labels: np.ndarray, augmented: bool, seed: int) -> str:
     h = hashlib.sha256()
     h.update(repr((_code_version(), bool(augmented), int(seed))).encode("utf-8"))
     h.update(np.asarray(labels, dtype=np.float64).tobytes())
     for img in images:
-        h.update(digest(img))
+        h.update(_content_digest(img))
     return h.hexdigest()
 
 
@@ -292,13 +295,13 @@ class DiskCache:
     def _path(self, key: str) -> Path:
         return self.root / f"{key}.pkl"
 
-    def get(self, key: str):
+    def get(self, key: str, default=None):
         path = self._path(key)
         try:
             with open(path, "rb") as fh:
                 value = pickle.load(fh)
         except Exception:
-            return None  # treat missing or unreadable entries as misses
+            return default  # treat missing or unreadable entries as misses
         try:
             os.utime(path)
         except FileNotFoundError:
@@ -366,42 +369,26 @@ class _SplitRows:
     test_groups: list[np.ndarray]  # per test image, one row per view
 
 
-@dataclass
-class _ImageMemo:
-    """Per-image results of the default preprocess and extract runners,
-    keyed by content, and each array's content digest by ``id``.  The
-    digest map holds a reference to every array it keys, so no id is
-    reused while the search runs."""
-
-    results: dict = field(default_factory=dict)
-    digests: dict = field(default_factory=dict)
-
-    def digest(self, img) -> bytes:
-        entry = self.digests.get(id(img))
-        if entry is None:
-            entry = self.digests[id(img)] = (img, _content_digest(img))
-        return entry[1]
-
-
-# ``grid_search`` opens one memo per call, so every split after the
+# The running ``grid_search``'s stage memo, so every split after the
 # first finds each image's result there; no other call sees it.
-_IMAGE_MEMO: contextvars.ContextVar[_ImageMemo | None] = contextvars.ContextVar(
-    "livecheck_image_memo", default=None
+_SEARCH_MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "livecheck_search_memo", default=None
 )
 
 
 def _per_image(tag: tuple, images: list, compute) -> list:
     """``[compute(img) for img in images]``, reusing results from the
-    running search's memo under ``tag`` and each image's content."""
-    memo = _IMAGE_MEMO.get()
+    running search's memo under ``tag`` and each image's identity.  An
+    entry holds its image, so no id is reused while the search runs."""
+    memo = _SEARCH_MEMO.get()
     if memo is None:
         return [compute(img) for img in images]
     out = []
     for img in images:
-        key = (*tag, memo.digest(img))
-        if key not in memo.results:
-            memo.results[key] = compute(img)
-        out.append(memo.results[key])
+        key = (*tag, id(img))
+        if key not in memo:
+            memo[key] = (img, compute(img))
+        out.append(memo[key][1])
     return out
 
 
@@ -505,9 +492,11 @@ def grid_search(
     Stage outputs are cached by (stage config, upstream key, split, data),
     so shared prefixes are computed once.  The default preprocess and
     extract runners also share each image's result across the splits
-    of this call, keyed by its content; nothing they keep outlives the
-    call.  ``executions`` counts runner calls and ``cache_hits`` the
-    stage results reused, so neither depends on that per-image sharing.
+    of this call, keyed by the image object; nothing they keep outlives
+    the call.  A custom preprocess runner that makes new arrays on every
+    split thus has them extracted once per split.  ``executions`` counts
+    runner calls and ``cache_hits`` the stage results reused, so neither
+    depends on that per-image sharing.
     ``cache_dir`` (or the LIVECHECK_CACHE_DIR environment variable) adds
     a persistent layer.  ``use_cache=False`` turns every layer off.  A
     candidate that raises on any split is scored with ACE 1.0 and
@@ -552,12 +541,8 @@ def grid_search(
         if cache_dir is not None:
             disk = DiskCache(cache_dir, cache_budget)
 
-    # Hashing the inputs for the root key also seeds the per-image memo's
-    # digest map, so the preprocess runner hashes nothing again.
-    image_memo = _ImageMemo() if use_cache else None
-    digest = image_memo.digest if image_memo is not None else _content_digest
-    root_key = _root_key(images, labels, augmented, seed, digest)
-    memo: dict[str, object] = {}
+    root_key = _root_key(images, labels, augmented, seed)
+    memo: dict = {}  # stage results by key string, per-image ones by tuple
     executions = {stage.name: 0 for stage in grid.stages}
     hits = {stage.name: 0 for stage in grid.stages}
 
@@ -574,8 +559,8 @@ def grid_search(
                 continue
             stage_disk = disk if on_disk[stage.name] else None
             if stage_disk is not None:
-                cached = stage_disk.get(key)
-                if cached is not None:
+                cached = stage_disk.get(key, _MISSING)
+                if cached is not _MISSING:
                     hits[stage.name] += 1
                     memo[key] = cached
                     value = cached
@@ -598,7 +583,7 @@ def grid_search(
     fold_tables: dict[tuple[int, ...], list[float]] = {c: [] for c in combos}
     failures: dict[tuple[int, ...], str] = {}
 
-    memo_token = _IMAGE_MEMO.set(image_memo)
+    memo_token = _SEARCH_MEMO.set(memo if use_cache else None)
     try:
         for split_index, (train_idx, test_idx) in enumerate(splits):
             ctx = StageContext(
@@ -620,7 +605,7 @@ def grid_search(
                 else:
                     fold_tables[combo].append(ace(np.asarray(outcome), truth).ace)
     finally:
-        _IMAGE_MEMO.reset(memo_token)
+        _SEARCH_MEMO.reset(memo_token)
 
     results = []
     for combo in combos:

@@ -4,6 +4,7 @@ import functools
 import os
 import pickle
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from livecheck.modelsel import (
     five_by_two_splits,
     grid_search,
 )
-from livecheck.pipeline import PreprocessConfig, TransformConfig, feature_groups
+from livecheck.pipeline import PreprocessConfig, TransformConfig, feature_groups, image_features
 from livecheck.svm import SvmParams
 from livecheck.synthdata import make_texture_dataset
 
@@ -143,6 +144,10 @@ def _named_classify(cfg, upstream, ctx):
 
 
 NAMED_RUNNERS = {"extract": _named_extract, "classify": _named_classify}
+
+
+def _none_extract(cfg, upstream, ctx):
+    return None
 
 
 def _counting_runners(calls):
@@ -314,6 +319,19 @@ class TestDiskCache:
         assert first.best_indices == second.best_indices
         for a, b in zip(first.candidates, second.candidates):
             assert a.fold_aces == b.fold_aces
+
+    def test_stored_none_is_a_hit(self, tmp_path):
+        """A stage result of ``None`` on disk is served, not recomputed."""
+        images, labels, splits = _toy_problem()
+        grid = GridSpec(stages=(GridStage("extract", ("none",)), GridStage("classify", ("a",))))
+        runners = {**NAMED_RUNNERS, "extract": _none_extract}
+        executions = [
+            grid_search(
+                images, labels, grid, seed=0, splits=splits, runners=runners, cache_dir=tmp_path,
+            ).executions
+            for _ in range(3)
+        ]
+        assert executions == [{"extract": 1, "classify": 1}] + [{"extract": 0, "classify": 0}] * 2
 
     def test_environment_variable_enables_disk(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LIVECHECK_CACHE_DIR", str(tmp_path))
@@ -624,7 +642,7 @@ class TestSplitContract:
 
 class TestPerImageMemo:
     """The default preprocess and extract runners compute each image's
-    result once per search, keyed by its content."""
+    result once per search, keyed by the image object."""
 
     GRID = GridSpec(
         stages=(
@@ -681,8 +699,8 @@ class TestPerImageMemo:
         assert cached.best_indices == uncached.best_indices
 
     def test_each_array_hashed_once_per_search(self, monkeypatch):
-        """12 raw images hashed for the root key and 12 preprocessed ones
-        on first use; every later split and stage finds them by id."""
+        """The 12 raw images are hashed for the root key only; the memo
+        finds every array by identity."""
         calls = []
         real = modelsel._content_digest
 
@@ -691,10 +709,10 @@ class TestPerImageMemo:
             return real(img)
 
         monkeypatch.setattr(modelsel, "_content_digest", counting)
-        for _ in range(2):  # the id map does not outlive a search
+        for _ in range(2):
             calls.clear()
             cached = self._search()
-            assert len(calls) == 2 * 12
+            assert len(calls) == 12
         calls.clear()
         uncached = self._search(use_cache=False)
         assert len(calls) == 12  # the root key only
@@ -733,6 +751,57 @@ class TestPerImageMemo:
             assert len(rows.test_groups) == len(test_idx)
             for group, i in zip(rows.test_groups, test_idx):
                 np.testing.assert_array_equal(group, expected[i])
+
+    EXTRACTOR = LbpConfig(variant="uniform", blocks=(2, 2))
+
+    def _split_dependent_search(self, preprocessed: list, seen: list):
+        """A custom preprocess runner whose arrays differ per split (LBP
+        ignores scale and offset, so the columns roll) feeds the default
+        extractor; ``preprocessed`` gets a weak reference to each array."""
+        images, labels = make_texture_dataset(3, size=16, seed=5)
+
+        def run_preprocess(cfg, upstream, ctx):
+            out = [np.roll(img, ctx.split_index, axis=1) for img in ctx.images]
+            preprocessed.extend(weakref.ref(img) for img in out)
+            return out
+
+        def run_classify(cfg, rows, ctx):
+            seen.append((ctx.split_index, rows))
+            return ctx.labels[ctx.test_idx].copy()
+
+        grid = GridSpec(
+            stages=(
+                GridStage("preprocess", ("roll",)),
+                GridStage("extract", (self.EXTRACTOR,)),
+                GridStage("classify", ("a", "b")),
+            )
+        )
+        runners = {**default_runners(), "preprocess": run_preprocess, "classify": run_classify}
+        splits = five_by_two_splits(labels, seed=1)
+        grid_search(images, labels, grid, seed=0, augmented=True, splits=splits, runners=runners)
+        return images, splits
+
+    def test_split_dependent_preprocess_feeds_default_extract(self):
+        """Each split's rows are those of its own arrays, not of another
+        split's arrays at the same position."""
+        seen = []
+        images, splits = self._split_dependent_search([], seen)
+        assert [split_index for split_index, _ in seen] == [i for i in range(len(splits)) for _ in "ab"]
+        for split_index, rows in seen:
+            train_idx, test_idx = splits[split_index]
+            expected = [
+                image_features(np.roll(img, split_index, axis=1), True, self.EXTRACTOR, None) for img in images
+            ]
+            np.testing.assert_array_equal(rows.train, np.vstack([expected[i] for i in train_idx]))
+            assert len(rows.test_groups) == len(test_idx)
+            for group, i in zip(rows.test_groups, test_idx):
+                np.testing.assert_array_equal(group, expected[i])
+
+    def test_memo_released_when_search_returns(self):
+        preprocessed = []
+        self._split_dependent_search(preprocessed, [])
+        assert len(preprocessed) == 10 * 6
+        assert [ref() for ref in preprocessed] == [None] * len(preprocessed)
 
     @pytest.mark.parametrize("use_cache", [True, False])
     def test_mixed_size_convnet_still_fails(self, use_cache):

@@ -267,7 +267,8 @@ class TestSolverOracle:
         _, _, uncapped, _ = smo_reference(rbf_gram(X, X, params.gamma), y, params)
         assert uncapped > 1  # needs more than n steps
         monkeypatch.setattr(svm, "_MAX_SWEEPS", 1)
-        model, diag = train_smo(X, y, params, collect_diagnostics=True)
+        with pytest.warns(RuntimeWarning, match="SMO stopped at its cap"):
+            model, diag = train_smo(X, y, params, collect_diagnostics=True)
         assert diag.sweeps == 1
         assert diag.alphas.min() >= 0.0 and diag.alphas.max() <= params.C
         assert abs(float(np.sum(diag.alphas * y))) <= 1e-12
