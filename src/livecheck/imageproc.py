@@ -43,7 +43,9 @@ GAUSS_SIGMA = 3.0
 
 ROI_CLOSE_BOX = 21
 ROI_SIGMA_FACTOR = 3.0
-_STRIP_ROWS = 128  # rows per ROI-closing strip; faster on 480x640 frames than 32, 64 or 256
+# Bytes per strip of a closing pass: 128 rows of a 640-wide float64 frame, faster there than 32, 64 or
+# 256 rows.  A 480x640 frame of 8-bit codes fits in one strip.
+_STRIP_BYTES = 128 * 640 * 8
 
 
 def as_image(data) -> np.ndarray:
@@ -128,8 +130,7 @@ def ingest(data: bytes) -> np.ndarray:
         pixels = np.asarray(values, dtype=np.int64)
     if pixels.max(initial=0) > maxval:
         raise ValueError("unsupported format: pixel value exceeds maxval")
-    img = pixels.astype(np.float64).reshape(height, width) / 255.0
-    return img
+    return np.divide(pixels.reshape(height, width), 255.0, dtype=np.float64)
 
 
 def write_pgm(img: np.ndarray) -> bytes:
@@ -262,13 +263,15 @@ def _window_reduce(img: np.ndarray, box: int, reducer) -> np.ndarray:
 
     ``reducer`` is an exact binary ufunc (``np.maximum``, ``np.minimum``), so the
     window splits into a run down each column, then along each row, and the image
-    can go through in cache-sized strips of ``_STRIP_ROWS`` rows, each padded from
-    its neighbour rows and mirrored only at the image's top and bottom edges.
+    can go through in strips of about ``_STRIP_BYTES``, each padded from its
+    neighbour rows and mirrored only at the image's top and bottom edges.  The
+    result keeps the input's dtype.
     """
     radius = box // 2
-    out = np.empty(img.shape[::-1])
-    for y0 in range(0, len(img), _STRIP_ROWS):
-        y1 = min(y0 + _STRIP_ROWS, len(img))
+    rows = max(1, _STRIP_BYTES // (img.shape[1] * img.itemsize))
+    out = np.empty(img.shape[::-1], dtype=img.dtype)
+    for y0 in range(0, len(img), rows):
+        y1 = min(y0 + rows, len(img))
         lo, hi = max(y0 - radius, 0), min(y1 + radius, len(img))
         strip = np.pad(img[lo:hi], ((radius - (y0 - lo), radius - (hi - y1)), (radius, radius)), "symmetric")
         out[:, y0:y1] = _running_reduce(np.ascontiguousarray(_running_reduce(strip, box, reducer).T), box, reducer)
@@ -303,8 +306,23 @@ def morph_close(img: np.ndarray, box: int) -> np.ndarray:
         raise ValueError(f"box side must be odd and positive, got {box}")
     if box > min(img.shape):
         raise ValueError(f"box {box} larger than image {img.shape}")
+    return _close(img, box)
+
+
+def _close(img: np.ndarray, box: int) -> np.ndarray:
     # each pass returns its result transposed, so the erosion hands back (H, W)
     return _window_reduce(_window_reduce(img, box, np.maximum), box, np.minimum)
+
+
+def _closed_codes(img: np.ndarray, box: int) -> np.ndarray:
+    """Close the 8-bit codes ``rint(255 * img)`` of a [0, 1] image; uint8.
+
+    Closing commutes with any nondecreasing map, so this is
+    ``rint(255 * morph_close(img, box))``.  An 8-bit image (every ``ingest``
+    output) is ``codes / 255.0`` exactly, and then so is its closing.
+    """
+    scaled = img * 255.0
+    return _close(np.rint(scaled, out=scaled).astype(np.uint8), box)
 
 
 @dataclass(frozen=True)
@@ -337,15 +355,22 @@ def extract_roi(img: np.ndarray) -> RoiRect:
     rectangle spans three standard deviations to each side of the
     center, clipped to the image.  A zero-mass image yields the full
     frame.
+
+    The closing runs on the 8-bit codes ``rint(255 * img)``, which is
+    exact for 8-bit input such as every ``ingest`` output.  The search
+    sees any other image rounded to a multiple of 1/255; nothing else
+    does.  Input must be a 2-D image in [0, 1].
     """
-    img = np.asarray(img, dtype=np.float64)
-    if img.ndim != 2:
-        raise ValueError("extract_roi expects a 2-D image")
+    return _extract_roi(as_image(img))
+
+
+def _extract_roi(img: np.ndarray) -> RoiRect:
+    """``extract_roi`` of an image already validated by ``as_image``."""
     height, width = img.shape
     box = min(ROI_CLOSE_BOX, height, width)
     if box % 2 == 0:
         box -= 1
-    closed = morph_close(img, box)
+    closed = _closed_codes(img, box) / 255.0
     total = closed.sum()
     if total <= 0.0:
         return RoiRect(0, 0, width, height)

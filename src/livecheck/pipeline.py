@@ -16,7 +16,7 @@ import numpy as np
 
 from . import augment as aug
 from .convnet import ConvNetConfig, convnet_features, init_banks
-from .imageproc import _clahe, as_image, extract_roi, highpass, lowpass, resize_bilinear
+from .imageproc import _clahe, _extract_roi, as_image, highpass, lowpass, resize_bilinear
 from .lbp import LbpConfig, lbp_features, lbp_window_features
 from .seeds import derive_seed
 from .svm import SvmModel, SvmParams, decision_scores, train_smo
@@ -103,7 +103,7 @@ def preprocess_image(img: np.ndarray, config: PreprocessConfig) -> np.ndarray:
     if config.scale < 1.0:
         out = resize_bilinear(out, config.scale)
     if config.roi:
-        out = out[extract_roi(out).window]
+        out = out[_extract_roi(out).window]
         if not config.equalize and config.filter == "none":
             out = out.copy()  # no later step makes a new array
     if config.equalize:

@@ -15,7 +15,18 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from livecheck.augment import make_patches
-from livecheck.imageproc import clahe, crop, extract_roi, highpass, lowpass, resize_bilinear
+from livecheck.imageproc import (
+    ROI_CLOSE_BOX,
+    ROI_SIGMA_FACTOR,
+    RoiRect,
+    clahe,
+    crop,
+    extract_roi,
+    highpass,
+    lowpass,
+    morph_close,
+    resize_bilinear,
+)
 from livecheck.pipeline import extract_features, fit_transform
 from livecheck.seeds import derive_seed
 from livecheck.svm import decision_score, decision_scores, train_smo
@@ -447,6 +458,35 @@ def preprocess_stepwise(img, config):
     elif config.filter == "highpass":
         out = highpass(out)
     return out
+
+
+def roi_box(shape):
+    """``extract_roi``'s closing box: 21, shrunk to the largest odd side that fits."""
+    box = min(ROI_CLOSE_BOX, *shape)
+    return box - 1 if box % 2 == 0 else box
+
+
+def roi_float64(img):
+    """The ROI rectangle from a float64 closing of ``img`` itself:
+    ``morph_close`` (pinned to the window-view oracle) with
+    ``extract_roi``'s box, then its moments in the same float64 steps."""
+    img = np.asarray(img, dtype=np.float64)
+    height, width = img.shape
+    closed = morph_close(img, roi_box(img.shape))
+    total = closed.sum()
+    if total <= 0.0:
+        return RoiRect(0, 0, width, height)
+    xs = np.arange(width, dtype=np.float64)
+    ys = np.arange(height, dtype=np.float64)
+    col_mass, row_mass = closed.sum(axis=0), closed.sum(axis=1)
+    cx, cy = float(col_mass @ xs) / total, float(row_mass @ ys) / total
+    sx = math.sqrt(float(col_mass @ (xs - cx) ** 2) / total)
+    sy = math.sqrt(float(row_mass @ (ys - cy) ** 2) / total)
+    x0 = max(0, math.floor(cx - ROI_SIGMA_FACTOR * sx))
+    y0 = max(0, math.floor(cy - ROI_SIGMA_FACTOR * sy))
+    x1 = min(width - 1, math.ceil(cx + ROI_SIGMA_FACTOR * sx))
+    y1 = min(height - 1, math.ceil(cy + ROI_SIGMA_FACTOR * sy))
+    return RoiRect(x0, y0, x1 - x0 + 1, y1 - y0 + 1)
 
 
 def transform_runner_per_image(cfg, bundle, ctx):

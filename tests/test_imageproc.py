@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from livecheck.imageproc import (
-    _STRIP_ROWS,
+    _STRIP_BYTES,
     RoiRect,
+    _closed_codes,
     as_image,
     clahe,
     convolve2d,
@@ -26,7 +27,13 @@ from oracles import (
     morph_close_oracle,
     morph_close_window_view,
     resize_bilinear_oracle,
+    roi_box,
+    roi_float64,
 )
+
+# Rows per closing strip of a 640-wide float64 image, and of 640-wide 8-bit codes.
+FLOAT_STRIP_ROWS = _STRIP_BYTES // (640 * 8)
+CODE_STRIP_ROWS = _STRIP_BYTES // 640
 
 
 def _finger_frame(height=480, width=640):
@@ -261,16 +268,17 @@ class TestMorphology:
 
     def test_strip_boundaries_match_window_view(self, rng):
         """Heights around the strip size, boxes up to the short side, and
-        non-contiguous input all close exactly as the whole-frame windows."""
-        cases = [((height, 640), 21) for height in
-                 (_STRIP_ROWS - 1, _STRIP_ROWS, _STRIP_ROWS + 1, _STRIP_ROWS + 10, 2 * _STRIP_ROWS + 1)]
+        non-contiguous input all close exactly as the whole-frame windows.
+        The erosion's strips, sized by the height, split the taller cases too."""
+        rows = FLOAT_STRIP_ROWS
+        cases = [((height, 640), 21) for height in (rows - 1, rows, rows + 1, rows + 10, 2 * rows + 1)]
         cases += [((300, 21), 21), ((21, 300), 21), ((150, 40), 1), ((150, 40), 3)]
         for shape, box in cases:
             img = rng.uniform(0.0, 1.0, size=shape)
             out = morph_close(img, box)
             np.testing.assert_array_equal(out, morph_close_window_view(img, box))
             assert out.flags.c_contiguous and not np.shares_memory(out, img)
-        view = rng.uniform(0.0, 1.0, size=(2 * _STRIP_ROWS + 5, 90)).T
+        view = rng.uniform(0.0, 1.0, size=(640, rows + 12)).T
         out = morph_close(view, 21)
         np.testing.assert_array_equal(out, morph_close_window_view(view, 21))
         assert out.flags.c_contiguous and not np.shares_memory(out, view)
@@ -337,6 +345,47 @@ class TestRoi:
     def test_crop_out_of_bounds_rejected(self):
         with pytest.raises(ValueError):
             crop(np.zeros((4, 4)), RoiRect(2, 2, 3, 1))
+
+    def test_invalid_pixels_rejected(self):
+        """Validated as ``clahe`` validates, before any cast to 8-bit codes."""
+        for value, message in ((np.nan, "non-finite"), (np.inf, "non-finite"),
+                               (-0.1, r"must lie in \[0, 1\]"), (1.1, r"must lie in \[0, 1\]")):
+            img = np.full((30, 40), 0.5)
+            img[12, 17] = value
+            with pytest.raises(ValueError, match=message):
+                extract_roi(img)
+
+
+class TestRoiCodes:
+    """``extract_roi`` closes the 8-bit codes ``rint(255 * img)``: exact for
+    8-bit images, and any other image is rounded to 8 bits for the search."""
+
+    @staticmethod
+    def _assert_exact(img):
+        for box in (roi_box(img.shape), 3):
+            np.testing.assert_array_equal(_closed_codes(img, box) / 255.0, morph_close(img, box))
+        assert extract_roi(img) == roi_float64(img)
+
+    def test_eight_bit_images_match_float64(self, rng, perfbench_frames):
+        images = [rng.uniform(0.0, 1.0, size=shape) for shape in ((25, 31), (64, 64), (21, 300), (7, 9))]
+        images.append(_finger_frame())
+        images.extend(perfbench_frames.finger_frames(1, 41, 0.4)[0])
+        for img in images:
+            self._assert_exact(ingest(write_pgm(img)))
+
+    def test_eight_bit_strip_boundaries(self, rng):
+        """Heights around the float64 and the 8-bit strip sizes."""
+        for height in (FLOAT_STRIP_ROWS + 1, CODE_STRIP_ROWS - 1, CODE_STRIP_ROWS, CODE_STRIP_ROWS + 1,
+                       2 * CODE_STRIP_ROWS + 1):
+            self._assert_exact(ingest(write_pgm(rng.uniform(0.0, 1.0, size=(height, 640)))))
+
+    def test_other_images_rounded_to_codes(self, rng):
+        """Closing commutes with ``rint(255 * x)``: the codes are those of
+        the float64 closing, and the rect is that of the rounded image."""
+        for img in (rng.uniform(0.0, 1.0, size=(25, 31)), rng.uniform(0.0, 1.0, size=(150, 640)), _finger_frame()):
+            box = roi_box(img.shape)
+            np.testing.assert_array_equal(_closed_codes(img, box), np.rint(morph_close(img, box) * 255.0))
+            assert extract_roi(img) == roi_float64(np.rint(img * 255.0) / 255.0)
 
 
 class TestClahe:

@@ -719,11 +719,13 @@ class TestPerImageMemo:
         assert [c.fold_aces for c in cached.candidates] == [c.fold_aces for c in uncached.candidates]
 
     def test_custom_preprocess_feeds_default_extract(self):
-        """Rows follow the preprocessed pixels, not the config or index."""
+        """Rows follow the preprocessed pixels, not the config or index.
+        Each config rolls the columns by its own shift, which LBP sees
+        (it would not see a monotone map such as a power)."""
         images, labels = make_texture_dataset(3, size=16, seed=5)
 
         def run_preprocess(cfg, upstream, ctx):
-            return [img**cfg for img in ctx.images]
+            return [np.roll(img, cfg, axis=1) for img in ctx.images]
 
         seen = []
 
@@ -734,7 +736,7 @@ class TestPerImageMemo:
         extractor = LbpConfig(variant="uniform", blocks=(2, 2))
         grid = GridSpec(
             stages=(
-                GridStage("preprocess", (1.0, 2.0)),
+                GridStage("preprocess", (0, 5)),
                 GridStage("extract", (extractor,)),
                 GridStage("classify", ("a",)),
             )
@@ -743,9 +745,9 @@ class TestPerImageMemo:
         splits = five_by_two_splits(labels, seed=1)
         grid_search(images, labels, grid, seed=0, augmented=True, splits=splits, runners=runners)
         assert len(seen) == 2 * len(splits)
-        for (split_index, rows), power in zip(seen, [1.0, 2.0] * len(splits)):
+        for (split_index, rows), shift in zip(seen, [0, 5] * len(splits)):
             train_idx, test_idx = splits[split_index]
-            expected = feature_groups([img**power for img in images], True, extractor, None)
+            expected = feature_groups([np.roll(img, shift, axis=1) for img in images], True, extractor, None)
             np.testing.assert_array_equal(rows.train, np.vstack([expected[i] for i in train_idx]))
             np.testing.assert_array_equal(rows.train_y, np.repeat(labels[train_idx], 10))
             assert len(rows.test_groups) == len(test_idx)

@@ -12,7 +12,9 @@ from livecheck import lbp, pipeline
 from livecheck.augment import make_patches
 from livecheck.config import parse_config_file
 from livecheck.convnet import ConvLayerConfig, ConvNetConfig
+from livecheck.dataset import load_dataset, load_images
 from livecheck.lbp import LbpConfig, lbp_features, lbp_map
+from livecheck.model_io import model_bytes, model_digest
 from livecheck.pipeline import (
     PipelineConfig,
     PreprocessConfig,
@@ -24,8 +26,9 @@ from livecheck.pipeline import (
     preprocess_image,
     realize_extractor,
 )
+from livecheck.seeds import derive_seed
 from livecheck.svm import SvmParams
-from livecheck.synthdata import make_texture_dataset
+from livecheck.synthdata import make_texture_dataset, write_dataset_tree
 
 from oracles import averaged_score, preprocess_stepwise, score_image
 
@@ -119,6 +122,7 @@ class TestPreprocess:
 
 
 DEPLOYED_CONVNET = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "scan-convnet-aug.ini"
+DEPLOYED_SENSOR = DEPLOYED_CONVNET.with_name("scan-sensor.ini")
 
 SMALL_CONVNET = ConvNetConfig(
     layers=(
@@ -245,6 +249,17 @@ class TestAugmentedLbpViews:
     def test_image_too_small_to_crop_rejected(self):
         with pytest.raises(ValueError, match="too small to crop"):
             image_features(np.zeros((1, 4)), True, LbpConfig(), None)
+
+
+def test_sensor_model_digest_pinned(tmp_path, perfbench_frames):
+    """The benchmark's sensor model (ROI, CLAHE, highpass, blocked LBP),
+    built as its set-up builds it: two 480x640 frames per class written
+    as PGM and reloaded, then fitted with the deployed config."""
+    images, labels = perfbench_frames.finger_frames(2, derive_seed(2015, "scan-sensor", "train"), 0.4)
+    write_dataset_tree(tmp_path, images, labels)
+    images, labels = load_images(load_dataset(tmp_path))
+    model = fit_pipeline(images, labels, parse_config_file(DEPLOYED_SENSOR).single_config())
+    assert model_digest(model_bytes(model))[:12] == "5890d41f1a33"
 
 
 def test_sensor_sized_augmented_convnet_memory():
