@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .imageproc import gaussian_profile
 
@@ -127,12 +128,10 @@ def conv_forward(x: np.ndarray, bank: np.ndarray) -> np.ndarray:
         raise ValueError(f"filter {size}x{size} larger than input {height}x{width}")
     out_h, out_w = height - size + 1, width - size + 1
     views = x.reshape(-1, channels, height, width)
-    # im2col: row (c, i, j) holds the input pixels weight bank[:, c, i, j]
-    # reads.
-    cols = np.empty((len(views), channels, size, size, out_h, out_w))
-    for i in range(size):
-        for j in range(size):
-            cols[:, :, i, j] = views[:, :, i : i + out_h, j : j + out_w]
+    # im2col in one strided copy: row (c, i, j) holds the input pixels
+    # weight bank[:, c, i, j] reads.
+    windows = sliding_window_view(views, (size, size), axis=(-2, -1))
+    cols = np.ascontiguousarray(windows.transpose(0, 1, 4, 5, 2, 3))
     # One (F, s*s) @ (s*s, H'W') GEMM per view and input channel, summed
     # in channel order.  Each has the shapes of a single-view call, so a
     # view's output has the same bits alone or in a stack.  One GEMM over
@@ -162,8 +161,11 @@ def lcn(x: np.ndarray, window: int = 9) -> np.ndarray:
     x = _check_maps(x, "lcn")
     if window < 1 or window % 2 == 0:
         raise ValueError(f"window must be odd and positive, got {window}")
-    if window == 1:
-        return x.copy()
+    return x.copy() if window == 1 else _lcn(x.copy(), window)
+
+
+def _lcn(x: np.ndarray, window: int) -> np.ndarray:
+    """``lcn`` for an odd window > 1, overwriting and returning ``x``."""
     height, width = x.shape[-2:]
     if window > min(height, width):
         raise ValueError(f"window {window} larger than feature maps {height}x{width}")
@@ -172,11 +174,11 @@ def lcn(x: np.ndarray, window: int = 9) -> np.ndarray:
     # rows @ plane @ cols.T with the mirrored border folded into the bands.
     rows = _lcn_band(height, window)
     cols = _lcn_band(width, window)
-    mean = rows @ x.mean(axis=-3) @ cols.T
-    centered = x - mean[..., None, :, :]
-    variance = rows @ (centered**2).mean(axis=-3) @ cols.T
+    x -= (rows @ x.mean(axis=-3) @ cols.T)[..., None, :, :]
+    variance = rows @ np.square(x).mean(axis=-3) @ cols.T
     sigma = np.sqrt(np.maximum(variance, 0.0))
-    return centered / np.maximum(1.0, sigma)[..., None, :, :]
+    x /= np.maximum(1.0, sigma)[..., None, :, :]
+    return x
 
 
 @functools.lru_cache(maxsize=2 * MAX_LAYERS)  # a row and a column band per layer
@@ -224,19 +226,21 @@ def max_pool(x: np.ndarray, pool: int, stride: int | None = None) -> np.ndarray:
     height, width = x.shape[-2:]
     out_h = _pool_count(height, pool, stride)
     out_w = _pool_count(width, pool, stride)
-    # Columns first, then rows.  Offset k of a window is valid for the
-    # windows that start before extent - k, always a prefix of them, so
-    # a partial window is reduced over its valid part without padding.
-    cols = x[..., : (out_w - 1) * stride + 1 : stride].copy()
-    for k in range(1, pool):
-        n = min(out_w, -(-(width - k) // stride))
-        np.maximum(cols[..., :n], x[..., k : k + (n - 1) * stride + 1 : stride], out=cols[..., :n])
-    out = cols[..., : (out_h - 1) * stride + 1 : stride, :].copy()
+    # Rows first, then columns: max is exact in any order, and the
+    # strided column pass then runs on 1/stride as many rows.  Offset k
+    # of a window is valid for the windows that start before extent - k,
+    # always a prefix of them, so a partial window is reduced over its
+    # valid part without padding.
+    rows = x[..., : (out_h - 1) * stride + 1 : stride, :].copy()
     for k in range(1, pool):
         n = min(out_h, -(-(height - k) // stride))
         np.maximum(
-            out[..., :n, :], cols[..., k : k + (n - 1) * stride + 1 : stride, :], out=out[..., :n, :]
+            rows[..., :n, :], x[..., k : k + (n - 1) * stride + 1 : stride, :], out=rows[..., :n, :]
         )
+    out = rows[..., : (out_w - 1) * stride + 1 : stride].copy()
+    for k in range(1, pool):
+        n = min(out_w, -(-(width - k) // stride))
+        np.maximum(out[..., :n], rows[..., k : k + (n - 1) * stride + 1 : stride], out=out[..., :n])
     return out
 
 
@@ -256,10 +260,12 @@ def convnet_features(img: np.ndarray, config: ConvNetConfig, banks: list[np.ndar
         banks = init_banks(config, in_channels=1)
     if len(banks) != len(config.layers):
         raise ValueError(f"expected {len(config.layers)} filter banks, got {len(banks)}")
+    # conv_forward returns a fresh array, so ReLU and LCN overwrite it.
     x = img[..., None, :, :]
     for layer, bank in zip(config.layers, banks):
-        x = relu(conv_forward(x, bank))
+        x = conv_forward(x, bank)
+        np.maximum(x, 0.0, out=x)
         if layer.lcn_window > 1:
-            x = lcn(x, layer.lcn_window)
+            x = _lcn(x, layer.lcn_window)
         x = max_pool(x, layer.pool_size, layer.stride)
-    return x.reshape(*img.shape[:-2], -1).copy()
+    return x.reshape(*img.shape[:-2], -1)

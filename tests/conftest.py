@@ -1,10 +1,28 @@
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+REPO = Path(__file__).resolve().parents[1]
+PERFBENCH = REPO / "perfbench"
+
+
+def run_python(*args: str, env: dict[str, str] | None = None, cwd: Path | None = None,
+               timeout: float = 300) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a child process against the package in src/.
+
+    The child gets ``PYTHONPATH=src`` and no ``LIVECHECK_CACHE_DIR``, so a
+    disk cache set for the session cannot serve it; ``env`` adds variables.
+    """
+    child_env = {key: value for key, value in os.environ.items() if key != "LIVECHECK_CACHE_DIR"}
+    child_env.update(env or {}, PYTHONPATH=str(REPO / "src"))
+    return subprocess.run(
+        [sys.executable, *args], env=child_env, cwd=cwd, capture_output=True, text=True, timeout=timeout
+    )
 
 
 @pytest.fixture

@@ -2,16 +2,17 @@
 
 Each thread count needs its own process, because BLAS reads it once at
 start-up.  The two models are the benchmark's scan-convnet-aug model and
-its select-lbp-aug grid search plus refit, on the same trees.
+its select-lbp-aug grid search plus refit, on the same trees.  Their
+digests are pinned, so any change to the convnet or select bits fails.
 """
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
-REPO = Path(__file__).resolve().parent.parent
-CONFIGS = REPO / "perfbench" / "configs"
+from conftest import PERFBENCH, run_python
+
+CONFIGS = PERFBENCH / "configs"
+# Leading hex digits of the 1-thread digests: scan-convnet-aug, select job.
+DIGEST_PREFIXES = ("dedc24a5c91e", "73804de125d1")
 
 _FIT_AND_DIGEST = """
 import sys
@@ -45,16 +46,10 @@ print(digest("scan-convnet-aug", 8, False), digest("select-lbp-aug", 12, True))
 
 
 def _digests(threads: int, workdir: Path) -> list[str]:
-    env = {key: value for key, value in os.environ.items() if key != "LIVECHECK_CACHE_DIR"}
-    env.update(
-        PYTHONPATH=str(REPO / "src"),
-        OPENBLAS_NUM_THREADS=str(threads),
-        OMP_NUM_THREADS=str(threads),
-    )
     workdir.mkdir()
-    result = subprocess.run(
-        [sys.executable, "-c", _FIT_AND_DIGEST, str(CONFIGS), str(workdir)],
-        env=env, capture_output=True, text=True, timeout=300,
+    result = run_python(
+        "-c", _FIT_AND_DIGEST, str(CONFIGS), str(workdir),
+        env={"OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads)},
     )
     assert result.returncode == 0, result.stderr
     return result.stdout.split()
@@ -62,8 +57,10 @@ def _digests(threads: int, workdir: Path) -> list[str]:
 
 def test_model_digests_match_at_one_and_two_threads(tmp_path):
     """The convnet model (16/32 filters, ten patches, 8 images per class)
-    and the selected LBP model have the same digests at 1 and 2 threads."""
+    and the selected LBP model have their pinned digests at 1 thread and
+    the same digests at 2."""
     one = _digests(1, tmp_path / "one")
     two = _digests(2, tmp_path / "two")
     assert len(one) == 2
+    assert all(digest.startswith(prefix) for digest, prefix in zip(one, DIGEST_PREFIXES)), one
     assert two == one

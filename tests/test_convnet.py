@@ -294,6 +294,28 @@ class TestStacks:
             convnet_features(rng.uniform(size=(1, 2, 8, 8)), ConvNetConfig(layers=(ConvLayerConfig(1, 3, 2),)))
 
 
+# One call per public layer.  The inputs have negatives and lcn's window
+# spans several pixels, so a layer that wrote in place would change them.
+LAYER_CALLS = {
+    "conv_forward": lambda x: conv_forward(x, np.full((2, x.shape[-3], 3, 3), 0.5)),
+    "relu": relu,
+    "lcn": lambda x: lcn(x, 3),
+    "max_pool": lambda x: max_pool(x, 2, 1),
+}
+
+
+@pytest.mark.parametrize("shape", [(2, 7, 8), (3, 2, 7, 8)], ids=["CHW", "PCHW"])
+@pytest.mark.parametrize("name", sorted(LAYER_CALLS))
+def test_layer_leaves_input_untouched(rng, name, shape):
+    """convnet_features overwrites its own conv output; a public layer
+    never writes to, or returns a view of, the caller's array."""
+    x = rng.standard_normal(shape)
+    before = x.tobytes()
+    out = LAYER_CALLS[name](x)
+    assert x.tobytes() == before
+    assert not np.shares_memory(out, x)
+
+
 class TestFilterInit:
     def test_shape_and_scale(self):
         layer = ConvLayerConfig(num_filters=8, filter_size=5, pool_size=2, seed=3)

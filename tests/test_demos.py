@@ -1,20 +1,15 @@
 """Every demo script runs to completion against the package in src/."""
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-REPO = Path(__file__).resolve().parent.parent
+from conftest import REPO, run_python
+
 DEMOS = sorted((REPO / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[demo.stem for demo in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
-    result = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
-    )
+    result = run_python(str(demo), cwd=tmp_path)
     assert result.returncode == 0, result.stderr

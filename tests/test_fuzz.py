@@ -9,11 +9,8 @@ input into exit code 2 and one ``error:`` line, never a traceback.
 import hashlib
 import json
 import math
-import os
 import struct
 import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,10 +19,10 @@ from livecheck.config import parse_config
 from livecheck.imageproc import as_image, ingest, write_pgm
 from livecheck.model_io import model_bytes, model_from_bytes
 
+from conftest import PERFBENCH, run_python
 from test_model_io import _convnet_pipeline, _join, _lbp_pipeline, _split
 
-REPO = Path(__file__).resolve().parents[1]
-CONFIGS = sorted((REPO / "perfbench" / "configs").glob("*.ini"))
+CONFIGS = sorted((PERFBENCH / "configs").glob("*.ini"))
 
 
 def _flip_bits(data: bytes, rng, max_flips: int = 8) -> bytes:
@@ -267,12 +264,7 @@ class TestConfigFuzz:
 
 
 def _run_cli(*args: str) -> subprocess.CompletedProcess:
-    env = {key: value for key, value in os.environ.items() if key != "LIVECHECK_CACHE_DIR"}
-    env["PYTHONPATH"] = str(REPO / "src")
-    return subprocess.run(
-        [sys.executable, "-m", "livecheck.cli", *args],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    return run_python("-m", "livecheck.cli", *args, timeout=120)
 
 
 def test_cli_reports_hostile_files_in_one_line(tmp_path):
