@@ -2,12 +2,12 @@
 
 Grid search walks the candidate pipelines stage by stage, calling each
 stage's runner once per split.  Every stage output is memoized under a
-key built from the stage configuration, the name of the runner that
-computes it, the upstream result's key, and the split identity, so two
-candidates that share a prefix share its computation.  The split
-identity chains from a root key over the image content, the labels,
-the augmentation flag, the root seed and the package source, so no
-other data, seed or code version can reuse a result.
+key built from the stage configuration, the upstream result's key, and
+the split identity, so two candidates that share a prefix share its
+computation.  The split identity chains from a root key over the image
+content, the labels, the augmentation flag, the root seed and the
+package source, so no other data, seed or code version can reuse a
+result.
 
 Preprocessing and feature extraction do not depend on the split, so
 the default runners for those stages also share per-image results
@@ -17,8 +17,10 @@ go into the search's stage memo, keyed by the stage, its config and
 the input image's identity, and are dropped when the search returns.
 The split then only chooses which rows train and which test.
 
-An optional on-disk cache makes stage results survive across runs;
-entries are evicted oldest-first once the directory exceeds its byte
+An optional on-disk cache makes stage results survive across runs.
+Only a search that uses the default runners goes to disk, so the
+package source digest covers every runner whose results are stored.
+Entries are evicted oldest-first once the directory exceeds its byte
 budget.
 """
 
@@ -230,9 +232,6 @@ class _Failure:
     message: str
 
 
-_MISSING = object()  # a disk miss, told apart from a stored ``None``
-
-
 @functools.cache
 def _code_version() -> str:
     """Digest of the package source, so edited code never reuses results."""
@@ -268,9 +267,9 @@ def _split_identity(root_key: str, split_index: int, train_idx: np.ndarray, test
     return h.hexdigest()
 
 
-def _stage_key(stage_name: str, cfg, runner_name: str, upstream_key: str) -> str:
+def _stage_key(stage_name: str, cfg, upstream_key: str) -> str:
     # A config's repr is canonical: frozen dataclasses of plain values.
-    material = "\x1f".join((stage_name, runner_name, repr(cfg), upstream_key))
+    material = "\x1f".join((stage_name, repr(cfg), upstream_key))
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 
@@ -295,13 +294,13 @@ class DiskCache:
     def _path(self, key: str) -> Path:
         return self.root / f"{key}.pkl"
 
-    def get(self, key: str, default=None):
+    def get(self, key: str):
         path = self._path(key)
         try:
             with open(path, "rb") as fh:
                 value = pickle.load(fh)
         except Exception:
-            return default  # treat missing or unreadable entries as misses
+            return None  # treat missing or unreadable entries as misses
         try:
             os.utime(path)
         except FileNotFoundError:
@@ -481,7 +480,6 @@ def grid_search(
     runners: dict | None = None,
     use_cache: bool = True,
     cache_dir: str | Path | None = None,
-    cache_budget: int = DEFAULT_CACHE_BUDGET,
 ) -> GridSearchResult:
     """Score every stage combination with 5x2 cross-validation.
 
@@ -498,48 +496,38 @@ def grid_search(
     runner calls and ``cache_hits`` the stage results reused, so neither
     depends on that per-image sharing.
     ``cache_dir`` (or the LIVECHECK_CACHE_DIR environment variable) adds
-    a persistent layer.  ``use_cache=False`` turns every layer off.  A
-    candidate that raises on any split is scored with ACE 1.0 and
-    flagged rather than aborting the search.  With caching on or off
-    the returned tables are identical.
+    a persistent layer, used only when every stage runs its default
+    runner.  ``use_cache=False`` turns every layer off.  A candidate
+    that raises on any split is scored with ACE 1.0 and flagged rather
+    than aborting the search.  With caching on or off the returned
+    tables are identical.
 
     Custom ``runners`` may replace any stage; a runner takes
     (config, upstream_value, StageContext) and the last stage must
     return +1/-1 predictions for the test fold.  Runners must not modify
     their upstream value in place, since cached values are shared.  A
     runner may read the split from the context: its output is never
-    shared with another split.  A runner enters the stage's cache key
-    by its module and qualified name.  Only a runner with an importable
-    name uses the disk cache.  A runner without a
-    qualified name (a ``functools.partial``, a callable instance), a
-    lambda, or one defined inside a function (a closure, whose name
-    holds ``<locals>`` and does not tell it from its siblings) is
-    memoized within this call only, and so is every stage after it.
+    shared with another split.  A search with any custom runner is
+    memoized within this call only.
     """
     labels = check_labels(images, labels)
     if splits is None:
         splits = five_by_two_splits(labels, derive_seed(seed, "cv"))
+    defaults = default_runners()
     if runners is None:
-        runners = default_runners()
-    # A stage's key names its runner and the runners upstream of it, so
-    # it may go to disk only while every one of those names is unique.
-    runner_names, on_disk = {}, {}
-    portable = True
+        runners = defaults
     for stage in grid.stages:
         if stage.name not in runners:
             raise ValueError(f"no runner for stage {stage.name!r}")
-        run = runners[stage.name]
-        name = getattr(run, "__qualname__", None)
-        runner_names[stage.name] = f"{getattr(run, '__module__', None)}.{name}"
-        portable = portable and bool(name) and "<" not in name
-        on_disk[stage.name] = portable
 
+    # Keys do not name runners: the code version in the root key covers
+    # the default runners, the only ones whose results go to disk.
     disk = None
-    if use_cache:
+    if use_cache and all(runners[s.name] is defaults.get(s.name) for s in grid.stages):
         if cache_dir is None:
             cache_dir = os.environ.get(CACHE_ENV_VAR) or None
         if cache_dir is not None:
-            disk = DiskCache(cache_dir, cache_budget)
+            disk = DiskCache(cache_dir, DEFAULT_CACHE_BUDGET)
 
     root_key = _root_key(images, labels, augmented, seed)
     memo: dict = {}  # stage results by key string, per-image ones by tuple
@@ -551,16 +539,15 @@ def grid_search(
         upstream_key = split_id
         for stage, choice in zip(grid.stages, combo):
             cfg = stage.candidates[choice]
-            key = _stage_key(stage.name, cfg, runner_names[stage.name], upstream_key)
+            key = _stage_key(stage.name, cfg, upstream_key)
             upstream_key = key
             if use_cache and key in memo:
                 hits[stage.name] += 1
                 value = memo[key]
                 continue
-            stage_disk = disk if on_disk[stage.name] else None
-            if stage_disk is not None:
-                cached = stage_disk.get(key, _MISSING)
-                if cached is not _MISSING:
+            if disk is not None:
+                cached = disk.get(key)
+                if cached is not None:
                     hits[stage.name] += 1
                     memo[key] = cached
                     value = cached
@@ -575,8 +562,8 @@ def grid_search(
                 value = _Failure(f"{type(exc).__name__}: {exc}")
             if use_cache:
                 memo[key] = value
-            if stage_disk is not None and not isinstance(value, _Failure):
-                stage_disk.put(key, value)
+            if disk is not None and not isinstance(value, _Failure):
+                disk.put(key, value)
         return value
 
     combos = list(itertools.product(*[range(len(s.candidates)) for s in grid.stages]))

@@ -15,14 +15,24 @@ def run_python(*args: str, env: dict[str, str] | None = None, cwd: Path | None =
                timeout: float = 300) -> subprocess.CompletedProcess:
     """Run ``python *args`` in a child process against the package in src/.
 
-    The child gets ``PYTHONPATH=src`` and no ``LIVECHECK_CACHE_DIR``, so a
-    disk cache set for the session cannot serve it; ``env`` adds variables.
+    The child gets ``PYTHONPATH=src`` and the test's environment, which
+    ``_no_cache_dir`` has cleared of ``LIVECHECK_CACHE_DIR``; ``env`` adds
+    variables.
     """
-    child_env = {key: value for key, value in os.environ.items() if key != "LIVECHECK_CACHE_DIR"}
-    child_env.update(env or {}, PYTHONPATH=str(REPO / "src"))
+    child_env = {**os.environ, **(env or {}), "PYTHONPATH": str(REPO / "src")}
     return subprocess.run(
         [sys.executable, *args], env=child_env, cwd=cwd, capture_output=True, text=True, timeout=timeout
     )
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _no_cache_dir():
+    """A developer's ``LIVECHECK_CACHE_DIR`` must neither serve a test's
+    searches nor receive their results; a test that needs it sets it.
+    Session scope clears it before any module fixture searches."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delenv("LIVECHECK_CACHE_DIR", raising=False)
+        yield
 
 
 @pytest.fixture

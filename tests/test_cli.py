@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from livecheck import modelsel
 from livecheck.cli import main
 from livecheck.model_io import load_model
 from livecheck.synthdata import make_texture_dataset, write_dataset_tree
@@ -216,6 +217,43 @@ class TestGridSearch:
         assert "model digest" in captured.out
         loaded = load_model(out)
         assert loaded.classifier.support_vectors.shape[0] >= 1
+
+
+def _counted(calls: list, run):
+    def counting(*args):
+        calls.append(run)
+        return run(*args)
+
+    return counting
+
+
+class TestDiskCache:
+    def test_warm_directory_reproduces_an_uncached_run(self, tmp_path, data_dir, capsys, monkeypatch):
+        """With LIVECHECK_CACHE_DIR set, ``gridsearch --report --out`` prints,
+        reports and saves the bytes of an uncached run, and a second run
+        calls no stage runner."""
+        calls = []
+        # default_runners() returns these wrappers, so the disk stays on.
+        for name in ("_run_preprocess", "_run_extract", "_run_transform", "_run_classify"):
+            monkeypatch.setattr(modelsel, name, _counted(calls, getattr(modelsel, name)))
+        cfg = tmp_path / "grid.ini"
+        cfg.write_text(GRID_CONFIG, encoding="utf-8")
+        report, out = tmp_path / "report.tsv", tmp_path / "winner.lvck"
+        argv = ["gridsearch", "--config", str(cfg), "--data", str(data_dir), "--report", str(report), "--out", str(out)]
+
+        def run():
+            calls.clear()
+            assert main(argv) == 0
+            return capsys.readouterr().out, report.read_bytes(), out.read_bytes(), len(calls)
+
+        *uncached, uncached_calls = run()
+        monkeypatch.setenv("LIVECHECK_CACHE_DIR", str(tmp_path / "cache"))
+        *cold, cold_calls = run()
+        *warm, warm_calls = run()
+        assert cold == warm == uncached
+        assert cold_calls == uncached_calls == 10 + 10 + 10 + 20  # ten splits, two SVMs
+        assert warm_calls == 0
+        assert len(list((tmp_path / "cache").glob("*.pkl"))) == cold_calls
 
 
 class TestTrainAndGridSearchAgree:

@@ -124,10 +124,6 @@ def _toy_problem():
     return images, labels, [(train, test)]
 
 
-# Runners that use the disk cache are defined at module level: a runner
-# defined inside a function is memoized within one search only.
-
-
 def _named_extract(cfg, upstream, ctx):
     return cfg
 
@@ -141,13 +137,6 @@ def _named_classify(cfg, upstream, ctx):
         flipped[: len(flipped) // 2] *= -1.0
         return flipped
     return -truth
-
-
-NAMED_RUNNERS = {"extract": _named_extract, "classify": _named_classify}
-
-
-def _none_extract(cfg, upstream, ctx):
-    return None
 
 
 def _counting_runners(calls):
@@ -299,195 +288,122 @@ class TestGridSearch:
         assert grid.size == 6
 
 
+# The disk serves only searches that run the default runners, so its
+# tests search six 16x16 textures with them: one split, one candidate
+# per stage, and the splits fixed, so that only the root key changes.
+TINY_GRID = GridSpec(
+    stages=(
+        GridStage("preprocess", (PreprocessConfig(),)),
+        GridStage("extract", (LbpConfig(variant="uniform"),)),
+        GridStage("transform", (TransformConfig(pca_fraction=0.5),)),
+        GridStage("classify", (SvmParams(C=1.0, gamma=0.5),)),
+    )
+)
+EVERY_STAGE_ONCE = {"preprocess": 1, "extract": 1, "transform": 1, "classify": 1}
+NO_STAGE = dict.fromkeys(EVERY_STAGE_ONCE, 0)
+
+
+def _tiny_search(cache_dir, data_seed=0, seed=0, augmented=False, **kwargs):
+    images, labels = make_texture_dataset(3, size=16, seed=data_seed)
+    splits = five_by_two_splits(labels, seed=0)[:1]
+    return grid_search(
+        images, labels, TINY_GRID, seed, augmented=augmented, splits=splits, cache_dir=cache_dir, **kwargs
+    )
+
+
+def _tables(result) -> list:
+    return [c.fold_aces for c in result.candidates]
+
+
 class TestDiskCache:
     def test_second_search_runs_nothing(self, tmp_path):
-        images, labels, splits = _toy_problem()
-        grid = GridSpec(
-            stages=(
-                GridStage("extract", ("bad", "good")),
-                GridStage("classify", ("a", "b")),
-            )
-        )
-        first = grid_search(
-            images, labels, grid, seed=0, splits=splits, runners=NAMED_RUNNERS, cache_dir=tmp_path,
-        )
-        second = grid_search(
-            images, labels, grid, seed=0, splits=splits, runners=NAMED_RUNNERS, cache_dir=tmp_path,
-        )
-        assert first.executions == {"extract": 2, "classify": 4}
-        assert second.executions == {"extract": 0, "classify": 0}
-        assert first.best_indices == second.best_indices
-        for a, b in zip(first.candidates, second.candidates):
-            assert a.fold_aces == b.fold_aces
-
-    def test_stored_none_is_a_hit(self, tmp_path):
-        """A stage result of ``None`` on disk is served, not recomputed."""
-        images, labels, splits = _toy_problem()
-        grid = GridSpec(stages=(GridStage("extract", ("none",)), GridStage("classify", ("a",))))
-        runners = {**NAMED_RUNNERS, "extract": _none_extract}
-        executions = [
-            grid_search(
-                images, labels, grid, seed=0, splits=splits, runners=runners, cache_dir=tmp_path,
-            ).executions
-            for _ in range(3)
-        ]
-        assert executions == [{"extract": 1, "classify": 1}] + [{"extract": 0, "classify": 0}] * 2
+        uncached = _tiny_search(None, use_cache=False)
+        first = _tiny_search(tmp_path)
+        second = _tiny_search(tmp_path)
+        assert first.executions == EVERY_STAGE_ONCE
+        assert second.executions == NO_STAGE
+        assert second.cache_hits == EVERY_STAGE_ONCE
+        assert _tables(first) == _tables(second) == _tables(uncached)
 
     def test_environment_variable_enables_disk(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LIVECHECK_CACHE_DIR", str(tmp_path))
-        images, labels, splits = _toy_problem()
-        grid = GridSpec(stages=(GridStage("extract", ("good",)), GridStage("classify", ("a",))))
-        grid_search(images, labels, grid, seed=0, splits=splits, runners=NAMED_RUNNERS)
-        assert len(list(tmp_path.glob("*.pkl"))) > 0
+        _tiny_search(None)
+        assert len(list(tmp_path.glob("*.pkl"))) == 4
 
-    def test_byte_budget_evicts_old_entries(self, tmp_path):
-        images, labels, splits = _toy_problem()
-        grid = GridSpec(
-            stages=(
-                GridStage("extract", tuple(f"cfg{i}" for i in range(6))),
-                GridStage("classify", ("a",)),
-            )
-        )
-
-        grid_search(
-            images, labels, grid, seed=0, splits=splits,
-            runners={"extract": _zeros_extract, "classify": _truth_classify},
-            cache_dir=tmp_path, cache_budget=70_000,
-        )
-        total = sum(p.stat().st_size for p in tmp_path.glob("*.pkl"))
-        assert 0 < total <= 70_000
+    def test_byte_budget_evicts_old_entries(self, tmp_path, monkeypatch):
+        _tiny_search(tmp_path / "unbounded")
+        sizes = [p.stat().st_size for p in (tmp_path / "unbounded").glob("*.pkl")]
+        budget = max(sizes)  # fits the largest entry, not all four
+        assert sum(sizes) > budget
+        monkeypatch.setattr(modelsel, "DEFAULT_CACHE_BUDGET", budget)
+        _tiny_search(tmp_path / "bounded")
+        total = sum(p.stat().st_size for p in (tmp_path / "bounded").glob("*.pkl"))
+        assert 0 < total <= budget
 
 
-def _zeros_extract(cfg, upstream, ctx):
-    return np.zeros(4096)  # ~32 KiB pickled
+def _inverted_classify(cfg, rows, ctx):
+    return -modelsel._run_classify(cfg, rows, ctx)
 
 
-def _truth_classify(cfg, upstream, ctx):
-    return ctx.labels[ctx.test_idx].copy()
+def _signed_classify(cfg, rows, ctx, sign):
+    return sign * modelsel._run_classify(cfg, rows, ctx)
 
 
-def _sum_extract(cfg, upstream, ctx):
-    return np.array([float(np.sum(img)) for img in ctx.images])
+def _closure_classify(sign):
+    def classify(cfg, rows, ctx):
+        return sign * modelsel._run_classify(cfg, rows, ctx)
 
-
-def _threshold_classify(cfg, sums, ctx):
-    predictions = np.where(sums[ctx.test_idx] >= cfg, 1.0, -1.0)
-    return -predictions if ctx.augmented else predictions
-
-
-def _inverted_classify(cfg, sums, ctx):
-    return -np.where(sums[ctx.test_idx] >= cfg, 1.0, -1.0)
-
-
-def _content_runners():
-    """Results that depend on the pixels and the augmentation flag: each
-    image's sum, thresholded by the classify config, inverted when
-    augmented."""
-    return {"extract": _sum_extract, "classify": _threshold_classify}
-
-
-def _bright_live(bright_live: bool):
-    """The toy split with live images bright (or dark) and fakes opposite."""
-    _, labels, splits = _toy_problem()
-    images = [np.full((2, 2), 1.0 if (label > 0) == bright_live else 0.0) for label in labels]
-    return images, labels, splits
+    return classify
 
 
 class TestCacheKey:
-    """A disk cache must never answer for other data, flags, seeds or code."""
-
-    GRID = GridSpec(stages=(GridStage("extract", ("sum",)), GridStage("classify", (2.0,))))
-
-    def _search(self, cache_dir, bright_live=True, augmented=False, seed=0, **kwargs):
-        images, labels, splits = _bright_live(bright_live)
-        kwargs.setdefault("runners", _content_runners())
-        return grid_search(
-            images, labels, self.GRID, seed=seed, splits=splits, augmented=augmented,
-            cache_dir=cache_dir, **kwargs,
-        )
+    """A disk cache must never answer for other data, flags, seeds, code
+    or runners."""
 
     def _assert_recomputed(self, warm, cold):
-        assert warm.executions == cold.executions == {"extract": 1, "classify": 1}
-        assert warm.cache_hits == {"extract": 0, "classify": 0}
-        assert [c.fold_aces for c in warm.candidates] == [c.fold_aces for c in cold.candidates]
+        assert warm.executions == cold.executions == EVERY_STAGE_ONCE
+        assert warm.cache_hits == NO_STAGE
+        assert _tables(warm) == _tables(cold)
 
     def test_other_images_recompute(self, tmp_path):
-        assert self._search(tmp_path / "shared").candidates[0].mean_ace == 0.0
-        warm = self._search(tmp_path / "shared", bright_live=False)
-        cold = self._search(tmp_path / "cold", bright_live=False)
-        assert cold.candidates[0].mean_ace == 1.0
-        self._assert_recomputed(warm, cold)
+        _tiny_search(tmp_path / "shared")
+        self._assert_recomputed(
+            _tiny_search(tmp_path / "shared", data_seed=1), _tiny_search(tmp_path / "cold", data_seed=1)
+        )
 
     def test_augmentation_flag_recomputes(self, tmp_path):
-        self._search(tmp_path / "shared", augmented=False)
-        warm = self._search(tmp_path / "shared", augmented=True)
-        cold = self._search(tmp_path / "cold", augmented=True)
-        assert cold.candidates[0].mean_ace == 1.0
+        plain = _tiny_search(tmp_path / "shared")
+        warm = _tiny_search(tmp_path / "shared", augmented=True)
+        cold = _tiny_search(tmp_path / "cold", augmented=True)
+        assert _tables(cold) != _tables(plain)
         self._assert_recomputed(warm, cold)
 
     def test_root_seed_recomputes(self, tmp_path):
-        self._search(tmp_path / "shared", seed=0)
-        self._assert_recomputed(self._search(tmp_path / "shared", seed=1), self._search(tmp_path / "cold", seed=1))
+        _tiny_search(tmp_path / "shared", seed=0)
+        self._assert_recomputed(_tiny_search(tmp_path / "shared", seed=1), _tiny_search(tmp_path / "cold", seed=1))
 
     def test_code_change_recomputes(self, tmp_path, monkeypatch):
-        self._search(tmp_path / "shared")
+        _tiny_search(tmp_path / "shared")
         monkeypatch.setattr(modelsel, "_code_version", lambda: "edited")
-        self._assert_recomputed(self._search(tmp_path / "shared"), self._search(tmp_path / "cold"))
+        self._assert_recomputed(_tiny_search(tmp_path / "shared"), _tiny_search(tmp_path / "cold"))
 
-    def test_other_runner_recomputes(self, tmp_path):
-        """A differently named runner never receives another's results."""
-        assert self._search(tmp_path, runners=_content_runners()).candidates[0].mean_ace == 0.0
-        warm = self._search(tmp_path, runners={**_content_runners(), "classify": _inverted_classify})
-        assert warm.executions == {"extract": 0, "classify": 1}
-        assert warm.cache_hits == {"extract": 1, "classify": 0}
-        assert warm.candidates[0].mean_ace == 1.0
-
-    def test_partial_runner(self, tmp_path):
-        """A runner without a qualified name runs with and without a cache."""
-
-        def run_signed(cfg, sums, ctx, sign):
-            return sign * np.where(sums[ctx.test_idx] >= cfg, 1.0, -1.0)
-
-        runners = {**_content_runners(), "classify": functools.partial(run_signed, sign=-1.0)}
-        uncached = self._search(None, runners=runners, use_cache=False)
-        cached = self._search(tmp_path, runners=runners)
-        assert uncached.candidates[0].mean_ace == cached.candidates[0].mean_ace == 1.0
-        assert cached.executions == {"extract": 1, "classify": 1}
-
-    def test_closures_sharing_a_name_recompute(self, tmp_path):
-        """Two closures from one factory share a qualified name but not results."""
-
-        def make_classify(sign):
-            def classify(cfg, sums, ctx):
-                return sign * np.where(sums[ctx.test_idx] >= cfg, 1.0, -1.0)
-
-            return classify
-
-        truthful, inverted = make_classify(1.0), make_classify(-1.0)
-        assert truthful.__qualname__ == inverted.__qualname__
-        first = self._search(tmp_path, runners={**_content_runners(), "classify": truthful})
-        assert first.candidates[0].mean_ace == 0.0
-        assert len(list(tmp_path.glob("*.pkl"))) == 1  # only the named extract stage
-        second = self._search(tmp_path, runners={**_content_runners(), "classify": inverted})
-        assert second.executions == {"extract": 0, "classify": 1}
-        assert second.cache_hits == {"extract": 1, "classify": 0}
-        assert second.candidates[0].mean_ace == 1.0
-
-    def test_closure_upstream_keeps_later_stages_off_disk(self, tmp_path):
-        """A named runner downstream of a closure is keyed by the closure's
-        name, so it must not reuse a disk entry either."""
-
-        def make_extract(offset):
-            def extract(cfg, upstream, ctx):
-                return np.array([float(np.sum(img)) + offset for img in ctx.images])
-
-            return extract
-
-        self._search(tmp_path, runners={**_content_runners(), "extract": make_extract(0.0)})
-        shifted = self._search(tmp_path, runners={**_content_runners(), "extract": make_extract(-10.0)})
-        assert list(tmp_path.glob("*.pkl")) == []
-        assert shifted.executions == {"extract": 1, "classify": 1}
-        assert shifted.candidates[0].mean_ace == 0.5
+    @pytest.mark.parametrize(
+        "classify",
+        [_inverted_classify, functools.partial(_signed_classify, sign=-1.0), _closure_classify(-1.0)],
+        ids=["module", "partial", "closure"],
+    )
+    def test_custom_runner_stays_in_memory(self, tmp_path, classify):
+        """Keys do not name runners, so a search with any custom runner
+        must neither read nor write a directory the default runners
+        warmed."""
+        default = _tiny_search(tmp_path)
+        warmed = sorted(tmp_path.iterdir())
+        runners = {**default_runners(), "classify": classify}
+        custom = _tiny_search(tmp_path, runners=runners)
+        assert custom.executions == EVERY_STAGE_ONCE
+        assert sorted(tmp_path.iterdir()) == warmed
+        assert _tables(custom) == _tables(_tiny_search(None, runners=runners, use_cache=False))
+        assert _tables(custom) != _tables(default)
 
 
 class TestDiskCacheWrites:
@@ -627,17 +543,12 @@ class TestSplitContract:
         splits = five_by_two_splits(labels, seed=4)
         return grid_search(images, labels, self.GRID, seed=0, splits=splits, runners=self.RUNNERS, **kwargs)
 
-    def test_each_split_reads_its_own_indices(self, tmp_path):
-        searches = [
-            self._search(use_cache=False),
-            self._search(cache_dir=tmp_path),
-            self._search(cache_dir=tmp_path),  # served from disk
-        ]
-        for result in searches:
-            assert [c.fold_aces for c in result.candidates] == [(0.0,) * 10] * 2
-        assert searches[0].executions == {"extract": 20, "classify": 20}
-        assert searches[1].executions == {"extract": 10, "classify": 20}
-        assert searches[2].executions == {"extract": 0, "classify": 0}
+    def test_each_split_reads_its_own_indices(self):
+        uncached, cached = self._search(use_cache=False), self._search()
+        for result in (uncached, cached):
+            assert _tables(result) == [(0.0,) * 10] * 2
+        assert uncached.executions == {"extract": 20, "classify": 20}
+        assert cached.executions == {"extract": 10, "classify": 20}
 
 
 class TestPerImageMemo:

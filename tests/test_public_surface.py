@@ -9,6 +9,7 @@ import ast
 import dataclasses
 import functools
 import importlib
+import inspect
 from pathlib import Path
 
 import livecheck
@@ -38,19 +39,33 @@ def _dotted(node) -> str | None:
     return ".".join([node.id, *reversed(parts)])
 
 
+def _benchmark_nodes():
+    """Every AST node of perfbench/*.py."""
+    for path in sorted(PERFBENCH.glob("*.py")):
+        yield from ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+
+
 def _benchmark_uses() -> tuple[set[tuple[str, str]], set[str]]:
     """(module, name) pairs imported from livecheck, and dotted
     ``livecheck.*`` attribute paths, across perfbench/*.py."""
     imported, attributes = set(), set()
-    for path in sorted(PERFBENCH.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "livecheck":
-                imported.update((node.module, alias.name) for alias in node.names)
-            elif isinstance(node, ast.Attribute):
-                dotted = _dotted(node)
-                if dotted and dotted.startswith("livecheck."):
-                    attributes.add(dotted)
+    for node in _benchmark_nodes():
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "livecheck":
+            imported.update((node.module, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            dotted = _dotted(node)
+            if dotted and dotted.startswith("livecheck."):
+                attributes.add(dotted)
     return imported, attributes
+
+
+def _benchmark_keywords(names) -> dict[str, set[str]]:
+    """The keyword names perfbench passes in calls to each of ``names``."""
+    keywords: dict[str, set[str]] = {}
+    for node in _benchmark_nodes():
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in names:
+            keywords.setdefault(node.func.id, set()).update(kw.arg for kw in node.keywords if kw.arg)
+    return keywords
 
 
 def test_every_imported_name_resolves():
@@ -66,6 +81,21 @@ def test_every_imported_name_resolves():
         if not hasattr(importlib.import_module(module), name)
     ]
     assert missing == []
+
+
+def test_every_keyword_is_a_parameter():
+    imported, _ = _benchmark_uses()
+    modules = {name: module for module, name in imported}
+    passed = _benchmark_keywords(modules)
+    assert {"augmented", "runners"} <= passed["grid_search"]  # the scan itself still sees them
+    assert {"seed", "collect_diagnostics"} <= passed["train_smo"]
+    unknown = [
+        f"{name}({keyword}=)"
+        for name, keywords in sorted(passed.items())
+        for keyword in sorted(keywords)
+        if keyword not in inspect.signature(getattr(importlib.import_module(modules[name]), name)).parameters
+    ]
+    assert unknown == []
 
 
 def test_every_attribute_path_resolves():
