@@ -43,9 +43,6 @@ GAUSS_SIGMA = 3.0
 
 ROI_CLOSE_BOX = 21
 ROI_SIGMA_FACTOR = 3.0
-# Bytes per strip of a closing pass: 128 rows of a 640-wide float64 frame, faster there than 32, 64 or
-# 256 rows.  A 480x640 frame of 8-bit codes fits in one strip.
-_STRIP_BYTES = 128 * 640 * 8
 
 
 def as_image(data) -> np.ndarray:
@@ -222,36 +219,49 @@ def convolve2d(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 
 
 def _blur_same(plane: np.ndarray, profile: np.ndarray) -> np.ndarray:
-    """Same-size separable convolution of a 2-D map with mirrored borders."""
+    """Same-size separable convolution of a 2-D map with mirrored borders.
+
+    Row tap j and column tap i are the shifts k + j and k + i * pitch of the padded
+    map flattened at row pitch ``pitch``, each one call over a contiguous span; the
+    sums that wrap past a row edge fall in the columns that the result cuts off."""
     radius = len(profile) // 2
     height, width = plane.shape
-    padded = np.pad(plane, radius, mode="symmetric")
-    rows = profile[0] * padded[:, :width]
+    padded = np.pad(plane, radius, mode="symmetric").ravel()
+    pitch = width + 2 * radius
+    n_rows = len(padded) - 2 * radius
+    rows = profile[0] * padded[:n_rows]
+    product = np.empty(n_rows)
     for j in range(1, len(profile)):
-        rows += profile[j] * padded[:, j : j + width]
-    out = profile[0] * rows[:height]
+        rows += np.multiply(profile[j], padded[j : j + n_rows], out=product)
+    out = np.empty((height, pitch))
+    n_out = (height - 1) * pitch + width
+    span, product = out.ravel()[:n_out], product[:n_out]
+    np.multiply(profile[0], rows[:n_out], out=span)
     for i in range(1, len(profile)):
-        out += profile[i] * rows[i : i + height]
-    return out
+        span += np.multiply(profile[i], rows[i * pitch : i * pitch + n_out], out=product)
+    return out[:, :width]
 
 
-def lowpass(img: np.ndarray) -> np.ndarray:
-    """Smooth with the fixed 13x13, sigma 3 Gaussian (mirrored borders)."""
-    img = np.asarray(img, dtype=np.float64)
+def _lowpass(img: np.ndarray) -> np.ndarray:
     if img.ndim != 2:
         raise ValueError("lowpass expects a 2-D image")
     if GAUSS_SIZE > min(img.shape):
         raise ValueError(f"kernel {GAUSS_SIZE}x{GAUSS_SIZE} larger than image {img.shape}")
     # gaussian_kernel is the outer product of this unit-sum profile with itself
     profile = gaussian_profile(GAUSS_SIZE, GAUSS_SIGMA)
-    # Keep the slice loop: it rounds alike at every pixel, so flat regions stay exactly tied for LBP's >=.
+    # Separable passes round alike at every pixel, so flat regions stay exactly tied for LBP's >=.
     return _blur_same(img, profile / profile.sum())
+
+
+def lowpass(img: np.ndarray) -> np.ndarray:
+    """Smooth with the fixed 13x13, sigma 3 Gaussian (mirrored borders)."""
+    return _lowpass(np.asarray(img, dtype=np.float64)).copy()
 
 
 def highpass(img: np.ndarray) -> np.ndarray:
     """Residual detail: the image minus its lowpass component."""
     img = np.asarray(img, dtype=np.float64)
-    return img - lowpass(img)
+    return img - _lowpass(img)
 
 
 # ---------------------------------------------------------------------------
@@ -259,38 +269,36 @@ def highpass(img: np.ndarray) -> np.ndarray:
 
 
 def _window_reduce(img: np.ndarray, box: int, reducer) -> np.ndarray:
-    """Reduce every box x box window of the mirror-extended image; return it transposed.
+    """Reduce every box x box window of the mirror-extended image.
 
     ``reducer`` is an exact binary ufunc (``np.maximum``, ``np.minimum``), so the
-    window splits into a run down each column, then along each row, and the image
-    can go through in strips of about ``_STRIP_BYTES``, each padded from its
-    neighbour rows and mirrored only at the image's top and bottom edges.  The
-    result keeps the input's dtype.
+    window splits into a run down each column, then along each row.  Both run
+    over the padded image flattened at row pitch ``pitch``: the column run steps
+    by ``pitch`` and the row run by 1.  Returns an (H, W) view of an (H, pitch)
+    array in the input's dtype.
     """
     radius = box // 2
-    rows = max(1, _STRIP_BYTES // (img.shape[1] * img.itemsize))
-    out = np.empty(img.shape[::-1], dtype=img.dtype)
-    for y0 in range(0, len(img), rows):
-        y1 = min(y0 + rows, len(img))
-        lo, hi = max(y0 - radius, 0), min(y1 + radius, len(img))
-        strip = np.pad(img[lo:hi], ((radius - (y0 - lo), radius - (hi - y1)), (radius, radius)), "symmetric")
-        out[:, y0:y1] = _running_reduce(np.ascontiguousarray(_running_reduce(strip, box, reducer).T), box, reducer)
-    return out
+    height, width = img.shape
+    pitch = width + 2 * radius
+    columns = _running_reduce(np.pad(img, radius, "symmetric").ravel(), box, reducer, pitch)
+    out = np.empty((height, pitch), dtype=img.dtype)
+    _running_reduce(columns, box, reducer, 1, out=out.ravel()[: len(columns) - 2 * radius])
+    return out[:, :width]
 
 
-def _running_reduce(a: np.ndarray, box: int, reducer) -> np.ndarray:
-    """Reduce each run of ``box`` consecutive rows of ``a``.
+def _running_reduce(a: np.ndarray, box: int, reducer, step: int, out=None) -> np.ndarray:
+    """Reduce each run of ``box`` elements ``step`` apart in the flat ``a``.
 
     The reduced span doubles (1, 2, 4, ...) while it fits in the box;
     one reduce of two overlapping spans then covers the box, so a box
     of side b costs about log2(b) elementwise passes.
     """
-    extent = a.shape[0] - box + 1
+    extent = len(a) - (box - 1) * step
     span = 1
     while 2 * span <= box:
-        a = reducer(a[:-span], a[span:])
+        a = reducer(a[: -span * step], a[span * step :])
         span *= 2
-    return reducer(a[:extent], a[box - span : box - span + extent])
+    return reducer(a[:extent], a[(box - span) * step :][:extent], out=out)
 
 
 def morph_close(img: np.ndarray, box: int) -> np.ndarray:
@@ -306,11 +314,10 @@ def morph_close(img: np.ndarray, box: int) -> np.ndarray:
         raise ValueError(f"box side must be odd and positive, got {box}")
     if box > min(img.shape):
         raise ValueError(f"box {box} larger than image {img.shape}")
-    return _close(img, box)
+    return np.ascontiguousarray(_close(img, box))
 
 
 def _close(img: np.ndarray, box: int) -> np.ndarray:
-    # each pass returns its result transposed, so the erosion hands back (H, W)
     return _window_reduce(_window_reduce(img, box, np.maximum), box, np.minimum)
 
 

@@ -74,22 +74,27 @@ def uniform_label(code: int) -> int:
 
 def lbp_map(img: np.ndarray) -> np.ndarray:
     """Codes for every interior pixel of an (..., H, W) image or stack of
-    images; output is (..., H-2, W-2) uint8."""
+    images; output is (..., H-2, W-2) uint8.  Neighbor (dy, dx) of center k
+    in the flattened stack is k + dy * W + dx, so each comparison is one call
+    over a contiguous span; codes that wrap past a row or view edge are cut off."""
     img = np.asarray(img, dtype=np.float64)
     if img.ndim < 2 or img.shape[-2] < 3 or img.shape[-1] < 3:
         raise ValueError(f"lbp_map needs at least a 3x3 image, got {img.shape}")
     height, width = img.shape[-2:]
-    center = img[..., 1:-1, 1:-1]
-    codes = np.zeros(center.shape, dtype=np.uint8)
-    ge = np.empty(center.shape, dtype=bool)
+    flat = img.reshape(-1)
+    codes = np.zeros(img.shape, dtype=np.uint8)
+    span = codes.reshape(-1)[: len(flat) - 2 * width - 2]
+    center = flat[width + 1 : width + 1 + len(span)]
+    ge = np.empty(len(span), dtype=bool)
     bits = ge.view(np.uint8)
     # Horner form: shift the code left, then OR in the next neighbor's bit,
     # so the first offset ends up the most significant.
     for dy, dx in _OFFSETS:
-        np.greater_equal(img[..., 1 + dy : height - 1 + dy, 1 + dx : width - 1 + dx], center, out=ge)
-        np.left_shift(codes, 1, out=codes)
-        np.bitwise_or(codes, bits, out=codes)
-    return codes
+        start = (1 + dy) * width + 1 + dx
+        np.greater_equal(flat[start : start + len(span)], center, out=ge)
+        np.left_shift(span, 1, out=span)
+        np.bitwise_or(span, bits, out=span)
+    return codes[..., : height - 2, : width - 2]
 
 
 @dataclass(frozen=True)

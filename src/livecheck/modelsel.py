@@ -415,7 +415,8 @@ def _run_extract(cfg, pre_images, ctx: StageContext):
 
 def _split_rows(rows: np.ndarray, groups: list[np.ndarray]) -> list[np.ndarray]:
     """Cut stacked ``rows`` back into pieces as long as ``groups``."""
-    return np.split(rows, np.cumsum([len(g) for g in groups])[:-1])
+    ends = np.cumsum([len(g) for g in groups])
+    return [rows[end - len(g) : end] for g, end in zip(groups, ends)]
 
 
 def _run_transform(cfg, bundle: _SplitRows, ctx: StageContext):

@@ -25,6 +25,13 @@ def run_python(*args: str, env: dict[str, str] | None = None, cwd: Path | None =
     )
 
 
+def layouts(img: np.ndarray) -> list[np.ndarray]:
+    """``img`` C-ordered, Fortran-ordered, and as every other column of a wider array."""
+    wide = np.zeros((*img.shape[:-1], 2 * img.shape[-1]), dtype=img.dtype)
+    wide[..., ::2] = img
+    return [img, np.asfortranarray(img), wide[..., ::2]]
+
+
 @pytest.fixture(autouse=True, scope="session")
 def _no_cache_dir():
     """A developer's ``LIVECHECK_CACHE_DIR`` must neither serve a test's

@@ -22,6 +22,7 @@ from livecheck.imageproc import (
     clahe,
     crop,
     extract_roi,
+    gaussian_profile,
     highpass,
     lowpass,
     morph_close,
@@ -63,6 +64,32 @@ def conv2d_same_reflect(img, kernel):
 def correlate2d_same_reflect(img, kernel):
     """Cross-correlation (no flip), same size, mirrored borders."""
     return conv2d_same_reflect(img, np.asarray(kernel)[::-1, ::-1])
+
+
+def blur_same_slices(plane, profile):
+    """Same-size separable convolution with mirrored borders, one 2-D
+    slice per tap: a row pass, then a column pass.
+
+    The package runs each tap as a shift of the flattened padded map; it
+    must give these bits, because every output gets the same products and
+    sums in the same order.
+    """
+    radius = len(profile) // 2
+    height, width = plane.shape
+    padded = np.pad(np.asarray(plane, dtype=np.float64), radius, mode="symmetric")
+    rows = profile[0] * padded[:, :width]
+    for j in range(1, len(profile)):
+        rows += profile[j] * padded[:, j : j + width]
+    out = profile[0] * rows[:height]
+    for i in range(1, len(profile)):
+        out += profile[i] * rows[i : i + height]
+    return out
+
+
+def lowpass_slices(img):
+    """``lowpass`` by ``blur_same_slices`` with the unit-sum 13-tap, sigma 3 profile."""
+    profile = gaussian_profile(13, 3.0)
+    return blur_same_slices(img, profile / profile.sum())
 
 
 def resize_bilinear_oracle(img, scale):
@@ -187,6 +214,18 @@ def lbp_code_oracle(img, row, col):
     for dy, dx in ring:
         code = (code << 1) | int(img[row + dy, col + dx] >= center)
     return code
+
+
+def lbp_map_oracle(img):
+    """``lbp_map`` of an (..., H, W) stack, one ``lbp_code_oracle`` per pixel."""
+    img = np.asarray(img, dtype=np.float64)
+    height, width = img.shape[-2:]
+    out = np.empty((*img.shape[:-2], height - 2, width - 2), dtype=np.uint8)
+    for index in np.ndindex(img.shape[:-2]):
+        for row in range(height - 2):
+            for col in range(width - 2):
+                out[index + (row, col)] = lbp_code_oracle(img[index], row + 1, col + 1)
+    return out
 
 
 def uniform_label_oracle(code):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from livecheck.imageproc import (
-    _STRIP_BYTES,
     RoiRect,
+    _blur_same,
+    _close,
     _closed_codes,
     as_image,
     clahe,
@@ -21,20 +22,18 @@ from livecheck.imageproc import (
     write_pgm,
 )
 
+from conftest import layouts
 from oracles import (
+    blur_same_slices,
     clahe_fancy_index,
     conv2d_same_reflect,
+    lowpass_slices,
     morph_close_oracle,
     morph_close_window_view,
     resize_bilinear_oracle,
     roi_box,
     roi_float64,
 )
-
-# Rows per closing strip of a 640-wide float64 image, and of 640-wide 8-bit codes.
-FLOAT_STRIP_ROWS = _STRIP_BYTES // (640 * 8)
-CODE_STRIP_ROWS = _STRIP_BYTES // 640
-
 
 def _finger_frame(height=480, width=640):
     """A sensor-sized frame: an off-center elliptical print of curved
@@ -249,6 +248,28 @@ class TestFiltering:
         flat = highpass(img)[:, : 40 - reach]
         assert np.unique(flat).size == 1
 
+    def test_blur_matches_slice_loop_on_small_sides(self, rng):
+        """Sides of 3 and 4, so the flat spans wrap past a row edge at almost
+        every output, with profiles up to 5 taps."""
+        for shape in ((3, 3), (3, 4), (4, 3), (4, 4)):
+            img = rng.uniform(0.0, 1.0, size=shape)
+            for taps in (1, 3, 5):
+                profile = rng.uniform(0.1, 1.0, size=taps)
+                for layout in layouts(img):
+                    np.testing.assert_array_equal(_blur_same(layout, profile), blur_same_slices(img, profile))
+
+    def test_lowpass_matches_slice_loop(self, rng):
+        """Bit for bit: 13-wide and 13-high images, a sensor-sized crop, a
+        constant and a tie-heavy image, each C-ordered, Fortran-ordered and sliced."""
+        images = [rng.uniform(0.0, 1.0, size=shape) for shape in ((13, 13), (13, 40), (40, 13), (331, 244))]
+        images += [np.full((20, 17), 0.6), np.round(rng.uniform(0.0, 1.0, size=(30, 29)) * 2) / 2]
+        for img in images:
+            want = lowpass_slices(img)
+            for layout in layouts(img):
+                for got, expected in ((lowpass(layout), want), (highpass(layout), img - want)):
+                    np.testing.assert_array_equal(got, expected)
+                    assert got.flags.c_contiguous and not np.shares_memory(got, layout)
+
     def test_lowpass_rejects_small_images(self):
         with pytest.raises(ValueError):
             lowpass(np.zeros((12, 40)))
@@ -267,21 +288,37 @@ class TestMorphology:
         np.testing.assert_array_equal(morph_close(frame, 21), morph_close_window_view(frame, 21))
 
     def test_strip_boundaries_match_window_view(self, rng):
-        """Heights around the strip size, boxes up to the short side, and
-        non-contiguous input all close exactly as the whole-frame windows.
-        The erosion's strips, sized by the height, split the taller cases too."""
-        rows = FLOAT_STRIP_ROWS
-        cases = [((height, 640), 21) for height in (rows - 1, rows, rows + 1, rows + 10, 2 * rows + 1)]
+        """Heights around powers of two, boxes up to the short side, and
+        non-contiguous input all close exactly as the whole-frame windows."""
+        cases = [((height, 640), 21) for height in (127, 128, 129, 138, 257)]
         cases += [((300, 21), 21), ((21, 300), 21), ((150, 40), 1), ((150, 40), 3)]
         for shape, box in cases:
             img = rng.uniform(0.0, 1.0, size=shape)
             out = morph_close(img, box)
             np.testing.assert_array_equal(out, morph_close_window_view(img, box))
             assert out.flags.c_contiguous and not np.shares_memory(out, img)
-        view = rng.uniform(0.0, 1.0, size=(640, rows + 12)).T
+        view = rng.uniform(0.0, 1.0, size=(640, 140)).T
         out = morph_close(view, 21)
         np.testing.assert_array_equal(out, morph_close_window_view(view, 21))
         assert out.flags.c_contiguous and not np.shares_memory(out, view)
+
+    def test_box_as_large_as_a_side(self, rng):
+        """A box that spans a side makes the flat runs wrap past every row
+        edge: float64 through ``morph_close`` and 8-bit codes through the
+        closing ``extract_roi`` runs, in every layout, with ties and constants."""
+        cases = [(shape, 3) for shape in ((3, 3), (3, 4), (4, 3), (4, 4))]
+        cases += [((5, 12), 5), ((12, 5), 5), ((21, 21), 21)]
+        for shape, box in cases:
+            for img in (rng.uniform(0.0, 1.0, size=shape), np.round(rng.uniform(0.0, 1.0, size=shape) * 2) / 2,
+                        np.full(shape, 0.4)):
+                want = morph_close_window_view(img, box)
+                codes = np.rint(img * 255.0).astype(np.uint8)
+                want_codes = morph_close_window_view(codes, box)
+                for layout, code_layout in zip(layouts(img), layouts(codes)):
+                    np.testing.assert_array_equal(morph_close(layout, box), want)
+                    closed = _close(code_layout, box)
+                    assert closed.dtype == np.uint8
+                    np.testing.assert_array_equal(closed, want_codes)
 
     def test_constant_unchanged(self):
         img = np.full((9, 9), 0.4)
@@ -374,9 +411,8 @@ class TestRoiCodes:
             self._assert_exact(ingest(write_pgm(img)))
 
     def test_eight_bit_strip_boundaries(self, rng):
-        """Heights around the float64 and the 8-bit strip sizes."""
-        for height in (FLOAT_STRIP_ROWS + 1, CODE_STRIP_ROWS - 1, CODE_STRIP_ROWS, CODE_STRIP_ROWS + 1,
-                       2 * CODE_STRIP_ROWS + 1):
+        """Heights around powers of two, up to frames taller than three sensors."""
+        for height in (129, 1023, 1024, 1025, 2049):
             self._assert_exact(ingest(write_pgm(rng.uniform(0.0, 1.0, size=(height, 640)))))
 
     def test_other_images_rounded_to_codes(self, rng):

@@ -15,7 +15,8 @@ from livecheck.lbp import (
     uniform_label,
 )
 
-from oracles import lbp_code_oracle, lbp_histogram_oracle, uniform_label_oracle
+from conftest import layouts
+from oracles import lbp_code_oracle, lbp_histogram_oracle, lbp_map_oracle, uniform_label_oracle
 
 
 class TestCodes:
@@ -158,6 +159,27 @@ class TestStacks:
             for blocks in ((1, 1), (2, 2)):
                 got = lbp_features(img, LbpConfig(variant=variant, blocks=blocks))
                 np.testing.assert_array_equal(got, lbp_histogram_oracle(img, variant, blocks))
+
+
+class TestFlatSpans:
+    """``lbp_map`` compares over spans of the flattened stack; the codes
+    that wrap past a row or view edge must never reach the output."""
+
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 4), (4, 3), (4, 4), (5, 13, 16), (2, 1, 3, 3)])
+    def test_matches_per_pixel_codes(self, rng, shape):
+        img = rng.uniform(0.0, 1.0, size=shape)
+        for values in (img, np.round(img * 2) / 2, np.full(shape, 0.5)):
+            codes = lbp_map(values)
+            np.testing.assert_array_equal(codes, lbp_map_oracle(values))
+            assert not np.shares_memory(codes, values)
+
+    def test_non_contiguous_input(self, rng):
+        """Fortran-ordered and sliced images and stacks."""
+        for shape in ((4, 3), (9, 11), (5, 13, 16)):
+            img = rng.uniform(0.0, 1.0, size=shape)
+            want = lbp_map_oracle(img)
+            for layout in layouts(img):
+                np.testing.assert_array_equal(lbp_map(layout), want)
 
 
 class TestMirror:
