@@ -13,11 +13,11 @@ import time
 from pathlib import Path
 
 from .config import ParsedConfig, parse_config_file
-from .dataset import load_dataset, load_images
+from .dataset import DatasetManifest, load_dataset, load_images
 from .imageproc import ingest
 from .model_io import load_model, save_model
 from .modelsel import GridSearchResult, ace, grid_search
-from .pipeline import PipelineConfig, fit_pipeline
+from .pipeline import PipelineConfig, _memo_scope, fit_pipeline
 
 _LABEL_NAMES = {True: "live", False: "fake"}
 
@@ -26,11 +26,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        with _memo_scope():  # a grid search's refit reuses the search's rows
+            return args.handler(args)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -67,11 +65,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_data(data_dir: str):
+def _load_data(data_dir: str) -> DatasetManifest:
     manifest = load_dataset(data_dir, skip_unreadable=True)
     for rel, reason in manifest.skipped:
         print(f"warning: skipping {rel}: {reason}", file=sys.stderr)
-    return load_images(manifest)
+    return manifest
 
 
 def _table_lines(result: GridSearchResult, columns) -> list[str]:
@@ -113,7 +111,7 @@ def _fit_and_save(images, labels, config: PipelineConfig, out: str) -> None:
 
 def _cmd_train(args) -> int:
     parsed = parse_config_file(args.config)
-    images, labels = _load_data(args.data)
+    images, labels = load_images(_load_data(args.data))
     config = _select(parsed, images, labels) if parsed.is_grid else parsed.single_config()
     _fit_and_save(images, labels, config, args.out)
     return 0
@@ -121,7 +119,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_gridsearch(args) -> int:
     parsed = parse_config_file(args.config)
-    images, labels = _load_data(args.data)
+    images, labels = load_images(_load_data(args.data))
     config = _select(parsed, images, labels, args.report)
     if args.out:
         _fit_and_save(images, labels, config, args.out)
@@ -155,9 +153,14 @@ def _cmd_predict(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     model = load_model(args.model)
-    images, labels = _load_data(args.data)
-    predictions = [model.predict(img) for img in images]
-    report = ace(predictions, labels)
+    manifest = _load_data(args.data)
+    predictions = []
+    for (rel, _), img in zip(manifest.entries, manifest.images):
+        try:
+            predictions.append(model.predict(img))
+        except ValueError as exc:
+            raise ValueError(f"{rel}: {exc}") from exc
+    report = ace(predictions, manifest.labels())
     print(f"FPR {report.fpr * 100.0:.2f}%  ({report.live_wrong}/{report.live_total} live called fake)")
     print(f"FNR {report.fnr * 100.0:.2f}%  ({report.fake_wrong}/{report.fake_total} fake called live)")
     print(f"ACE {report.ace * 100.0:.2f}%")

@@ -10,12 +10,11 @@ package source, so no other data, seed or code version can reuse a
 result.
 
 Preprocessing and feature extraction do not depend on the split, so
-the default runners for those stages also share per-image results
-across the splits of one search: each image is preprocessed once per
-preprocessing config and extracted once per extractor.  Those results
-go into the search's stage memo, keyed by the stage, its config and
-the input image's identity, and are dropped when the search returns.
-The split then only chooses which rows train and which test.
+the default runners for those stages go through the per-image memo of
+``preprocess_images`` and ``feature_groups``: each image is
+preprocessed once per config and extracted once per extractor, and the
+split only chooses which rows train and which test.  The command line
+keeps that memo through the winner's refit.
 
 An optional on-disk cache makes stage results survive across runs.
 Only a search that uses the default runners goes to disk, so the
@@ -26,7 +25,6 @@ budget.
 
 from __future__ import annotations
 
-import contextvars
 import functools
 import hashlib
 import itertools
@@ -43,12 +41,11 @@ from .pipeline import (
     FAKE_LABEL,
     LIVE_LABEL,
     TransformConfig,
-    check_feature_lengths,
+    _memo_scope,
     check_labels,
+    feature_groups,
     fit_transform,
-    image_features,
-    preprocess_image,
-    realize_extractor,
+    preprocess_images,
 )
 from .seeds import derive_seed
 from .svm import SvmParams, decision_scores, train_smo
@@ -368,43 +365,13 @@ class _SplitRows:
     test_groups: list[np.ndarray]  # per test image, one row per view
 
 
-# The running ``grid_search``'s stage memo, so every split after the
-# first finds each image's result there; no other call sees it.
-_SEARCH_MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
-    "livecheck_search_memo", default=None
-)
-
-
-def _per_image(tag: tuple, images: list, compute) -> list:
-    """``[compute(img) for img in images]``, reusing results from the
-    running search's memo under ``tag`` and each image's identity.  An
-    entry holds its image, so no id is reused while the search runs."""
-    memo = _SEARCH_MEMO.get()
-    if memo is None:
-        return [compute(img) for img in images]
-    out = []
-    for img in images:
-        key = (*tag, id(img))
-        if key not in memo:
-            memo[key] = (img, compute(img))
-        out.append(memo[key][1])
-    return out
-
-
 def _run_preprocess(cfg, upstream, ctx: StageContext):
-    return _per_image(
-        (STAGE_PREPROCESS, repr(cfg)), ctx.images, lambda img: preprocess_image(img, cfg)
-    )
+    return preprocess_images(ctx.images, cfg)
 
 
 def _run_extract(cfg, pre_images, ctx: StageContext):
-    extractor, banks = realize_extractor(cfg, ctx.root_seed)
     order = np.concatenate([ctx.train_idx, ctx.test_idx])
-    groups = check_feature_lengths(_per_image(
-        (STAGE_EXTRACT, repr(cfg), int(ctx.root_seed), bool(ctx.augmented)),
-        [pre_images[int(i)] for i in order],
-        lambda img: image_features(img, ctx.augmented, extractor, banks),
-    ))
+    groups = feature_groups([pre_images[int(i)] for i in order], ctx.augmented, cfg, ctx.root_seed)
     train = groups[: len(ctx.train_idx)]
     return _SplitRows(
         train=np.vstack(train),
@@ -457,12 +424,13 @@ def default_runners() -> dict:
 # Search engine
 
 
-def _tiebreak_key(result: CandidateResult, configs: tuple):
+def _tiebreak_key(result: CandidateResult, grid: GridSpec):
     # Prefer cheaper models on equal error: fewer components, then a
     # smaller soft margin, then the earliest candidate.
     pca_fraction = np.inf
     soft_margin = np.inf
-    for cfg in configs:
+    for stage, i in zip(grid.stages, result.indices):
+        cfg = stage.candidates[i]
         if isinstance(cfg, TransformConfig):
             pca_fraction = cfg.pca_fraction
         elif isinstance(cfg, SvmParams):
@@ -490,17 +458,18 @@ def grid_search(
 
     Stage outputs are cached by (stage config, upstream key, split, data),
     so shared prefixes are computed once.  The default preprocess and
-    extract runners also share each image's result across the splits
-    of this call, keyed by the image object; nothing they keep outlives
-    the call.  A custom preprocess runner that makes new arrays on every
-    split thus has them extracted once per split.  ``executions`` counts
-    runner calls and ``cache_hits`` the stage results reused, so neither
-    depends on that per-image sharing.
-    ``cache_dir`` (or the LIVECHECK_CACHE_DIR environment variable) adds
-    a persistent layer, used only when every stage runs its default
-    runner.  ``use_cache=False`` turns every layer off.  A candidate
-    that raises on any split is scored with ACE 1.0 and flagged rather
-    than aborting the search.  With caching on or off the returned
+    extract runners also share each image's result across the splits,
+    keyed by the image object, in the open memo scope, or in one of
+    their own that closes when the call returns.  A custom preprocess
+    runner that makes new arrays on every split thus has them extracted
+    once per split.  ``executions`` counts runner calls and
+    ``cache_hits`` the stage results reused, so neither depends on that
+    per-image sharing.  ``cache_dir`` (or the LIVECHECK_CACHE_DIR
+    environment variable) adds a persistent layer, used only when every
+    stage runs its default runner; a warm one runs no runner and leaves
+    the memo scope empty.  ``use_cache=False`` turns every layer off,
+    the memo included.  A candidate that raises on any split is scored
+    with ACE 1.0 and flagged rather than aborting the search.  With caching on or off the returned
     tables are identical.
 
     Custom ``runners`` may replace any stage; a runner takes
@@ -531,7 +500,7 @@ def grid_search(
             disk = DiskCache(cache_dir, DEFAULT_CACHE_BUDGET)
 
     root_key = _root_key(images, labels, augmented, seed)
-    memo: dict = {}  # stage results by key string, per-image ones by tuple
+    memo: dict = {}  # stage results by key
     executions = {stage.name: 0 for stage in grid.stages}
     hits = {stage.name: 0 for stage in grid.stages}
 
@@ -571,8 +540,7 @@ def grid_search(
     fold_tables: dict[tuple[int, ...], list[float]] = {c: [] for c in combos}
     failures: dict[tuple[int, ...], str] = {}
 
-    memo_token = _SEARCH_MEMO.set(memo if use_cache else None)
-    try:
+    with _memo_scope(use_cache):
         for split_index, (train_idx, test_idx) in enumerate(splits):
             ctx = StageContext(
                 images=images,
@@ -592,29 +560,19 @@ def grid_search(
                     failures.setdefault(combo, outcome.message)
                 else:
                     fold_tables[combo].append(ace(np.asarray(outcome), truth).ace)
-    finally:
-        _SEARCH_MEMO.reset(memo_token)
 
-    results = []
-    for combo in combos:
-        aces = tuple(fold_tables[combo])
-        results.append(
-            CandidateResult(
-                indices=combo,
-                fold_aces=aces,
-                mean_ace=float(np.mean(aces)),
-                failed=combo in failures,
-                message=failures.get(combo, ""),
-            )
+    results = [
+        CandidateResult(
+            indices=combo,
+            fold_aces=tuple(fold_tables[combo]),
+            mean_ace=float(np.mean(fold_tables[combo])),
+            failed=combo in failures,
+            message=failures.get(combo, ""),
         )
+        for combo in combos
+    ]
 
-    def sort_key(result: CandidateResult):
-        configs = tuple(
-            stage.candidates[i] for stage, i in zip(grid.stages, result.indices)
-        )
-        return _tiebreak_key(result, configs)
-
-    best = min(results, key=sort_key)
+    best = min(results, key=lambda result: _tiebreak_key(result, grid))
     return GridSearchResult(
         grid=grid,
         candidates=results,

@@ -9,6 +9,8 @@ SVM expansion.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 from dataclasses import dataclass, replace
 
@@ -180,20 +182,56 @@ def image_features(img: np.ndarray, augmented: bool, extractor, banks) -> np.nda
     )
 
 
-def check_feature_lengths(groups: list[np.ndarray]) -> list[np.ndarray]:
-    """Return the per-image feature matrices after checking that every
-    row has the same length, which for the convnet extractor means
-    equally sized inputs."""
+_MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar("livecheck_memo", default=None)
+
+
+@contextlib.contextmanager
+def _memo_scope(enabled: bool = True):
+    """Within the block, ``preprocess_images`` and ``feature_groups`` keep
+    each image's result until the outermost scope closes; an inner scope
+    joins it, and ``enabled=False`` turns the memo off."""
+    memo = _MEMO.get()
+    token = _MEMO.set(({} if memo is None else memo) if enabled else None)
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
+def _per_image(tag: tuple, images: list, compute) -> list:
+    """``[compute(img) for img in images]``, memoized under ``tag`` and the
+    image's id; an entry holds its image, so no id is reused meanwhile."""
+    memo = _MEMO.get()
+    if memo is None:
+        return [compute(img) for img in images]
+    out = []
+    for img in images:
+        key = (*tag, id(img))
+        if key not in memo:
+            memo[key] = (img, compute(img))
+        out.append(memo[key][1])
+    return out
+
+
+def preprocess_images(images: list, config: PreprocessConfig) -> list[np.ndarray]:
+    """``preprocess_image`` of every image."""
+    return _per_image(("preprocess", repr(config)), images, lambda img: preprocess_image(img, config))
+
+
+def feature_groups(images: list, augmented: bool, extractor, seed: int) -> list[np.ndarray]:
+    """One feature matrix per image (see ``image_features``) from
+    ``extractor`` realized with ``seed``; raises ``ValueError`` unless all
+    rows have one length, as the convnet's do for equally sized inputs."""
+    realized, banks = realize_extractor(extractor, seed)
+    groups = _per_image(
+        ("extract", repr(extractor), int(seed), bool(augmented)),
+        images,
+        lambda img: image_features(img, augmented, realized, banks),
+    )
     lengths = {group.shape[1] for group in groups}
     if len(lengths) > 1:
         raise ValueError(f"feature lengths differ across images: {sorted(lengths)}")
     return groups
-
-
-def feature_groups(images: list[np.ndarray], augmented: bool, extractor, banks) -> list[np.ndarray]:
-    """One feature matrix per image (see ``image_features``), all with
-    rows of one length."""
-    return check_feature_lengths([image_features(img, augmented, extractor, banks) for img in images])
 
 
 def fit_transform(X: np.ndarray, config: TransformConfig, seed: int):
@@ -262,13 +300,14 @@ def fit_pipeline(images: list[np.ndarray], labels: np.ndarray, config: PipelineC
     """Train the full pipeline on raw labeled images.
 
     All randomness (filter banks, PCA sketch) derives from
-    ``config.seed``.
+    ``config.seed``; inside a memo scope, rows a grid search made with
+    that seed are reused.
     """
     labels = check_labels(images, labels)
+    pre = preprocess_images(images, config.preprocess)
+    groups = feature_groups(pre, config.augmented, config.extractor, config.seed)
     extractor, banks = realize_extractor(config.extractor, config.seed)
     config = replace(config, extractor=extractor)
-    pre = [preprocess_image(img, config.preprocess) for img in images]
-    groups = feature_groups(pre, config.augmented, extractor, banks)
     standardizer, pca, Z = fit_transform(np.vstack(groups), config.transform, derive_seed(config.seed, "pca"))
     y = np.repeat(labels, [len(g) for g in groups])
     classifier, _ = train_smo(Z, y, config.classifier)

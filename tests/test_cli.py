@@ -1,13 +1,21 @@
 """End-to-end command line runs on small synthetic datasets."""
 
+import dataclasses
 import re
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from livecheck import modelsel
+from livecheck import lbp, modelsel, pipeline
 from livecheck.cli import main
-from livecheck.model_io import load_model
+from livecheck.config import parse_config, parse_config_file
+from livecheck.dataset import load_dataset, load_images
+from livecheck.imageproc import write_pgm
+from livecheck.model_io import load_model, model_bytes
+from livecheck.modelsel import grid_search
+from livecheck.pipeline import fit_pipeline
 from livecheck.synthdata import make_texture_dataset, write_dataset_tree
 
 SINGLE_CONFIG = """
@@ -32,6 +40,63 @@ pca_fraction = 0.4
 [classify]
 c = 0.5|5.0
 gamma = 0.5
+[search]
+seed = 21
+"""
+
+# perfbench's select grid with another seed: 2 LBP extractors x 2 soft margins, augmented.
+LBP_AUG_GRID = """
+[preprocess]
+filter = highpass
+[extract]
+method = lbp
+variant = uniform
+blocks = 1x1|2x2
+[transform]
+pca_fraction = 0.5
+[classify]
+c = 1|10
+gamma = 0.05
+[augment]
+enabled = true
+[search]
+seed = 21
+"""
+
+CONVNET_CONFIG = """
+[extract]
+method = convnet
+layers = 1
+filters = 4
+filter_sizes = 3
+pool_sizes = 2
+lcn_windows = 3
+[transform]
+pca_fraction = 0.5
+[classify]
+c = 1
+gamma = 0.05
+[search]
+seed = 21
+"""
+
+CONVNET_AUG_GRID = """
+[preprocess]
+filter = highpass
+[extract]
+method = convnet
+layers = 1
+filters = 4
+filter_sizes = 3
+pool_sizes = 2
+lcn_windows = 3
+[transform]
+pca_fraction = 0.5
+[classify]
+c = 1|10
+gamma = 0.05
+[augment]
+enabled = true
 [search]
 seed = 21
 """
@@ -183,6 +248,22 @@ class TestEvaluate:
         out = capsys.readouterr().out
         assert "ACE 0.00%" in out
 
+    def test_unscorable_image_named(self, tmp_path, data_dir, capsys):
+        """A convnet trained on 32x32 images cannot score a 20x20 one; the
+        error names the image by its path in the dataset."""
+        cfg = tmp_path / "convnet.ini"
+        cfg.write_text(CONVNET_CONFIG, encoding="utf-8")
+        model = tmp_path / "convnet.lvck"
+        assert main(["train", "--config", str(cfg), "--data", str(data_dir), "--out", str(model)]) == 0
+        small, _ = make_texture_dataset(1, size=20, seed=3)
+        (data_dir / "live" / "zz_small.pgm").write_bytes(write_pgm(small[0]))
+        capsys.readouterr()
+        code = main(["evaluate", "--model", str(model), "--data", str(data_dir)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: live/zz_small.pgm: expected 900 features, got 324\n"
+        assert captured.out == ""
+
 
 class TestGridSearch:
     def test_report_table_written(self, tmp_path, data_dir, capsys):
@@ -281,6 +362,84 @@ class TestTrainAndGridSearchAgree:
             digest,
         ]
         assert (tmp_path / "t.lvck").read_bytes() == (tmp_path / "g.lvck").read_bytes()
+
+
+def _refit_argv(command: str, config_text: str, data_dir, tmp_path) -> tuple[list[str], Path]:
+    """Arguments of a grid ``train`` or ``gridsearch --report --out`` run,
+    and the model path it writes."""
+    cfg, out = tmp_path / "grid.ini", tmp_path / f"{command}.lvck"
+    cfg.write_text(config_text, encoding="utf-8")
+    argv = [command, "--config", str(cfg), "--data", str(data_dir), "--out", str(out)]
+    if command == "gridsearch":
+        argv += ["--report", str(tmp_path / "report.tsv")]
+    return argv, out
+
+
+class TestRefitReusesSearch:
+    """The winner's refit finds every image the search preprocessed and
+    extracted, and saves the model ``fit_pipeline`` makes on its own."""
+
+    @pytest.mark.parametrize("command", ["gridsearch", "train"])
+    def test_one_label_map_per_image_and_extractor(self, tmp_path, data_dir, capsys, monkeypatch, command):
+        calls = []
+        monkeypatch.setattr(lbp, "lbp_map", _counted(calls, lbp.lbp_map))
+        argv, _ = _refit_argv(command, LBP_AUG_GRID, data_dir, tmp_path)
+        assert main(argv) == 0
+        assert len(calls) == 8 * 2  # eight images, two extractors, none for the refit
+
+    @pytest.mark.parametrize("grid", [LBP_AUG_GRID, CONVNET_AUG_GRID], ids=["lbp", "convnet"])
+    @pytest.mark.parametrize("command", ["gridsearch", "train"])
+    def test_model_equals_fit_outside_search(self, tmp_path, data_dir, capsys, monkeypatch, command, grid):
+        """The convnet's rows are reused only under the seed that drew its
+        banks; the refit's rows are those it would compute."""
+        calls = []
+        monkeypatch.setattr(pipeline, "image_features", _counted(calls, pipeline.image_features))
+        argv, out = _refit_argv(command, grid, data_dir, tmp_path)
+        assert main(argv) == 0
+        parsed = parse_config_file(argv[2])
+        assert len(calls) == 8 * len(parsed.grid_spec().stages[1].candidates)
+        images, labels = load_images(load_dataset(data_dir))
+        result = grid_search(images, labels, parsed.grid_spec(), parsed.seed, augmented=parsed.augmented)
+        model = fit_pipeline(images, labels, parsed.pipeline_config(*result.best_configs()))
+        assert out.read_bytes() == model_bytes(model)
+
+    def test_convnet_rows_keyed_by_seed(self, data_dir):
+        """Two fits in one scope with different seeds draw different banks,
+        so neither may read the other's rows."""
+        config = parse_config(CONVNET_CONFIG).single_config()
+        configs = [config, dataclasses.replace(config, seed=config.seed + 1)]
+        images, labels = load_images(load_dataset(data_dir))
+        alone = [model_bytes(fit_pipeline(images, labels, c)) for c in configs]
+        with pipeline._memo_scope():
+            shared = [model_bytes(fit_pipeline(images, labels, c)) for c in configs]
+        assert shared == alone
+        assert alone[0] != alone[1]
+
+    def test_memo_released_when_main_returns(self, tmp_path, data_dir, capsys, monkeypatch):
+        preprocessed = []
+        real = pipeline.preprocess_image
+
+        def recording(img, config):
+            out = real(img, config)
+            preprocessed.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(pipeline, "preprocess_image", recording)
+        argv, _ = _refit_argv("gridsearch", LBP_AUG_GRID, data_dir, tmp_path)
+        assert main(argv) == 0
+        assert len(preprocessed) == 8
+        assert [ref() for ref in preprocessed] == [None] * 8
+
+    def test_uncached_search_in_scope_recomputes_and_adds_nothing(self, data_dir, monkeypatch):
+        """4 candidates x 10 splits, each preprocessing all 8 images."""
+        calls = []
+        monkeypatch.setattr(pipeline, "preprocess_image", _counted(calls, pipeline.preprocess_image))
+        parsed = parse_config(LBP_AUG_GRID)
+        images, labels = load_images(load_dataset(data_dir))
+        with pipeline._memo_scope():
+            grid_search(images, labels, parsed.grid_spec(), parsed.seed, augmented=True, use_cache=False)
+            assert len(calls) == 4 * 10 * 8
+            assert pipeline._MEMO.get() == {}
 
 
 class TestDeterminism:

@@ -579,7 +579,7 @@ class TestPerImageMemo:
 
             return counting
 
-        monkeypatch.setattr(modelsel, "preprocess_image", count("preprocess", modelsel.preprocess_image))
+        monkeypatch.setattr(pipeline, "preprocess_image", count("preprocess", pipeline.preprocess_image))
         monkeypatch.setattr(
             pipeline, "lbp_window_features", count("lbp_calls", pipeline.lbp_window_features, "lbp")
         )
@@ -658,7 +658,7 @@ class TestPerImageMemo:
         assert len(seen) == 2 * len(splits)
         for (split_index, rows), shift in zip(seen, [0, 5] * len(splits)):
             train_idx, test_idx = splits[split_index]
-            expected = feature_groups([np.roll(img, shift, axis=1) for img in images], True, extractor, None)
+            expected = feature_groups([np.roll(img, shift, axis=1) for img in images], True, extractor, 0)
             np.testing.assert_array_equal(rows.train, np.vstack([expected[i] for i in train_idx]))
             np.testing.assert_array_equal(rows.train_y, np.repeat(labels[train_idx], 10))
             assert len(rows.test_groups) == len(test_idx)
