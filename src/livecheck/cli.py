@@ -87,7 +87,9 @@ def _table_lines(result: GridSearchResult, columns) -> list[str]:
 
 def _select(parsed: ParsedConfig, images, labels, report: str | None = None) -> PipelineConfig:
     """Grid-search the config, print the candidate table and the winner
-    (writing the TSV report first when asked), return the winner."""
+    (writing the TSV report first when asked), return the winner.
+    Raises ``ValueError`` after the table and report when every
+    candidate failed."""
     result = grid_search(images, labels, parsed.grid_spec(), parsed.seed, augmented=parsed.augmented)
     print("\n".join(_table_lines(result, [("mean_ace", lambda r: f"{r.mean_ace:.4f}")])))
     if report is not None:
@@ -98,8 +100,10 @@ def _select(parsed: ParsedConfig, images, labels, report: str | None = None) -> 
         Path(report).write_text("\n".join(lines) + "\n", encoding="utf-8")
         print(f"report written to {report}")
     best = next(r for r in result.candidates if r.indices == result.best_indices)
-    print(f"selected candidate {'/'.join(str(i) for i in best.indices)} "
-          f"with mean ACE {best.mean_ace:.4f}")
+    winner = "/".join(str(i) for i in best.indices)
+    if best.failed:  # a failed candidate wins only when every one failed
+        raise ValueError(f"every candidate failed; candidate {winner} failed with {best.message}")
+    print(f"selected candidate {winner} with mean ACE {best.mean_ace:.4f}")
     return parsed.pipeline_config(*result.best_configs())
 
 

@@ -1,13 +1,11 @@
-"""Evaluation metric, cross-validation splits, and cached grid search.
+"""Evaluation metric, cross-validation splits, and memoized grid search.
 
 Grid search walks the candidate pipelines stage by stage, calling each
-stage's runner once per split.  Every stage output is memoized under a
-key built from the stage configuration, the upstream result's key, and
-the split identity, so two candidates that share a prefix share its
-computation.  The split identity chains from a root key over the image
-content, the labels, the augmentation flag, the root seed and the
-package source, so no other data, seed or code version can reuse a
-result.
+stage's runner once per split.  Within one call every stage output is
+memoized under a key made of the split index and the configs of the
+stage and of every stage before it, so two candidates that share a
+prefix share its computation.  That memo is dropped when the call
+returns.
 
 Preprocessing and feature extraction do not depend on the split, so
 the default runners for those stages go through the per-image memo of
@@ -15,25 +13,12 @@ the default runners for those stages go through the per-image memo of
 preprocessed once per config and extracted once per extractor, and the
 split only chooses which rows train and which test.  The command line
 keeps that memo through the winner's refit.
-
-An optional on-disk cache makes stage results survive across runs.
-Only a search that uses the default runners goes to disk, so the
-package source digest covers every runner whose results are stored.
-Entries are evicted oldest-first once the directory exceeds its byte
-budget.
 """
 
 from __future__ import annotations
 
-import functools
-import hashlib
 import itertools
-import math
-import os
-import pickle
-import tempfile
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -61,11 +46,7 @@ __all__ = [
     "GridSearchResult",
     "grid_search",
     "default_runners",
-    "CACHE_ENV_VAR",
 ]
-
-CACHE_ENV_VAR = "LIVECHECK_CACHE_DIR"
-DEFAULT_CACHE_BUDGET = 1 << 30  # one GiB
 
 STAGE_PREPROCESS = "preprocess"
 STAGE_EXTRACT = "extract"
@@ -221,125 +202,6 @@ class GridSearchResult:
 
 
 # ---------------------------------------------------------------------------
-# Cache plumbing
-
-
-@dataclass
-class _Failure:
-    message: str
-
-
-@functools.cache
-def _code_version() -> str:
-    """Digest of the package source, so edited code never reuses results."""
-    h = hashlib.sha256()
-    for path in sorted(Path(__file__).parent.glob("*.py")):
-        h.update(path.name.encode("utf-8") + b"\0" + path.read_bytes())
-    return h.hexdigest()
-
-
-def _content_digest(img) -> bytes:
-    """SHA-256 of an array's shape, dtype and bytes."""
-    arr = np.ascontiguousarray(img)
-    h = hashlib.sha256(repr((arr.shape, arr.dtype.str)).encode("utf-8"))
-    h.update(arr.tobytes())
-    return h.digest()
-
-
-def _root_key(images: list, labels: np.ndarray, augmented: bool, seed: int) -> str:
-    h = hashlib.sha256()
-    h.update(repr((_code_version(), bool(augmented), int(seed))).encode("utf-8"))
-    h.update(np.asarray(labels, dtype=np.float64).tobytes())
-    for img in images:
-        h.update(_content_digest(img))
-    return h.hexdigest()
-
-
-def _split_identity(root_key: str, split_index: int, train_idx: np.ndarray, test_idx: np.ndarray) -> str:
-    h = hashlib.sha256()
-    h.update(root_key.encode())
-    h.update(str(split_index).encode())
-    h.update(np.asarray(train_idx, dtype=np.int64).tobytes())
-    h.update(np.asarray(test_idx, dtype=np.int64).tobytes())
-    return h.hexdigest()
-
-
-def _stage_key(stage_name: str, cfg, upstream_key: str) -> str:
-    # A config's repr is canonical: frozen dataclasses of plain values.
-    material = "\x1f".join((stage_name, repr(cfg), upstream_key))
-    return hashlib.sha256(material.encode("utf-8")).hexdigest()
-
-
-class DiskCache:
-    """Pickle files under one directory with LRU eviction by mtime.
-
-    Writes keep a running byte total, so the directory is scanned, and
-    its oldest entries removed, only on the first write and when the
-    total passes the budget; another search's writes and removals count
-    from the next scan on.
-
-    Loading an entry unpickles it, so only point this at a directory no
-    one untrusted can write to.
-    """
-
-    def __init__(self, root: str | Path, budget_bytes: int = DEFAULT_CACHE_BUDGET):
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.budget = int(budget_bytes)
-        self._bytes = math.inf  # unknown until the first write scans
-
-    def _path(self, key: str) -> Path:
-        return self.root / f"{key}.pkl"
-
-    def get(self, key: str):
-        path = self._path(key)
-        try:
-            with open(path, "rb") as fh:
-                value = pickle.load(fh)
-        except Exception:
-            return None  # treat missing or unreadable entries as misses
-        try:
-            os.utime(path)
-        except FileNotFoundError:
-            pass  # evicted by a concurrent search since it was read
-        return value
-
-    def put(self, key: str, value) -> None:
-        # Write a temporary file and rename it into place, so a reader
-        # never sees a half-written entry.
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                pickle.dump(value, fh, protocol=pickle.HIGHEST_PROTOCOL)
-                size = fh.tell()
-            os.replace(tmp, self._path(key))
-        except BaseException:
-            Path(tmp).unlink(missing_ok=True)
-            raise
-        self._bytes += size
-        if self._bytes > self.budget:
-            self._bytes = self._evict()
-
-    def _evict(self) -> int:
-        """Remove the oldest entries until the directory fits the budget;
-        returns the bytes left."""
-        entries = []
-        for path in self.root.glob("*.pkl"):
-            try:
-                st = path.stat()
-            except FileNotFoundError:
-                continue  # removed by a concurrent search
-            entries.append((st.st_mtime, st.st_size, path))
-        total = sum(size for _, size, _ in entries)
-        for _, size, path in sorted(entries):
-            if total <= self.budget:
-                break
-            path.unlink(missing_ok=True)
-            total -= size
-        return total
-
-
-# ---------------------------------------------------------------------------
 # Default stage runners
 
 
@@ -424,9 +286,15 @@ def default_runners() -> dict:
 # Search engine
 
 
+@dataclass
+class _Failure:
+    message: str
+
+
 def _tiebreak_key(result: CandidateResult, grid: GridSpec):
-    # Prefer cheaper models on equal error: fewer components, then a
-    # smaller soft margin, then the earliest candidate.
+    # A failed candidate never wins.  Prefer cheaper models on equal
+    # error: fewer components, then a smaller soft margin, then the
+    # earliest candidate.
     pca_fraction = np.inf
     soft_margin = np.inf
     for stage, i in zip(grid.stages, result.indices):
@@ -435,7 +303,7 @@ def _tiebreak_key(result: CandidateResult, grid: GridSpec):
             pca_fraction = cfg.pca_fraction
         elif isinstance(cfg, SvmParams):
             soft_margin = cfg.C
-    return (result.mean_ace, pca_fraction, soft_margin, result.indices)
+    return (result.failed, result.mean_ace, pca_fraction, soft_margin, result.indices)
 
 
 def grid_search(
@@ -448,7 +316,6 @@ def grid_search(
     splits: list[tuple[np.ndarray, np.ndarray]] | None = None,
     runners: dict | None = None,
     use_cache: bool = True,
-    cache_dir: str | Path | None = None,
 ) -> GridSearchResult:
     """Score every stage combination with 5x2 cross-validation.
 
@@ -456,20 +323,19 @@ def grid_search(
     must be +1 or -1; otherwise ``ValueError`` is raised before any
     stage runs.
 
-    Stage outputs are cached by (stage config, upstream key, split, data),
-    so shared prefixes are computed once.  The default preprocess and
-    extract runners also share each image's result across the splits,
-    keyed by the image object, in the open memo scope, or in one of
-    their own that closes when the call returns.  A custom preprocess
-    runner that makes new arrays on every split thus has them extracted
-    once per split.  ``executions`` counts runner calls and
-    ``cache_hits`` the stage results reused, so neither depends on that
-    per-image sharing.  ``cache_dir`` (or the LIVECHECK_CACHE_DIR
-    environment variable) adds a persistent layer, used only when every
-    stage runs its default runner; a warm one runs no runner and leaves
-    the memo scope empty.  ``use_cache=False`` turns every layer off,
-    the memo included.  A candidate that raises on any split is scored
-    with ACE 1.0 and flagged rather than aborting the search.  With caching on or off the returned
+    Stage outputs are memoized for the length of the call, keyed by the
+    split and the ``repr`` of every config up to and including the
+    stage, so shared prefixes, and equal candidates, are computed once.
+    The default preprocess and extract runners also share each image's
+    result across the splits, keyed by the image object, in the open
+    memo scope, or in one of their own that closes when the call
+    returns.  A custom preprocess runner that makes new arrays on every
+    split thus has them extracted once per split.  ``executions`` counts
+    runner calls and ``cache_hits`` the stage results reused, so neither
+    depends on that per-image sharing.  ``use_cache=False`` turns both
+    memos off.  A candidate that raises on any split is scored with ACE
+    1.0 and flagged rather than aborting the search, and never wins
+    over one that did not fail.  With caching on or off the returned
     tables are identical.
 
     Custom ``runners`` may replace any stage; a runner takes
@@ -477,63 +343,42 @@ def grid_search(
     return +1/-1 predictions for the test fold.  Runners must not modify
     their upstream value in place, since cached values are shared.  A
     runner may read the split from the context: its output is never
-    shared with another split.  A search with any custom runner is
-    memoized within this call only.
+    shared with another split.
     """
     labels = check_labels(images, labels)
     if splits is None:
         splits = five_by_two_splits(labels, derive_seed(seed, "cv"))
-    defaults = default_runners()
     if runners is None:
-        runners = defaults
+        runners = default_runners()
     for stage in grid.stages:
         if stage.name not in runners:
             raise ValueError(f"no runner for stage {stage.name!r}")
 
-    # Keys do not name runners: the code version in the root key covers
-    # the default runners, the only ones whose results go to disk.
-    disk = None
-    if use_cache and all(runners[s.name] is defaults.get(s.name) for s in grid.stages):
-        if cache_dir is None:
-            cache_dir = os.environ.get(CACHE_ENV_VAR) or None
-        if cache_dir is not None:
-            disk = DiskCache(cache_dir, DEFAULT_CACHE_BUDGET)
-
-    root_key = _root_key(images, labels, augmented, seed)
     memo: dict = {}  # stage results by key
     executions = {stage.name: 0 for stage in grid.stages}
     hits = {stage.name: 0 for stage in grid.stages}
 
-    def run_chain(combo: tuple[int, ...], ctx: StageContext, split_id: str):
+    def run_chain(combo: tuple[int, ...], ctx: StageContext):
         value = None
-        upstream_key = split_id
+        key: tuple = (ctx.split_index,)
         for stage, choice in zip(grid.stages, combo):
             cfg = stage.candidates[choice]
-            key = _stage_key(stage.name, cfg, upstream_key)
-            upstream_key = key
+            # A config's repr is canonical: frozen dataclasses of plain
+            # values.  Equal candidates share a key, and a candidate that
+            # cannot be hashed still gets one.
+            key += (repr(cfg),)
             if use_cache and key in memo:
                 hits[stage.name] += 1
                 value = memo[key]
                 continue
-            if disk is not None:
-                cached = disk.get(key)
-                if cached is not None:
-                    hits[stage.name] += 1
-                    memo[key] = cached
-                    value = cached
-                    continue
-            if isinstance(value, _Failure):
-                memo[key] = value  # propagate without executing downstream
-                continue
-            try:
-                value = runners[stage.name](cfg, value, ctx)
-                executions[stage.name] += 1
-            except Exception as exc:  # scored, flagged, never fatal
-                value = _Failure(f"{type(exc).__name__}: {exc}")
+            if not isinstance(value, _Failure):  # a failure propagates without executing downstream
+                try:
+                    value = runners[stage.name](cfg, value, ctx)
+                    executions[stage.name] += 1
+                except Exception as exc:  # scored, flagged, never fatal
+                    value = _Failure(f"{type(exc).__name__}: {exc}")
             if use_cache:
                 memo[key] = value
-            if disk is not None and not isinstance(value, _Failure):
-                disk.put(key, value)
         return value
 
     combos = list(itertools.product(*[range(len(s.candidates)) for s in grid.stages]))
@@ -551,10 +396,9 @@ def grid_search(
                 root_seed=seed,
                 augmented=augmented,
             )
-            split_id = _split_identity(root_key, split_index, ctx.train_idx, ctx.test_idx)
             truth = labels[ctx.test_idx]
             for combo in combos:
-                outcome = run_chain(combo, ctx, split_id)
+                outcome = run_chain(combo, ctx)
                 if isinstance(outcome, _Failure):
                     fold_tables[combo].append(1.0)
                     failures.setdefault(combo, outcome.message)

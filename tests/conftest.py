@@ -15,9 +15,8 @@ def run_python(*args: str, env: dict[str, str] | None = None, cwd: Path | None =
                timeout: float = 300) -> subprocess.CompletedProcess:
     """Run ``python *args`` in a child process against the package in src/.
 
-    The child gets ``PYTHONPATH=src`` and the test's environment, which
-    ``_no_cache_dir`` has cleared of ``LIVECHECK_CACHE_DIR``; ``env`` adds
-    variables.
+    The child gets ``PYTHONPATH=src`` and the test's environment; ``env``
+    adds variables.
     """
     child_env = {**os.environ, **(env or {}), "PYTHONPATH": str(REPO / "src")}
     return subprocess.run(
@@ -30,16 +29,6 @@ def layouts(img: np.ndarray) -> list[np.ndarray]:
     wide = np.zeros((*img.shape[:-1], 2 * img.shape[-1]), dtype=img.dtype)
     wide[..., ::2] = img
     return [img, np.asfortranarray(img), wide[..., ::2]]
-
-
-@pytest.fixture(autouse=True, scope="session")
-def _no_cache_dir():
-    """A developer's ``LIVECHECK_CACHE_DIR`` must neither serve a test's
-    searches nor receive their results; a test that needs it sets it.
-    Session scope clears it before any module fixture searches."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.delenv("LIVECHECK_CACHE_DIR", raising=False)
-        yield
 
 
 @pytest.fixture

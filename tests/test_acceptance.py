@@ -330,8 +330,7 @@ def test_06_ace_arithmetic():
              f"perfect={perfect}, inverted={inverted}, half-fake={half_fake.ace} (exact)")
 
 
-def test_07_grid_search_caching(monkeypatch):
-    monkeypatch.delenv("LIVECHECK_CACHE_DIR", raising=False)
+def test_07_grid_search_caching():
     images, labels = make_texture_dataset(6, size=16, seed=41)
     train = np.array([0, 1, 2, 6, 7, 8])
     test = np.array([3, 4, 5, 9, 10, 11])

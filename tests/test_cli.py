@@ -299,6 +299,26 @@ class TestGridSearch:
         loaded = load_model(out)
         assert loaded.classifier.support_vectors.shape[0] >= 1
 
+    def test_every_candidate_failing_exits_two(self, tmp_path, data_dir, capsys):
+        """Blocks finer than the 32x32 images fail every candidate: the
+        table and report are still written, then the command fails."""
+        cfg = tmp_path / "grid.ini"
+        cfg.write_text(GRID_CONFIG.replace("variant = uniform", "variant = uniform\nblocks = 40x40"), encoding="utf-8")
+        report, out = tmp_path / "report.tsv", tmp_path / "winner.lvck"
+        code = main(
+            ["gridsearch", "--config", str(cfg), "--data", str(data_dir), "--report", str(report), "--out", str(out)]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "selected candidate" not in captured.out
+        assert captured.err == (
+            "error: every candidate failed; candidate 0/0/0/0 failed with "
+            "ValueError: block grid of 40 is too fine for extent 30\n"
+        )
+        rows = report.read_text(encoding="utf-8").splitlines()[1:]
+        assert len(rows) == 2 and all("\tfailed: ValueError: block grid" in row for row in rows)
+        assert not out.exists()
+
 
 def _counted(calls: list, run):
     def counting(*args):
@@ -308,13 +328,12 @@ def _counted(calls: list, run):
     return counting
 
 
-class TestDiskCache:
-    def test_warm_directory_reproduces_an_uncached_run(self, tmp_path, data_dir, capsys, monkeypatch):
+class TestCacheDirIgnored:
+    def test_variable_changes_nothing(self, tmp_path, data_dir, capsys, monkeypatch):
         """With LIVECHECK_CACHE_DIR set, ``gridsearch --report --out`` prints,
-        reports and saves the bytes of an uncached run, and a second run
-        calls no stage runner."""
+        reports and saves the bytes of a run without it, runs every stage
+        runner each time, and leaves the directory empty."""
         calls = []
-        # default_runners() returns these wrappers, so the disk stays on.
         for name in ("_run_preprocess", "_run_extract", "_run_transform", "_run_classify"):
             monkeypatch.setattr(modelsel, name, _counted(calls, getattr(modelsel, name)))
         cfg = tmp_path / "grid.ini"
@@ -327,14 +346,11 @@ class TestDiskCache:
             assert main(argv) == 0
             return capsys.readouterr().out, report.read_bytes(), out.read_bytes(), len(calls)
 
-        *uncached, uncached_calls = run()
+        without = run()
         monkeypatch.setenv("LIVECHECK_CACHE_DIR", str(tmp_path / "cache"))
-        *cold, cold_calls = run()
-        *warm, warm_calls = run()
-        assert cold == warm == uncached
-        assert cold_calls == uncached_calls == 10 + 10 + 10 + 20  # ten splits, two SVMs
-        assert warm_calls == 0
-        assert len(list((tmp_path / "cache").glob("*.pkl"))) == cold_calls
+        assert run() == run() == without
+        assert without[-1] == 10 + 10 + 10 + 20  # ten splits, two SVMs
+        assert list((tmp_path / "cache").glob("*")) == []
 
 
 class TestTrainAndGridSearchAgree:

@@ -7,9 +7,10 @@ from pathlib import Path
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "livecheck").glob("*.py"))
 
 
-def test_only_numpy_and_standard_library():
+def _absolute_imports() -> list[tuple[str, str]]:
+    """(file name, top-level module) for every absolute import in the package."""
     assert SOURCES
-    outside = []
+    found = []
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
@@ -18,7 +19,17 @@ def test_only_numpy_and_standard_library():
                 roots = [node.module.split(".")[0]]
             else:
                 continue
-            outside += [
-                (path.name, root) for root in roots if root != "numpy" and root not in sys.stdlib_module_names
-            ]
+            found += [(path.name, root) for root in roots]
+    return found
+
+
+def test_only_numpy_and_standard_library():
+    outside = [
+        (name, root) for name, root in _absolute_imports() if root != "numpy" and root not in sys.stdlib_module_names
+    ]
     assert outside == []
+
+
+def test_nothing_imports_pickle():
+    """Loading a pickle can run code, so the package never loads one."""
+    assert [name for name, root in _absolute_imports() if root == "pickle"] == []
