@@ -17,9 +17,7 @@ from .dataset import DatasetManifest, load_dataset, load_images
 from .imageproc import ingest
 from .model_io import load_model, save_model
 from .modelsel import GridSearchResult, ace, grid_search
-from .pipeline import PipelineConfig, _memo_scope, fit_pipeline
-
-_LABEL_NAMES = {True: "live", False: "fake"}
+from .pipeline import LIVE_LABEL, PipelineConfig, _memo_scope, fit_pipeline, margin_labels
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -99,12 +97,10 @@ def _select(parsed: ParsedConfig, images, labels, report: str | None = None) -> 
         ])
         Path(report).write_text("\n".join(lines) + "\n", encoding="utf-8")
         print(f"report written to {report}")
+    configs = result.best_configs()
     best = next(r for r in result.candidates if r.indices == result.best_indices)
-    winner = "/".join(str(i) for i in best.indices)
-    if best.failed:  # a failed candidate wins only when every one failed
-        raise ValueError(f"every candidate failed; candidate {winner} failed with {best.message}")
-    print(f"selected candidate {winner} with mean ACE {best.mean_ace:.4f}")
-    return parsed.pipeline_config(*result.best_configs())
+    print(f"selected candidate {'/'.join(str(i) for i in best.indices)} with mean ACE {best.mean_ace:.4f}")
+    return parsed.pipeline_config(*configs)
 
 
 def _fit_and_save(images, labels, config: PipelineConfig, out: str) -> None:
@@ -145,7 +141,7 @@ def _cmd_predict(args) -> int:
             continue
         elapsed = time.perf_counter() - started
         timings.append(elapsed)
-        label = _LABEL_NAMES[score >= 0.0]
+        label = "live" if margin_labels(score) == LIVE_LABEL else "fake"
         print(f"{image_path}\t{score:+.6f}\t{label}")
         if args.timing:
             print(f"# timing {image_path}: {elapsed * 1000.0:.1f} ms", file=sys.stderr)

@@ -1,11 +1,8 @@
 """Evaluation metric, cross-validation splits, and memoized grid search.
 
 Grid search walks the candidate pipelines stage by stage, calling each
-stage's runner once per split.  Within one call every stage output is
-memoized under a key made of the split index and the configs of the
-stage and of every stage before it, so two candidates that share a
-prefix share its computation.  That memo is dropped when the call
-returns.
+stage's runner once per split; within a split, candidates that share a
+prefix of stage configs share its computation (see ``grid_search``).
 
 Preprocessing and feature extraction do not depend on the split, so
 the default runners for those stages go through the per-image memo of
@@ -30,11 +27,13 @@ from .pipeline import (
     check_labels,
     feature_groups,
     fit_transform,
+    group_margins,
+    margin_labels,
     preprocess_images,
+    project_groups,
 )
 from .seeds import derive_seed
-from .svm import SvmParams, decision_scores, train_smo
-from .transform import project
+from .svm import SvmParams, train_smo
 
 __all__ = [
     "EvalReport",
@@ -196,6 +195,12 @@ class GridSearchResult:
     cache_hits: dict[str, int] = field(default_factory=dict)
 
     def best_configs(self) -> tuple:
+        """The winner's config for each stage.  Raises ``ValueError`` when
+        the winner failed, which happens only when every candidate did."""
+        best = next(r for r in self.candidates if r.indices == self.best_indices)
+        if best.failed:
+            winner = "/".join(str(i) for i in best.indices)
+            raise ValueError(f"every candidate failed; candidate {winner} failed with {best.message}")
         return tuple(
             stage.candidates[i] for stage, i in zip(self.grid.stages, self.best_indices)
         )
@@ -242,35 +247,16 @@ def _run_extract(cfg, pre_images, ctx: StageContext):
     )
 
 
-def _split_rows(rows: np.ndarray, groups: list[np.ndarray]) -> list[np.ndarray]:
-    """Cut stacked ``rows`` back into pieces as long as ``groups``."""
-    ends = np.cumsum([len(g) for g in groups])
-    return [rows[end - len(g) : end] for g, end in zip(groups, ends)]
-
-
 def _run_transform(cfg, bundle: _SplitRows, ctx: StageContext):
     standardizer, pca, train_Z = fit_transform(
         bundle.train, cfg, derive_seed(ctx.root_seed, "pca", ctx.split_index)
     )
-    # One call for the whole test fold: a row projects to the same bits
-    # alone or in a batch.
-    test_Z = project(pca, standardizer.apply(np.vstack(bundle.test_groups)))
-    return _SplitRows(
-        train=train_Z,
-        train_y=bundle.train_y,
-        test_groups=_split_rows(test_Z, bundle.test_groups),
-    )
+    return _SplitRows(train_Z, bundle.train_y, project_groups(standardizer, pca, bundle.test_groups))
 
 
 def _run_classify(cfg, bundle: _SplitRows, ctx: StageContext):
     model, _ = train_smo(bundle.train, bundle.train_y, cfg)
-    # One call for the whole test fold: a row scores the same bits alone
-    # or in a batch, so each image's mean is that of its own call.
-    scores = decision_scores(model, np.vstack(bundle.test_groups))
-    return np.array([
-        LIVE_LABEL if float(part.mean()) >= 0.0 else FAKE_LABEL
-        for part in _split_rows(scores, bundle.test_groups)
-    ])
+    return margin_labels(group_margins(model, bundle.test_groups))
 
 
 def default_runners() -> dict:
@@ -323,9 +309,9 @@ def grid_search(
     must be +1 or -1; otherwise ``ValueError`` is raised before any
     stage runs.
 
-    Stage outputs are memoized for the length of the call, keyed by the
-    split and the ``repr`` of every config up to and including the
-    stage, so shared prefixes, and equal candidates, are computed once.
+    Stage outputs are memoized for one split at a time, keyed by the
+    ``repr`` of every config up to and including the stage, so shared
+    prefixes, and equal candidates, are computed once per split.
     The default preprocess and extract runners also share each image's
     result across the splits, keyed by the image object, in the open
     memo scope, or in one of their own that closes when the call
@@ -342,8 +328,7 @@ def grid_search(
     (config, upstream_value, StageContext) and the last stage must
     return +1/-1 predictions for the test fold.  Runners must not modify
     their upstream value in place, since cached values are shared.  A
-    runner may read the split from the context: its output is never
-    shared with another split.
+    runner may read the split from the context.
     """
     labels = check_labels(images, labels)
     if splits is None:
@@ -354,13 +339,13 @@ def grid_search(
         if stage.name not in runners:
             raise ValueError(f"no runner for stage {stage.name!r}")
 
-    memo: dict = {}  # stage results by key
+    memo: dict = {}  # the current split's stage results by key
     executions = {stage.name: 0 for stage in grid.stages}
     hits = {stage.name: 0 for stage in grid.stages}
 
     def run_chain(combo: tuple[int, ...], ctx: StageContext):
         value = None
-        key: tuple = (ctx.split_index,)
+        key: tuple = ()
         for stage, choice in zip(grid.stages, combo):
             cfg = stage.candidates[choice]
             # A config's repr is canonical: frozen dataclasses of plain
@@ -387,6 +372,7 @@ def grid_search(
 
     with _memo_scope(use_cache):
         for split_index, (train_idx, test_idx) in enumerate(splits):
+            memo.clear()
             ctx = StageContext(
                 images=images,
                 labels=labels,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -244,45 +245,61 @@ def fit_transform(X: np.ndarray, config: TransformConfig, seed: int):
     return standardizer, pca, project(pca, Xs)
 
 
+def _split_rows(rows: np.ndarray, groups: list[np.ndarray]) -> list[np.ndarray]:
+    """Cut stacked ``rows`` back into pieces as long as ``groups``."""
+    ends = itertools.accumulate(len(g) for g in groups)
+    return [rows[end - len(g) : end] for g, end in zip(groups, ends)]
+
+
+def project_groups(standardizer: Standardizer, pca: PcaModel, groups: list[np.ndarray]) -> list[np.ndarray]:
+    """Standardized, projected rows of each image's row group, from one
+    call on all rows; a lone group, as ``decision_score`` passes, is not
+    copied.  This and ``group_margins`` serve a deployed model and a grid
+    search's test fold alike.  Each stage gives a row the bits it would
+    get alone, so an image's margin is the same scored alone or within a
+    fold, and equals the mean of its views scored one at a time.
+    """
+    rows = np.concatenate(groups) if len(groups) > 1 else groups[0]
+    return _split_rows(project(pca, standardizer.apply(rows)), groups)
+
+
+def group_margins(classifier: SvmModel, groups: list[np.ndarray]) -> np.ndarray:
+    """Each group's mean margin, from one ``decision_scores`` call."""
+    rows = np.concatenate(groups) if len(groups) > 1 else groups[0]
+    scores = decision_scores(classifier, rows)
+    return np.array([part.mean() for part in _split_rows(scores, groups)])
+
+
+def margin_labels(margins) -> np.ndarray:
+    """+1 (live) where a margin is at least 0, else -1 (fake)."""
+    return np.where(margins >= 0.0, LIVE_LABEL, FAKE_LABEL)
+
+
+@dataclass(eq=False)
 class TrainedPipeline:
     """A fully fitted pipeline ready to score raw [0, 1] images."""
 
-    def __init__(
-        self,
-        config: PipelineConfig,
-        banks: list[np.ndarray] | None,
-        standardizer: Standardizer,
-        pca: PcaModel,
-        classifier: SvmModel,
-    ):
-        self.config = config
-        self.banks = banks
-        self.standardizer = standardizer
-        self.pca = pca
-        self.classifier = classifier
+    config: PipelineConfig
+    banks: list[np.ndarray] | None
+    standardizer: Standardizer
+    pca: PcaModel
+    classifier: SvmModel
 
     def decision_score(self, img: np.ndarray) -> float:
         """Margin of a raw image; averages the ten patches when the
-        pipeline was trained with augmentation.
-
-        The views are extracted, standardized, projected and scored as
-        one matrix.  Every stage gives a row the bits it would get alone,
-        so the margin equals the mean of the views scored one at a time,
-        bit for bit.  Raises ``ValueError`` for an image that is not a
-        finite 2-D array in [0, 1], or whose margin comes out non-finite,
-        so an unscorable input is never labelled.
-        """
+        pipeline was trained with augmentation.  Raises ``ValueError`` for
+        an image that is not a finite 2-D array in [0, 1], or whose margin
+        comes out non-finite, so an unscorable input is never labelled."""
         pre = preprocess_image(img, self.config.preprocess)
         rows = image_features(pre, self.config.augmented, self.config.extractor, self.banks)
-        z = project(self.pca, self.standardizer.apply(rows))
-        score = float(decision_scores(self.classifier, z).mean())
+        score = float(group_margins(self.classifier, project_groups(self.standardizer, self.pca, [rows]))[0])
         if not math.isfinite(score):
             raise ValueError(f"image cannot be scored: margin is {score}")
         return score
 
     def predict(self, img: np.ndarray) -> float:
-        """Hard label: +1 live, -1 fake; a zero margin counts as live."""
-        return LIVE_LABEL if self.decision_score(img) >= 0.0 else FAKE_LABEL
+        """Hard label of ``margin_labels``: +1 live, -1 fake."""
+        return float(margin_labels(self.decision_score(img)))
 
 
 def check_labels(images: list, labels) -> np.ndarray:

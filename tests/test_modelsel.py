@@ -19,8 +19,18 @@ from livecheck.modelsel import (
     five_by_two_splits,
     grid_search,
 )
-from livecheck.pipeline import PreprocessConfig, TransformConfig, feature_groups, image_features
-from livecheck.svm import SvmParams
+from livecheck.pipeline import (
+    PipelineConfig,
+    PreprocessConfig,
+    TrainedPipeline,
+    TransformConfig,
+    feature_groups,
+    fit_transform,
+    image_features,
+    preprocess_images,
+)
+from livecheck.seeds import derive_seed
+from livecheck.svm import SvmParams, train_smo
 from livecheck.synthdata import make_texture_dataset
 
 from oracles import classify_runner_per_image, transform_runner_per_image
@@ -326,6 +336,57 @@ class TestGridSearch:
             (True, "ValueError: no model for C=10.0"),
             (True, "ValueError: no model for C=1.0"),
         ]
+
+    def test_best_configs_raises_when_every_candidate_failed(self):
+        """Blocks finer than the 32x32 images fail every candidate; the
+        winner is still picked, but it has no configs to deploy."""
+        images, labels = make_texture_dataset(4, size=32, seed=11)
+        grid = GridSpec(
+            stages=(
+                GridStage("preprocess", (PreprocessConfig(),)),
+                GridStage("extract", (LbpConfig(variant="uniform", blocks=(40, 40)),)),
+                GridStage("transform", (TransformConfig(pca_fraction=0.4),)),
+                GridStage("classify", (SvmParams(C=0.5, gamma=0.5), SvmParams(C=5.0, gamma=0.5))),
+            )
+        )
+        result = grid_search(images, labels, grid, seed=21)
+        assert [c.failed for c in result.candidates] == [True, True]
+        assert result.best_indices == (0, 0, 0, 0)
+        with pytest.raises(ValueError) as info:
+            result.best_configs()
+        assert str(info.value) == (
+            "every candidate failed; candidate 0/0/0/0 failed with "
+            "ValueError: block grid of 40 is too fine for extent 30"
+        )
+
+    def test_stage_results_die_with_their_split(self):
+        """The stage memo holds one split: when split k+1's classify
+        runner runs, nothing keeps split k's extract output alive."""
+        images, labels, _ = _toy_problem()
+        splits = five_by_two_splits(labels, seed=0)
+        extracted = {}
+        dead = []
+
+        def run_extract(cfg, upstream, ctx):
+            out = np.full(3, float(ctx.split_index))
+            extracted[ctx.split_index] = weakref.ref(out)
+            return out
+
+        def run_classify(cfg, upstream, ctx):
+            assert upstream is extracted[ctx.split_index]()
+            if ctx.split_index > 0:
+                dead.append(extracted[ctx.split_index - 1]() is None)
+            return ctx.labels[ctx.test_idx].copy()
+
+        grid = GridSpec(stages=(GridStage("extract", ("rows",)), GridStage("classify", ("a", "b"))))
+        result = grid_search(
+            images, labels, grid, seed=0, splits=splits,
+            runners={"extract": run_extract, "classify": run_classify},
+        )
+        assert dead == [True] * 2 * (len(splits) - 1)
+        assert result.executions == {"extract": 10, "classify": 20}
+        assert result.cache_hits == {"extract": 10, "classify": 0}
+        assert _tables(result) == [(0.0,) * 10] * 2
 
     def test_failure_shared_without_running_downstream(self):
         """A failed extract is memoized: its classify candidates run
@@ -787,3 +848,64 @@ class TestBatchedFoldRunners:
         for params in (SvmParams(C=1.0, gamma=0.05), SvmParams(C=10.0, gamma=0.5)):
             predictions = modelsel._run_classify(params, projected, ctx)
             np.testing.assert_array_equal(predictions, classify_runner_per_image(params, projected, ctx))
+
+
+class TestOneChain:
+    """A fold's labels and margins are those of the deployed model built
+    from that fold's fits: the search and ``TrainedPipeline`` score
+    through one chain."""
+
+    PREPROCESS = PreprocessConfig(filter="highpass")
+    EXTRACTOR = LbpConfig(variant="uniform", blocks=(1, 1))
+    TRANSFORM = TransformConfig(pca_fraction=0.5)
+    GRID = GridSpec(
+        stages=(
+            GridStage("preprocess", (PREPROCESS,)),
+            GridStage("extract", (EXTRACTOR,)),
+            GridStage("transform", (TRANSFORM,)),
+            GridStage("classify", (SvmParams(C=1.0, gamma=0.05), SvmParams(C=10.0, gamma=0.5))),
+        )
+    )
+
+    @pytest.mark.parametrize("augmented", [False, True], ids=["plain", "augmented"])
+    def test_deployed_model_reproduces_each_fold(self, augmented, monkeypatch):
+        images, labels = make_texture_dataset(5, size=32, seed=8, blur_sigma=0.4)
+        seed = 4
+        margins = []
+        group_margins = modelsel.group_margins
+
+        def recording_margins(classifier, groups):
+            margins.append(group_margins(classifier, groups))
+            return margins[-1]
+
+        monkeypatch.setattr(modelsel, "group_margins", recording_margins)
+        folds = []
+        run_classify = default_runners()["classify"]
+
+        def recording_classify(cfg, bundle, ctx):
+            folds.append((ctx.split_index, cfg, run_classify(cfg, bundle, ctx)))
+            return folds[-1][2]
+
+        runners = {**default_runners(), "classify": recording_classify}
+        grid_search(images, labels, self.GRID, seed, augmented=augmented, runners=runners)
+        splits = five_by_two_splits(labels, derive_seed(seed, "cv"))
+        assert len(folds) == len(margins) == 2 * len(splits)
+
+        groups = feature_groups(preprocess_images(images, self.PREPROCESS), augmented, self.EXTRACTOR, seed)
+        for (split_index, params, fold_labels), fold_margins in zip(folds, margins):
+            train_idx, test_idx = splits[split_index]
+            standardizer, pca, train_Z = fit_transform(
+                np.vstack([groups[i] for i in train_idx]),
+                self.TRANSFORM,
+                derive_seed(seed, "pca", split_index),
+            )
+            train_y = np.repeat(labels[train_idx], [len(groups[i]) for i in train_idx])
+            model, _ = train_smo(train_Z, train_y, params)
+            config = PipelineConfig(
+                self.PREPROCESS, self.EXTRACTOR, self.TRANSFORM, params, augmented=augmented, seed=seed
+            )
+            deployed = TrainedPipeline(config, None, standardizer, pca, model)
+            assert len(fold_labels) == len(fold_margins) == len(test_idx)
+            for i, label, margin in zip(test_idx, fold_labels, fold_margins):
+                assert deployed.predict(images[i]) == label
+                assert deployed.decision_score(images[i]).hex() == float(margin).hex()
