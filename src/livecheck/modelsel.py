@@ -82,7 +82,7 @@ def ace(predictions: np.ndarray, truth: np.ndarray) -> EvalReport:
     if predictions.shape != truth.shape or predictions.ndim != 1:
         raise ValueError(f"mismatched shapes: {predictions.shape} vs {truth.shape}")
     for arr, what in ((predictions, "predictions"), (truth, "truth")):
-        if not np.all(np.isin(arr, (LIVE_LABEL, FAKE_LABEL))):
+        if not ((arr == LIVE_LABEL) | (arr == FAKE_LABEL)).all():
             raise ValueError(f"{what} must contain only +1/-1 labels")
     live = truth == LIVE_LABEL
     fake = ~live

@@ -264,10 +264,13 @@ def project_groups(standardizer: Standardizer, pca: PcaModel, groups: list[np.nd
 
 
 def group_margins(classifier: SvmModel, groups: list[np.ndarray]) -> np.ndarray:
-    """Each group's mean margin, from one ``decision_scores`` call."""
+    """Each group's mean margin, from one ``decision_scores`` call; raises
+    ``ValueError`` unless every group has the same number of rows, as
+    every image's views do."""
+    if any(len(g) != len(groups[0]) for g in groups):
+        raise ValueError(f"row groups differ in length: {sorted({len(g) for g in groups})}")
     rows = np.concatenate(groups) if len(groups) > 1 else groups[0]
-    scores = decision_scores(classifier, rows)
-    return np.array([part.mean() for part in _split_rows(scores, groups)])
+    return decision_scores(classifier, rows).reshape(len(groups), -1).mean(axis=1)
 
 
 def margin_labels(margins) -> np.ndarray:

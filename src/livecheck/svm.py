@@ -72,6 +72,8 @@ class SmoDiagnostics:
     """Final maximal KKT violation, max s_up - min s_low."""
     converged: bool = True
     """False when the step cap stopped the solver with the gap above tol."""
+    steps: int = 0
+    """Pair steps taken."""
 
 
 def rbf_gram(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
@@ -115,8 +117,7 @@ class _SmoSolver:
 
     def solve(self, collect_objectives: bool = False) -> SmoDiagnostics:
         diag = SmoDiagnostics(alphas=self.alphas)
-        K, alphas, C, tol, n = self.K, self.alphas, self.params.C, self.params.tol, self.n
-        y = self.y.tolist()
+        K, C, tol, n = self.K, self.params.C, self.params.tol, self.n
         positive = (self.y > 0).tolist()
         diagonal = np.diag(K)
         # s and the candidate arrays are the rows of one matrix, so one
@@ -129,57 +130,90 @@ class _SmoSolver:
         # Curvature rows a_i by working index i, in one block within a byte
         # budget; rows past it are computed on every step and not stored.
         cache = np.empty((min(n, _CURVATURE_CACHE_BYTES // (8 * n)), n))
-        slots: dict[int, int] = {}
+        rows: list[np.ndarray | None] = [None] * n
+        cached = 0
+        # At select's n = 120 a step costs a few microseconds of numpy call
+        # overhead and almost no arithmetic, so the loop reads alphas from a
+        # list and calls ufuncs and array methods through locals.
+        alphas = self.alphas.tolist()
+        add, subtract, multiply, divide, copysign, maximum = (
+            np.add, np.subtract, np.multiply, np.divide, np.copysign, np.maximum
+        )
+        up_argmax, up_item = s_up.argmax, s_up.item
+        s_item, b_item, gain_argmax = self.s.item, b.item, gain.argmax
+        inf = math.inf
         steps = 0
         while steps < _MAX_SWEEPS * n:
-            i = int(s_up.argmax())
-            top = s_up.item(i)
-            if top - s_low.item(int(s_low.argmin())) <= tol:
-                break
+            i = int(up_argmax())
+            top = up_item(i)
             # Partner j maximizes the dual gain b^2 / a of the pair's step.
-            np.subtract(top, s_low, out=b)
+            subtract(top, s_low, out=b)
             row_i = K[i]
-            if i in slots:
-                a = cache[slots[i]]
-            else:
-                a = cache[slots.setdefault(i, len(slots))] if len(slots) < len(cache) else a_scratch
-                np.add(diagonal, diagonal[i], out=a)
-                np.multiply(row_i, 2.0, out=dk)  # dk is scratch until the update
-                np.subtract(a, dk, out=a)
-                np.maximum(a, _CURVATURE_FLOOR, out=a)
-            np.multiply(b, b, out=gain)
-            np.divide(gain, a, out=gain)
+            a = rows[i]
+            if a is None:
+                if cached < len(cache):
+                    a = rows[i] = cache[cached]
+                    cached += 1
+                else:
+                    a = a_scratch
+                add(diagonal, diagonal[i], out=a)
+                multiply(row_i, 2.0, out=dk)  # dk is scratch until the update
+                subtract(a, dk, out=a)
+                maximum(a, _CURVATURE_FLOOR, out=a)
+            multiply(b, b, out=gain)
+            divide(gain, a, out=gain)
             # b's sign makes every non-ascent gain <= 0, while the largest b
             # (> tol) has a positive gain unless tol is below about 1e-154 and
             # b^2 underflows, so argmax picks what a -inf mask would.
-            np.copysign(gain, b, out=gain)
-            j = int(gain.argmax())
-            alpha_i, alpha_j = alphas.item(i), alphas.item(j)
+            copysign(gain, b, out=gain)
+            j = int(gain_argmax())
+            b_j = b_item(j)
+            # The stopping test is max(b) = top - min(s_low) <= tol; rounding
+            # keeps order, so that max is fl(top - min(s_low)) exactly.  A
+            # partner with b_j > tol already shows the gap is open.
+            if b_j <= tol and top - s_low.item(int(s_low.argmin())) <= tol:
+                break
+            alpha_i, alpha_j = alphas[i], alphas[j]
             room_i = C - alpha_i if positive[i] else alpha_i
             room_j = alpha_j if positive[j] else C - alpha_j
-            t = min(b.item(j) / a.item(j), room_i, room_j)
-            # A variable that uses all its room lands exactly on its bound.
-            alpha_i = (C if positive[i] else 0.0) if t == room_i else alpha_i + y[i] * t
-            alpha_j = (0.0 if positive[j] else C) if t == room_j else alpha_j - y[j] * t
+            t = min(b_j / a.item(j), room_i, room_j)
+            subtract(row_i, K[j], out=dk)
+            multiply(dk, t, out=dk)
+            subtract(state, dk, out=state)
+            # A variable that uses all its room lands exactly on its bound,
+            # and only i and j can change set: I_up holds y = +1 below C and
+            # y = -1 above 0, I_low the reverse.
+            s_i, s_j = s_item(i), s_item(j)
+            if positive[i]:
+                alpha_i = C if t == room_i else alpha_i + t
+                s_up[i] = s_i if alpha_i < C else -inf
+                s_low[i] = s_i if alpha_i > 0.0 else inf
+            else:
+                alpha_i = 0.0 if t == room_i else alpha_i - t
+                s_up[i] = s_i if alpha_i > 0.0 else -inf
+                s_low[i] = s_i if alpha_i < C else inf
+            if positive[j]:
+                alpha_j = 0.0 if t == room_j else alpha_j - t
+                s_up[j] = s_j if alpha_j < C else -inf
+                s_low[j] = s_j if alpha_j > 0.0 else inf
+            else:
+                alpha_j = C if t == room_j else alpha_j + t
+                s_up[j] = s_j if alpha_j > 0.0 else -inf
+                s_low[j] = s_j if alpha_j < C else inf
             alphas[i], alphas[j] = alpha_i, alpha_j
-            np.subtract(row_i, K[j], out=dk)
-            dk *= t
-            state -= dk
-            for k, alpha in ((i, alpha_i), (j, alpha_j)):
-                below, above = alpha < C, alpha > 0.0
-                s_k = state.item(0, k)
-                s_up[k] = s_k if (below if positive[k] else above) else -np.inf
-                s_low[k] = s_k if (above if positive[k] else below) else np.inf
             steps += 1
             if collect_objectives and steps % n == 0:
+                self.alphas[:] = alphas
                 diag.dual_objectives.append(self.dual_objective())
+        self.alphas[:] = alphas
         if collect_objectives:
             diag.dual_objectives.append(self.dual_objective())
+        diag.steps = steps
         diag.sweeps = math.ceil(steps / n)
         diag.kkt_gap = float(s_up.max() - s_low.min())
         diag.converged = diag.kkt_gap <= tol
         self._finalize_bias()
-        diag.alphas = alphas.copy()
+        diag.alphas = self.alphas.copy()
         return diag
 
     def _finalize_bias(self):
@@ -204,7 +238,8 @@ def train_smo(
 
     Returns the fitted model and, when ``collect_diagnostics`` is set,
     the final dual variables plus the dual objective after every n
-    steps and at the end, the final KKT gap and whether it met ``tol``.
+    steps and at the end, the pair-step count, the final KKT gap and
+    whether it met ``tol``.
     A run that the step cap stops short of ``tol`` emits a
     ``RuntimeWarning``.  Training data must contain both classes and
     only finite values.  ``seed`` is accepted and unused: the solver is
@@ -216,9 +251,11 @@ def train_smo(
         raise ValueError(f"inconsistent training data: X {X.shape}, y {y.shape}")
     if not np.all(np.isfinite(X)):
         raise ValueError("training features contain non-finite values")
-    if not np.all(np.isin(y, (-1.0, 1.0))):
+    positive = y == 1.0
+    negative = y == -1.0
+    if not (positive | negative).all():
         raise ValueError("labels must be -1 or +1")
-    if np.unique(y).size < 2:
+    if positive.all() or negative.all():
         raise ValueError("training data contains a single class")
 
     solver = _SmoSolver(X, y, params)

@@ -101,10 +101,8 @@ def fit_pca_randomized(X: np.ndarray, k: int, seed: int, whiten: bool = True) ->
 
     # Deterministic sign: the entry of largest magnitude in each row is
     # made positive (ties resolved by the first such entry).
-    for row in components:
-        pivot = np.argmax(np.abs(row))
-        if row[pivot] < 0.0:
-            row *= -1.0
+    pivots = np.abs(components).argmax(axis=1)
+    components[components[np.arange(k), pivots] < 0.0] *= -1.0
     return PcaModel(mean=mean, components=components, component_variances=variances, whiten=whiten)
 
 

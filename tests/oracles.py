@@ -360,6 +360,18 @@ def pca_exact(X, k):
     return vt[:k], svals[:k] ** 2 / X.shape[0]
 
 
+def sign_fixed_rows(components):
+    """A copy of ``components`` with every row negated whose first
+    largest-magnitude entry is negative, one row at a time: the PCA's
+    sign fix before it became one vectorized step."""
+    out = np.array(components, dtype=np.float64)
+    for row in out:
+        pivot = np.argmax(np.abs(row))
+        if row[pivot] < 0.0:
+            row *= -1.0
+    return out
+
+
 def principal_angles(A, B):
     """Largest principal angle (radians) between two row spaces."""
     qa = np.linalg.qr(np.asarray(A, dtype=np.float64).T)[0]

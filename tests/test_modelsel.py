@@ -1,13 +1,15 @@
 """Metric, 5x2 cross-validation, and the memoized grid search engine."""
 
 import functools
+import hashlib
+import math
 import re
 import weakref
 
 import numpy as np
 import pytest
 
-from livecheck import modelsel, pipeline
+from livecheck import load_dataset, load_images, modelsel, pipeline, write_dataset_tree
 from livecheck.convnet import ConvLayerConfig, ConvNetConfig
 from livecheck.lbp import LbpConfig
 from livecheck.config import parse_config
@@ -33,6 +35,7 @@ from livecheck.seeds import derive_seed
 from livecheck.svm import SvmParams, train_smo
 from livecheck.synthdata import make_texture_dataset
 
+from conftest import PERFBENCH
 from oracles import classify_runner_per_image, transform_runner_per_image
 
 
@@ -909,3 +912,45 @@ class TestOneChain:
             for i, label, margin in zip(test_idx, fold_labels, fold_margins):
                 assert deployed.predict(images[i]) == label
                 assert deployed.decision_score(images[i]).hex() == float(margin).hex()
+
+
+class TestSelectFits:
+    """Every SMO fit of the benchmark's select-lbp-aug job: its 5x2 grid
+    search over two LBP extractors and two values of C, then the refit."""
+
+    # Pair steps over the job's 41 fits, and the leading hex digits of a
+    # sha256 over each model's dual_coefs and bias bytes in call order.
+    STEPS = 6819
+    MODELS_DIGEST = "d86b0c8638e7"
+
+    def test_steps_and_models_are_pinned(self, tmp_path, monkeypatch):
+        """A change in step order moves the step count or some fold's
+        model even when the winner's refit stays the same."""
+        name = "select-lbp-aug"
+        parsed = parse_config((PERFBENCH / "configs" / f"{name}.ini").read_text(encoding="utf-8"))
+        images, labels = make_texture_dataset(
+            12, size=64, seed=derive_seed(2015, name, "train"), blur_sigma=0.4
+        )
+        write_dataset_tree(tmp_path, images, labels)
+        images, labels = load_images(load_dataset(tmp_path))
+
+        fits = []
+
+        def recording_train_smo(X, y, params, seed=0, collect_diagnostics=False):
+            model, diag = train_smo(X, y, params, seed=seed, collect_diagnostics=True)
+            fits.append((model, diag))
+            return model, (diag if collect_diagnostics else None)
+
+        monkeypatch.setattr(modelsel, "train_smo", recording_train_smo)
+        monkeypatch.setattr(pipeline, "train_smo", recording_train_smo)
+        result = grid_search(images, labels, parsed.grid_spec(), parsed.seed, augmented=parsed.augmented)
+        pipeline.fit_pipeline(images, labels, parsed.pipeline_config(*result.best_configs()))
+
+        assert len(fits) == 41
+        assert sum(diag.steps for _, diag in fits) == self.STEPS
+        assert all(diag.sweeps == math.ceil(diag.steps / len(diag.alphas)) for _, diag in fits)
+        digest = hashlib.sha256()
+        for model, _ in fits:
+            digest.update(model.dual_coefs.tobytes())
+            digest.update(np.float64(model.bias).tobytes())
+        assert digest.hexdigest().startswith(self.MODELS_DIGEST)

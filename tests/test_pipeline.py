@@ -27,7 +27,7 @@ from livecheck.pipeline import (
     realize_extractor,
 )
 from livecheck.seeds import derive_seed
-from livecheck.svm import SvmParams
+from livecheck.svm import SvmModel, SvmParams, decision_scores
 from livecheck.synthdata import make_texture_dataset, write_dataset_tree
 
 from oracles import averaged_score, preprocess_stepwise, score_image
@@ -88,6 +88,35 @@ def _finger_on_black(rng, height=120, width=96):
     rows, cols = np.mgrid[0:70, 0:50]
     img[30:100, 20:70] = 0.5 + 0.4 * np.sin(0.9 * rows + 0.3 * cols) * rng.uniform(0.8, 1.0, (70, 50))
     return img
+
+
+class TestGroupMargins:
+    """Each image's mean margin, taken over a fold's stacked scores."""
+
+    @staticmethod
+    def _model(rng):
+        return SvmModel(
+            support_vectors=rng.standard_normal((9, 4)),
+            dual_coefs=rng.uniform(-2.0, 2.0, size=9),
+            bias=0.3,
+            gamma=0.2,
+        )
+
+    # Around numpy's pairwise-summation boundaries: a plain loop below 8
+    # summed terms, eight accumulators up to 128, a split past 128.
+    @pytest.mark.parametrize("size", [1, 7, 8, 9, 10, 16, 17, 129])
+    def test_equals_per_group_mean(self, rng, size):
+        model = self._model(rng)
+        for count in (1, 2, 12):
+            groups = [rng.standard_normal((size, 4)) for _ in range(count)]
+            scores = decision_scores(model, np.concatenate(groups))
+            want = np.array([scores[k * size : (k + 1) * size].mean() for k in range(count)])
+            assert pipeline.group_margins(model, groups).tobytes() == want.tobytes()
+
+    def test_unequal_groups_rejected(self, rng):
+        groups = [rng.standard_normal((10, 4)), rng.standard_normal((9, 4))]
+        with pytest.raises(ValueError, match="row groups differ in length: \\[9, 10\\]"):
+            pipeline.group_margins(self._model(rng), groups)
 
 
 class TestPreprocess:

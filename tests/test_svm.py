@@ -1,5 +1,6 @@
 """SMO training: convergence, KKT satisfaction, kernel-expansion scoring."""
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -235,6 +236,30 @@ class TestSolverOracle:
             assert sweeps == 0 and not alphas.any()
         else:
             assert sweeps >= 1
+
+    def test_bit_identical_through_the_gap_fallback(self):
+        """A step whose best partner has b_j <= tol while another b is
+        above tol must go on.  Only then, and at the final stopping test,
+        does the solver take s_low's argmin; counting those calls shows
+        the fallback ran once without stopping the solver."""
+        X, y, params = oracle_cases()["unbalanced"]
+        argmins = 0
+
+        def count_argmins(frame, event, arg):
+            nonlocal argmins
+            if event == "c_call" and getattr(arg, "__name__", None) == "argmin":
+                argmins += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(count_argmins)
+        try:
+            model, diag = train_smo(X, y, params, collect_diagnostics=True)
+        finally:
+            sys.setprofile(previous)
+        assert argmins == 2
+        alphas, bias, sweeps, _ = smo_reference(rbf_gram(X, X, params.gamma), y, params)
+        np.testing.assert_array_equal(diag.alphas, alphas)
+        assert (model.bias, diag.sweeps, diag.steps) == (bias, sweeps, 47)
 
     def test_bit_identical_without_curvature_cache(self, monkeypatch):
         """With no byte budget every curvature row is computed afresh,

@@ -10,7 +10,7 @@ from livecheck.transform import (
     project,
 )
 
-from oracles import pca_exact, principal_angles, project_gemm
+from oracles import pca_exact, principal_angles, project_gemm, sign_fixed_rows
 
 
 def gapped_matrix(rng, n=50, d=20, k=5):
@@ -79,6 +79,40 @@ class TestRandomizedPca:
         model = fit_pca_randomized(X, k=3, seed=2)
         for row in model.components:
             assert row[np.argmax(np.abs(row))] > 0.0
+
+    def test_sign_fix_matches_row_loop(self, rng, monkeypatch):
+        """The sign fix gives the per-row loop's bits on the SVD's own
+        rows, and on rows whose largest magnitude appears as both +x and
+        -x, where the first of the two decides."""
+        svd = np.linalg.svd
+        seen = []
+
+        def recording_svd(a, full_matrices=True):
+            u, s, vt = svd(a, full_matrices=full_matrices)
+            seen.append(vt.copy())
+            return u, s, vt
+
+        X = rng.standard_normal((30, 6))
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        for k in (1, 3, 5):
+            model = fit_pca_randomized(X, k=k, seed=k)
+            assert model.components.tobytes() == sign_fixed_rows(seen[-1][:k]).tobytes()
+
+        tied = np.array([
+            [0.5, -0.5, 0.5, -0.5, 0.0, 0.0],
+            [-0.5, 0.5, 0.5, -0.5, 0.0, 0.0],
+            [0.1, -0.6, 0.6, 0.2, 0.0, -0.3],
+            [0.0, 0.3, -0.3, 0.0, 0.1, 0.2],
+        ])
+
+        def tied_svd(a, full_matrices=True):
+            u, s, _ = svd(a, full_matrices=full_matrices)
+            return u, s, tied
+
+        monkeypatch.setattr(np.linalg, "svd", tied_svd)
+        model = fit_pca_randomized(X, k=4, seed=0)
+        assert model.components.tobytes() == sign_fixed_rows(tied).tobytes()
+        assert np.signbit(model.components[1, 4:]).all()  # flipped zeros are -0.0
 
     def test_seed_changes_nothing_on_gapped_data(self, rng):
         """Different sketches recover the same subspace."""
