@@ -92,10 +92,10 @@ def init_filters(layer: ConvLayerConfig, in_channels: int) -> np.ndarray:
     return rng.normal(0.0, 1.0 / math.sqrt(fan_in), size=shape)
 
 
-def init_banks(config: ConvNetConfig, in_channels: int = 1) -> list[np.ndarray]:
-    """Materialize every layer's filter bank for a given input depth."""
+def init_banks(config: ConvNetConfig) -> list[np.ndarray]:
+    """Materialize every layer's filter bank for a one-channel gray input."""
     banks = []
-    channels = in_channels
+    channels = 1
     for layer in config.layers:
         banks.append(init_filters(layer, channels))
         channels = layer.num_filters
@@ -257,7 +257,7 @@ def convnet_features(img: np.ndarray, config: ConvNetConfig, banks: list[np.ndar
     if img.ndim not in (2, 3):
         raise ValueError(f"convnet_features expects a 2-D image or a stack of them, got shape {img.shape}")
     if banks is None:
-        banks = init_banks(config, in_channels=1)
+        banks = init_banks(config)
     if len(banks) != len(config.layers):
         raise ValueError(f"expected {len(config.layers)} filter banks, got {len(banks)}")
     # conv_forward returns a fresh array, so ReLU and LCN overwrite it.

@@ -138,7 +138,7 @@ def lbp_features(img: np.ndarray, config: LbpConfig) -> np.ndarray:
     sums to one, so each row sums to the number of blocks.
     """
     codes = lbp_map(img)
-    values = codes if config.variant == "original" else UNIFORM_LABELS[codes]
+    values = codes if config.variant == "original" else _UNIFORM_LABELS_U8.take(codes)
     bins = config.bins
     rows, cols = config.blocks
     row_bounds = _block_bounds(codes.shape[-2], rows)
@@ -169,9 +169,9 @@ def lbp_window_features(img: np.ndarray, config: LbpConfig, shape: tuple[int, in
         raise ValueError(f"lbp_map needs at least a 3x3 image, got {tuple(shape)}")
     codes = lbp_map(img)
     if config.variant == "original":
-        labels, mirrored = codes, MIRROR_CODES[codes]
+        labels, mirrored = codes, MIRROR_CODES.take(codes)
     else:
-        labels = mirrored = _UNIFORM_LABELS_U8[codes]
+        labels = mirrored = _UNIFORM_LABELS_U8.take(codes)
     bins = config.bins
     map_height, map_width = height - 2, width - 2
     row_bounds = _block_bounds(map_height, config.blocks[0])

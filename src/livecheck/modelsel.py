@@ -7,9 +7,10 @@ prefix of stage configs share its computation (see ``grid_search``).
 Preprocessing and feature extraction do not depend on the split, so
 the default runners for those stages go through the per-image memo of
 ``preprocess_images`` and ``feature_groups``: each image is
-preprocessed once per config and extracted once per extractor, and the
-split only chooses which rows train and which test.  The command line
-keeps that memo through the winner's refit.
+preprocessed once per config and extracted once per extractor.  The
+rows come as one (images, views, features) array in train-then-test
+order, and the split only chooses which images train and which test.
+The command line keeps that memo through the winner's refit.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ from .pipeline import (
     group_margins,
     margin_labels,
     preprocess_images,
-    project_groups,
 )
 from .seeds import derive_seed
 from .svm import SvmParams, train_smo
+from .transform import project
 
 __all__ = [
     "EvalReport",
@@ -229,7 +230,7 @@ class _SplitRows:
 
     train: np.ndarray
     train_y: np.ndarray
-    test_groups: list[np.ndarray]  # per test image, one row per view
+    test_groups: np.ndarray  # (test images, views, features)
 
 
 def _run_preprocess(cfg, upstream, ctx: StageContext):
@@ -239,11 +240,11 @@ def _run_preprocess(cfg, upstream, ctx: StageContext):
 def _run_extract(cfg, pre_images, ctx: StageContext):
     order = np.concatenate([ctx.train_idx, ctx.test_idx])
     groups = feature_groups([pre_images[int(i)] for i in order], ctx.augmented, cfg, ctx.root_seed)
-    train = groups[: len(ctx.train_idx)]
+    n_train = len(ctx.train_idx)
     return _SplitRows(
-        train=np.vstack(train),
-        train_y=np.repeat(ctx.labels[ctx.train_idx], [len(g) for g in train]),
-        test_groups=groups[len(ctx.train_idx) :],
+        train=groups[:n_train].reshape(-1, groups.shape[2]),
+        train_y=np.repeat(ctx.labels[ctx.train_idx], groups.shape[1]),
+        test_groups=groups[n_train:],
     )
 
 
@@ -251,7 +252,7 @@ def _run_transform(cfg, bundle: _SplitRows, ctx: StageContext):
     standardizer, pca, train_Z = fit_transform(
         bundle.train, cfg, derive_seed(ctx.root_seed, "pca", ctx.split_index)
     )
-    return _SplitRows(train_Z, bundle.train_y, project_groups(standardizer, pca, bundle.test_groups))
+    return _SplitRows(train_Z, bundle.train_y, project(pca, standardizer.apply(bundle.test_groups)))
 
 
 def _run_classify(cfg, bundle: _SplitRows, ctx: StageContext):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -219,9 +218,10 @@ def preprocess_images(images: list, config: PreprocessConfig) -> list[np.ndarray
     return _per_image(("preprocess", repr(config)), images, lambda img: preprocess_image(img, config))
 
 
-def feature_groups(images: list, augmented: bool, extractor, seed: int) -> list[np.ndarray]:
-    """One feature matrix per image (see ``image_features``) from
-    ``extractor`` realized with ``seed``; raises ``ValueError`` unless all
+def feature_groups(images: list, augmented: bool, extractor, seed: int) -> np.ndarray:
+    """Feature rows of the images from ``extractor`` realized with
+    ``seed``, as one (images, views, features) array whose ``[i]`` is
+    ``image_features`` of image ``i``; raises ``ValueError`` unless all
     rows have one length, as the convnet's do for equally sized inputs."""
     realized, banks = realize_extractor(extractor, seed)
     groups = _per_image(
@@ -232,7 +232,7 @@ def feature_groups(images: list, augmented: bool, extractor, seed: int) -> list[
     lengths = {group.shape[1] for group in groups}
     if len(lengths) > 1:
         raise ValueError(f"feature lengths differ across images: {sorted(lengths)}")
-    return groups
+    return np.stack(groups)
 
 
 def fit_transform(X: np.ndarray, config: TransformConfig, seed: int):
@@ -245,32 +245,15 @@ def fit_transform(X: np.ndarray, config: TransformConfig, seed: int):
     return standardizer, pca, project(pca, Xs)
 
 
-def _split_rows(rows: np.ndarray, groups: list[np.ndarray]) -> list[np.ndarray]:
-    """Cut stacked ``rows`` back into pieces as long as ``groups``."""
-    ends = itertools.accumulate(len(g) for g in groups)
-    return [rows[end - len(g) : end] for g, end in zip(groups, ends)]
-
-
-def project_groups(standardizer: Standardizer, pca: PcaModel, groups: list[np.ndarray]) -> list[np.ndarray]:
-    """Standardized, projected rows of each image's row group, from one
-    call on all rows; a lone group, as ``decision_score`` passes, is not
-    copied.  This and ``group_margins`` serve a deployed model and a grid
-    search's test fold alike.  Each stage gives a row the bits it would
-    get alone, so an image's margin is the same scored alone or within a
-    fold, and equals the mean of its views scored one at a time.
-    """
-    rows = np.concatenate(groups) if len(groups) > 1 else groups[0]
-    return _split_rows(project(pca, standardizer.apply(rows)), groups)
-
-
-def group_margins(classifier: SvmModel, groups: list[np.ndarray]) -> np.ndarray:
-    """Each group's mean margin, from one ``decision_scores`` call; raises
-    ``ValueError`` unless every group has the same number of rows, as
-    every image's views do."""
-    if any(len(g) != len(groups[0]) for g in groups):
-        raise ValueError(f"row groups differ in length: {sorted({len(g) for g in groups})}")
-    rows = np.concatenate(groups) if len(groups) > 1 else groups[0]
-    return decision_scores(classifier, rows).reshape(len(groups), -1).mean(axis=1)
+def group_margins(classifier: SvmModel, groups: np.ndarray) -> np.ndarray:
+    """Each image's mean margin over its views, from one
+    ``decision_scores`` call on an (images, views, features) array.  This
+    and ``project`` serve a deployed model and a grid search's test fold
+    alike; each gives a row the bits it would get alone, so an image's
+    margin is the same scored alone or within a fold, and equals the mean
+    of its views scored one at a time."""
+    scores = decision_scores(classifier, groups.reshape(-1, groups.shape[2]))
+    return scores.reshape(groups.shape[:2]).mean(axis=1)
 
 
 def margin_labels(margins) -> np.ndarray:
@@ -295,7 +278,7 @@ class TrainedPipeline:
         comes out non-finite, so an unscorable input is never labelled."""
         pre = preprocess_image(img, self.config.preprocess)
         rows = image_features(pre, self.config.augmented, self.config.extractor, self.banks)
-        score = float(group_margins(self.classifier, project_groups(self.standardizer, self.pca, [rows]))[0])
+        score = float(group_margins(self.classifier, project(self.pca, self.standardizer.apply(rows[None])))[0])
         if not math.isfinite(score):
             raise ValueError(f"image cannot be scored: margin is {score}")
         return score
@@ -328,7 +311,8 @@ def fit_pipeline(images: list[np.ndarray], labels: np.ndarray, config: PipelineC
     groups = feature_groups(pre, config.augmented, config.extractor, config.seed)
     extractor, banks = realize_extractor(config.extractor, config.seed)
     config = replace(config, extractor=extractor)
-    standardizer, pca, Z = fit_transform(np.vstack(groups), config.transform, derive_seed(config.seed, "pca"))
-    y = np.repeat(labels, [len(g) for g in groups])
+    rows = groups.reshape(-1, groups.shape[2])
+    standardizer, pca, Z = fit_transform(rows, config.transform, derive_seed(config.seed, "pca"))
+    y = np.repeat(labels, groups.shape[1])
     classifier, _ = train_smo(Z, y, config.classifier)
     return TrainedPipeline(config, banks, standardizer, pca, classifier)

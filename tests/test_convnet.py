@@ -337,7 +337,7 @@ class TestFilterInit:
                 ConvLayerConfig(num_filters=9, filter_size=3, pool_size=2, seed=2),
             )
         )
-        banks = init_banks(config, in_channels=1)
+        banks = init_banks(config)
         assert banks[0].shape == (6, 1, 3, 3)
         assert banks[1].shape == (9, 6, 3, 3)
 

@@ -108,15 +108,10 @@ class TestGroupMargins:
     def test_equals_per_group_mean(self, rng, size):
         model = self._model(rng)
         for count in (1, 2, 12):
-            groups = [rng.standard_normal((size, 4)) for _ in range(count)]
-            scores = decision_scores(model, np.concatenate(groups))
+            groups = rng.standard_normal((count, size, 4))
+            scores = decision_scores(model, groups.reshape(-1, 4))
             want = np.array([scores[k * size : (k + 1) * size].mean() for k in range(count)])
             assert pipeline.group_margins(model, groups).tobytes() == want.tobytes()
-
-    def test_unequal_groups_rejected(self, rng):
-        groups = [rng.standard_normal((10, 4)), rng.standard_normal((9, 4))]
-        with pytest.raises(ValueError, match="row groups differ in length: \\[9, 10\\]"):
-            pipeline.group_margins(self._model(rng), groups)
 
 
 class TestPreprocess:
@@ -159,6 +154,22 @@ SMALL_CONVNET = ConvNetConfig(
         ConvLayerConfig(num_filters=6, filter_size=3, pool_size=2, lcn_window=1),
     )
 )
+
+
+@pytest.mark.parametrize("augmented", [False, True], ids=["plain", "augmented"])
+@pytest.mark.parametrize("extractor", [LbpConfig(variant="uniform", blocks=(2, 2)), SMALL_CONVNET],
+                         ids=["lbp", "convnet"])
+def test_feature_groups_stack_image_features(augmented, extractor):
+    """One float64 (images, views, features) array whose ``[i]`` is image
+    i's own feature matrix, bit for bit."""
+    images, _ = make_texture_dataset(2, size=32, seed=6, blur_sigma=0.6)
+    groups = pipeline.feature_groups(images, augmented, extractor, seed=5)
+    realized, banks = realize_extractor(extractor, 5)
+    want = [image_features(img, augmented, realized, banks) for img in images]
+    assert groups.dtype == np.float64 and groups.flags.c_contiguous
+    assert groups.shape == (len(images), 10 if augmented else 1, want[0].shape[1])
+    for got, rows in zip(groups, want, strict=True):
+        assert got.tobytes() == rows.tobytes()
 
 
 @pytest.fixture(scope="module", params=["lbp", "convnet"])
