@@ -128,20 +128,26 @@ def conv_forward(x: np.ndarray, bank: np.ndarray) -> np.ndarray:
         raise ValueError(f"filter {size}x{size} larger than input {height}x{width}")
     out_h, out_w = height - size + 1, width - size + 1
     views = x.reshape(-1, channels, height, width)
-    # im2col in one strided copy: row (c, i, j) holds the input pixels
+    # im2col: row (i, j) of a channel's columns holds the input pixels
     # weight bank[:, c, i, j] reads.
-    windows = sliding_window_view(views, (size, size), axis=(-2, -1))
-    cols = np.ascontiguousarray(windows.transpose(0, 1, 4, 5, 2, 3))
+    windows = sliding_window_view(views, (size, size), axis=(-2, -1)).transpose(0, 1, 4, 5, 2, 3)
     # One (F, s*s) @ (s*s, H'W') GEMM per view and input channel, summed
     # in channel order.  Each has the shapes of a single-view call, so a
     # view's output has the same bits alone or in a stack.  One GEMM over
     # all C*s*s inputs rounded differently at 1 and 2 BLAS threads; the
-    # s*s-deep products do not (tests/test_blas_threads.py).
+    # s*s-deep products do not (tests/test_blas_threads.py).  The columns
+    # are built one view at a time for a one-channel input and one channel
+    # at a time for deeper ones, so only one such block is alive at once.
     weights = np.ascontiguousarray(bank.reshape(bank.shape[0], channels, -1).transpose(1, 0, 2))
-    cols = cols.reshape(len(views), channels, size * size, out_h * out_w)
-    out = np.matmul(weights[0], cols[:, 0])
-    for c in range(1, channels):
-        out += np.matmul(weights[c], cols[:, c])
+    out = np.empty((len(views), bank.shape[0], out_h * out_w))
+    if channels == 1:
+        for v in range(len(views)):
+            np.matmul(weights[0], windows[v, 0].reshape(size * size, -1), out=out[v])
+    else:
+        np.matmul(weights[0], windows[:, 0].reshape(len(views), size * size, -1), out=out)
+        term = np.empty_like(out)
+        for c in range(1, channels):
+            out += np.matmul(weights[c], windows[:, c].reshape(len(views), size * size, -1), out=term)
     return out.reshape(*x.shape[:-3], bank.shape[0], out_h, out_w)
 
 
@@ -175,7 +181,14 @@ def _lcn(x: np.ndarray, window: int) -> np.ndarray:
     rows = _lcn_band(height, window)
     cols = _lcn_band(width, window)
     x -= (rows @ x.mean(axis=-3) @ cols.T)[..., None, :, :]
-    variance = rows @ np.square(x).mean(axis=-3) @ cols.T
+    # The channel mean of the squares, summed in channel order as
+    # ``np.square(x).mean(axis=-3)`` sums them, without a full-size square.
+    squares = np.square(x[..., 0, :, :])
+    term = np.empty_like(squares)
+    for c in range(1, x.shape[-3]):
+        squares += np.square(x[..., c, :, :], out=term)
+    squares /= x.shape[-3]
+    variance = rows @ squares @ cols.T
     sigma = np.sqrt(np.maximum(variance, 0.0))
     x /= np.maximum(1.0, sigma)[..., None, :, :]
     return x
@@ -251,7 +264,10 @@ def convnet_features(img: np.ndarray, config: ConvNetConfig, banks: list[np.ndar
     ``banks`` may carry previously materialized filters (for example,
     ones loaded from a stored model); otherwise they are drawn from the
     per-layer seeds.  Configurations that exhaust the spatial extent at
-    any layer raise ``ValueError``.
+    any layer raise ``ValueError``.  Each row has the same bits as its
+    image run alone; besides its own maps, a stack holds one view's
+    first-layer im2col block at a time, and a deeper layer's block for
+    one input channel.
     """
     img = np.asarray(img, dtype=np.float64)
     if img.ndim not in (2, 3):

@@ -377,14 +377,17 @@ def _extract_roi(img: np.ndarray) -> RoiRect:
     box = min(ROI_CLOSE_BOX, height, width)
     if box % 2 == 0:
         box -= 1
-    closed = _closed_codes(img, box) / 255.0
-    total = closed.sum()
-    if total <= 0.0:
+    # The moments of the closed image in [0, 1] are those of its 8-bit
+    # codes (the 1/255 cancels), and the codes' column and row sums are
+    # exact integers; a sum fits 32 bits up to 16 million pixels a line.
+    closed = _closed_codes(img, box)
+    col_mass = closed.sum(axis=0, dtype=np.uint32)
+    row_mass = closed.sum(axis=1, dtype=np.uint32)
+    total = int(row_mass.sum(dtype=np.uint64))
+    if total == 0:
         return RoiRect(0, 0, width, height)
     xs = np.arange(width, dtype=np.float64)
     ys = np.arange(height, dtype=np.float64)
-    col_mass = closed.sum(axis=0)
-    row_mass = closed.sum(axis=1)
     cx = float(col_mass @ xs) / total
     cy = float(row_mass @ ys) / total
     sx = math.sqrt(float(col_mass @ (xs - cx) ** 2) / total)

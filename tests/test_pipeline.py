@@ -1,6 +1,10 @@
 """A trained pipeline scores an image's views as one stack, and refuses
 what it cannot score instead of labelling it."""
 
+import hashlib
+import os
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -13,6 +17,7 @@ from livecheck.augment import make_patches
 from livecheck.config import parse_config_file
 from livecheck.convnet import ConvLayerConfig, ConvNetConfig
 from livecheck.dataset import load_dataset, load_images
+from livecheck.imageproc import highpass
 from livecheck.lbp import LbpConfig, lbp_features, lbp_map
 from livecheck.model_io import model_bytes, model_digest
 from livecheck.pipeline import (
@@ -30,6 +35,7 @@ from livecheck.seeds import derive_seed
 from livecheck.svm import SvmModel, SvmParams, decision_scores
 from livecheck.synthdata import make_texture_dataset, write_dataset_tree
 
+from conftest import run_python
 from oracles import averaged_score, preprocess_stepwise, score_image
 
 
@@ -202,29 +208,27 @@ class TestStackedViews:
         assert model.decision_score(img) == score_image(model, preprocess_image(img, model.config.preprocess))
 
     # 25x25 patches: the convnet's first layer writes 4 x 23 x 23 doubles
-    # per view, so 50,784 bytes hold three views.  LBP counts all ten
-    # views from the image's one label map, whatever the budget.
-    @pytest.mark.parametrize(
-        "budget, groups",
-        [
-            (1, [1] * 10),
-            (3 * 8 * 4 * 23 * 23, [3, 3, 3, 1]),
-            (1 << 30, [10]),
-        ],
-    )
-    def test_view_groups_do_not_change_rows(self, augmented_model, monkeypatch, budget, groups):
-        """One view per group, a few, or all ten: the same rows as each
-        view extracted alone."""
+    # per view.  A view over the budget runs alone on the calling thread;
+    # otherwise the views run as one stack, or on two or more cores as two
+    # halves, the first on the calling thread.  LBP counts all ten views
+    # from the image's one label map, whatever the budget and the cores.
+    @pytest.mark.parametrize("cores, parts", [(1, [10]), (2, [5, 5]), (3, [5, 5])])
+    @pytest.mark.parametrize("budget", [8 * 4 * 23 * 23 - 1, 8 * 4 * 23 * 23, 1 << 30])
+    def test_view_groups_do_not_change_rows(self, augmented_model, monkeypatch, budget, cores, parts):
+        """One view at a time, one stack or two halves: the same rows as
+        each view extracted alone."""
         model, held = augmented_model
         pre = preprocess_image(held[0], model.config.preprocess)
         views = make_patches(pre)
         want = np.vstack([extract_features(view, model.config.extractor, model.banks) for view in views])
         monkeypatch.setattr(pipeline, "_VIEW_GROUP_BYTES", budget)
-        calls, maps = [], []
+        monkeypatch.setattr(pipeline, "_usable_cores", lambda: cores)
+        calls, helper_calls, maps = [], [], []
         real_extract, real_map = pipeline.extract_features, lbp.lbp_map
+        caller = threading.get_ident()
 
         def counting_extract(stack, *args):
-            calls.append(len(stack))
+            (calls if threading.get_ident() == caller else helper_calls).append(len(stack))
             return real_extract(stack, *args)
 
         def counting_map(img):
@@ -236,9 +240,157 @@ class TestStackedViews:
         rows = image_features(pre, True, model.config.extractor, model.banks)
         np.testing.assert_array_equal(rows, want)
         if isinstance(model.config.extractor, LbpConfig):
-            assert (calls, maps) == ([], [pre.shape])
+            assert (calls, helper_calls, maps) == ([], [], [pre.shape])
+        elif budget < 8 * 4 * 23 * 23:
+            assert (calls, helper_calls, maps) == ([1] * 10, [], [])
         else:
-            assert (calls, maps) == (groups, [])
+            assert (calls, helper_calls, maps) == (parts[:1], parts[1:], [])
+
+
+class TestViewParts:
+    """The convnet's view stacks on the calling thread and a helper."""
+
+    @pytest.mark.parametrize("bad, first", [([7], 7), ([7, 8], 7), ([2, 7], 2), ([0, 9], 0)])
+    def test_error_is_the_first_failing_views(self, monkeypatch, bad, first):
+        """A view failing in the helper's part raises on the calling
+        thread with the message the views run one by one would raise."""
+        img = np.random.default_rng(2).uniform(0.0, 1.0, size=(32, 32))
+        views = make_patches(img)
+        real_extract = pipeline.extract_features
+
+        def failing_extract(stack, *args):
+            for view in stack:
+                index = next(i for i, v in enumerate(views) if np.array_equal(v, view))
+                if index in bad:
+                    raise ValueError(f"view {index} failed")
+            return real_extract(stack, *args)
+
+        monkeypatch.setattr(pipeline, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(pipeline, "extract_features", failing_extract)
+        with pytest.raises(ValueError, match=f"^view {first} failed$"):
+            image_features(img, True, SMALL_CONVNET, None)
+        monkeypatch.setattr(pipeline, "extract_features", real_extract)
+        want = np.vstack([extract_features(view, SMALL_CONVNET) for view in views])
+        assert image_features(img, True, SMALL_CONVNET, None).tobytes() == want.tobytes()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_scores_after_threaded_call(self):
+        """A child forked after the helper ran gets no thread behind the
+        parent's helper; it starts its own and gives the same rows."""
+        result = run_python("-c", _FORK_AFTER_HELPER, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["child", "ok"]
+
+    def test_concurrent_callers_get_their_own_rows(self, monkeypatch):
+        """More calling threads than cores share the one helper, with the
+        interpreter switching threads as often as it can: each gets the
+        rows of its own image."""
+        monkeypatch.setattr(pipeline, "_usable_cores", lambda: 2)
+        images = np.random.default_rng(3).uniform(0.0, 1.0, size=(6, 32, 32))
+        want = [image_features(img, True, SMALL_CONVNET, None).tobytes() for img in images]
+        got = [[] for _ in images]
+
+        def score(k):
+            for _ in range(5):
+                got[k].append(image_features(images[k], True, SMALL_CONVNET, None).tobytes())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=score, args=(k,)) for k in range(len(images))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [[rows] * 5 for rows in want]
+
+    def test_lbp_starts_no_thread(self):
+        """Fitting and scoring an augmented LBP model starts no helper
+        thread and imports no module for one."""
+        result = run_python("-c", _LBP_ONLY, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["1", "False"]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+    def test_one_cpu_gives_the_same_rows_and_digest(self, tmp_path):
+        """A process pinned to one CPU runs the serial path with no helper
+        thread, and gives the deployed convnet model's digest and the rows
+        this process gives on all its cores."""
+        deployed = parse_config_file(DEPLOYED_CONVNET)
+        net, banks = realize_extractor(deployed.extract[0], deployed.seed)
+        images, _ = make_texture_dataset(2, size=64, seed=3, blur_sigma=0.4)
+        rows = np.stack([image_features(highpass(img), True, net, banks) for img in images])
+        result = run_python("-c", _ONE_CPU, str(DEPLOYED_CONVNET), str(tmp_path), timeout=300)
+        assert result.returncode == 0, result.stderr
+        digest, threads, child_rows = result.stdout.split()
+        assert (digest[:12], threads) == ("dedc24a5c91e", "1")
+        assert child_rows == hashlib.sha256(rows.tobytes()).hexdigest()
+
+
+_LBP_ONLY = """
+import sys, threading
+from livecheck import LbpConfig, PipelineConfig, PreprocessConfig, SvmParams, TransformConfig
+from livecheck import fit_pipeline, make_texture_dataset
+
+images, labels = make_texture_dataset(4, size=32, seed=0)
+config = PipelineConfig(PreprocessConfig(filter="highpass"), LbpConfig(), TransformConfig(), SvmParams(), augmented=True)
+fit_pipeline(images, labels, config).decision_score(images[0])
+print(threading.active_count(), "queue" in sys.modules)
+"""
+
+
+# Runs a small network once as two halves, the second on the helper thread,
+# forks, and scores again in the child; an alarm ends a child that hangs
+# waiting for the parent's helper, which the child does not have.
+_FORK_AFTER_HELPER = """
+import os, signal, sys, warnings
+import numpy as np
+from livecheck import pipeline
+from livecheck.convnet import ConvLayerConfig, ConvNetConfig
+
+warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads alive
+pipeline._usable_cores = lambda: 2
+net = ConvNetConfig(layers=(ConvLayerConfig(num_filters=4, filter_size=3, pool_size=2, lcn_window=3),))
+img = np.random.default_rng(0).uniform(0.0, 1.0, size=(40, 40))
+want = pipeline.image_features(img, True, net, None)
+pid = os.fork()
+if pid == 0:
+    signal.alarm(30)
+    same = pipeline.image_features(img, True, net, None).tobytes() == want.tobytes()
+    print("child", "ok" if same else "differs", flush=True)
+    os._exit(0 if same else 1)
+_, status = os.waitpid(pid, 0)
+sys.exit(os.waitstatus_to_exitcode(status))
+"""
+
+# Pins itself to one CPU, then fits the benchmark's convnet model on its
+# PGM tree (as tests/test_blas_threads.py does) and hashes the rows of two
+# highpassed 64x64 images; prints the digest, the thread count and the hash.
+_ONE_CPU = """
+import hashlib, os, sys, threading
+import numpy as np
+
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from livecheck import (
+    derive_seed, fit_pipeline, load_dataset, load_images, make_texture_dataset, model_bytes, model_digest,
+    parse_config, write_dataset_tree,
+)
+from livecheck.imageproc import highpass
+from livecheck.pipeline import image_features, realize_extractor
+
+parsed = parse_config(open(sys.argv[1], encoding="utf-8").read())
+images, labels = make_texture_dataset(8, size=64, seed=derive_seed(2015, "scan-convnet-aug", "train"), blur_sigma=0.4)
+write_dataset_tree(sys.argv[2], images, labels)
+images, labels = load_images(load_dataset(sys.argv[2]))
+digest = model_digest(model_bytes(fit_pipeline(images, labels, parsed.single_config())))
+net, banks = realize_extractor(parsed.extract[0], parsed.seed)
+held, _ = make_texture_dataset(2, size=64, seed=3, blur_sigma=0.4)
+rows = np.stack([image_features(highpass(img), True, net, banks) for img in held])
+print(digest, threading.active_count(), hashlib.sha256(rows.tobytes()).hexdigest())
+"""
 
 
 def _lbp_image(rng, shape, kind):
