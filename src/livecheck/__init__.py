@@ -4,8 +4,8 @@ The package scores grayscale fingerprint images as live (+1) or fake
 (-1) from texture alone: preprocessing, a local-binary-pattern or
 random-filter convnet feature extractor, standardization with PCA
 whitening, and an RBF-kernel SVM trained by sequential minimal
-optimization.  Model selection runs a cached grid search under 5x2
-cross-validation on the average classification error.
+optimization.  Model selection runs a grid search, memoized within each
+split, under 5x2 cross-validation on the average classification error.
 """
 
 from .augment import augment_training, make_patches

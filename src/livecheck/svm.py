@@ -31,7 +31,7 @@ __all__ = [
 
 _MAX_SWEEPS = 10_000  # steps are capped at this many times the sample count
 _CURVATURE_FLOOR = 1e-12
-_CURVATURE_CACHE_BYTES = 128 << 10  # every row fits at n=120; small enough for solve()'s memory pin
+_CURVATURE_CACHE_BYTES = 128 << 10  # every row fits at n=120; small enough for _solve's memory pin
 _SV_EPS = 1e-12
 
 
@@ -90,141 +90,119 @@ def rbf_gram(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
     return np.exp(out, out=out)
 
 
-class _SmoSolver:
-    def __init__(self, X, y, params: SvmParams):
-        self.y = y
-        self.params = params
-        self.K = rbf_gram(X, X, params.gamma)
-        self.n = len(y)
-        self.alphas = np.zeros(self.n)
-        self.bias = 0.0
-        # s = -y * (gradient of the dual), s_t = y_t - sum_k alpha_k y_k K_tk,
-        # updated by two kernel rows after every step.
-        self.s = y.copy()
+def _solve(
+    K: np.ndarray, y: np.ndarray, params: SvmParams, collect_objectives: bool = False
+) -> tuple[np.ndarray, float, SmoDiagnostics]:
+    """Dual variables, bias and diagnostics of the SVM over the Gram ``K``."""
+    C, tol, n = params.C, params.tol, len(y)
+    positive = (y > 0).tolist()
+    diagonal = np.diag(K)
+    # Rows: s = -y * (gradient of the dual), s_t = y_t - sum_k alpha_k y_k K_tk,
+    # then s over I_up (alpha may move along +y) and over I_low (along -y), with
+    # -inf / +inf where a variable sits on the bound it would cross; with every
+    # alpha at 0, I_up is y = +1 and I_low is y = -1.  One subtraction updates
+    # all three: a step shifts every entry by the same dk (±inf stays ±inf, a
+    # finite entry gets exactly the bits a rebuild from s would), and only i
+    # and j can change set.
+    state = np.vstack((y, np.where(y > 0, y, -np.inf), np.where(y < 0, y, np.inf)))
+    s, s_up, s_low = state
+    b, a_scratch, gain, dk = (np.empty(n) for _ in range(4))
+    # Curvature rows a_i by working index i, in one block within a byte
+    # budget; rows past it are computed on every step and not stored.
+    cache = np.empty((min(n, _CURVATURE_CACHE_BYTES // (8 * n)), n))
+    rows: list[np.ndarray | None] = [None] * n
+    cached = 0
+    # At select's n = 120 a step costs a few microseconds of numpy call
+    # overhead and almost no arithmetic, so the loop reads alphas from a
+    # list and calls ufuncs and array methods through locals.
+    alphas = [0.0] * n
+    add, subtract, multiply, divide, copysign, maximum = (
+        np.add, np.subtract, np.multiply, np.divide, np.copysign, np.maximum
+    )
+    up_argmax, up_item = s_up.argmax, s_up.item
+    s_item, b_item, gain_argmax = s.item, b.item, gain.argmax
+    inf = math.inf
+    objectives: list[float] = []
 
-    def _candidates(self) -> tuple[np.ndarray, np.ndarray]:
-        # s over I_up (alpha may move along +y) and over I_low (along -y),
-        # with -inf / +inf where a variable sits on the bound it would cross.
-        y, alphas, C = self.y, self.alphas, self.params.C
-        s_up = np.where(np.where(y > 0, alphas < C, alphas > 0), self.s, -np.inf)
-        s_low = np.where(np.where(y > 0, alphas > 0, alphas < C), self.s, np.inf)
-        return s_up, s_low
-
-    def dual_objective(self) -> float:
+    def objective(values: list[float]) -> float:
         # K (alpha * y) = y - s, so no Gram product is needed.
-        ay = self.alphas * self.y
-        return float(self.alphas.sum() - 0.5 * (ay @ (self.y - self.s)))
+        alpha = np.array(values)
+        return float(alpha.sum() - 0.5 * ((alpha * y) @ (y - s)))
 
-    def solve(self, collect_objectives: bool = False) -> SmoDiagnostics:
-        diag = SmoDiagnostics(alphas=self.alphas)
-        K, C, tol, n = self.K, self.params.C, self.params.tol, self.n
-        positive = (self.y > 0).tolist()
-        diagonal = np.diag(K)
-        # s and the candidate arrays are the rows of one matrix, so one
-        # subtraction updates all three: a step shifts every entry by the
-        # same dk (±inf stays ±inf, a finite entry gets exactly the bits a
-        # rebuild from s would), and only i and j can change set.
-        state = np.vstack((self.s, *self._candidates()))
-        self.s, s_up, s_low = state
-        b, a_scratch, gain, dk = (np.empty(n) for _ in range(4))
-        # Curvature rows a_i by working index i, in one block within a byte
-        # budget; rows past it are computed on every step and not stored.
-        cache = np.empty((min(n, _CURVATURE_CACHE_BYTES // (8 * n)), n))
-        rows: list[np.ndarray | None] = [None] * n
-        cached = 0
-        # At select's n = 120 a step costs a few microseconds of numpy call
-        # overhead and almost no arithmetic, so the loop reads alphas from a
-        # list and calls ufuncs and array methods through locals.
-        alphas = self.alphas.tolist()
-        add, subtract, multiply, divide, copysign, maximum = (
-            np.add, np.subtract, np.multiply, np.divide, np.copysign, np.maximum
-        )
-        up_argmax, up_item = s_up.argmax, s_up.item
-        s_item, b_item, gain_argmax = self.s.item, b.item, gain.argmax
-        inf = math.inf
-        steps = 0
-        while steps < _MAX_SWEEPS * n:
-            i = int(up_argmax())
-            top = up_item(i)
-            # Partner j maximizes the dual gain b^2 / a of the pair's step.
-            subtract(top, s_low, out=b)
-            row_i = K[i]
-            a = rows[i]
-            if a is None:
-                if cached < len(cache):
-                    a = rows[i] = cache[cached]
-                    cached += 1
-                else:
-                    a = a_scratch
-                add(diagonal, diagonal[i], out=a)
-                multiply(row_i, 2.0, out=dk)  # dk is scratch until the update
-                subtract(a, dk, out=a)
-                maximum(a, _CURVATURE_FLOOR, out=a)
-            multiply(b, b, out=gain)
-            divide(gain, a, out=gain)
-            # b's sign makes every non-ascent gain <= 0, while the largest b
-            # (> tol) has a positive gain unless tol is below about 1e-154 and
-            # b^2 underflows, so argmax picks what a -inf mask would.
-            copysign(gain, b, out=gain)
-            j = int(gain_argmax())
-            b_j = b_item(j)
-            # The stopping test is max(b) = top - min(s_low) <= tol; rounding
-            # keeps order, so that max is fl(top - min(s_low)) exactly.  A
-            # partner with b_j > tol already shows the gap is open.
-            if b_j <= tol and top - s_low.item(int(s_low.argmin())) <= tol:
-                break
-            alpha_i, alpha_j = alphas[i], alphas[j]
-            room_i = C - alpha_i if positive[i] else alpha_i
-            room_j = alpha_j if positive[j] else C - alpha_j
-            t = min(b_j / a.item(j), room_i, room_j)
-            subtract(row_i, K[j], out=dk)
-            multiply(dk, t, out=dk)
-            subtract(state, dk, out=state)
-            # A variable that uses all its room lands exactly on its bound,
-            # and only i and j can change set: I_up holds y = +1 below C and
-            # y = -1 above 0, I_low the reverse.
-            s_i, s_j = s_item(i), s_item(j)
-            if positive[i]:
-                alpha_i = C if t == room_i else alpha_i + t
-                s_up[i] = s_i if alpha_i < C else -inf
-                s_low[i] = s_i if alpha_i > 0.0 else inf
+    steps = 0
+    while steps < _MAX_SWEEPS * n:
+        i = int(up_argmax())
+        top = up_item(i)
+        # Partner j maximizes the dual gain b^2 / a of the pair's step.
+        subtract(top, s_low, out=b)
+        row_i = K[i]
+        a = rows[i]
+        if a is None:
+            if cached < len(cache):
+                a = rows[i] = cache[cached]
+                cached += 1
             else:
-                alpha_i = 0.0 if t == room_i else alpha_i - t
-                s_up[i] = s_i if alpha_i > 0.0 else -inf
-                s_low[i] = s_i if alpha_i < C else inf
-            if positive[j]:
-                alpha_j = 0.0 if t == room_j else alpha_j - t
-                s_up[j] = s_j if alpha_j < C else -inf
-                s_low[j] = s_j if alpha_j > 0.0 else inf
-            else:
-                alpha_j = C if t == room_j else alpha_j + t
-                s_up[j] = s_j if alpha_j > 0.0 else -inf
-                s_low[j] = s_j if alpha_j < C else inf
-            alphas[i], alphas[j] = alpha_i, alpha_j
-            steps += 1
-            if collect_objectives and steps % n == 0:
-                self.alphas[:] = alphas
-                diag.dual_objectives.append(self.dual_objective())
-        self.alphas[:] = alphas
-        if collect_objectives:
-            diag.dual_objectives.append(self.dual_objective())
-        diag.steps = steps
-        diag.sweeps = math.ceil(steps / n)
-        diag.kkt_gap = float(s_up.max() - s_low.min())
-        diag.converged = diag.kkt_gap <= tol
-        self._finalize_bias()
-        diag.alphas = self.alphas.copy()
-        return diag
-
-    def _finalize_bias(self):
-        # Free support vectors sit on the margin, where the bias equals s;
-        # without any, the midpoint of the two extremes satisfies KKT best.
-        free = (self.alphas > 0.0) & (self.alphas < self.params.C)
-        if free.any():
-            self.bias = float(self.s[free].mean())
+                a = a_scratch
+            add(diagonal, diagonal[i], out=a)
+            multiply(row_i, 2.0, out=dk)  # dk is scratch until the update
+            subtract(a, dk, out=a)
+            maximum(a, _CURVATURE_FLOOR, out=a)
+        multiply(b, b, out=gain)
+        divide(gain, a, out=gain)
+        # b's sign makes every non-ascent gain <= 0, while the largest b
+        # (> tol) has a positive gain unless tol is below about 1e-154 and
+        # b^2 underflows, so argmax picks what a -inf mask would.
+        copysign(gain, b, out=gain)
+        j = int(gain_argmax())
+        b_j = b_item(j)
+        # The stopping test is max(b) = top - min(s_low) <= tol; rounding
+        # keeps order, so that max is fl(top - min(s_low)) exactly.  A
+        # partner with b_j > tol already shows the gap is open.
+        if b_j <= tol and top - s_low.item(int(s_low.argmin())) <= tol:
+            break
+        alpha_i, alpha_j = alphas[i], alphas[j]
+        room_i = C - alpha_i if positive[i] else alpha_i
+        room_j = alpha_j if positive[j] else C - alpha_j
+        t = min(b_j / a.item(j), room_i, room_j)
+        subtract(row_i, K[j], out=dk)
+        multiply(dk, t, out=dk)
+        subtract(state, dk, out=state)
+        # A variable that uses all its room lands exactly on its bound,
+        # and only i and j can change set: I_up holds y = +1 below C and
+        # y = -1 above 0, I_low the reverse.
+        s_i, s_j = s_item(i), s_item(j)
+        if positive[i]:
+            alpha_i = C if t == room_i else alpha_i + t
+            s_up[i] = s_i if alpha_i < C else -inf
+            s_low[i] = s_i if alpha_i > 0.0 else inf
         else:
-            s_up, s_low = self._candidates()
-            self.bias = float((s_up.max() + s_low.min()) / 2.0)
+            alpha_i = 0.0 if t == room_i else alpha_i - t
+            s_up[i] = s_i if alpha_i > 0.0 else -inf
+            s_low[i] = s_i if alpha_i < C else inf
+        if positive[j]:
+            alpha_j = 0.0 if t == room_j else alpha_j - t
+            s_up[j] = s_j if alpha_j < C else -inf
+            s_low[j] = s_j if alpha_j > 0.0 else inf
+        else:
+            alpha_j = C if t == room_j else alpha_j + t
+            s_up[j] = s_j if alpha_j > 0.0 else -inf
+            s_low[j] = s_j if alpha_j < C else inf
+        alphas[i], alphas[j] = alpha_i, alpha_j
+        steps += 1
+        if collect_objectives and steps % n == 0:
+            objectives.append(objective(alphas))
+    if collect_objectives:
+        objectives.append(objective(alphas))
+    kkt_gap = float(s_up.max() - s_low.min())
+    result = np.array(alphas)
+    # Free support vectors sit on the margin, where the bias equals s;
+    # without any, the midpoint of the two extremes satisfies KKT best.
+    free = (result > 0.0) & (result < C)
+    bias = float(s[free].mean() if free.any() else (s_up.max() + s_low.min()) / 2.0)
+    diag = SmoDiagnostics(
+        result, objectives, sweeps=math.ceil(steps / n), kkt_gap=kkt_gap, converged=kkt_gap <= tol, steps=steps
+    )
+    return result, bias, diag
 
 
 def train_smo(
@@ -258,8 +236,8 @@ def train_smo(
     if positive.all() or negative.all():
         raise ValueError("training data contains a single class")
 
-    solver = _SmoSolver(X, y, params)
-    diag = solver.solve(collect_objectives=collect_diagnostics)
+    K = rbf_gram(X, X, params.gamma)
+    alphas, bias, diag = _solve(K, y, params, collect_diagnostics)
     if not diag.converged:
         warnings.warn(
             f"SMO stopped at its cap of {diag.sweeps} sweeps with KKT gap {diag.kkt_gap:.3g} "
@@ -268,11 +246,11 @@ def train_smo(
             stacklevel=2,
         )
 
-    keep = solver.alphas > _SV_EPS
+    keep = alphas > _SV_EPS
     model = SvmModel(
         support_vectors=X[keep].copy(),
-        dual_coefs=(solver.alphas * y)[keep].copy(),
-        bias=solver.bias,
+        dual_coefs=(alphas * y)[keep].copy(),
+        bias=bias,
         gamma=params.gamma,
     )
     return model, (diag if collect_diagnostics else None)

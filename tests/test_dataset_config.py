@@ -10,6 +10,8 @@ from livecheck import dataset
 from livecheck.dataset import load_dataset, load_images
 from livecheck.imageproc import write_pgm
 from livecheck.lbp import LbpConfig
+from livecheck.pipeline import PipelineConfig, PreprocessConfig, TransformConfig
+from livecheck.svm import SvmParams
 from livecheck.synthdata import make_texture_dataset, write_dataset_tree
 
 
@@ -107,6 +109,14 @@ class TestParseConfig:
         assert pipeline.classifier.C == 10.0
         assert pipeline.seed == 7
         assert not pipeline.augmented
+
+    def test_defaults_are_the_dataclass_defaults(self):
+        """A default changed in ``config._SCHEMA`` or in a config
+        dataclass, but not in both, fails here."""
+        pipeline = parse_config("[search]\nseed = 3\n").single_config()
+        assert pipeline == PipelineConfig(
+            PreprocessConfig(), LbpConfig(), TransformConfig(), SvmParams(), augmented=False, seed=3
+        )
 
     def test_seed_required(self):
         with pytest.raises(ValueError, match="search.seed"):

@@ -38,14 +38,21 @@ def blob_data(rng, n=40, gap=3.0):
     return X, y
 
 
+def lbp_rows(seed):
+    """Augmented uniform-LBP rows of 12 highpassed 64x64 textures, ten
+    per texture, and their labels."""
+    images, labels = make_texture_dataset(6, size=64, seed=seed, blur_sigma=0.4)
+    config = LbpConfig(variant="uniform", blocks=(2, 2))
+    X = np.vstack([image_features(highpass(img), True, config, None) for img in images])
+    return X, np.repeat(labels, 10)
+
+
 def lbp_pca_rows():
     """120 augmented uniform-LBP rows of 12 highpassed textures after
     standardization and PCA, as one select-lbp-aug fold fit sees them."""
-    images, labels = make_texture_dataset(6, size=64, seed=17, blur_sigma=0.4)
-    config = LbpConfig(variant="uniform", blocks=(2, 2))
-    X = np.vstack([image_features(highpass(img), True, config, None) for img in images])
+    X, labels = lbp_rows(17)
     _, _, Z = fit_transform(X, TransformConfig(pca_fraction=0.5), seed=3)
-    return Z, np.repeat(labels, 10)
+    return Z, labels
 
 
 def random_model(rng, n_sv, dim):
@@ -236,6 +243,9 @@ class TestSolverOracle:
             assert sweeps == 0 and not alphas.any()
         else:
             assert sweeps >= 1
+        if case in ("overlap-small-C", "no-steps"):
+            # No free alpha: the bias comes from the live candidate rows.
+            assert not ((alphas > 0.0) & (alphas < params.C)).any()
 
     def test_bit_identical_through_the_gap_fallback(self):
         """A step whose best partner has b_j <= tol while another b is
@@ -335,15 +345,16 @@ class TestSolverOracle:
             assert quiet.bias == traced.bias
 
     def test_solve_allocates_no_square_array(self):
-        """Past the Gram, solve() holds only a handful of n-vectors."""
+        """Past the Gram, the solver holds only a handful of n-vectors."""
         n = 2000
         rng = np.random.default_rng(5)
         X = np.vstack([rng.standard_normal((n // 2, 5)) + 0.5, rng.standard_normal((n // 2, 5))])
         y = np.concatenate([np.ones(n // 2), -np.ones(n // 2)])
-        solver = svm._SmoSolver(X, y, SvmParams(C=10.0, gamma=0.05))
+        params = SvmParams(C=10.0, gamma=0.05)
+        K = rbf_gram(X, X, params.gamma)
         tracemalloc.start()
         try:
-            diag = solver.solve()
+            _, _, diag = svm._solve(K, y, params)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
