@@ -382,7 +382,12 @@ def fit_pipeline(images: list[np.ndarray], labels: np.ndarray, config: PipelineC
 
     All randomness (filter banks, PCA sketch) derives from
     ``config.seed``; inside a memo scope, rows a grid search made with
-    that seed are reused.
+    that seed are reused.  The model also depends on the order of the
+    images: SMO stops at a KKT gap of 1e-3 and its working-set argmax
+    takes the first maximal row, so permuting the training images has
+    moved held-out margins by up to 1.2e-3 (LBP, six seeds).
+    ``tests/test_metamorphic.py::test_permuting_training_images_keeps_margins``
+    bounds that move, and the margins' signs, on its own sets.
     """
     labels = check_labels(images, labels)
     pre = preprocess_images(images, config.preprocess)

@@ -66,6 +66,28 @@ def correlate2d_same_reflect(img, kernel):
     return conv2d_same_reflect(img, np.asarray(kernel)[::-1, ::-1])
 
 
+def conv2d_row_slices(img, kernel):
+    """True convolution, same size, mirrored borders, one 2-D slice per tap.
+
+    Each row of the flipped kernel sums its taps left to right from the first
+    product, and the row sums go onto zeros in row order.  The package runs
+    each row as shifts of the flattened padded image; it must give these bits,
+    because every output gets the same products and sums in the same order.
+    """
+    img = np.asarray(img, dtype=np.float64)
+    flipped = np.asarray(kernel, dtype=np.float64)[::-1, ::-1]
+    size = len(flipped)
+    height, width = img.shape
+    padded = np.pad(img, size // 2, mode="symmetric")
+    out = np.zeros((height, width))
+    for i in range(size):
+        row = flipped[i, 0] * padded[i : i + height, :width]
+        for j in range(1, size):
+            row += flipped[i, j] * padded[i : i + height, j : j + width]
+        out += row
+    return out
+
+
 def blur_same_slices(plane, profile):
     """Same-size separable convolution with mirrored borders, one 2-D
     slice per tap: a row pass, then a column pass.

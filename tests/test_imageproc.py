@@ -1,5 +1,7 @@
 """Ingestion and preprocessing: decoding, filtering, morphology, ROI, CLAHE."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -21,11 +23,14 @@ from livecheck.imageproc import (
     resize_bilinear,
     write_pgm,
 )
+from livecheck.seeds import derive_seed
+from livecheck.synthdata import make_texture_dataset
 
 from conftest import layouts
 from oracles import (
     blur_same_slices,
     clahe_fancy_index,
+    conv2d_row_slices,
     conv2d_same_reflect,
     lowpass_slices,
     morph_close_oracle,
@@ -195,6 +200,32 @@ class TestFiltering:
                 lowpass(img), conv2d_same_reflect(img, gaussian_kernel(13, 3.0)), atol=1e-12
             )
 
+    def test_convolve_bits_match_row_slices(self, rng):
+        """The same products, summed in the same order, as one 2-D slice per tap."""
+        cases = []
+        for size in range(1, 32, 2):
+            # a kernel side equal to the image's shorter side, then a larger image
+            cases.append((rng.uniform(0.0, 1.0, (size, size + 5)), gaussian_kernel(size, 0.4 + size / 4)))
+            cases.append((rng.uniform(0.0, 1.0, (size + 20, 2 * size + 3)), rng.standard_normal((size, size))))
+        for shape, size in (((1, 1), 1), ((300, 5), 5), ((5, 300), 3), ((90, 7), 7), ((7, 90), 7)):
+            cases.append((rng.uniform(0.0, 1.0, shape), gaussian_kernel(size, 1.5)))
+            cases.append((rng.uniform(0.0, 1.0, shape), rng.standard_normal((size, size))))
+        repeated = rng.standard_normal((7, 7))
+        repeated[[3, 6]] = repeated[0]  # equal rows 0, 3 and 6, none of them neighbours
+        repeated[5] = repeated[2]
+        cases.append((rng.uniform(0.0, 1.0, (20, 30)), repeated))
+        # a zero start: an image of -0.0 under a positive kernel gives +0.0, not -0.0
+        signed = rng.uniform(0.0, 1.0, (15, 17))
+        signed[rng.uniform(size=signed.shape) < 0.3] = -0.0
+        cases += [(-np.zeros((9, 9)), gaussian_kernel(5, 1.0)), (signed, gaussian_kernel(5, 1.0))]
+        wide = rng.uniform(0.0, 1.0, (40, 60))
+        cases.append((wide[::2, ::-3], rng.standard_normal((9, 9))))
+        for img, kernel in cases:
+            got, want = convolve2d(img, kernel), conv2d_row_slices(img, kernel)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (img.shape, kernel.shape)
+        assert np.signbit(convolve2d(-np.zeros((9, 9)), gaussian_kernel(5, 1.0))).sum() == 0
+
     def test_convolve_kernel_flip(self):
         """An asymmetric kernel distinguishes convolution from correlation."""
         img = np.zeros((5, 5))
@@ -210,6 +241,19 @@ class TestFiltering:
     def test_convolve_rejects_oversized_kernel(self):
         with pytest.raises(ValueError):
             convolve2d(np.zeros((3, 3)), np.ones((5, 5)) / 25.0)
+
+    def test_spoof_generators_pinned(self, perfbench_frames):
+        """The bits of the benchmark's training images, so that a drift names the
+        generator (``convolve2d`` makes every fake) before any model digest moves."""
+
+        def digest(images):
+            return hashlib.sha256(b"".join(img.tobytes() for img in images)).hexdigest()
+
+        seed = derive_seed(2015, "select-lbp-aug", "train")
+        textures, _ = make_texture_dataset(12, size=64, seed=seed, blur_sigma=0.4)
+        frames, _ = perfbench_frames.finger_frames(2, derive_seed(2015, "scan-sensor", "train"), 0.4)
+        assert digest(textures) == "d2c4c1c21c8f494b4c12444aae82c79845865bc37f1d88575b0d62963c9dd3cd"
+        assert digest(frames) == "7bc170d206e0718888e617700fd62fa6ea1c34caa38050d16e28c3fc3da59890"
 
     def test_highpass_is_exact_residual(self, random_image):
         """The residual definition holds bit for bit."""
