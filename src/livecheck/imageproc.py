@@ -43,6 +43,10 @@ GAUSS_SIGMA = 3.0
 ROI_CLOSE_BOX = 21
 ROI_SIGMA_FACTOR = 3.0
 
+# A frame-sized kernel runs over row blocks whose float64 buffers each hold
+# at most about this many bytes, so that its passes stay in cache.
+_BLOCK_BYTES = 1 << 18
+
 
 def as_image(data) -> np.ndarray:
     """Validate ``data`` as a 2-D float64 intensity image in [0, 1]."""
@@ -115,27 +119,52 @@ def ingest(data: bytes) -> np.ndarray:
         if len(data) - pos < count:
             raise ValueError("unsupported format: truncated pixel data")
         pixels = np.frombuffer(data, dtype=np.uint8, count=count, offset=pos)
+        if pixels.max() > maxval:
+            raise ValueError("unsupported format: pixel value exceeds maxval")
     else:
-        values = []
-        for _ in range(count):
-            try:
-                value, pos = _header_int(data, pos, "pixel")
-            except ValueError:
-                raise ValueError("unsupported format: truncated pixel data") from None
-            values.append(value)
-        pixels = np.asarray(values, dtype=np.int64)
-    if pixels.max(initial=0) > maxval:
-        raise ValueError("unsupported format: pixel value exceeds maxval")
+        pixels = _plain_raster(data[pos:], count, maxval)
     return np.divide(pixels.reshape(height, width), 255.0, dtype=np.float64)
+
+
+def _plain_raster(body: bytes, count: int, maxval: int) -> np.ndarray:
+    """The first ``count`` pixels of a P2 raster as uint8; anything after them is ignored.
+
+    Cutting each ``#`` comment and then splitting once gives the tokens that
+    ``_read_token`` would read one at a time.  Each must be decimal digits."""
+    body = re.sub(rb"#[^\r\n]*", b"", body)
+    tokens = body.split(None, count)[:count] if count <= len(body) else []
+    if len(tokens) < count or not b"".join(tokens).isdigit():
+        raise ValueError("unsupported format: truncated pixel data")
+    values = list(map(int, tokens))
+    if max(values) > maxval:
+        raise ValueError("unsupported format: pixel value exceeds maxval")
+    return np.array(values, dtype=np.uint8)
 
 
 def write_pgm(img: np.ndarray) -> bytes:
     """Encode a [0, 1] image as a binary (P5) 8-bit PGM byte stream."""
     img = as_image(img)
     height, width = img.shape
-    raster = np.rint(img * 255.0).astype(np.uint8)
     header = f"P5\n{width} {height}\n255\n".encode("ascii")
-    return header + raster.tobytes()
+    stream = bytearray(len(header) + img.size)
+    stream[: len(header)] = header
+    _codes(img, np.frombuffer(stream, dtype=np.uint8, offset=len(header)).reshape(height, width))
+    return bytes(stream)
+
+
+def _codes(img: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Set the uint8 ``out`` to the 8-bit codes ``rint(255 * img)`` of a [0, 1] image.
+
+    The codes are rounded in row blocks through one float64 buffer of at most
+    ``_BLOCK_BYTES``, not through two frame-sized temporaries."""
+    height, width = img.shape
+    rows = min(height, max(1, _BLOCK_BYTES // (8 * width)))
+    scaled = np.empty((rows, width))
+    for r0 in range(0, height, rows):
+        block = scaled[: min(rows, height - r0)]
+        np.rint(np.multiply(img[r0 : r0 + rows], 255.0, out=block), out=block)
+        out[r0 : r0 + rows] = block
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -205,13 +234,15 @@ def convolve2d(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     With ``t`` the flipped kernel and ``p`` the mirror-padded image, output
     (y, x) is ``((0.0 + r[0]) + r[1]) + ...`` over the kernel rows in order,
     where ``r[i] = t[i, 0] * p[y + i, x] + t[i, 1] * p[y + i, x + 1] + ...``
-    is added left to right.  A row's pass runs once over the whole padded
-    image, flattened at its row pitch, and serves every later row with the
-    same bits, so it is held until that row's last use: a Gaussian's row i
-    equals row side - 1 - i.  For a 480x640 image and a 9x9 Gaussian, the
-    middle row holds five 488x648 passes and a product buffer of that size,
-    which add about 15 MB to the 5 MB peak of the padded image and the
-    result: 20 MB in all.
+    is added left to right.  Output rows run in blocks: rows [r0, r1) take
+    padded rows [r0, r1 + side - 1), flattened at their row pitch.  A kernel
+    row's pass runs once over a block and serves every later row with the same
+    bits, so it is held until that row's last use: a Gaussian's row i equals
+    row side - 1 - i.  A pass over the whole padded image that fits
+    ``_BLOCK_BYTES`` makes one block; a larger image is split evenly into the
+    fewest blocks whose passes fit.  For a 480x640 image and a 9x9 Gaussian,
+    the middle row holds five 48x648 passes and a product buffer of that size,
+    about 1.5 MB beside the 5 MB of the padded image and the result.
     """
     img = np.asarray(img, dtype=np.float64)
     kernel = np.asarray(kernel, dtype=np.float64)
@@ -227,22 +258,35 @@ def convolve2d(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     flipped = kernel[::-1, ::-1]
     padded = np.pad(img, radius, mode="symmetric").ravel()
     pitch = width + 2 * radius
-    n_rows = len(padded) - 2 * radius
-    n_out = (height - 1) * pitch + width
-    out = np.zeros((height, pitch))  # a zero start: 0.0 + -0.0 is +0.0
-    span = out.ravel()[:n_out]
-    product = np.empty(n_rows)
+    fit = _BLOCK_BYTES // (8 * pitch) - 2 * radius  # output rows whose pass fits the budget
+    blocks = -(-height // max(fit, 1))
+    edges = [k * height // blocks for k in range(blocks + 1)]
+    most = -(-height // blocks)
+    out = np.zeros((most, pitch))  # a zero start: 0.0 + -0.0 is +0.0
+    product = np.empty((most + 2 * radius) * pitch - 2 * radius)
+    result = np.empty((height, width))
     keys = [row.tobytes() for row in flipped]
     last_use = {key: i for i, key in enumerate(keys)}
-    passes = {}
-    for i, key in enumerate(keys):
-        rows = passes.pop(key, None)
-        if rows is None:
-            rows = _tap_sum(flipped[i], padded, 1, np.empty(n_rows), product)
-        span += rows[i * pitch : i * pitch + n_out]
-        if last_use[key] > i:
-            passes[key] = rows
-    return np.ascontiguousarray(out[:, :width])
+    spare = []  # pass buffers past their last use, for the next pass
+    for r0, r1 in zip(edges, edges[1:]):
+        n_rows = (r1 - r0 + 2 * radius) * pitch - 2 * radius
+        n_out = (r1 - r0 - 1) * pitch + width
+        span = out.ravel()[:n_out]
+        if r0:  # every block starts from zero
+            span.fill(0.0)
+        passes = {}
+        for i, key in enumerate(keys):
+            rows = passes.pop(key, None)
+            if rows is None:
+                rows = spare.pop() if spare else np.empty(len(product))
+                _tap_sum(flipped[i], padded[r0 * pitch :], 1, rows[:n_rows], product[:n_rows])
+            span += rows[i * pitch : i * pitch + n_out]
+            if last_use[key] > i:
+                passes[key] = rows
+            else:
+                spare.append(rows)
+        result[r0:r1] = out[: r1 - r0, :width]
+    return result
 
 
 def _tap_sum(weights: np.ndarray, flat: np.ndarray, step: int, out: np.ndarray, product: np.ndarray) -> np.ndarray:
@@ -361,8 +405,7 @@ def _closed_codes(img: np.ndarray, box: int) -> np.ndarray:
     ``rint(255 * morph_close(img, box))``.  An 8-bit image (every ``ingest``
     output) is ``codes / 255.0`` exactly, and then so is its closing.
     """
-    scaled = img * 255.0
-    return _close(np.rint(scaled, out=scaled).astype(np.uint8), box)
+    return _close(_codes(img, np.empty(img.shape, dtype=np.uint8)), box)
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,7 @@ HOSTILE_PGM = [
     b"P5 1 1 " + b"9" * 5000 + b"\n",
     b"P2 1099511627776 1099511627776 255 1 2 3",
     b"P2 1 1 255 +5",
+    b"P2 1 1 255 " + b"9" * 30,  # a pixel past int64
     b"P2 2 1 255 7 \xff",
     b"P5",
     b"",
@@ -276,6 +277,7 @@ def test_cli_reports_hostile_files_in_one_line(tmp_path):
     for label in ("live", "fake"):
         (data / label).mkdir(parents=True)
         (data / label / "only.pgm").write_bytes(HOSTILE_PGM[0])
+    (tmp_path / "good.lvck").write_bytes(blob)
     stages = _split(blob)
     transform, body = stages[3]
     values = np.frombuffer(body, dtype="<f8").copy()
@@ -287,6 +289,11 @@ def test_cli_reports_hostile_files_in_one_line(tmp_path):
         "infinite_epsilon.lvck": _join(stages[:3] + [({**transform, "epsilon": math.inf}, body)] + stages[4:]),
         "infinite_stds.lvck": _join(stages[:3] + [(transform, values.tobytes())] + stages[4:]),
     }
+    hostile = tmp_path / "overflow.pgm"
+    hostile.write_bytes(b"P2 1 1 255 " + b"9" * 30)
+    result = _run_cli("predict", "--model", str(tmp_path / "good.lvck"), str(hostile))
+    assert result.returncode == 1 and result.stdout == "", result.stderr
+    assert result.stderr.splitlines() == [f"error: {hostile}: unsupported format: pixel value exceeds maxval"]
     runs = []
     for name, content in models.items():
         (tmp_path / name).write_bytes(content)

@@ -1,11 +1,13 @@
 """Ingestion and preprocessing: decoding, filtering, morphology, ROI, CLAHE."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from livecheck.imageproc import (
+    _BLOCK_BYTES,
     RoiRect,
     _blur_same,
     _close,
@@ -39,6 +41,17 @@ from oracles import (
     roi_box,
     roi_float64,
 )
+
+
+def _traced_peak(call) -> int:
+    """Peak bytes that ``call()`` allocates, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
 
 def _finger_frame(height=480, width=640):
     """A sensor-sized frame: an off-center elliptical print of curved
@@ -115,8 +128,20 @@ class TestIngest:
             ingest(b"P2\n2 2\n255\n1 2 3\n")
 
     def test_pixel_above_maxval_rejected(self):
-        with pytest.raises(ValueError, match="unsupported format"):
-            ingest(b"P5\n1 1\n100\n" + bytes([200]))
+        for data in (b"P5\n1 1\n100\n" + bytes([200]), b"P2 2 1 100 7 101", b"P2 2 1 255 7 " + b"9" * 30):
+            with pytest.raises(ValueError, match="unsupported format: pixel value exceeds maxval"):
+                ingest(data)
+
+    def test_p2_decodes_like_p5(self, rng):
+        """A frame written as plain text, with comments inside and after tokens,
+        zero-padded values and trailing data, gives the P5 frame's bits."""
+        codes = rng.integers(0, 256, size=(48, 64))
+        tokens = [f"{v:04d}" if v % 7 == 0 else str(v) for v in codes.ravel()]
+        tokens[5] += "#comment\n"
+        rows = [" ".join(tokens[k : k + 64]) for k in range(0, len(tokens), 64)]
+        text = "P2\n64 48 # dims\n255\n" + "\n# between rows\r".join(rows) + "\n999 junk\n"
+        binary = b"P5\n64 48\n255\n" + codes.astype(np.uint8).tobytes()
+        assert ingest(text.encode()).tobytes() == ingest(binary).tobytes()
 
     def test_write_then_ingest_round_trip(self, random_image):
         img = random_image(9, 7)
@@ -127,6 +152,28 @@ class TestIngest:
         data = write_pgm(np.array([[0.0, 1.0]]))
         assert data.startswith(b"P5\n2 1\n255\n")
         assert data[-2:] == bytes([0, 255])
+
+    def test_writer_and_roi_codes_match_oracle(self, rng):
+        """``write_pgm`` and the ROI's ``_closed_codes`` round ``img * 255`` in row
+        blocks; the codes are ``rint(img * 255)`` over the whole image, ties
+        (k + 0.5) / 255 included, on one-block, frame, tall and wide shapes."""
+        ties = (np.arange(255) + 0.5) / 255.0
+        images = [ties.reshape(15, 17), np.resize(ties, (480, 640)), rng.uniform(0.0, 1.0, size=(64, 64))]
+        images += [np.resize(ties, (_BLOCK_BYTES // 8 + 3, 3)), np.resize(ties, (3, _BLOCK_BYTES // 8 + 5))]
+        images.append(np.resize(ties, (200, 640))[::-2, ::3])
+        for img in images:
+            codes = np.rint(img * 255.0).astype(np.uint8)
+            height, width = img.shape
+            data = write_pgm(img)
+            assert type(data) is bytes
+            assert data == f"P5\n{width} {height}\n255\n".encode() + codes.tobytes()
+            assert _closed_codes(img, 3).tobytes() == _close(codes, 3).tobytes()
+
+    def test_writer_peak_pinned(self, rng):
+        """No frame-sized float64 temporary: a 480x640 frame's float64 image alone is 2.46 MB."""
+        img = rng.uniform(0.0, 1.0, size=(480, 640))
+        peak = _traced_peak(lambda: write_pgm(img))
+        assert peak < 1_000_000, f"traced peak {peak / 1e6:.2f} MB"
 
 
 class TestResize:
@@ -220,11 +267,29 @@ class TestFiltering:
         cases += [(-np.zeros((9, 9)), gaussian_kernel(5, 1.0)), (signed, gaussian_kernel(5, 1.0))]
         wide = rng.uniform(0.0, 1.0, (40, 60))
         cases.append((wide[::2, ::-3], rng.standard_normal((9, 9))))
+        # Row blocks of at most ``fit`` output rows: heights fit - 1 and fit run as
+        # one block, fit + 1 as two and 2 fit + 1 as three; each block reuses the
+        # equal kernel rows and starts from zero.
+        fit = _BLOCK_BYTES // (8 * (150 + 6)) - 6
+        for height in (fit - 1, fit, fit + 1, 2 * fit + 1):
+            img = rng.uniform(0.0, 1.0, (height, 150))
+            cases += [(img, gaussian_kernel(7, 1.5)), (img, repeated), (img, rng.standard_normal((7, 7)))]
+        blocked_zeros = -np.zeros((2 * fit + 1, 150))
+        tall = rng.uniform(0.0, 1.0, (4 * fit + 2, 450))
+        cases += [(blocked_zeros, gaussian_kernel(7, 1.5)), (tall[::-2, ::-3], repeated)]
         for img, kernel in cases:
             got, want = convolve2d(img, kernel), conv2d_row_slices(img, kernel)
-            assert got.shape == want.shape
+            assert got.shape == want.shape and got.flags.c_contiguous
             assert got.tobytes() == want.tobytes(), (img.shape, kernel.shape)
-        assert np.signbit(convolve2d(-np.zeros((9, 9)), gaussian_kernel(5, 1.0))).sum() == 0
+        for zeros in (-np.zeros((9, 9)), blocked_zeros):
+            assert np.signbit(convolve2d(zeros, gaussian_kernel(5, 1.0))).sum() == 0
+
+    def test_convolve_peak_pinned(self, rng):
+        """A 480x640 image and a 9x9 Gaussian: the padded image and the result take
+        about 5 MB, and the passes of one row block add about 1.5 MB."""
+        img, kernel = rng.uniform(0.0, 1.0, size=(480, 640)), gaussian_kernel(9, 1.5)
+        peak = _traced_peak(lambda: convolve2d(img, kernel))
+        assert peak < 8_000_000, f"traced peak {peak / 1e6:.2f} MB"
 
     def test_convolve_kernel_flip(self):
         """An asymmetric kernel distinguishes convolution from correlation."""

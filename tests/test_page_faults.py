@@ -12,9 +12,10 @@ so the model is fitted here and scored in a child process that only
 loads it.
 
 The sensor model, scored from PGM bytes as CLI ``predict`` scores them,
-is pinned too, at its current level: its frame-sized float64 temporaries
-(the decoded frame and ``img * 255.0`` in the ROI step, 2.4 MB each)
-still fault about 1,575 pages per 480x640 frame.
+is pinned too, at its current level: about 1,514 faults per 480x640
+frame.  The ROI step rounds its 8-bit codes through a float64 buffer of a
+few rows, so the frame-sized float64 temporary left is the decoded frame
+(2.4 MB); removing ``img * 255.0`` took only about 60 faults off 1,575.
 """
 
 import sys
@@ -32,9 +33,9 @@ WORKLOAD = "scan-convnet-aug"
 # Far below the ~1,800 per image of per-layer temporaries, far above the
 # 16-17 of the in-place, lean layers.
 MAX_FAULTS_PER_IMAGE = 200
-# 1,575 per frame when pinned; one more frame-sized float64 temporary
+# 1,514 per frame when pinned; one more frame-sized float64 temporary
 # adds about 600 (2.4 MB of 4 KiB pages).
-MAX_FAULTS_PER_SENSOR_FRAME = 1_900
+MAX_FAULTS_PER_SENSOR_FRAME = 1_800
 
 _FAULTS_PER_IMAGE = """
 import resource
