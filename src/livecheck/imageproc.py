@@ -157,14 +157,24 @@ def _codes(img: np.ndarray, out: np.ndarray) -> np.ndarray:
 
     The codes are rounded in row blocks through one float64 buffer of at most
     ``_BLOCK_BYTES``, not through two frame-sized temporaries."""
-    height, width = img.shape
-    rows = min(height, max(1, _BLOCK_BYTES // (8 * width)))
-    scaled = np.empty((rows, width))
-    for r0 in range(0, height, rows):
-        block = scaled[: min(rows, height - r0)]
-        np.rint(np.multiply(img[r0 : r0 + rows], 255.0, out=block), out=block)
-        out[r0 : r0 + rows] = block
+    most, blocks = _row_blocks(img.shape[0], 8 * img.shape[1])
+    scaled = np.empty((most, img.shape[1]))
+    for r0, r1 in blocks:
+        block = scaled[: r1 - r0]
+        np.rint(np.multiply(img[r0:r1], 255.0, out=block), out=block)
+        out[r0:r1] = block
     return out
+
+
+def _row_blocks(height: int, row_bytes: int, halo: int = 0) -> tuple[int, list[tuple[int, int]]]:
+    """Split ``height`` rows evenly into the fewest blocks whose rows, plus ``halo``
+    more, take at most ``_BLOCK_BYTES`` at ``row_bytes`` a row (one row at least).
+
+    Returns the largest block's row count and each block's rows [r0, r1), in order.
+    An image whose rows all fit is one block."""
+    blocks = -(-height // max(1, _BLOCK_BYTES // row_bytes - halo))
+    edges = [k * height // blocks for k in range(blocks + 1)]
+    return -(-height // blocks), list(zip(edges, edges[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -258,17 +268,14 @@ def convolve2d(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     flipped = kernel[::-1, ::-1]
     padded = np.pad(img, radius, mode="symmetric").ravel()
     pitch = width + 2 * radius
-    fit = _BLOCK_BYTES // (8 * pitch) - 2 * radius  # output rows whose pass fits the budget
-    blocks = -(-height // max(fit, 1))
-    edges = [k * height // blocks for k in range(blocks + 1)]
-    most = -(-height // blocks)
+    most, blocks = _row_blocks(height, 8 * pitch, 2 * radius)
     out = np.zeros((most, pitch))  # a zero start: 0.0 + -0.0 is +0.0
     product = np.empty((most + 2 * radius) * pitch - 2 * radius)
     result = np.empty((height, width))
     keys = [row.tobytes() for row in flipped]
     last_use = {key: i for i, key in enumerate(keys)}
     spare = []  # pass buffers past their last use, for the next pass
-    for r0, r1 in zip(edges, edges[1:]):
+    for r0, r1 in blocks:
         n_rows = (r1 - r0 + 2 * radius) * pitch - 2 * radius
         n_out = (r1 - r0 - 1) * pitch + width
         span = out.ravel()[:n_out]
@@ -300,26 +307,53 @@ def _tap_sum(weights: np.ndarray, flat: np.ndarray, step: int, out: np.ndarray, 
     return out
 
 
-def _blur_same(plane: np.ndarray, profile: np.ndarray) -> np.ndarray:
-    """Same-size separable convolution of a 2-D map with mirrored borders.
+def _blur_same(plane: np.ndarray, profile: np.ndarray, residual: bool = False) -> np.ndarray:
+    """Same-size separable convolution of a 2-D map with mirrored borders, as a new
+    C-contiguous array; with ``residual``, the map minus that blur.
 
     Row tap j and column tap i are the shifts k + j and k + i * pitch of the padded
     map flattened at row pitch ``pitch``, each one call over a contiguous span; the
-    sums that wrap past a row edge fall in the columns that the result cuts off."""
+    sums that wrap past a row edge fall in the columns that the result cuts off.
+    Output rows run in the blocks of ``_row_blocks``: rows [r0, r1) take the row
+    pass over padded rows [r0, r1 + 2 * radius), mirrored into one reused buffer,
+    so every pixel gets the same products and sums in any block.  A 64x64 map is
+    one block."""
     radius = len(profile) // 2
     height, width = plane.shape
-    padded = np.pad(plane, radius, mode="symmetric").ravel()
     pitch = width + 2 * radius
-    n_rows = len(padded) - 2 * radius
-    rows, product = np.empty(n_rows), np.empty(n_rows)
-    _tap_sum(profile, padded, 1, rows, product)
-    out = np.empty((height, pitch))
-    n_out = (height - 1) * pitch + width
-    _tap_sum(profile, rows, pitch, out.ravel()[:n_out], product[:n_out])
-    return out[:, :width]
+    most, blocks = _row_blocks(height, 8 * pitch, 2 * radius)
+    padded, rows, product = np.empty((3, (most + 2 * radius) * pitch))
+    out = np.empty((most, pitch))
+    result = np.empty((height, width))
+    for r0, r1 in blocks:
+        n_rows = (r1 - r0 + 2 * radius) * pitch - 2 * radius
+        n_out = (r1 - r0 - 1) * pitch + width
+        _mirror_rows(plane, r0 - radius, r1 + radius, radius, padded[: n_rows + 2 * radius].reshape(-1, pitch))
+        _tap_sum(profile, padded, 1, rows[:n_rows], product[:n_rows])
+        _tap_sum(profile, rows, pitch, out.ravel()[:n_out], product[:n_out])
+        if residual:
+            np.subtract(plane[r0:r1], out[: r1 - r0, :width], out=result[r0:r1])
+        else:
+            result[r0:r1] = out[: r1 - r0, :width]
+    return result
 
 
-def _lowpass(img: np.ndarray) -> np.ndarray:
+def _mirror_rows(plane: np.ndarray, start: int, stop: int, radius: int, out: np.ndarray) -> np.ndarray:
+    """Set ``out`` to ``np.pad(plane, radius, "symmetric")[start + radius : stop + radius]``,
+    rows [start, stop) of the map mirrored by ``radius`` on every side.  The rows may
+    reach at most ``radius`` past either edge, and ``radius`` is at most either side."""
+    height, width = plane.shape
+    top, bottom = max(0, -start), max(0, stop - height)
+    inner = out[:, radius : radius + width]
+    inner[top : len(out) - bottom] = plane[start + top : stop - bottom]
+    inner[:top] = plane[:top][::-1]
+    inner[len(out) - bottom :] = plane[height - bottom :][::-1]
+    out[:, :radius] = out[:, radius : 2 * radius][:, ::-1]
+    out[:, radius + width :] = out[:, width : radius + width][:, ::-1]
+    return out
+
+
+def _lowpass(img: np.ndarray, residual: bool) -> np.ndarray:
     if img.ndim != 2:
         raise ValueError("lowpass expects a 2-D image")
     if GAUSS_SIZE > min(img.shape):
@@ -327,18 +361,17 @@ def _lowpass(img: np.ndarray) -> np.ndarray:
     # gaussian_kernel is the outer product of this unit-sum profile with itself
     profile = gaussian_profile(GAUSS_SIZE, GAUSS_SIGMA)
     # Separable passes round alike at every pixel, so flat regions stay exactly tied for LBP's >=.
-    return _blur_same(img, profile / profile.sum())
+    return _blur_same(img, profile / profile.sum(), residual)
 
 
 def lowpass(img: np.ndarray) -> np.ndarray:
     """Smooth with the fixed 13x13, sigma 3 Gaussian (mirrored borders)."""
-    return _lowpass(np.asarray(img, dtype=np.float64)).copy()
+    return _lowpass(np.asarray(img, dtype=np.float64), residual=False)
 
 
 def highpass(img: np.ndarray) -> np.ndarray:
     """Residual detail: the image minus its lowpass component."""
-    img = np.asarray(img, dtype=np.float64)
-    return img - _lowpass(img)
+    return _lowpass(np.asarray(img, dtype=np.float64), residual=True)
 
 
 # ---------------------------------------------------------------------------
@@ -544,13 +577,27 @@ def _clahe(img: np.ndarray, tiles: tuple[int, int], clip: float) -> np.ndarray:
         hist = np.minimum(hist, limit) + excess / bins
     flat = (np.cumsum(hist, axis=1) / sizes).ravel()
 
-    # move each key in place to the top-left of the tiles the pixel blends; the right and lower
-    # neighbours lie dx and dy further on, or at the same tile for a single column or row
-    keys += ((top - row_tile) * (cols * bins))[:, None] + (left - col_tile) * bins
+    # Move each key to the top-left of the tiles the pixel blends; the right and lower
+    # neighbours lie dx and dy further on, or at the same tile for a single column or row.
+    # Rows blend in the blocks of _row_blocks, each term through one weight and one
+    # gathered-CDF buffer: ((1 - wy) * (1 - wx)) * A + ((1 - wy) * wx) * B
+    # + (wy * (1 - wx)) * C + (wy * wx) * D at every pixel, summed left to right.
+    shift_y, shift_x = (top - row_tile) * (cols * bins), (left - col_tile) * bins
     dx, dy = bins * (cols > 1), cols * bins * (rows > 1)
-    wy = wy[:, None]
-    out = (1.0 - wy) * (1.0 - wx) * flat.take(keys)
-    out += (1.0 - wy) * wx * flat[dx:].take(keys)
-    out += wy * (1.0 - wx) * flat[dy:].take(keys)
-    out += wy * wx * flat[dy + dx :].take(keys)
+    most, blocks = _row_blocks(height, 8 * width)
+    weight, gathered = np.empty((2, most, width))
+    out = np.empty((height, width))
+    for r0, r1 in blocks:
+        block = keys[r0:r1]
+        block += shift_y[r0:r1, None]
+        block += shift_x
+        y = wy[r0:r1, None]
+        w, g, sums = weight[: r1 - r0], gathered[: r1 - r0], out[r0:r1]
+        terms = ((1.0 - y, 1.0 - wx, 0), (1.0 - y, wx, dx), (y, 1.0 - wx, dy), (y, wx, dy + dx))
+        for k, (row_weight, col_weight, offset) in enumerate(terms):
+            np.multiply(row_weight, col_weight, out=w)
+            np.take(flat[offset:], block, out=g, mode="clip")  # keys are in range; "clip" skips a buffered check
+            np.multiply(w, g, out=g if k else sums)
+            if k:
+                sums += g
     return out

@@ -153,9 +153,13 @@ def realize_extractor(extractor, root_seed: int):
     return extractor, init_banks(extractor)
 
 
-# A convnet view whose first-layer response takes more than this many
-# bytes runs alone; smaller views run as one stack, or two on two cores.
+# A convnet view whose first-layer response takes more than _VIEW_GROUP_BYTES
+# runs alone.  Smaller views run in stacks whose first-layer responses take at
+# most _STACK_BYTES together, one stack a thread at a time.  A 64x64 image's
+# ten 47x47x16 maps take 2.8 MB, so its views stay one stack on one core and
+# two halves on two; a 117x117 image's take 1.0 MB each.
 _VIEW_GROUP_BYTES = 1 << 20
+_STACK_BYTES = 3 << 20
 
 
 def _first_layer_bytes(view_shape: tuple[int, int], extractor: ConvNetConfig) -> int:
@@ -235,29 +239,41 @@ if hasattr(os, "register_at_fork"):
 def image_features(img: np.ndarray, augmented: bool, extractor, banks) -> np.ndarray:
     """Feature matrix of one image, one row per view: the ten crop/flip
     patches when augmented, otherwise the image itself.  LBP counts the
-    ten views from the image's one label map.  The convnet runs the
-    patches as one stack, or, with two usable cores, as two contiguous
-    halves: the first on the calling thread, the second on a helper
-    thread.  A view whose first-layer output exceeds ``_VIEW_GROUP_BYTES``
-    runs alone instead, one at a time on the calling thread.  Each row
-    has the same bits as the view extracted alone, and an error is the
-    one the first failing view raises alone."""
+    ten views from the image's one label map.  The convnet splits the
+    patches evenly into the fewest contiguous stacks whose first-layer
+    outputs take at most ``_STACK_BYTES`` each, and into two at least with
+    two usable cores.  It runs them in order, one at a time on the calling
+    thread, or with two usable cores in pairs, the first of a pair on the
+    calling thread and the second on a helper thread.  A view whose
+    first-layer output exceeds ``_VIEW_GROUP_BYTES`` runs alone instead,
+    one at a time on the calling thread.  Each row has the same bits as the
+    view extracted alone, and an error is the one the first failing view
+    raises alone."""
     img = np.asarray(img, dtype=np.float64)
     if augmented and isinstance(extractor, LbpConfig):
         return lbp_window_features(img, extractor, *aug.patch_windows(img.shape))
     if not isinstance(extractor, ConvNetConfig):
         return extract_features(img[None], extractor, banks)
     views = aug.make_patches(img) if augmented else img[None]
-    if _first_layer_bytes(views.shape[1:], extractor) > _VIEW_GROUP_BYTES:
-        return np.concatenate([extract_features(view[None], extractor, banks) for view in views])
-    if len(views) == 1 or _usable_cores() == 1:
-        return extract_features(views, extractor, banks)
-    # One helper, not one per core: each thread's heap arena faulted its
-    # pages in again for every image (hundreds of faults at 4 threads).
-    half = (len(views) + 1) // 2
-    return np.concatenate(
-        _helper().pair(lambda part: extract_features(part, extractor, banks), views[:half], views[half:])
-    )
+    size = _first_layer_bytes(views.shape[1:], extractor)
+    alone = size > _VIEW_GROUP_BYTES
+    threads = 1 if alone or len(views) == 1 or _usable_cores() == 1 else 2
+    count = len(views) if alone else max(threads, -(-len(views) // max(1, _STACK_BYTES // size)))
+    edges = [k * len(views) // count for k in range(count + 1)]
+    stacks = [views[a:b] for a, b in zip(edges, edges[1:])]
+
+    def run(stack):
+        return extract_features(stack, extractor, banks)
+
+    if threads == 1:
+        rows = [run(stack) for stack in stacks]
+    else:
+        # One helper, not one per core: each thread's heap arena faulted its
+        # pages in again for every image (hundreds of faults at 4 threads).
+        rows = []
+        for i in range(0, count, 2):
+            rows += _helper().pair(run, *stacks[i : i + 2]) if i + 1 < count else [run(stacks[i])]
+    return rows[0] if count == 1 else np.concatenate(rows)
 
 
 _MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar("livecheck_memo", default=None)

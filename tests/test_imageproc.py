@@ -18,6 +18,7 @@ from livecheck.imageproc import (
     crop,
     extract_roi,
     gaussian_kernel,
+    gaussian_profile,
     highpass,
     ingest,
     lowpass,
@@ -379,6 +380,35 @@ class TestFiltering:
                     np.testing.assert_array_equal(got, expected)
                     assert got.flags.c_contiguous and not np.shares_memory(got, layout)
 
+    def test_blur_bits_match_slices_in_row_blocks(self, rng):
+        """``lowpass``, ``highpass`` and ``_blur_same`` run their rows in blocks of at
+        most ``fit`` output rows and give the slice oracle's bits: heights fit - 1
+        and fit as one block, fit + 1 as two and 2 fit + 1 as three, a strided ROI
+        crop of a 480x640 frame (the view the pipeline passes), constant and -0.0
+        images and 13-pixel sides."""
+        profile = gaussian_profile(13, 3.0)
+        profile /= profile.sum()
+        fit = _BLOCK_BYTES // (8 * (150 + 12)) - 12
+        images = [rng.uniform(0.0, 1.0, (height, 150)) for height in (fit - 1, fit, fit + 1, 2 * fit + 1)]
+        frame = _finger_frame()
+        images += [frame[extract_roi(frame).window], np.full((2 * fit + 1, 150), 0.6), -np.zeros((fit + 1, 150))]
+        images += [rng.uniform(0.0, 1.0, shape) for shape in ((13, 13), (13, 500), (500, 13))]
+        for img in images:
+            want = blur_same_slices(img, profile)
+            for got, expected in ((lowpass(img), want), (highpass(img), img - want), (_blur_same(img, profile), want)):
+                assert got.flags.c_contiguous and got.shape == img.shape
+                assert got.tobytes() == expected.tobytes(), img.shape
+        assert np.signbit(highpass(-np.zeros((fit + 1, 150)))).sum() == 0
+
+    def test_blur_peak_pinned(self, rng):
+        """A 356x283 ROI crop of a 480x640 frame: the result takes 0.8 MB and the four
+        row-block buffers about 0.9 MB.  Whole-image passes over a padded copy, with
+        a separate residual, took 3.4 MB."""
+        crop = rng.uniform(0.0, 1.0, size=(480, 640))[60:416, 150:433]
+        for blur in (lowpass, highpass):
+            peak = _traced_peak(lambda: blur(crop))
+            assert peak < 3_000_000, f"{blur.__name__}: traced peak {peak / 1e6:.2f} MB"
+
     def test_lowpass_rejects_small_images(self):
         with pytest.raises(ValueError):
             lowpass(np.zeros((12, 40)))
@@ -590,6 +620,30 @@ class TestClahe:
         frame = _finger_frame()
         roi = crop(frame, extract_roi(frame))
         np.testing.assert_array_equal(clahe(roi, (8, 8), 2.0), clahe_fancy_index(roi, (8, 8), 2.0))
+
+    def test_blend_bits_match_oracle_in_row_blocks(self, rng):
+        """The blend runs in blocks of at most ``fit`` rows and gives the whole-image
+        oracle's bits: heights fit - 1 and fit as one block, fit + 1 as two and
+        2 fit + 1 as three, a strided ROI crop of a 480x640 frame, constant and -0.0
+        images and 13-pixel sides, on several grids and clip limits."""
+        fit = _BLOCK_BYTES // (8 * 150)
+        images = [rng.uniform(0.0, 1.0, (height, 150)) for height in (fit - 1, fit, fit + 1, 2 * fit + 1)]
+        frame = _finger_frame()
+        images += [frame[extract_roi(frame).window], np.full((fit + 1, 150), 0.6), -np.zeros((fit + 1, 150))]
+        images += [rng.uniform(0.0, 1.0, shape) for shape in ((13, 13), (13, 500), (500, 13))]
+        for img in images:
+            for grid, clip in (((8, 8), 2.0), ((3, 5), np.inf), ((1, 1), 0.5), ((13, 1), 2.0)):
+                got = clahe(img, grid, clip)
+                assert got.flags.c_contiguous and got.shape == img.shape
+                assert got.tobytes() == clahe_fancy_index(img, grid, clip).tobytes(), (img.shape, grid)
+
+    def test_peak_pinned(self, rng):
+        """A 356x283 ROI crop of a 480x640 frame: the keys and the result take about
+        1.6 MB, the blend's two row-block buffers 0.4 MB.  A whole-image blend with
+        its temporaries took 3.5 MB."""
+        crop = rng.uniform(0.0, 1.0, size=(480, 640))[60:416, 150:433]
+        peak = _traced_peak(lambda: clahe(crop))
+        assert peak < 3_000_000, f"traced peak {peak / 1e6:.2f} MB"
 
     def test_bad_grid_rejected(self):
         with pytest.raises(ValueError):

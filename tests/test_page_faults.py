@@ -12,10 +12,15 @@ so the model is fitted here and scored in a child process that only
 loads it.
 
 The sensor model, scored from PGM bytes as CLI ``predict`` scores them,
-is pinned too, at its current level: about 1,514 faults per 480x640
-frame.  The ROI step rounds its 8-bit codes through a float64 buffer of a
-few rows, so the frame-sized float64 temporary left is the decoded frame
-(2.4 MB); removing ``img * 255.0`` took only about 60 faults off 1,575.
+is pinned too, at its current level: about 1,225 faults per 480x640
+frame.  That is the frame's transient heap peak in 4 KiB pages (about
+5 MB): glibc gives the top of the heap back once the memory freed there
+exceeds twice the largest mmapped block freed so far, here the 2.4 MB
+decoded frame, so every frame faults its peak in again.  The decoded frame
+is the one frame-sized float64 array; the ROI rounds its 8-bit codes and
+CLAHE and the highpass run their passes in row blocks, so the rest are
+crop-sized (about 0.7 MB) or block-sized.  Whole-crop CLAHE blend and
+highpass passes read about 1,484 (a 6.2-6.6 MB peak).
 """
 
 import sys
@@ -33,9 +38,10 @@ WORKLOAD = "scan-convnet-aug"
 # Far below the ~1,800 per image of per-layer temporaries, far above the
 # 16-17 of the in-place, lean layers.
 MAX_FAULTS_PER_IMAGE = 200
-# 1,514 per frame when pinned; one more frame-sized float64 temporary
-# adds about 600 (2.4 MB of 4 KiB pages).
-MAX_FAULTS_PER_SENSOR_FRAME = 1_800
+# 1,225 per frame when pinned, 1,484 with whole-crop CLAHE and highpass
+# passes; one more frame-sized float64 temporary adds about 600 (2.4 MB of
+# 4 KiB pages).
+MAX_FAULTS_PER_SENSOR_FRAME = 1_450
 
 _FAULTS_PER_IMAGE = """
 import resource

@@ -210,18 +210,24 @@ class TestStackedViews:
     # 25x25 patches: the convnet's first layer writes 4 x 23 x 23 doubles
     # per view.  A view over the budget runs alone on the calling thread;
     # otherwise the views run as one stack, or on two or more cores as two
-    # halves, the first on the calling thread.  LBP counts all ten views
-    # from the image's one label map, whatever the budget and the cores.
-    @pytest.mark.parametrize("cores, parts", [(1, [10]), (2, [5, 5]), (3, [5, 5])])
+    # halves, the first on the calling thread.  With room for three views a
+    # stack, they run as four stacks of 2, 3, 2 and 3 views, in two pairs on
+    # two or more cores.  LBP counts all ten views from the image's one label
+    # map, whatever the budgets and the cores.
+    @pytest.mark.parametrize("cores, parts, split", [
+        (1, [10], ([2, 3, 2, 3], [])), (2, [5, 5], ([2, 2], [3, 3])), (3, [5, 5], ([2, 2], [3, 3])),
+    ])
+    @pytest.mark.parametrize("stack", [1 << 30, 3 * 8 * 4 * 23 * 23])
     @pytest.mark.parametrize("budget", [8 * 4 * 23 * 23 - 1, 8 * 4 * 23 * 23, 1 << 30])
-    def test_view_groups_do_not_change_rows(self, augmented_model, monkeypatch, budget, cores, parts):
-        """One view at a time, one stack or two halves: the same rows as
-        each view extracted alone."""
+    def test_view_groups_do_not_change_rows(self, augmented_model, monkeypatch, budget, stack, cores, parts, split):
+        """One view at a time, one stack, two halves or stacks under the byte
+        bound: the same rows as each view extracted alone."""
         model, held = augmented_model
         pre = preprocess_image(held[0], model.config.preprocess)
         views = make_patches(pre)
         want = np.vstack([extract_features(view, model.config.extractor, model.banks) for view in views])
         monkeypatch.setattr(pipeline, "_VIEW_GROUP_BYTES", budget)
+        monkeypatch.setattr(pipeline, "_STACK_BYTES", stack)
         monkeypatch.setattr(pipeline, "_usable_cores", lambda: cores)
         calls, helper_calls, maps = [], [], []
         real_extract, real_map = pipeline.extract_features, lbp.lbp_map
@@ -243,6 +249,8 @@ class TestStackedViews:
             assert (calls, helper_calls, maps) == ([], [], [pre.shape])
         elif budget < 8 * 4 * 23 * 23:
             assert (calls, helper_calls, maps) == ([1] * 10, [], [])
+        elif stack < 1 << 30:
+            assert (calls, helper_calls, maps) == (*split, [])
         else:
             assert (calls, helper_calls, maps) == (parts[:1], parts[1:], [])
 
@@ -469,6 +477,26 @@ def test_sensor_sized_augmented_convnet_memory():
         tracemalloc.stop()
     assert rows.shape[0] == 10
     assert peak < 110 * 2**20
+
+
+def test_mid_size_augmented_convnet_memory():
+    """Ten 93x93 patches of a 117x117 image through the deployed 16/32
+    network: each view's 89x89x16 first-layer maps take 1.0 MB, under the
+    group budget, so the views run in stacks of 2, 3, 2 and 3, at most six
+    views in flight on two cores.  With all ten in flight as two halves the
+    traced peak was 13.4-14.9 MiB; the stacks read 8.5-8.6 MiB on two cores
+    and 5.2 MiB on one when pinned."""
+    deployed = parse_config_file(DEPLOYED_CONVNET)
+    net, banks = realize_extractor(deployed.extract[0], deployed.seed)
+    img = np.random.default_rng(0).uniform(0.0, 1.0, size=(117, 117))
+    tracemalloc.start()
+    try:
+        rows = image_features(img, True, net, banks)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rows.shape[0] == 10
+    assert peak < 11 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
 
 
 @pytest.mark.parametrize("blocks", [(1, 1), (2, 2)])
