@@ -32,6 +32,17 @@ __all__ = [
 
 MAX_LAYERS = 5
 
+# LCN divides by max(1, sigma), which is exactly 1.0 wherever sigma <= 1,
+# and x / 1.0 is x for every float.  If every mean-removed value has
+# |x| <= _LCN_BOUND = B < 1, each computed square is at most B^2 (1 + u)
+# (u the unit roundoff), their channel mean at most B^2 (1 + u)^(C + 1),
+# and the two band products, whose weights are non-negative and sum to 1
+# within a few ulp, add at most a factor 1 + O(n u) for bands of n taps.
+# So the variance is at most B^2 (1 + O(n u)) < 1 for any n far below
+# (1 - B^2) / u ~ 1e14, sigma = sqrt(variance) <= 1, and the division can
+# be skipped without changing a bit.  NaN and +-inf fail the test.
+_LCN_BOUND = 0.99
+
 
 @dataclass(frozen=True)
 class ConvLayerConfig:
@@ -181,6 +192,11 @@ def _lcn(x: np.ndarray, window: int) -> np.ndarray:
     rows = _lcn_band(height, window)
     cols = _lcn_band(width, window)
     x -= (rows @ x.mean(axis=-3) @ cols.T)[..., None, :, :]
+    # Both tests run over the whole stack; the branches they pick are both
+    # exact, so a view keeps its bits alone or in any stack.  The initial
+    # values let an empty stack pass.
+    if x.max(initial=-np.inf) <= _LCN_BOUND and x.min(initial=np.inf) >= -_LCN_BOUND:
+        return x
     # The channel mean of the squares, summed in channel order as
     # ``np.square(x).mean(axis=-3)`` sums them, without a full-size square.
     squares = np.square(x[..., 0, :, :])
@@ -189,6 +205,8 @@ def _lcn(x: np.ndarray, window: int) -> np.ndarray:
         squares += np.square(x[..., c, :, :], out=term)
     squares /= x.shape[-3]
     variance = rows @ squares @ cols.T
+    if variance.max() <= 1.0:  # a NaN variance fails this and divides
+        return x
     sigma = np.sqrt(np.maximum(variance, 0.0))
     x /= np.maximum(1.0, sigma)[..., None, :, :]
     return x

@@ -245,14 +245,15 @@ def convolve2d(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     (y, x) is ``((0.0 + r[0]) + r[1]) + ...`` over the kernel rows in order,
     where ``r[i] = t[i, 0] * p[y + i, x] + t[i, 1] * p[y + i, x + 1] + ...``
     is added left to right.  Output rows run in blocks: rows [r0, r1) take
-    padded rows [r0, r1 + side - 1), flattened at their row pitch.  A kernel
-    row's pass runs once over a block and serves every later row with the same
-    bits, so it is held until that row's last use: a Gaussian's row i equals
-    row side - 1 - i.  A pass over the whole padded image that fits
+    padded rows [r0, r1 + side - 1), mirrored into one reused buffer and
+    flattened at their row pitch, so no padded copy of the whole image is made.
+    A kernel row's pass runs once over a block and serves every later row with
+    the same bits, so it is held until that row's last use: a Gaussian's row i
+    equals row side - 1 - i.  A pass over the whole padded image that fits
     ``_BLOCK_BYTES`` makes one block; a larger image is split evenly into the
     fewest blocks whose passes fit.  For a 480x640 image and a 9x9 Gaussian,
-    the middle row holds five 48x648 passes and a product buffer of that size,
-    about 1.5 MB beside the 5 MB of the padded image and the result.
+    the middle row holds five 48x648 passes, a product buffer and the padded
+    rows of that size, about 2 MB beside the 2.5 MB result.
     """
     img = np.asarray(img, dtype=np.float64)
     kernel = np.asarray(kernel, dtype=np.float64)
@@ -266,11 +267,11 @@ def convolve2d(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     radius = size // 2
     height, width = img.shape
     flipped = kernel[::-1, ::-1]
-    padded = np.pad(img, radius, mode="symmetric").ravel()
     pitch = width + 2 * radius
     most, blocks = _row_blocks(height, 8 * pitch, 2 * radius)
     out = np.zeros((most, pitch))  # a zero start: 0.0 + -0.0 is +0.0
-    product = np.empty((most + 2 * radius) * pitch - 2 * radius)
+    padded = np.empty((most + 2 * radius) * pitch)
+    product = np.empty(len(padded) - 2 * radius)
     result = np.empty((height, width))
     keys = [row.tobytes() for row in flipped]
     last_use = {key: i for i, key in enumerate(keys)}
@@ -281,12 +282,13 @@ def convolve2d(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
         span = out.ravel()[:n_out]
         if r0:  # every block starts from zero
             span.fill(0.0)
+        _mirror_rows(img, r0 - radius, r1 + radius, radius, padded[: n_rows + 2 * radius].reshape(-1, pitch))
         passes = {}
         for i, key in enumerate(keys):
             rows = passes.pop(key, None)
             if rows is None:
                 rows = spare.pop() if spare else np.empty(len(product))
-                _tap_sum(flipped[i], padded[r0 * pitch :], 1, rows[:n_rows], product[:n_rows])
+                _tap_sum(flipped[i], padded, 1, rows[:n_rows], product[:n_rows])
             span += rows[i * pitch : i * pitch + n_out]
             if last_use[key] > i:
                 passes[key] = rows

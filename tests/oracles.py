@@ -15,6 +15,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from livecheck.augment import make_patches
+from livecheck.convnet import conv_forward, init_banks, max_pool
 from livecheck.imageproc import (
     ROI_CLOSE_BOX,
     ROI_SIGMA_FACTOR,
@@ -352,6 +353,45 @@ def lcn_oracle(x, window):
     return out
 
 
+def lcn_band_loops(length, window):
+    """The (length, length) LCN blur band, one tap at a time.
+
+    Row i adds each unit-mass tap to the column it reads, mirrored at the
+    edges, in tap order onto zeros: the order ``np.bincount`` adds them."""
+    profile = gaussian_profile(window, window / 6.0)
+    profile = profile / profile.sum()
+    radius = window // 2
+    band = np.zeros((length, length))
+    for i in range(length):
+        for k in range(window):
+            band[i, reflect_index(i + k - radius, length)] += profile[k]
+    return band
+
+
+def lcn_centred(x, window):
+    """(C, H, W) or (P, C, H, W) maps minus their local weighted mean, the
+    blur of the channel mean as ``rows @ mean @ cols.T``."""
+    x = np.asarray(x, dtype=np.float64)
+    rows, cols = lcn_band_loops(x.shape[-2], window), lcn_band_loops(x.shape[-1], window)
+    return x - (rows @ x.mean(axis=-3) @ cols.T)[..., None, :, :]
+
+
+def lcn_variance(centred, window):
+    """The local weighted variance of ``lcn_centred`` maps: the blur of the
+    channel mean of their squares."""
+    rows, cols = lcn_band_loops(centred.shape[-2], window), lcn_band_loops(centred.shape[-1], window)
+    return rows @ np.square(centred).mean(axis=-3) @ cols.T
+
+
+def lcn_dividing(x, window):
+    """LCN that always divides the centred maps by max(1, sigma): the band
+    arithmetic of the package's LCN before it skipped divisions by one, so
+    its outputs must have these bits."""
+    x = lcn_centred(x, window)
+    sigma = np.sqrt(np.maximum(lcn_variance(x, window), 0.0))
+    return x / np.maximum(1.0, sigma)[..., None, :, :]
+
+
 def pool_starts_oracle(extent, pool, stride):
     """Window origins for ceil-mode pooling, in exact integer arithmetic."""
     count = 1 if extent <= pool else (extent - pool + stride - 1) // stride + 1
@@ -509,6 +549,19 @@ def score_image(model, img):
     pipeline, through its stages one row at a time."""
     row = extract_features(img, model.config.extractor, model.banks)
     return decision_score(model.classifier, project(model.pca, model.standardizer.apply(row)))
+
+
+def convnet_features_dividing(img, config, banks=None):
+    """``convnet_features`` of a 2-D image or an (N, H, W) stack, with every
+    layer's LCN run by ``lcn_dividing``."""
+    img = np.asarray(img, dtype=np.float64)
+    x = img[..., None, :, :]
+    for layer, bank in zip(config.layers, init_banks(config) if banks is None else banks):
+        x = np.maximum(conv_forward(x, bank), 0.0)
+        if layer.lcn_window > 1:
+            x = lcn_dividing(x, layer.lcn_window)
+        x = max_pool(x, layer.pool_size, layer.stride)
+    return x.reshape(*img.shape[:-2], -1)
 
 
 def averaged_score(score, img):

@@ -18,12 +18,24 @@ from livecheck.convnet import (
     lcn,
     max_pool,
     relu,
+    _LCN_BOUND,
     _lcn_band,
 )
 from livecheck.imageproc import convolve2d, gaussian_profile
 from livecheck.pipeline import preprocess_image, realize_extractor
+from livecheck.seeds import derive_seed
+from livecheck.synthdata import make_texture_dataset
 
-from oracles import conv_valid_oracle, lcn_oracle, max_pool_oracle, pool_starts_oracle
+from oracles import (
+    conv_valid_oracle,
+    convnet_features_dividing,
+    lcn_centred,
+    lcn_dividing,
+    lcn_oracle,
+    lcn_variance,
+    max_pool_oracle,
+    pool_starts_oracle,
+)
 
 DEPLOYED_CONFIG = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "scan-convnet-aug.ini"
 
@@ -162,6 +174,102 @@ class TestLcn:
     def test_oversized_window_rejected(self, rng):
         with pytest.raises(ValueError):
             lcn(rng.standard_normal((1, 4, 4)), 5)
+
+
+def _deployed_views(images):
+    """The deployed network and banks, and each image highpassed and cut
+    into its ten views as the scan-convnet-aug benchmark scores it."""
+    deployed = parse_config_file(DEPLOYED_CONFIG)
+    net, banks = realize_extractor(deployed.extract[0], deployed.seed)
+    return net, banks, [make_patches(preprocess_image(img, deployed.preprocess[0])) for img in images]
+
+
+class TestLcnSkipsDivisionByOne:
+    """LCN returns the mean-removed maps as they are when a bound proves that
+    max(1, sigma) is one everywhere.  Either branch must give the bits of
+    always dividing, ``lcn_dividing``, the LCN arithmetic before the skip."""
+
+    @staticmethod
+    def assert_bits(x, window=9):
+        assert lcn(x, window).tobytes() == lcn_dividing(x, window).tobytes()
+
+    def test_deployed_stack_takes_fast_branch(self):
+        images, _ = make_texture_dataset(1, size=64, seed=11, blur_sigma=0.4)
+        net, banks, stacks = _deployed_views(images)
+        for views in stacks:
+            x = np.maximum(conv_forward(views[:, None], banks[0]), 0.0)
+            assert np.abs(lcn_centred(x, 9)).max() <= _LCN_BOUND
+            self.assert_bits(x)
+            got = convnet_features(views, net, banks)
+            assert got.tobytes() == convnet_features_dividing(views, net, banks).tobytes()
+
+    def test_values_at_and_just_past_bound(self, rng):
+        signs = np.where(rng.uniform(size=(20, 23)) < 0.5, -1.0, 1.0)
+        for value in (_LCN_BOUND, np.nextafter(_LCN_BOUND, 2.0), 1.0, 1.25):
+            # channels that cancel at every pixel, so the mean-removed maps are x
+            x = np.stack([value * signs, -value * signs])
+            assert lcn_centred(x, 9).tobytes() == x.tobytes()
+            assert x.max() == value and x.min() == -value
+            self.assert_bits(x)
+            self.assert_bits(x[None])
+
+    def test_negative_values_past_bound_divide(self, rng):
+        """Mean-removed values up to 0.875 and down to -2.625: the maximum
+        alone is within the bound, but sigma reaches about 1.6."""
+        spikes = np.where(rng.uniform(size=(18, 21)) < 0.7, -2.625, 0.0)
+        x = np.stack([spikes] + [-spikes / 3.0] * 3)  # channels that cancel exactly
+        assert lcn_centred(x, 9).tobytes() == x.tobytes()
+        assert x.max() <= _LCN_BOUND < -x.min()
+        assert not np.array_equal(lcn_dividing(x, 9), x)
+        self.assert_bits(x)
+
+    def test_large_contrast_divides(self, rng):
+        for shape in ((3, 4, 20, 20), (16, 14, 15), (2, 1, 9, 9)):
+            x = 3.0 * rng.standard_normal(shape)
+            assert not np.array_equal(lcn_dividing(x, 9), lcn_centred(x, 9))
+            self.assert_bits(x)
+
+    def test_non_finite_entries(self, rng):
+        for bad in (np.nan, np.inf, -np.inf):
+            for scale in (0.01, 3.0):
+                x = scale * rng.standard_normal((2, 3, 12, 13))
+                x[1, 2, 5, 6] = bad
+                with np.errstate(invalid="ignore", over="ignore"):
+                    self.assert_bits(x)
+                    self.assert_bits(x[1])
+
+    def test_mixed_stack_keeps_each_view_bits(self, rng):
+        """An in-bound view and one that divides: the stack takes the dividing
+        branch, and each view keeps the bits it gets alone."""
+        calm = 0.05 * rng.standard_normal((4, 15, 16))
+        loud = 3.0 * rng.standard_normal((4, 15, 16))
+        for stack in (np.stack([calm, loud]), np.stack([loud, calm])):
+            out = lcn(stack, 9)
+            assert out.tobytes() == lcn_dividing(stack, 9).tobytes()
+            for view, got in zip(stack, out):
+                assert got.tobytes() == lcn(view, 9).tobytes()
+
+    def test_empty_stack(self):
+        assert lcn(np.empty((0, 2, 9, 9)), 9).shape == (0, 2, 9, 9)
+
+    def test_deployed_textures_stay_within_bound(self):
+        """The scan-convnet-aug training textures, highpassed and cut into ten
+        views, keep every mean-removed value within the bound at both layers,
+        so LCN skips its variance pass; their variance, at most 0.04, is far
+        below one.  A change that pushes them past the bound fails here rather
+        than giving the time back unseen.  Over 280 other such images, 3 of
+        the 560 stack layers passed the bound, by 1.01 at most, and ran the
+        variance pass, which still skipped the division."""
+        images, _ = make_texture_dataset(8, size=64, seed=derive_seed(2015, "scan-convnet-aug", "train"), blur_sigma=0.4)
+        net, banks, stacks = _deployed_views(images)
+        for views in stacks:
+            x = views[:, None]
+            for layer, bank in zip(net.layers, banks):
+                x = np.maximum(conv_forward(x, bank), 0.0)
+                centred = lcn_centred(x, layer.lcn_window)
+                assert np.abs(centred).max() <= _LCN_BOUND
+                assert lcn_variance(centred, layer.lcn_window).max() < 0.1
+                x = max_pool(lcn(x, layer.lcn_window), layer.pool_size, layer.stride)
 
 
 class TestMaxPool:
