@@ -31,9 +31,11 @@ print("lowpass range:", f"[{lo.min():.3f}, {lo.max():.3f}]")
 print("highpass range:", f"[{hi.min():.3f}, {hi.max():.3f}]  (signed, mean ~0)")
 print("reconstruction error:", np.abs((lo + hi) - img).max())
 
-# ROI: embed a small print in a dark frame and let the closing +
-# center-of-mass logic find it again.  The box is the weighted center
-# plus three standard deviations a side, so it hugs the bright region.
+# ROI: embed a small print in a flat frame and let the block-variance +
+# center-of-mass logic find it again.  Each 16x16 block weighs by its
+# variance, so ridges count and the flat ground does not, whatever its
+# level; the box is the weighted center plus three standard deviations
+# a side.
 frame = np.zeros((160, 160))
 frame[64:112, 30:78] = ridge_image(rng, size=48)
 roi = extract_roi(frame)

@@ -32,7 +32,6 @@ from .imageproc import (
     highpass,
     ingest,
     lowpass,
-    morph_close,
     resize_bilinear,
     write_pgm,
 )

@@ -3,8 +3,8 @@
 Images are 2-D float64 arrays.  Ingestion maps 8-bit pixels into
 ``[0, 1]``; most operations preserve that range, except ``highpass``
 whose output is a signed residual and is consumed as-is downstream.
-Border-sensitive operations (convolution, morphology) extend the image
-by mirroring edge pixels, so constant images pass through unchanged.
+Border-sensitive operations (convolution, the Gaussian blur) extend the
+image by mirroring edge pixels, so constant images pass through unchanged.
 
 All functions are pure: no global state, no hidden RNG, identical
 inputs give bit-identical outputs.
@@ -29,7 +29,6 @@ __all__ = [
     "convolve2d",
     "lowpass",
     "highpass",
-    "morph_close",
     "extract_roi",
     "crop",
     "clahe",
@@ -37,10 +36,14 @@ __all__ = [
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
 
+# ``ingest`` rejects larger frames before it reads their pixels: scoring takes
+# about 18 bytes a pixel, so this cap holds one frame near 300 MB.
+MAX_PIXELS = 1 << 24
+
 GAUSS_SIZE = 13
 GAUSS_SIGMA = 3.0
 
-ROI_CLOSE_BOX = 21
+ROI_BLOCK = 16
 ROI_SIGMA_FACTOR = 3.0
 
 # A frame-sized kernel runs over row blocks whose float64 buffers each hold
@@ -96,8 +99,9 @@ def ingest(data: bytes) -> np.ndarray:
 
     Binary ``P5`` is the primary format; plain-text ``P2`` is accepted
     as well.  Header comments and arbitrary whitespace are handled.
-    Anything else (wrong magic, maxval above 255, zero dimensions,
-    truncated pixel data) raises ``ValueError`` naming the problem.
+    Anything else (wrong magic, maxval above 255, zero dimensions, more
+    than ``MAX_PIXELS`` pixels, truncated pixel data) raises
+    ``ValueError`` naming the problem.
     """
     if not isinstance(data, (bytes, bytearray, memoryview)):
         raise TypeError("ingest expects a byte stream")
@@ -112,8 +116,9 @@ def ingest(data: bytes) -> np.ndarray:
         raise ValueError("unsupported format: zero image dimension")
     if not 1 <= maxval <= 255:
         raise ValueError(f"unsupported format: maxval {maxval} is not 8-bit")
-
     count = width * height
+    if count > MAX_PIXELS:
+        raise ValueError(f"unsupported format: {width}x{height} image exceeds the {MAX_PIXELS}-pixel limit")
     if magic == b"P5":
         pos += 1  # single whitespace byte separates maxval from the raster
         if len(data) - pos < count:
@@ -142,28 +147,23 @@ def _plain_raster(body: bytes, count: int, maxval: int) -> np.ndarray:
 
 
 def write_pgm(img: np.ndarray) -> bytes:
-    """Encode a [0, 1] image as a binary (P5) 8-bit PGM byte stream."""
+    """Encode a [0, 1] image as a binary (P5) 8-bit PGM byte stream.
+
+    The codes ``rint(255 * img)`` are rounded in row blocks through one float64
+    buffer of at most ``_BLOCK_BYTES``, not through two frame-sized temporaries."""
     img = as_image(img)
     height, width = img.shape
     header = f"P5\n{width} {height}\n255\n".encode("ascii")
     stream = bytearray(len(header) + img.size)
     stream[: len(header)] = header
-    _codes(img, np.frombuffer(stream, dtype=np.uint8, offset=len(header)).reshape(height, width))
-    return bytes(stream)
-
-
-def _codes(img: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Set the uint8 ``out`` to the 8-bit codes ``rint(255 * img)`` of a [0, 1] image.
-
-    The codes are rounded in row blocks through one float64 buffer of at most
-    ``_BLOCK_BYTES``, not through two frame-sized temporaries."""
-    most, blocks = _row_blocks(img.shape[0], 8 * img.shape[1])
-    scaled = np.empty((most, img.shape[1]))
+    codes = np.frombuffer(stream, dtype=np.uint8, offset=len(header)).reshape(height, width)
+    most, blocks = _row_blocks(height, 8 * width)
+    scaled = np.empty((most, width))
     for r0, r1 in blocks:
         block = scaled[: r1 - r0]
         np.rint(np.multiply(img[r0:r1], 255.0, out=block), out=block)
-        out[r0:r1] = block
-    return out
+        codes[r0:r1] = block
+    return bytes(stream)
 
 
 def _row_blocks(height: int, row_bytes: int, halo: int = 0) -> tuple[int, list[tuple[int, int]]]:
@@ -377,70 +377,7 @@ def highpass(img: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Morphology and region of interest
-
-
-def _window_reduce(img: np.ndarray, box: int, reducer) -> np.ndarray:
-    """Reduce every box x box window of the mirror-extended image.
-
-    ``reducer`` is an exact binary ufunc (``np.maximum``, ``np.minimum``), so the
-    window splits into a run down each column, then along each row.  Both run
-    over the padded image flattened at row pitch ``pitch``: the column run steps
-    by ``pitch`` and the row run by 1.  Returns an (H, W) view of an (H, pitch)
-    array in the input's dtype.
-    """
-    radius = box // 2
-    height, width = img.shape
-    pitch = width + 2 * radius
-    columns = _running_reduce(np.pad(img, radius, "symmetric").ravel(), box, reducer, pitch)
-    out = np.empty((height, pitch), dtype=img.dtype)
-    _running_reduce(columns, box, reducer, 1, out=out.ravel()[: len(columns) - 2 * radius])
-    return out[:, :width]
-
-
-def _running_reduce(a: np.ndarray, box: int, reducer, step: int, out=None) -> np.ndarray:
-    """Reduce each run of ``box`` elements ``step`` apart in the flat ``a``.
-
-    The reduced span doubles (1, 2, 4, ...) while it fits in the box;
-    one reduce of two overlapping spans then covers the box, so a box
-    of side b costs about log2(b) elementwise passes.
-    """
-    extent = len(a) - (box - 1) * step
-    span = 1
-    while 2 * span <= box:
-        a = reducer(a[: -span * step], a[span * step :])
-        span *= 2
-    return reducer(a[:extent], a[(box - span) * step :][:extent], out=out)
-
-
-def morph_close(img: np.ndarray, box: int) -> np.ndarray:
-    """Grayscale closing (dilation then erosion) with a square box.
-
-    Borders are mirror-extended.  Closing never decreases any pixel and
-    leaves constant images untouched.
-    """
-    img = np.asarray(img, dtype=np.float64)
-    if img.ndim != 2:
-        raise ValueError("morph_close expects a 2-D image")
-    if box < 1 or box % 2 == 0:
-        raise ValueError(f"box side must be odd and positive, got {box}")
-    if box > min(img.shape):
-        raise ValueError(f"box {box} larger than image {img.shape}")
-    return np.ascontiguousarray(_close(img, box))
-
-
-def _close(img: np.ndarray, box: int) -> np.ndarray:
-    return _window_reduce(_window_reduce(img, box, np.maximum), box, np.minimum)
-
-
-def _closed_codes(img: np.ndarray, box: int) -> np.ndarray:
-    """Close the 8-bit codes ``rint(255 * img)`` of a [0, 1] image; uint8.
-
-    Closing commutes with any nondecreasing map, so this is
-    ``rint(255 * morph_close(img, box))``.  An 8-bit image (every ``ingest``
-    output) is ``codes / 255.0`` exactly, and then so is its closing.
-    """
-    return _close(_codes(img, np.empty(img.shape, dtype=np.uint8)), box)
+# Region of interest
 
 
 @dataclass(frozen=True)
@@ -465,17 +402,20 @@ class RoiRect:
 
 
 def extract_roi(img: np.ndarray) -> RoiRect:
-    """Locate the foreground region of a fingerprint image.
+    """Locate the fingerprint in an image by its ridge activity.
 
-    The image is closed with a box element (21 pixels, shrunk to the
-    largest odd size that fits small inputs), then the intensity mass
-    of the closed image gives a center and per-axis spread.  The
-    rectangle spans three standard deviations to each side of the
-    center, clipped to the image.  A zero-mass image yields the full
-    frame.
+    The image is tiled from its top-left corner into 16x16 blocks; rows
+    and columns past the last whole block are left out.  Each block's
+    variance is a mass placed at the block's center, and the mass gives
+    a center and per-axis spread.  The rectangle spans three standard
+    deviations to each side of the center, clipped to the image.  Ridges
+    vary and a flat background does not, whatever its level, so dark
+    ridges on a light ground crop as light ridges on a dark one.  A
+    zero-mass image, or one too small for a whole block, yields the
+    full frame.
 
-    The closing runs on the 8-bit codes ``rint(255 * img)``, which is
-    exact for 8-bit input such as every ``ingest`` output.  The search
+    The variances are those of the 8-bit codes ``rint(255 * img)``, which
+    is exact for 8-bit input such as every ``ingest`` output.  The search
     sees any other image rounded to a multiple of 1/255; nothing else
     does.  Input must be a 2-D image in [0, 1].
     """
@@ -485,20 +425,13 @@ def extract_roi(img: np.ndarray) -> RoiRect:
 def _extract_roi(img: np.ndarray) -> RoiRect:
     """``extract_roi`` of an image already validated by ``as_image``."""
     height, width = img.shape
-    box = min(ROI_CLOSE_BOX, height, width)
-    if box % 2 == 0:
-        box -= 1
-    # The moments of the closed image in [0, 1] are those of its 8-bit
-    # codes (the 1/255 cancels), and the codes' column and row sums are
-    # exact integers; a sum fits 32 bits up to 16 million pixels a line.
-    closed = _closed_codes(img, box)
-    col_mass = closed.sum(axis=0, dtype=np.uint32)
-    row_mass = closed.sum(axis=1, dtype=np.uint32)
-    total = int(row_mass.sum(dtype=np.uint64))
-    if total == 0:
+    mass = _block_mass(img) if min(height, width) >= ROI_BLOCK else np.zeros((0, 0))
+    total = float(mass.sum())
+    if total == 0.0:
         return RoiRect(0, 0, width, height)
-    xs = np.arange(width, dtype=np.float64)
-    ys = np.arange(height, dtype=np.float64)
+    xs = ROI_BLOCK * np.arange(mass.shape[1]) + (ROI_BLOCK - 1) / 2.0
+    ys = ROI_BLOCK * np.arange(mass.shape[0]) + (ROI_BLOCK - 1) / 2.0
+    col_mass, row_mass = mass.sum(axis=0), mass.sum(axis=1)
     cx = float(col_mass @ xs) / total
     cy = float(row_mass @ ys) / total
     sx = math.sqrt(float(col_mass @ (xs - cx) ** 2) / total)
@@ -508,6 +441,31 @@ def _extract_roi(img: np.ndarray) -> RoiRect:
     y0 = max(0, math.floor(cy - ROI_SIGMA_FACTOR * sy))
     y1 = min(height - 1, math.ceil(cy + ROI_SIGMA_FACTOR * sy))
     return RoiRect(x0, y0, x1 - x0 + 1, y1 - y0 + 1)
+
+
+def _block_mass(img: np.ndarray) -> np.ndarray:
+    """``n * sum(c**2) - sum(c)**2`` over the n = 256 codes c = ``rint(255 * img)`` of
+    each whole 16x16 block: n**2 times the block's code variance, one row of blocks
+    to a row of the result.  The image must hold at least one whole block.
+
+    Rows of blocks run in the bands of ``_row_blocks``, each through one float64
+    buffer.  Codes, their squares and every sum here are integers below 2**53, so
+    the masses are exact in any summation order, never negative, and zero on a
+    flat block."""
+    side = ROI_BLOCK
+    n_rows, n_cols = img.shape[0] // side, img.shape[1] // side
+    span = n_cols * side
+    most, bands = _row_blocks(n_rows, 8 * side * span)
+    buffer = np.empty((most * side, span))
+    mass = np.empty((n_rows, n_cols))
+    for r0, r1 in bands:
+        band = buffer[: (r1 - r0) * side]
+        np.rint(np.multiply(img[r0 * side : r1 * side, :span], 255.0, out=band), out=band)
+        sums = band.reshape(-1, side, span).sum(axis=1).reshape(-1, n_cols, side).sum(axis=2)
+        np.square(band, out=band)
+        squares = band.reshape(-1, side, span).sum(axis=1).reshape(-1, n_cols, side).sum(axis=2)
+        np.subtract(side * side * squares, sums * sums, out=mass[r0:r1])
+    return mass
 
 
 def crop(img: np.ndarray, rect: RoiRect) -> np.ndarray:

@@ -12,12 +12,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from livecheck.augment import make_patches
 from livecheck.convnet import conv_forward, init_banks, max_pool
 from livecheck.imageproc import (
-    ROI_CLOSE_BOX,
+    ROI_BLOCK,
     ROI_SIGMA_FACTOR,
     RoiRect,
     clahe,
@@ -26,7 +25,6 @@ from livecheck.imageproc import (
     gaussian_profile,
     highpass,
     lowpass,
-    morph_close,
     resize_bilinear,
 )
 from livecheck.pipeline import extract_features, fit_transform
@@ -135,42 +133,6 @@ def resize_bilinear_oracle(img, scale):
             bottom = img[y1, x0] * (1 - fx) + img[y1, x1] * fx
             out[row, col] = top * (1 - fy) + bottom * fy
     return out
-
-
-def morph_close_oracle(img, box):
-    img = np.asarray(img, dtype=np.float64)
-    height, width = img.shape
-    radius = box // 2
-
-    def window_reduce(source, reducer):
-        out = np.zeros_like(source)
-        for row in range(height):
-            for col in range(width):
-                values = []
-                for dy in range(-radius, radius + 1):
-                    for dx in range(-radius, radius + 1):
-                        values.append(
-                            source[reflect_index(row + dy, height), reflect_index(col + dx, width)]
-                        )
-                out[row, col] = reducer(values)
-        return out
-
-    return window_reduce(window_reduce(img, max), min)
-
-
-def morph_close_window_view(img, box):
-    """Closing as a max, then a min, over every box x box window view.
-
-    Vectorized, so it reaches sensor-sized frames that the loop oracle
-    cannot, and independent of the running reduction the package uses.
-    """
-    radius = box // 2
-
-    def window_reduce(source, reducer):
-        padded = np.pad(source, radius, mode="symmetric")
-        return reducer(sliding_window_view(padded, (box, box)), axis=(-2, -1))
-
-    return window_reduce(window_reduce(np.asarray(img, dtype=np.float64), np.max), np.min)
 
 
 def clahe_fancy_index(img, tiles, clip):
@@ -586,28 +548,28 @@ def preprocess_stepwise(img, config):
     return out
 
 
-def roi_box(shape):
-    """``extract_roi``'s closing box: 21, shrunk to the largest odd side that fits."""
-    box = min(ROI_CLOSE_BOX, *shape)
-    return box - 1 if box % 2 == 0 else box
-
-
-def roi_float64(img):
-    """The ROI rectangle from a float64 closing of ``img`` itself:
-    ``morph_close`` (pinned to the window-view oracle) with
-    ``extract_roi``'s box, then its moments in the same float64 steps."""
+def roi_block_loops(img):
+    """The ROI rectangle with a Python loop over every pixel of every whole
+    16x16 block: the variance of the block's 8-bit codes ``rint(255 * x)``
+    is a mass at the block's centre, and the rectangle spans the mass's
+    centre plus or minus three standard deviations, clipped to the image."""
     img = np.asarray(img, dtype=np.float64)
     height, width = img.shape
-    closed = morph_close(img, roi_box(img.shape))
-    total = closed.sum()
-    if total <= 0.0:
+    side = ROI_BLOCK
+    masses = []  # (x, y, mass) per block
+    for top in range(0, height - side + 1, side):
+        for left in range(0, width - side + 1, side):
+            codes = [round(255.0 * float(img[y, x])) for y in range(top, top + side) for x in range(left, left + side)]
+            mean = sum(codes) / len(codes)
+            variance = sum((c - mean) ** 2 for c in codes) / len(codes)
+            masses.append((left + (side - 1) / 2, top + (side - 1) / 2, variance))
+    total = sum(m for _, _, m in masses)
+    if total == 0.0:
         return RoiRect(0, 0, width, height)
-    xs = np.arange(width, dtype=np.float64)
-    ys = np.arange(height, dtype=np.float64)
-    col_mass, row_mass = closed.sum(axis=0), closed.sum(axis=1)
-    cx, cy = float(col_mass @ xs) / total, float(row_mass @ ys) / total
-    sx = math.sqrt(float(col_mass @ (xs - cx) ** 2) / total)
-    sy = math.sqrt(float(row_mass @ (ys - cy) ** 2) / total)
+    cx = sum(x * m for x, _, m in masses) / total
+    cy = sum(y * m for _, y, m in masses) / total
+    sx = math.sqrt(sum((x - cx) ** 2 * m for x, _, m in masses) / total)
+    sy = math.sqrt(sum((y - cy) ** 2 * m for _, y, m in masses) / total)
     x0 = max(0, math.floor(cx - ROI_SIGMA_FACTOR * sx))
     y0 = max(0, math.floor(cy - ROI_SIGMA_FACTOR * sy))
     x1 = min(width - 1, math.ceil(cx + ROI_SIGMA_FACTOR * sx))

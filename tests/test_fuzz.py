@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from livecheck.config import parse_config
-from livecheck.imageproc import as_image, ingest, write_pgm
+from livecheck.imageproc import MAX_PIXELS, as_image, ingest, write_pgm
 from livecheck.model_io import model_bytes, model_from_bytes
 
 from conftest import PERFBENCH, run_python
@@ -55,6 +55,7 @@ HOSTILE_PGM = [
     b"P2 2 1 255 7 \xff",
     b"P5",
     b"",
+    b"P5\n4097 4097\n255\n" + bytes(4097 * 4097),  # a whole raster past MAX_PIXELS
 ]
 
 
@@ -93,7 +94,7 @@ class TestIngestFuzz:
                 data = base[:pos] + rng.choice(inserts, int(rng.integers(1, 6))).tobytes() + base[pos:]
             _check_image(data)
 
-    @pytest.mark.parametrize("data", HOSTILE_PGM)
+    @pytest.mark.parametrize("data", HOSTILE_PGM, ids=lambda data: "P5 4097x4097" if len(data) > MAX_PIXELS else None)
     def test_hostile_headers_rejected(self, data):
         with pytest.raises(ValueError):
             ingest(data)
@@ -289,11 +290,14 @@ def test_cli_reports_hostile_files_in_one_line(tmp_path):
         "infinite_epsilon.lvck": _join(stages[:3] + [({**transform, "epsilon": math.inf}, body)] + stages[4:]),
         "infinite_stds.lvck": _join(stages[:3] + [(transform, values.tobytes())] + stages[4:]),
     }
-    hostile = tmp_path / "overflow.pgm"
-    hostile.write_bytes(b"P2 1 1 255 " + b"9" * 30)
-    result = _run_cli("predict", "--model", str(tmp_path / "good.lvck"), str(hostile))
-    assert result.returncode == 1 and result.stdout == "", result.stderr
-    assert result.stderr.splitlines() == [f"error: {hostile}: unsupported format: pixel value exceeds maxval"]
+    overflow, oversized = tmp_path / "overflow.pgm", tmp_path / "oversized.pgm"
+    overflow.write_bytes(b"P2 1 1 255 " + b"9" * 30)
+    oversized.write_bytes(HOSTILE_PGM[-1])
+    for hostile, reason in ((overflow, "pixel value exceeds maxval"),
+                            (oversized, "4097x4097 image exceeds the 16777216-pixel limit")):
+        result = _run_cli("predict", "--model", str(tmp_path / "good.lvck"), str(hostile))
+        assert result.returncode == 1 and result.stdout == "", result.stderr
+        assert result.stderr.splitlines() == [f"error: {hostile}: unsupported format: {reason}"]
     runs = []
     for name, content in models.items():
         (tmp_path / name).write_bytes(content)

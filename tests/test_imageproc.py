@@ -1,4 +1,4 @@
-"""Ingestion and preprocessing: decoding, filtering, morphology, ROI, CLAHE."""
+"""Ingestion and preprocessing: decoding, filtering, ROI, CLAHE."""
 
 import hashlib
 import tracemalloc
@@ -10,8 +10,6 @@ from livecheck.imageproc import (
     _BLOCK_BYTES,
     RoiRect,
     _blur_same,
-    _close,
-    _closed_codes,
     as_image,
     clahe,
     convolve2d,
@@ -22,7 +20,6 @@ from livecheck.imageproc import (
     highpass,
     ingest,
     lowpass,
-    morph_close,
     resize_bilinear,
     write_pgm,
 )
@@ -36,11 +33,8 @@ from oracles import (
     conv2d_row_slices,
     conv2d_same_reflect,
     lowpass_slices,
-    morph_close_oracle,
-    morph_close_window_view,
     resize_bilinear_oracle,
-    roi_box,
-    roi_float64,
+    roi_block_loops,
 )
 
 
@@ -154,9 +148,9 @@ class TestIngest:
         assert data.startswith(b"P5\n2 1\n255\n")
         assert data[-2:] == bytes([0, 255])
 
-    def test_writer_and_roi_codes_match_oracle(self, rng):
-        """``write_pgm`` and the ROI's ``_closed_codes`` round ``img * 255`` in row
-        blocks; the codes are ``rint(img * 255)`` over the whole image, ties
+    def test_writer_codes_match_oracle(self, rng):
+        """``write_pgm`` rounds ``img * 255`` in row blocks; the codes are
+        ``rint(img * 255)`` over the whole image, ties
         (k + 0.5) / 255 included, on one-block, frame, tall and wide shapes."""
         ties = (np.arange(255) + 0.5) / 255.0
         images = [ties.reshape(15, 17), np.resize(ties, (480, 640)), rng.uniform(0.0, 1.0, size=(64, 64))]
@@ -168,7 +162,6 @@ class TestIngest:
             data = write_pgm(img)
             assert type(data) is bytes
             assert data == f"P5\n{width} {height}\n255\n".encode() + codes.tobytes()
-            assert _closed_codes(img, 3).tobytes() == _close(codes, 3).tobytes()
 
     def test_writer_peak_pinned(self, rng):
         """No frame-sized float64 temporary: a 480x640 frame's float64 image alone is 2.46 MB."""
@@ -415,88 +408,24 @@ class TestFiltering:
             lowpass(np.zeros((12, 40)))
 
 
-class TestMorphology:
-    def test_matches_oracle(self, rng):
-        cases = [(3, (int(rng.integers(5, 10)), int(rng.integers(5, 10)))) for _ in range(8)]
-        # boxes as large as the shorter side, as extract_roi uses on small crops
-        cases += [(5, (5, 8)), (9, (13, 9)), (21, (21, 26)), (21, (30, 21))]
-        for box, shape in cases:
-            img = rng.uniform(0.0, 1.0, size=shape)
-            np.testing.assert_array_equal(morph_close(img, box), morph_close_oracle(img, box))
-        # the deployed size: ROI closing of a full sensor frame
-        frame = _finger_frame()
-        np.testing.assert_array_equal(morph_close(frame, 21), morph_close_window_view(frame, 21))
-
-    def test_strip_boundaries_match_window_view(self, rng):
-        """Heights around powers of two, boxes up to the short side, and
-        non-contiguous input all close exactly as the whole-frame windows."""
-        cases = [((height, 640), 21) for height in (127, 128, 129, 138, 257)]
-        cases += [((300, 21), 21), ((21, 300), 21), ((150, 40), 1), ((150, 40), 3)]
-        for shape, box in cases:
-            img = rng.uniform(0.0, 1.0, size=shape)
-            out = morph_close(img, box)
-            np.testing.assert_array_equal(out, morph_close_window_view(img, box))
-            assert out.flags.c_contiguous and not np.shares_memory(out, img)
-        view = rng.uniform(0.0, 1.0, size=(640, 140)).T
-        out = morph_close(view, 21)
-        np.testing.assert_array_equal(out, morph_close_window_view(view, 21))
-        assert out.flags.c_contiguous and not np.shares_memory(out, view)
-
-    def test_box_as_large_as_a_side(self, rng):
-        """A box that spans a side makes the flat runs wrap past every row
-        edge: float64 through ``morph_close`` and 8-bit codes through the
-        closing ``extract_roi`` runs, in every layout, with ties and constants."""
-        cases = [(shape, 3) for shape in ((3, 3), (3, 4), (4, 3), (4, 4))]
-        cases += [((5, 12), 5), ((12, 5), 5), ((21, 21), 21)]
-        for shape, box in cases:
-            for img in (rng.uniform(0.0, 1.0, size=shape), np.round(rng.uniform(0.0, 1.0, size=shape) * 2) / 2,
-                        np.full(shape, 0.4)):
-                want = morph_close_window_view(img, box)
-                codes = np.rint(img * 255.0).astype(np.uint8)
-                want_codes = morph_close_window_view(codes, box)
-                for layout, code_layout in zip(layouts(img), layouts(codes)):
-                    np.testing.assert_array_equal(morph_close(layout, box), want)
-                    closed = _close(code_layout, box)
-                    assert closed.dtype == np.uint8
-                    np.testing.assert_array_equal(closed, want_codes)
-
-    def test_constant_unchanged(self):
-        img = np.full((9, 9), 0.4)
-        np.testing.assert_array_equal(morph_close(img, 5), img)
-
-    def test_extensive(self, random_image):
-        img = random_image(12, 12)
-        assert np.all(morph_close(img, 3) >= img - 1e-15)
-
-    def test_idempotent(self, random_image):
-        img = random_image(14, 14)
-        once = morph_close(img, 3)
-        np.testing.assert_allclose(morph_close(once, 3), once, atol=1e-12)
-
-    def test_box_one_is_identity(self, random_image):
-        img = random_image(6, 6)
-        np.testing.assert_array_equal(morph_close(img, 1), img)
-
-    def test_bad_box_rejected(self):
-        with pytest.raises(ValueError):
-            morph_close(np.zeros((5, 5)), 4)
-        with pytest.raises(ValueError):
-            morph_close(np.zeros((5, 5)), 7)
-
-
 class TestRoi:
     def test_zero_image_gives_full_frame(self):
         rect = extract_roi(np.zeros((30, 40)))
         assert rect == RoiRect(0, 0, 40, 30)
 
     def test_centered_blob_found(self):
-        img = np.zeros((60, 60))
-        img[25:35, 20:30] = 1.0
-        rect = extract_roi(img)
-        # center of mass sits mid-blob; the rect must cover the blob
-        assert rect.x0 <= 20 and rect.x0 + rect.width >= 30
-        assert rect.y0 <= 25 and rect.y0 + rect.height >= 35
-        assert rect.width < 60 or rect.height < 60
+        """A textured blob on a flat ground of any level, and its inverse,
+        crop to one rectangle that covers the blob and not the frame."""
+        y, x = np.mgrid[0:48, 0:48]
+        texture = 0.5 + 0.4 * np.sin(x / 1.5 + y / 2.0)
+        for ground in (0.0, 0.5, 1.0):
+            img = np.full((160, 160), ground)
+            img[56:104, 40:88] = texture
+            rect = extract_roi(img)
+            assert extract_roi(1.0 - img) == rect
+            assert rect.x0 <= 40 and rect.x0 + rect.width >= 88
+            assert rect.y0 <= 56 and rect.y0 + rect.height >= 104
+            assert rect.width < 160 and rect.height < 160
 
     def test_rect_always_inside_image(self, rng):
         for _ in range(10):
@@ -506,13 +435,64 @@ class TestRoi:
             assert 0 <= rect.y0 and rect.y0 + rect.height <= 25
             crop(img, rect)  # must never raise
 
-    def test_small_image_supported(self):
-        """Images narrower than the closing box still get a region."""
-        rect = extract_roi(np.ones((7, 9)))
-        assert rect.width <= 9 and rect.height <= 7
+    def test_small_image_supported(self, rng):
+        """Images with no whole 16x16 block get the full frame."""
+        for shape in ((7, 9), (15, 200), (200, 15)):
+            assert extract_roi(rng.uniform(0.0, 1.0, size=shape)) == RoiRect(0, 0, shape[1], shape[0])
+
+    def test_flat_blocks_give_full_frame(self, rng):
+        """A frame flat on every whole block has zero mass, whatever its level
+        and whatever lies past the last whole block; so has a blank or constant
+        sensor frame read through PGM."""
+        for level in (0.0, 0.1, 0.5, 1.0, 1.0 / 3.0):
+            img = np.full((50, 70), level)
+            img[48:, :] = rng.uniform(0.0, 1.0, size=(2, 70))
+            img[:, 64:] = rng.uniform(0.0, 1.0, size=(50, 6))
+            assert extract_roi(img) == RoiRect(0, 0, 70, 50)
+            assert extract_roi(ingest(write_pgm(np.full((480, 640), level)))) == RoiRect(0, 0, 640, 480)
 
     def test_sensor_frame_geometry_pinned(self):
-        assert extract_roi(_finger_frame()) == RoiRect(x0=73, y0=41, width=451, height=439)
+        assert extract_roi(_finger_frame()) == RoiRect(x0=128, y0=65, width=321, height=399)
+
+    def test_matches_block_loops(self, rng, perfbench_frames):
+        """Equal to the loop oracle on random, small, strided and sensor-sized
+        frames, as floats and as 8-bit images; any other image is rounded
+        to its 8-bit codes for the search.  Rows of blocks run in bands of
+        ``_row_blocks``: 117x640 takes three uneven bands, 40x2100 one block
+        row a band."""
+        shapes = ((25, 31), (64, 64), (7, 9), (33, 100), (117, 640), (40, 2100))
+        images = [rng.uniform(0.0, 1.0, size=shape) for shape in shapes]
+        images.append(rng.uniform(0.0, 1.0, size=(200, 96))[::-3, ::2])
+        images.append(np.round(rng.uniform(0.0, 1.0, size=(48, 48)) * 2) / 2)
+        images.append(_finger_frame())
+        images.extend(perfbench_frames.finger_frames(1, 41, 0.4)[0])
+        for img in images:
+            want = roi_block_loops(img)
+            assert extract_roi(img) == want, img.shape
+            assert extract_roi(np.rint(img * 255.0) / 255.0) == want
+            assert extract_roi(ingest(write_pgm(img))) == want
+
+    def test_block_aligned_shift_moves_the_rect(self):
+        """Moving a textured blob by whole blocks moves the rectangle by the
+        same amount and keeps its size, on a dark, mid-grey or light ground."""
+        y, x = np.mgrid[0:48, 0:48]
+        texture = 0.5 + 0.4 * np.sin(x / 1.5 + y / 2.0)
+        for ground in (0.0, 0.3, 1.0):
+            img = np.full((200, 240), ground)
+            img[40:88, 30:78] = texture
+            base = extract_roi(img)
+            for dy, dx in ((0, 32), (16, 0), (48, 64)):
+                moved = np.full((200, 240), ground)
+                moved[40 + dy : 88 + dy, 30 + dx : 78 + dx] = texture
+                assert extract_roi(moved) == RoiRect(base.x0 + dx, base.y0 + dy, base.width, base.height), (ground, dy, dx)
+
+    def test_roi_peak_pinned(self):
+        """No frame-sized float64 temporary: a 480x640 frame's float64 image alone
+        is 2.46 MB; one band of block rows and the block masses read about 0.28 MB."""
+        frame = _finger_frame()
+        for img in (frame, ingest(write_pgm(frame))):
+            peak = _traced_peak(lambda: extract_roi(img))
+            assert peak < 1_000_000, f"traced peak {peak / 1e6:.2f} MB"
 
     def test_crop_extracts_expected_window(self):
         img = np.arange(30, dtype=np.float64).reshape(5, 6) / 30.0
@@ -531,37 +511,6 @@ class TestRoi:
             img[12, 17] = value
             with pytest.raises(ValueError, match=message):
                 extract_roi(img)
-
-
-class TestRoiCodes:
-    """``extract_roi`` closes the 8-bit codes ``rint(255 * img)``: exact for
-    8-bit images, and any other image is rounded to 8 bits for the search."""
-
-    @staticmethod
-    def _assert_exact(img):
-        for box in (roi_box(img.shape), 3):
-            np.testing.assert_array_equal(_closed_codes(img, box) / 255.0, morph_close(img, box))
-        assert extract_roi(img) == roi_float64(img)
-
-    def test_eight_bit_images_match_float64(self, rng, perfbench_frames):
-        images = [rng.uniform(0.0, 1.0, size=shape) for shape in ((25, 31), (64, 64), (21, 300), (7, 9))]
-        images.append(_finger_frame())
-        images.extend(perfbench_frames.finger_frames(1, 41, 0.4)[0])
-        for img in images:
-            self._assert_exact(ingest(write_pgm(img)))
-
-    def test_eight_bit_strip_boundaries(self, rng):
-        """Heights around powers of two, up to frames taller than three sensors."""
-        for height in (129, 1023, 1024, 1025, 2049):
-            self._assert_exact(ingest(write_pgm(rng.uniform(0.0, 1.0, size=(height, 640)))))
-
-    def test_other_images_rounded_to_codes(self, rng):
-        """Closing commutes with ``rint(255 * x)``: the codes are those of
-        the float64 closing, and the rect is that of the rounded image."""
-        for img in (rng.uniform(0.0, 1.0, size=(25, 31)), rng.uniform(0.0, 1.0, size=(150, 640)), _finger_frame()):
-            box = roi_box(img.shape)
-            np.testing.assert_array_equal(_closed_codes(img, box), np.rint(morph_close(img, box) * 255.0))
-            assert extract_roi(img) == roi_float64(np.rint(img * 255.0) / 255.0)
 
 
 class TestClahe:

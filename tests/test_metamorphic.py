@@ -32,6 +32,15 @@ codes are pinned equal.  Another gain rounds, and can merge two values
 that differ by an ulp into a tie, which sets a bit; a gain of 3 moved 0
 of about 2.1 million codes (20 per class of these 64x64 textures, as
 float and as 8-bit images, and six whole 480x640 sensor frames).
+
+The sensor ROI takes its mass from ridge activity, not brightness, so a
+photometric change of the benchmark's 12 held-out sensor frames (each
+re-quantized through PGM) keeps every crop edge within one 16-pixel
+block; the largest shift measured 5 px, at offset -0.1.  With the
+deployed sensor model an offset of +0.1 flips 1 of the 12 labels and
+turns no fake live; a ROI from intensity moments crops every such frame
+to the whole 640x480 and flips 5.  Inversion still flips 4, all fakes
+called live, with each crop as the original's.
 """
 
 import numpy as np
@@ -43,16 +52,26 @@ from livecheck import (
     PreprocessConfig,
     SvmParams,
     TransformConfig,
+    derive_seed,
+    extract_roi,
     fit_pipeline,
     highpass,
+    ingest,
+    load_dataset,
+    load_images,
     make_texture_dataset,
+    parse_config_file,
+    write_dataset_tree,
+    write_pgm,
 )
 from livecheck.convnet import ConvLayerConfig, ConvNetConfig
+from livecheck.imageproc import ROI_BLOCK
 from livecheck.lbp import lbp_map
 from livecheck.pipeline import fit_transform
 from livecheck.svm import decision_scores, train_smo
 from livecheck.transform import project
 
+from test_pipeline import DEPLOYED_SENSOR
 from test_svm import blob_data, lbp_rows, oracle_cases
 
 CONFIGS = {
@@ -149,3 +168,48 @@ def test_every_row_twice_matches_twice_the_c(rows):
     np.testing.assert_array_equal(np.sign(moved), np.sign(margins))
     assert np.abs(moved - margins).max() <= 1e-3
     assert np.median(np.abs(margins)) > 100 * 1e-3  # not all near zero
+
+
+SENSOR_CHANGES = {
+    "offset +0.1": lambda frame: frame + 0.1,
+    "offset -0.1": lambda frame: frame - 0.1,
+    "gain 0.6": lambda frame: 0.6 * frame,
+    "gain 0.8": lambda frame: 0.8 * frame,
+    "inverted": lambda frame: 1.0 - frame,
+    "inverted, offset -0.1": lambda frame: 0.9 - frame,
+}
+
+
+def _through_pgm(img):
+    return ingest(write_pgm(np.clip(img, 0.0, 1.0)))
+
+
+@pytest.fixture(scope="module")
+def sensor_held(perfbench_frames):
+    """scan-sensor's 12 held-out frames, read back through PGM as its set-up reads them."""
+    frames, _ = perfbench_frames.finger_frames(6, derive_seed(2015, "scan-sensor", "held"), 0.4)
+    return [_through_pgm(frame) for frame in frames]
+
+
+def _edges(rect):
+    return rect.x0, rect.y0, rect.x0 + rect.width, rect.y0 + rect.height
+
+
+@pytest.mark.parametrize("change", sorted(SENSOR_CHANGES))
+def test_photometric_change_keeps_the_sensor_crop(sensor_held, change):
+    for frame in sensor_held:
+        moved = extract_roi(_through_pgm(SENSOR_CHANGES[change](frame)))
+        shift = np.subtract(_edges(moved), _edges(extract_roi(frame)))
+        assert np.abs(shift).max() <= ROI_BLOCK, (change, moved)
+
+
+def test_offset_flips_at_most_one_sensor_label(sensor_held, perfbench_frames, tmp_path):
+    """The deployed sensor model, fitted as the benchmark fits it."""
+    images, labels = perfbench_frames.finger_frames(2, derive_seed(2015, "scan-sensor", "train"), 0.4)
+    write_dataset_tree(tmp_path, images, labels)
+    images, labels = load_images(load_dataset(tmp_path))
+    model = fit_pipeline(images, labels, parse_config_file(DEPLOYED_SENSOR).single_config())
+    before = np.array([model.predict(frame) for frame in sensor_held])
+    after = np.array([model.predict(_through_pgm(frame + 0.1)) for frame in sensor_held])
+    assert (after != before).sum() <= 1
+    assert not ((before < 0) & (after > 0)).any()  # no fake turned live

@@ -17,10 +17,11 @@ frame.  That is the frame's transient heap peak in 4 KiB pages (about
 5 MB): glibc gives the top of the heap back once the memory freed there
 exceeds twice the largest mmapped block freed so far, here the 2.4 MB
 decoded frame, so every frame faults its peak in again.  The decoded frame
-is the one frame-sized float64 array; the ROI rounds its 8-bit codes and
-CLAHE and the highpass run their passes in row blocks, so the rest are
-crop-sized (about 0.7 MB) or block-sized.  Whole-crop CLAHE blend and
-highpass passes read about 1,484 (a 6.2-6.6 MB peak).
+is the one frame-sized float64 array; the ROI sums its 8-bit codes, CLAHE
+and the highpass run their passes, all in row blocks, so the rest are
+crop-sized (about 0.8 MB) or block-sized.
+Whole-crop CLAHE blend and highpass passes read about 1,484 (a 6.2-6.6 MB
+peak).
 """
 
 import sys
