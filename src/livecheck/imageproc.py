@@ -53,14 +53,26 @@ _BLOCK_BYTES = 1 << 18
 
 def as_image(data) -> np.ndarray:
     """Validate ``data`` as a 2-D float64 intensity image in [0, 1]."""
-    img = np.asarray(data, dtype=np.float64)
+    return _image_range(data)[0]
+
+
+def _image_range(data) -> tuple[np.ndarray, float, float]:
+    """``as_image`` of ``data`` with its least and greatest intensity.
+
+    A dtype other than bool, integer or float is rejected before the cast,
+    which would keep only a complex array's real part."""
+    arr = np.asarray(data)
+    if arr.dtype.kind not in "biuf":
+        raise ValueError(f"image must hold real numbers, got dtype {arr.dtype}")
+    img = np.asarray(arr, dtype=np.float64)
     if img.ndim != 2 or img.shape[0] < 1 or img.shape[1] < 1:
         raise ValueError(f"expected a non-empty 2-D image, got shape {img.shape}")
-    if not (img.min() >= 0.0 and img.max() <= 1.0):  # NaN and +-inf fail this test too
+    lo, hi = img.min(), img.max()
+    if not (lo >= 0.0 and hi <= 1.0):  # NaN and +-inf fail this test too
         if not np.all(np.isfinite(img)):
             raise ValueError("image contains non-finite values")
         raise ValueError("image intensities must lie in [0, 1]")
-    return img
+    return img, lo, hi
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import augment as aug
 from .convnet import ConvNetConfig, convnet_features, init_banks
-from .imageproc import _clahe, _extract_roi, as_image, highpass, lowpass, resize_bilinear
+from .imageproc import _clahe, _extract_roi, _image_range, highpass, lowpass, resize_bilinear
 from .lbp import LbpConfig, lbp_features, lbp_window_features
 from .seeds import derive_seed
 from .svm import SvmModel, SvmParams, decision_scores, train_smo
@@ -100,10 +100,13 @@ class PipelineConfig:
 def preprocess_image(img: np.ndarray, config: PreprocessConfig) -> np.ndarray:
     """Apply ``config`` to a raw image.
 
-    Raises ``ValueError`` for an image that is not a finite 2-D array in
-    [0, 1]; that is the only validation the image gets.
+    Raises ``ValueError`` for an image that is not a finite, real 2-D array
+    in [0, 1], and for a flat one (every pixel the same intensity), which
+    holds no texture to score; that is the only validation the image gets.
     """
-    out = as_image(img)
+    out, lo, hi = _image_range(img)
+    if lo == hi:
+        raise ValueError(f"image has no intensity variation: every pixel is {lo:g}")
     if config.scale < 1.0:
         out = resize_bilinear(out, config.scale)
     if config.roi:

@@ -31,7 +31,10 @@ __all__ = [
 
 _MAX_SWEEPS = 10_000  # steps are capped at this many times the sample count
 _CURVATURE_FLOOR = 1e-12
-_CURVATURE_CACHE_BYTES = 128 << 10  # every row fits at n=120; small enough for _solve's memory pin
+# Byte budget of _solve's precomputed curvature rows: every row at n=120, rows
+# 0-67 at n=240.  Built with one temporary of its size, it keeps _solve's peak
+# at n=2000 near 360 KiB.
+_CURVATURE_CACHE_BYTES = 128 << 10
 _SV_EPS = 1e-12
 
 
@@ -97,36 +100,40 @@ def _solve(
     C, tol, n = params.C, params.tol, len(y)
     positive = (y > 0).tolist()
     diagonal = np.diag(K)
-    # Rows: s = -y * (gradient of the dual), s_t = y_t - sum_k alpha_k y_k K_tk,
-    # then s over I_up (alpha may move along +y) and over I_low (along -y), with
-    # -inf / +inf where a variable sits on the bound it would cross; with every
-    # alpha at 0, I_up is y = +1 and I_low is y = -1.  One subtraction updates
-    # all three: a step shifts every entry by the same dk (±inf stays ±inf, a
-    # finite entry gets exactly the bits a rebuild from s would), and only i
-    # and j can change set.
-    state = np.vstack((y, np.where(y > 0, y, -np.inf), np.where(y < 0, y, np.inf)))
-    s, s_up, s_low = state
+    # With s = -y * (gradient of the dual), s_t = y_t - sum_k alpha_k y_k K_tk,
+    # the live state is s over I_up (alpha may move along +y) and over I_low
+    # (along -y), with -inf / +inf where a variable sits on the bound it would
+    # cross; with every alpha at 0, I_up is y = +1 and I_low is y = -1.  Every
+    # index is in I_up or I_low, so the two hold all of s.  A step shifts each
+    # by the same dk (±inf stays ±inf, a finite entry gets exactly the bits a
+    # rebuild from s would), and only i and j can change set.
+    s_up = np.where(y > 0, y, -np.inf)
+    s_low = np.where(y < 0, y, np.inf)
     b, a_scratch, gain, dk = (np.empty(n) for _ in range(4))
-    # Curvature rows a_i by working index i, in one block within a byte
-    # budget; rows past it are computed on every step and not stored.
-    cache = np.empty((min(n, _CURVATURE_CACHE_BYTES // (8 * n)), n))
-    rows: list[np.ndarray | None] = [None] * n
-    cached = 0
-    # At select's n = 120 a step costs a few microseconds of numpy call
-    # overhead and almost no arithmetic, so the loop reads alphas from a
-    # list and calls ufuncs and array methods through locals.
+    # Curvature rows a_k = max(K_kk + K_ll - 2 K_kl, 1e-12) for working
+    # indices k < m, built in one pass within a byte budget; a row past it
+    # is computed into scratch on each step that needs it.
+    m = min(n, _CURVATURE_CACHE_BYTES // (8 * n))
+    curvature = np.add.outer(diagonal[:m], diagonal)
+    curvature -= np.multiply(K[:m], 2.0)
+    np.maximum(curvature, _CURVATURE_FLOOR, out=curvature)
+    # At select's n = 120 a step costs about 6 µs, nearly all of it numpy
+    # call overhead on ten 1-D vector calls and almost no arithmetic, so the
+    # loop reads alphas from a list, calls ufuncs and array methods through
+    # locals and passes their outputs by position.
     alphas = [0.0] * n
     add, subtract, multiply, divide, copysign, maximum = (
         np.add, np.subtract, np.multiply, np.divide, np.copysign, np.maximum
     )
-    up_argmax, up_item = s_up.argmax, s_up.item
-    s_item, b_item, gain_argmax = s.item, b.item, gain.argmax
+    up_argmax, up_item, low_item = s_up.argmax, s_up.item, s_low.item
+    b_item, gain_argmax = b.item, gain.argmax
     inf = math.inf
     objectives: list[float] = []
 
     def objective(values: list[float]) -> float:
         # K (alpha * y) = y - s, so no Gram product is needed.
         alpha = np.array(values)
+        s = np.where(s_up > -inf, s_up, s_low)
         return float(alpha.sum() - 0.5 * ((alpha * y) @ (y - s)))
 
     steps = 0
@@ -134,47 +141,54 @@ def _solve(
         i = int(up_argmax())
         top = up_item(i)
         # Partner j maximizes the dual gain b^2 / a of the pair's step.
-        subtract(top, s_low, out=b)
+        subtract(top, s_low, b)
         row_i = K[i]
-        a = rows[i]
-        if a is None:
-            if cached < len(cache):
-                a = rows[i] = cache[cached]
-                cached += 1
-            else:
-                a = a_scratch
-            add(diagonal, diagonal[i], out=a)
-            multiply(row_i, 2.0, out=dk)  # dk is scratch until the update
-            subtract(a, dk, out=a)
-            maximum(a, _CURVATURE_FLOOR, out=a)
-        multiply(b, b, out=gain)
-        divide(gain, a, out=gain)
+        if i < m:
+            a = curvature[i]
+        else:
+            a = a_scratch
+            add(diagonal, diagonal[i], a)
+            multiply(row_i, 2.0, dk)  # dk is scratch until the update
+            subtract(a, dk, a)
+            maximum(a, _CURVATURE_FLOOR, out=a)  # numpy deprecates a positional out here
+        multiply(b, b, gain)
+        divide(gain, a, gain)
         # b's sign makes every non-ascent gain <= 0, while the largest b
         # (> tol) has a positive gain unless tol is below about 1e-154 and
         # b^2 underflows, so argmax picks what a -inf mask would.
-        copysign(gain, b, out=gain)
+        copysign(gain, b, gain)
         j = int(gain_argmax())
         b_j = b_item(j)
         # The stopping test is max(b) = top - min(s_low) <= tol; rounding
         # keeps order, so that max is fl(top - min(s_low)) exactly.  A
         # partner with b_j > tol already shows the gap is open.
-        if b_j <= tol and top - s_low.item(int(s_low.argmin())) <= tol:
+        if b_j <= tol and top - low_item(int(s_low.argmin())) <= tol:
             break
         alpha_i, alpha_j = alphas[i], alphas[j]
         room_i = C - alpha_i if positive[i] else alpha_i
         room_j = alpha_j if positive[j] else C - alpha_j
-        t = min(b_j / a.item(j), room_i, room_j)
-        subtract(row_i, K[j], out=dk)
-        multiply(dk, t, out=dk)
-        subtract(state, dk, out=state)
+        # min(b_j / a_j, room_i, room_j), ties resolved as min() does.
+        t = b_j / a.item(j)
+        if room_i < t:
+            t = room_i
+        if room_j < t:
+            t = room_j
+        subtract(row_i, K[j], dk)
+        multiply(dk, t, dk)
+        subtract(s_up, dk, s_up)
+        subtract(s_low, dk, s_low)
+        # i is in I_up and j in I_low (b_j > 0 keeps s_low[j] finite), so
+        # these entries are s_i and s_j after the shift.
+        s_i, s_j = up_item(i), low_item(j)
         # A variable that uses all its room lands exactly on its bound,
         # and only i and j can change set: I_up holds y = +1 below C and
-        # y = -1 above 0, I_low the reverse.
-        s_i, s_j = s_item(i), s_item(j)
+        # y = -1 above 0, I_low the reverse.  The rooms and b_j are
+        # positive, so t > 0: a positive i ends above 0, in I_low, and a
+        # negative j ends above 0, in I_up.
         if positive[i]:
             alpha_i = C if t == room_i else alpha_i + t
             s_up[i] = s_i if alpha_i < C else -inf
-            s_low[i] = s_i if alpha_i > 0.0 else inf
+            s_low[i] = s_i
         else:
             alpha_i = 0.0 if t == room_i else alpha_i - t
             s_up[i] = s_i if alpha_i > 0.0 else -inf
@@ -185,7 +199,7 @@ def _solve(
             s_low[j] = s_j if alpha_j > 0.0 else inf
         else:
             alpha_j = C if t == room_j else alpha_j + t
-            s_up[j] = s_j if alpha_j > 0.0 else -inf
+            s_up[j] = s_j
             s_low[j] = s_j if alpha_j < C else inf
         alphas[i], alphas[j] = alpha_i, alpha_j
         steps += 1
@@ -195,10 +209,11 @@ def _solve(
         objectives.append(objective(alphas))
     kkt_gap = float(s_up.max() - s_low.min())
     result = np.array(alphas)
-    # Free support vectors sit on the margin, where the bias equals s;
-    # without any, the midpoint of the two extremes satisfies KKT best.
+    # Free support vectors sit on the margin, where the bias equals s (and
+    # s_up holds it); without any, the midpoint of the two extremes
+    # satisfies KKT best.
     free = (result > 0.0) & (result < C)
-    bias = float(s[free].mean() if free.any() else (s_up.max() + s_low.min()) / 2.0)
+    bias = float(s_up[free].mean() if free.any() else (s_up.max() + s_low.min()) / 2.0)
     diag = SmoDiagnostics(
         result, objectives, sweeps=math.ceil(steps / n), kkt_gap=kkt_gap, converged=kkt_gap <= tol, steps=steps
     )

@@ -217,6 +217,19 @@ class TestPredict:
         lines = captured.out.splitlines()
         assert len(lines) == 1 and lines[0].startswith(good + "\t")
 
+    def test_flat_image_exit_one_but_rest_scored(self, tmp_path, data_dir, trained_model, capsys):
+        """A black frame has no texture to score: it is reported, never
+        labelled."""
+        black = tmp_path / "black.pgm"
+        black.write_bytes(b"P5\n32 32\n255\n" + bytes(32 * 32))
+        good = str(data_dir / "live" / "0002.pgm")
+        code = main(["predict", "--model", str(trained_model), str(black), good])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert f"error: {black}: image has no intensity variation: every pixel is 0\n" == captured.err
+        lines = captured.out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(good + "\t")
+
     def test_timing_flag_reports_on_stderr(self, data_dir, trained_model, capsys):
         target = str(data_dir / "live" / "0001.pgm")
         code = main(["predict", "--model", str(trained_model), "--timing", target])

@@ -75,6 +75,16 @@ class TestAsImage:
             with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
                 as_image(img)
 
+    @pytest.mark.parametrize("validate", [as_image, extract_roi, clahe], ids=["as_image", "extract_roi", "clahe"])
+    def test_complex_rejected_before_the_cast(self, validate):
+        """A cast to float64 would keep only the real part; the complex
+        dtype is rejected first, with zero imaginary parts too."""
+        img = np.random.default_rng(3).uniform(0.0, 1.0, size=(48, 64))
+        for bad in (img + 0.7j, img.astype(np.complex128)):
+            with pytest.raises(ValueError, match="real numbers, got dtype complex128"):
+                validate(bad)
+        validate(img)
+
 
 class TestIngest:
     def test_p5_two_by_two(self):

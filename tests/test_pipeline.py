@@ -65,8 +65,12 @@ def _with_inf_pixel(img):
 
 
 class TestUnscorableInputsRejected:
-    @pytest.mark.parametrize("corrupt", [_with_nan_pixel, _with_inf_pixel, lambda img: img * 5.0],
-                             ids=["nan", "inf", "out-of-range"])
+    @pytest.mark.parametrize(
+        "corrupt",
+        [_with_nan_pixel, _with_inf_pixel, lambda img: img * 5.0, np.zeros_like, lambda img: np.full_like(img, 0.5),
+         lambda img: img + 0.7j],
+        ids=["nan", "inf", "out-of-range", "black", "flat", "complex"],
+    )
     def test_bad_image_raises(self, lbp_model, corrupt):
         model, img = lbp_model
         model.decision_score(img)  # the clean image scores
@@ -74,6 +78,14 @@ class TestUnscorableInputsRejected:
             model.decision_score(corrupt(img))
         with pytest.raises(ValueError):
             model.predict(corrupt(img))
+
+    def test_flat_training_image_raises(self, lbp_model):
+        """Training preprocesses through the same check as scoring."""
+        model, _ = lbp_model
+        images, labels = make_texture_dataset(6, size=32, seed=3)
+        images[4] = np.full_like(images[4], 0.25)
+        with pytest.raises(ValueError, match="no intensity variation"):
+            fit_pipeline(images, labels, model.config)
 
     def test_non_finite_margin_raises(self, lbp_model):
         model, img = lbp_model
@@ -146,7 +158,7 @@ class TestPreprocess:
     def test_invalid_image_rejected(self, rng, roi, equalize):
         img = _finger_on_black(rng)
         config = PreprocessConfig(roi=roi, equalize=equalize)
-        for bad in (_with_nan_pixel(img), img * 5.0, img - 0.5, img[None]):
+        for bad in (_with_nan_pixel(img), img * 5.0, img - 0.5, img[None], np.zeros_like(img), img + 0.5j):
             with pytest.raises(ValueError):
                 preprocess_image(bad, config)
 

@@ -220,7 +220,8 @@ def oracle_cases():
         "two-samples": (np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1.0, -1.0]), SvmParams()),
         "no-steps": (*blob_data(rng, n=20), SvmParams(tol=100.0)),
         "lbp-pca": (*lbp_pca_rows(), SvmParams(C=10.0, gamma=0.05)),
-        # 156 distinct working rows, and the curvature cache holds 40 at n=400.
+        # 156 distinct working rows; the curvature block holds rows 0-39 at
+        # n=400, and 175 of the 205 steps work on a row past it.
         "cache-overflow": (*blob_data(rng, n=400, gap=0.5), SvmParams(C=1.0, gamma=0.5)),
     }
 
@@ -271,15 +272,23 @@ class TestSolverOracle:
         np.testing.assert_array_equal(diag.alphas, alphas)
         assert (model.bias, diag.sweeps, diag.steps) == (bias, sweeps, 47)
 
-    def test_bit_identical_without_curvature_cache(self, monkeypatch):
-        """With no byte budget every curvature row is computed afresh,
-        with the bits a cached row has."""
-        monkeypatch.setattr(svm, "_CURVATURE_CACHE_BYTES", 0)
+    @pytest.mark.parametrize("budget", ["none", "half", "default"])
+    def test_bit_identical_without_curvature_cache(self, monkeypatch, budget):
+        """A curvature row past the byte budget is computed on each step,
+        with the bits a precomputed row has: with no rows in the block,
+        with about half of each case's rows, and at the default budget."""
         for X, y, params in oracle_cases().values():
+            n = len(y)
+            if budget != "default":
+                rows = 0 if budget == "none" else n // 2
+                monkeypatch.setattr(svm, "_CURVATURE_CACHE_BYTES", 8 * n * rows)
             model, diag = train_smo(X, y, params, collect_diagnostics=True)
-            alphas, bias, sweeps, _ = smo_reference(rbf_gram(X, X, params.gamma), y, params)
+            alphas, bias, sweeps, objectives = smo_reference(
+                rbf_gram(X, X, params.gamma), y, params, collect_objectives=True
+            )
             np.testing.assert_array_equal(diag.alphas, alphas)
             assert (model.bias, diag.sweeps) == (bias, sweeps)
+            np.testing.assert_array_equal(diag.dual_objectives, objectives)
 
     @pytest.mark.filterwarnings("ignore:SMO stopped at its cap:RuntimeWarning")
     def test_bit_identical_at_tiny_tol(self, monkeypatch):
