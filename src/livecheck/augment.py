@@ -33,7 +33,7 @@ def patch_windows(shape: tuple[int, ...]) -> tuple[tuple[int, int], list[tuple[i
     to yield a non-empty crop are rejected.
     """
     if len(shape) != 2:
-        raise ValueError(f"make_patches expects a 2-D image, got shape {tuple(shape)}")
+        raise ValueError(f"patch_windows expects a 2-D image, got shape {tuple(shape)}")
     height, width = shape
     # floor(0.8 * dim) in exact integer arithmetic
     ph = 4 * height // 5

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
+
+from .imageproc import _BLOCK_BYTES, _row_blocks
 
 __all__ = [
     "LbpConfig",
@@ -157,33 +160,120 @@ def lbp_features(img: np.ndarray, config: LbpConfig) -> np.ndarray:
     return out.reshape(*values.shape[:-2], -1)
 
 
+@dataclass(frozen=True)
+class _WindowPlan:
+    """How ``lbp_window_features`` counts one layout of views.  The last
+    eight are cached and shared, so their arrays are read-only; an image
+    larger than a band holds 8 bytes of keys a pixel (2.4 MB at 480x640).
+
+    An image's label map is cut into cells at every window origin and
+    block edge, for unflipped and mirrored windows alike; slot 0 of each
+    axis is an empty cell before the first cut.  ``cell_keys`` numbers
+    each pixel's (image, cell), times the bins, for a band of images
+    whose keys and counts fit ``_BLOCK_BYTES``.  Once the counts hold 2-D
+    prefix sums, slot ``(i, j)`` counts each label above row cut ``i``
+    and left of column cut ``j``, and a block's histogram is ``(+, -, -,
+    +)`` of the four slots ``corners`` names for it."""
+
+    grid: tuple[int, int, int]  # row slots, column slots, bins
+    image_bytes: int  # an image's keys or counts, whichever is larger
+    cell_keys: np.ndarray  # (images, map height, map width)
+    spans: tuple  # row bands [r0, r1) of one image's keys
+    corners: np.ndarray  # (4, views * blocks) column-major slots
+    mirrored: np.ndarray  # indices into views * blocks: mirrors of original codes
+    sizes: np.ndarray  # (blocks, 1) pixels in each block; floats divide as numpy's int / int does
+
+
+@functools.lru_cache(maxsize=8)
+def _window_plan(map_shape, view_shape, windows, blocks, variant) -> _WindowPlan:
+    map_height, map_width = map_shape
+    height, width = view_shape
+    row_bounds = _block_bounds(height, blocks[0])
+    col_bounds = _block_bounds(width, blocks[1])
+    for row, col, _ in windows:
+        if not (0 <= row <= map_height - height and 0 <= col <= map_width - width):
+            raise ValueError(f"window at ({row}, {col}) does not fit a {map_height + 2}x{map_width + 2} image")
+    # A mirrored view's block columns [c0, c1) are its window's columns
+    # [width - c1, width - c0).
+    rects = np.array(
+        [
+            (row + r0, row + r1, col + (width - c1 if flipped else c0), col + (width - c0 if flipped else c1))
+            for row, col, flipped in windows
+            for r0, r1 in row_bounds
+            for c0, c1 in col_bounds
+        ],
+        dtype=np.intp,
+    ).reshape(-1, 4)
+    row_cuts = np.union1d([0, map_height], rects[:, :2])
+    col_cuts = np.union1d([0, map_width], rects[:, 2:])
+    bins = N_UNIFORM_BINS if variant == "uniform" else N_ORIGINAL_BINS
+    grid = (len(row_cuts), len(col_cuts), bins)
+    slots = grid[0] * grid[1]
+    image_bytes = 8 * max(map_height * map_width, slots * bins)
+    row_keys = np.searchsorted(row_cuts, np.arange(map_height), side="right") * grid[1]
+    col_keys = np.searchsorted(col_cuts, np.arange(map_width), side="right")
+    images = np.arange(max(1, _BLOCK_BYTES // image_bytes))[:, None] * slots
+    cell_keys = np.add.outer((images + row_keys) * bins, col_keys * bins)
+    r0, r1 = np.searchsorted(row_cuts, rects[:, :2].T)
+    c0, c1 = np.searchsorted(col_cuts, rects[:, 2:].T)
+    corners = np.stack([c1 * grid[0] + r1, c1 * grid[0] + r0, c0 * grid[0] + r1, c0 * grid[0] + r0])
+    # A mirror's original codes are MIRROR_CODES of its crop's; uniform
+    # labels are mirror-invariant.
+    mirrored = [flipped and variant == "original" for _, _, flipped in windows]
+    mirrored = np.flatnonzero(np.repeat(mirrored, blocks[0] * blocks[1]))
+    sizes = np.array([float((r1 - r0) * (c1 - c0)) for r0, r1 in row_bounds for c0, c1 in col_bounds])[:, None]
+    for array in (cell_keys, corners, mirrored, sizes):
+        array.flags.writeable = False
+    spans = tuple(_row_blocks(map_height, 8 * map_width)[1])
+    return _WindowPlan(grid, image_bytes, cell_keys, spans, corners, mirrored, sizes)
+
+
 def lbp_window_features(img: np.ndarray, config: LbpConfig, shape: tuple[int, int], windows) -> np.ndarray:
-    """``lbp_features`` of ``shape`` crops of a 2-D image, one row per
-    ``(row, col, flipped)`` window: the crop at that origin, mirrored when
-    ``flipped``.  The image's label map is computed once; a crop's map is
-    a window of it and a mirror's the flipped window of the mirrored
-    labels.  Each view is counted by one ``bincount`` keyed by ``label +
-    block * bins``, so its row has the bits it gets alone."""
+    """``lbp_features`` of ``shape`` crops of a 2-D image, or of each image
+    of an (N, H, W) stack: one row per ``(row, col, flipped)`` window, the
+    crop at that origin, mirrored when ``flipped``.  Returns (views, d)
+    for an image and (N, views, d) for a stack.
+
+    The stack's label map is computed once, and each image's is cut into
+    cells at every window origin and block edge (``_WindowPlan``, cached
+    per layout).  One ``bincount`` keyed by image, cell and label counts
+    a band of whole images whose keys and counts fit ``_BLOCK_BYTES``, or
+    rows of one image that does not.  A view's block histogram is then an
+    integer inclusion-exclusion of four of the counts' 2-D prefix sums,
+    read through ``MIRROR_CODES`` for a mirror of ``original`` codes.
+    The counts are exact, so every row has the bits its view gets alone."""
     height, width = shape
     if height < 3 or width < 3:
         raise ValueError(f"lbp_map needs at least a 3x3 image, got {tuple(shape)}")
     codes = lbp_map(img)
-    if config.variant == "original":
-        labels, mirrored = codes, MIRROR_CODES.take(codes)
-    else:
-        labels = mirrored = _UNIFORM_LABELS_U8.take(codes)
-    bins = config.bins
-    map_height, map_width = height - 2, width - 2
-    row_bounds = _block_bounds(map_height, config.blocks[0])
-    col_bounds = _block_bounds(map_width, config.blocks[1])
-    sizes = np.array([(r1 - r0) * (c1 - c0) for r0, r1 in row_bounds for c0, c1 in col_bounds])
-    block_rows = np.repeat(np.arange(len(row_bounds)), [r1 - r0 for r0, r1 in row_bounds])
-    block_cols = np.repeat(np.arange(len(col_bounds)), [c1 - c0 for c0, c1 in col_bounds])
-    offsets = (block_rows[:, None] * len(col_bounds) + block_cols) * bins
-    counts = np.empty((len(windows), config.feature_length), dtype=np.intp)
-    keys = np.empty((map_height, map_width), dtype=np.intp)
-    for view, (row, col, flipped) in zip(counts, windows):
-        window = (mirrored if flipped else labels)[row : row + map_height, col : col + map_width]
-        np.add(window[:, ::-1] if flipped else window, offsets, out=keys)
-        view[:] = np.bincount(keys.ravel(), minlength=len(view))
-    return (counts.reshape(len(windows), len(sizes), bins) / sizes[:, None]).reshape(len(windows), -1)
+    labels = codes if config.variant == "original" else _UNIFORM_LABELS_U8.take(codes)
+    map_height, map_width = codes.shape[-2:]
+    windows = tuple(map(tuple, windows))
+    plan = _window_plan((map_height, map_width), (height - 2, width - 2), windows, config.blocks, config.variant)
+    rows, cols, bins = plan.grid
+    labels = labels.reshape(-1, map_height, map_width)
+    out = np.empty((len(labels), len(windows), len(plan.sizes), bins))
+    keys = np.empty(len(plan.cell_keys) * max(r1 - r0 for r0, r1 in plan.spans) * map_width, dtype=np.intp)
+    for n0, n1 in _row_blocks(len(labels), plan.image_bytes)[1] if len(labels) else []:
+        for r0, r1 in plan.spans:
+            band = keys[: (n1 - n0) * (r1 - r0) * map_width]
+            np.add(labels[n0:n1, r0:r1], plan.cell_keys[: n1 - n0, r0:r1], out=band.reshape(n1 - n0, r1 - r0, -1))
+            hist = np.bincount(band, minlength=(n1 - n0) * rows * cols * bins).reshape(n1 - n0, rows, -1)
+            counts = hist if r0 == 0 else counts + hist
+        # Prefix sums one slot at a time, down the rows, then across the
+        # columns of a column-major copy, so every add is contiguous in
+        # each image: numpy's cumsum along an inner axis took about 5 ns
+        # an entry.
+        for i in range(1, rows):
+            counts[:, i] += counts[:, i - 1]
+        prefix = counts.reshape(n1 - n0, rows, cols, bins).transpose(0, 2, 1, 3).copy()
+        for j in range(1, cols):
+            prefix[:, j] += prefix[:, j - 1]
+        corners = prefix.reshape(n1 - n0, cols * rows, bins).take(plan.corners, axis=1)
+        block = corners[:, 0] - corners[:, 1]
+        block -= corners[:, 2]
+        block += corners[:, 3]
+        if len(plan.mirrored):
+            block[:, plan.mirrored] = block[:, plan.mirrored][:, :, MIRROR_CODES]
+        np.divide(block.reshape(n1 - n0, len(windows), -1, bins), plan.sizes, out=out[n0:n1])
+    return out.reshape(*codes.shape[:-2], len(windows), config.feature_length)

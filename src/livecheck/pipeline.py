@@ -20,7 +20,7 @@ import numpy as np
 
 from . import augment as aug
 from .convnet import ConvNetConfig, convnet_features, init_banks
-from .imageproc import _clahe, _extract_roi, _image_range, highpass, lowpass, resize_bilinear
+from .imageproc import _clahe, _extract_roi, _image_range, _row_blocks, highpass, lowpass, resize_bilinear
 from .lbp import LbpConfig, lbp_features, lbp_window_features
 from .seeds import derive_seed
 from .svm import SvmModel, SvmParams, decision_scores, train_smo
@@ -296,35 +296,59 @@ def _memo_scope(enabled: bool = True):
 
 
 def _per_image(tag: tuple, images: list, compute) -> list:
-    """``[compute(img) for img in images]``, memoized under ``tag`` and the
-    image's id; an entry holds its image, so no id is reused meanwhile."""
+    """One result an image from ``compute``, which maps a list of images to
+    the list of their results, memoized under ``tag`` and the image's id.
+    The call's misses, each object once, go to one ``compute``; an entry
+    holds its image, so no id is reused meanwhile."""
     memo = _MEMO.get()
     if memo is None:
-        return [compute(img) for img in images]
-    out = []
-    for img in images:
-        key = (*tag, id(img))
-        if key not in memo:
-            memo[key] = (img, compute(img))
-        out.append(memo[key][1])
-    return out
+        return compute(images)
+    missing = {id(img): img for img in images if (*tag, id(img)) not in memo}
+    for img, result in zip(missing.values(), compute(list(missing.values())), strict=True):
+        memo[(*tag, id(img))] = (img, result)
+    return [memo[(*tag, id(img))][1] for img in images]
 
 
 def preprocess_images(images: list, config: PreprocessConfig) -> list[np.ndarray]:
     """``preprocess_image`` of every image."""
-    return _per_image(("preprocess", repr(config)), images, lambda img: preprocess_image(img, config))
+    return _per_image(
+        ("preprocess", repr(config)), images, lambda batch: [preprocess_image(img, config) for img in batch]
+    )
+
+
+def _images_features(images: list, augmented: bool, extractor, banks) -> list[np.ndarray]:
+    """``image_features`` of every image.  Augmented LBP counts the images
+    of each shape, in order of first appearance, as stacks of at most
+    ``_BLOCK_BYTES`` of pixels, one ``lbp_window_features`` call a stack;
+    LBP's errors follow the shape, so the first is the one the first
+    failing image raises alone."""
+    if not (augmented and isinstance(extractor, LbpConfig)):
+        return [image_features(img, augmented, extractor, banks) for img in images]
+    shapes: dict[tuple, list[int]] = {}
+    for index, img in enumerate(images):
+        shapes.setdefault(np.shape(img), []).append(index)
+    out = [None] * len(images)
+    for shape, indices in shapes.items():
+        windows = aug.patch_windows(shape)
+        for a, b in _row_blocks(len(indices), 8 * math.prod(shape))[1]:
+            stack = np.stack([images[i] for i in indices[a:b]])
+            for i, rows in zip(indices[a:b], lbp_window_features(stack, extractor, *windows)):
+                out[i] = rows
+    return out
 
 
 def feature_groups(images: list, augmented: bool, extractor, seed: int) -> np.ndarray:
     """Feature rows of the images from ``extractor`` realized with
     ``seed``, as one (images, views, features) array whose ``[i]`` is
     ``image_features`` of image ``i``; raises ``ValueError`` unless all
-    rows have one length, as the convnet's do for equally sized inputs."""
+    rows have one length, as the convnet's do for equally sized inputs.
+    The memo's misses are extracted together: augmented LBP counts them
+    in stacks of one shape (``_images_features``), each image once."""
     realized, banks = realize_extractor(extractor, seed)
     groups = _per_image(
         ("extract", repr(extractor), int(seed), bool(augmented)),
         images,
-        lambda img: image_features(img, augmented, realized, banks),
+        lambda batch: _images_features(batch, augmented, realized, banks),
     )
     lengths = {group.shape[1] for group in groups}
     if len(lengths) > 1:

@@ -1,10 +1,14 @@
 """Crop/flip augmentation layout, and the mirror and patch-averaging
 references the pipeline's scoring is checked against."""
 
+import re
+
 import numpy as np
 import pytest
 
-from livecheck.augment import PATCHES_PER_IMAGE, augment_training, make_patches
+from livecheck.augment import PATCHES_PER_IMAGE, augment_training, make_patches, patch_windows
+from livecheck.lbp import LbpConfig
+from livecheck.pipeline import feature_groups, image_features
 
 from oracles import averaged_score, hflip
 
@@ -49,6 +53,20 @@ class TestMakePatches:
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
             make_patches(np.zeros((1, 10)))
+
+    @pytest.mark.parametrize("shape", [(12,), (3, 12, 12), (1, 1, 12, 12)])
+    def test_not_two_dimensional_rejected_by_patch_windows(self, shape):
+        """Every path to the layout names ``patch_windows``, which raises."""
+        message = f"patch_windows expects a 2-D image, got shape {shape}"
+        calls = [
+            lambda: patch_windows(shape),
+            lambda: make_patches(np.zeros(shape)),
+            lambda: image_features(np.zeros(shape), True, LbpConfig(), None),
+            lambda: feature_groups([np.zeros(shape)], True, LbpConfig(), 0),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call()
 
 
 class TestAugmentTraining:

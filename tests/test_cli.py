@@ -18,6 +18,8 @@ from livecheck.modelsel import grid_search
 from livecheck.pipeline import fit_pipeline
 from livecheck.synthdata import make_texture_dataset, write_dataset_tree
 
+from conftest import count_extracted
+
 SINGLE_CONFIG = """
 [extract]
 method = lbp
@@ -410,23 +412,30 @@ class TestRefitReusesSearch:
 
     @pytest.mark.parametrize("command", ["gridsearch", "train"])
     def test_one_label_map_per_image_and_extractor(self, tmp_path, data_dir, capsys, monkeypatch, command):
-        calls = []
-        monkeypatch.setattr(lbp, "lbp_map", _counted(calls, lbp.lbp_map))
+        """Label maps are counted by image: the eight 64x64 images of an
+        extractor go to ``lbp_map`` as one stack."""
+        mapped = []
+        real = lbp.lbp_map
+
+        def counting(img):
+            mapped.append(len(img) if np.ndim(img) == 3 else 1)
+            return real(img)
+
+        monkeypatch.setattr(lbp, "lbp_map", counting)
         argv, _ = _refit_argv(command, LBP_AUG_GRID, data_dir, tmp_path)
         assert main(argv) == 0
-        assert len(calls) == 8 * 2  # eight images, two extractors, none for the refit
+        assert mapped == [8, 8]  # eight images, two extractors, none for the refit
 
     @pytest.mark.parametrize("grid", [LBP_AUG_GRID, CONVNET_AUG_GRID], ids=["lbp", "convnet"])
     @pytest.mark.parametrize("command", ["gridsearch", "train"])
     def test_model_equals_fit_outside_search(self, tmp_path, data_dir, capsys, monkeypatch, command, grid):
         """The convnet's rows are reused only under the seed that drew its
         banks; the refit's rows are those it would compute."""
-        calls = []
-        monkeypatch.setattr(pipeline, "image_features", _counted(calls, pipeline.image_features))
+        extracted = count_extracted(monkeypatch, pipeline)
         argv, out = _refit_argv(command, grid, data_dir, tmp_path)
         assert main(argv) == 0
         parsed = parse_config_file(argv[2])
-        assert len(calls) == 8 * len(parsed.grid_spec().stages[1].candidates)
+        assert extracted["images"] == 8 * len(parsed.grid_spec().stages[1].candidates)
         images, labels = load_images(load_dataset(data_dir))
         result = grid_search(images, labels, parsed.grid_spec(), parsed.seed, augmented=parsed.augmented)
         model = fit_pipeline(images, labels, parsed.pipeline_config(*result.best_configs()))

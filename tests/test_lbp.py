@@ -1,8 +1,12 @@
 """LBP codes, uniform labels, and blocked histogram features."""
 
+import re
+
 import numpy as np
 import pytest
 
+from livecheck import pipeline
+from livecheck.augment import make_patches, patch_windows
 from livecheck.lbp import (
     MIRROR_CODES,
     N_ORIGINAL_BINS,
@@ -12,10 +16,11 @@ from livecheck.lbp import (
     lbp_code,
     lbp_features,
     lbp_map,
+    lbp_window_features,
     uniform_label,
 )
 
-from conftest import layouts
+from conftest import count_extracted, layouts
 from oracles import lbp_code_oracle, lbp_histogram_oracle, lbp_map_oracle, uniform_label_oracle
 
 
@@ -214,3 +219,118 @@ class TestMirror:
         codes = np.arange(256)
         np.testing.assert_array_equal(MIRROR_CODES[MIRROR_CODES[codes]], codes)
         np.testing.assert_array_equal(UNIFORM_LABELS[MIRROR_CODES], UNIFORM_LABELS)
+
+
+def _patch_rows(img, config):
+    """The oracle: ``lbp_features`` of each crop/flip patch on its own."""
+    return np.stack([lbp_features(patch, config) for patch in make_patches(img)])
+
+
+def _window_stack(rng, shape, count):
+    """``count`` images: random, tie-heavy quantized, and constant."""
+    stack = rng.uniform(0.0, 1.0, size=(count, *shape))
+    stack[1::3] = np.round(stack[1::3] * 3) / 3  # many exact ties for >=
+    stack[2::3] = 0.5
+    return stack
+
+
+# The smallest image whose 80% patches still take each block grid: a 3x3
+# patch has a 1x1 label map, and a grid needs a map row and column a block.
+SMALLEST = {(1, 1): (4, 4), (2, 2): (5, 5), (3, 2): (7, 5)}
+
+
+class TestWindowFeatures:
+    """``lbp_window_features`` of a stack counts every image's views from
+    cell counts and prefix sums; each row must have the bits of its patch
+    extracted alone."""
+
+    @pytest.mark.parametrize("size", ["smallest", (17, 13), (9, 31), (64, 64)])
+    @pytest.mark.parametrize("blocks", [(1, 1), (2, 2), (3, 2)])
+    @pytest.mark.parametrize("variant", ["original", "uniform"])
+    def test_stack_equals_per_patch_features(self, rng, variant, blocks, size):
+        """Ten images, so that 64x64 ones take more than one band."""
+        shape = SMALLEST[blocks] if size == "smallest" else size
+        config = LbpConfig(variant=variant, blocks=blocks)
+        stack = _window_stack(rng, shape, 10)
+        rows = lbp_window_features(stack, config, *patch_windows(shape))
+        assert rows.shape == (10, 10, config.feature_length) and rows.dtype == np.float64
+        for img, got in zip(stack, rows):
+            assert got.tobytes() == _patch_rows(img, config).tobytes()
+            assert lbp_window_features(img, config, *patch_windows(shape)).tobytes() == got.tobytes()
+
+    @pytest.mark.parametrize("blocks", [(1, 1), (2, 2), (3, 2)])
+    def test_one_row_below_smallest_fails_as_the_patch_does(self, blocks):
+        height, width = SMALLEST[blocks]
+        for shape in ((height - 1, width), (height, width - 1)):
+            stack = np.zeros((2, *shape))
+            with pytest.raises(ValueError) as alone:
+                lbp_features(make_patches(stack[0])[0], LbpConfig(blocks=blocks))
+            with pytest.raises(ValueError, match=re.escape(str(alone.value))):
+                lbp_window_features(stack, LbpConfig(blocks=blocks), *patch_windows(shape))
+
+    def test_empty_stack_and_window_outside_the_image(self):
+        config = LbpConfig(variant="original", blocks=(2, 2))
+        rows = lbp_window_features(np.zeros((0, 20, 20)), config, *patch_windows((20, 20)))
+        assert rows.shape == (0, 10, config.feature_length)
+        with pytest.raises(ValueError, match=r"^window at \(5, 0\) does not fit a 20x20 image$"):
+            lbp_window_features(np.zeros((20, 20)), config, (16, 16), [(0, 0, False), (5, 0, True)])
+
+    @pytest.mark.parametrize("variant", ["original", "uniform"])
+    def test_images_larger_than_a_band_count_in_row_bands(self, rng, variant):
+        """A 170x210 image's keys exceed one band, so its rows are counted
+        in several bands, one image at a time."""
+        config = LbpConfig(variant=variant, blocks=(2, 2))
+        stack = _window_stack(rng, (170, 210), 2)
+        rows = lbp_window_features(stack, config, *patch_windows((170, 210)))
+        for img, got in zip(stack, rows):
+            assert got.tobytes() == _patch_rows(img, config).tobytes()
+
+    @pytest.mark.parametrize("cached", [True, False], ids=["memo", "no-memo"])
+    def test_feature_groups_mixing_shapes_and_a_repeated_image(self, rng, monkeypatch, cached):
+        """Two shapes interleaved and one image object twice: each image
+        is extracted once with the memo on, and every row is its patch's."""
+        images = list(_window_stack(rng, (24, 24), 3)) + list(_window_stack(rng, (17, 13), 2))
+        images = [images[0], images[3], images[1], images[0], images[4], images[2]]
+        config = LbpConfig(variant="original", blocks=(2, 2))
+        extracted = count_extracted(monkeypatch, pipeline)
+        with pipeline._memo_scope(cached):
+            groups = pipeline.feature_groups(images, True, config, seed=0)
+        assert groups.shape == (6, 10, config.feature_length)
+        for img, got in zip(images, groups):
+            assert got.tobytes() == _patch_rows(img, config).tobytes()
+        assert extracted == {"images": 5 if cached else 6, "stacks": 2, "views": 10 * (5 if cached else 6)}
+
+
+class TestMirrorViews:
+    """Metamorphic relations between a crop's row and its mirror's."""
+
+    def test_uniform_one_block_mirror_equals_crop(self, rng):
+        """Uniform labels are mirror-invariant and one block ignores where
+        a label is, so each mirror's row is its crop's."""
+        stack = _window_stack(rng, (64, 64), 3)
+        rows = lbp_window_features(stack, LbpConfig(variant="uniform"), *patch_windows((64, 64)))
+        assert rows[:, 1::2].tobytes() == rows[:, 0::2].tobytes()
+
+    def test_uniform_two_by_two_mirror_swaps_block_columns(self, rng):
+        """64x60 has 49x46 patch maps: the width splits evenly, so the
+        mirror's blocks are the crop's with the two columns swapped."""
+        config = LbpConfig(variant="uniform", blocks=(2, 2))
+        stack = _window_stack(rng, (64, 60), 3)
+        rows = lbp_window_features(stack, config, *patch_windows((64, 60)))
+        crops = rows[:, 0::2].reshape(3, 5, 2, 2, N_UNIFORM_BINS)
+        mirrors = rows[:, 1::2].reshape(3, 5, 2, 2, N_UNIFORM_BINS)
+        np.testing.assert_array_equal(mirrors, crops[:, :, :, ::-1])
+
+    @pytest.mark.parametrize("blocks", [(1, 1), (2, 2), (3, 2)])
+    def test_original_mirror_is_the_flipped_patch(self, rng, blocks):
+        """With original codes a mirror counts MIRROR_CODES of its crop's
+        codes: its row is ``lbp_features`` of the crop flipped."""
+        config = LbpConfig(variant="original", blocks=blocks)
+        shape, windows = (63, 50), patch_windows((63, 50))
+        stack = _window_stack(rng, shape, 3)
+        rows = lbp_window_features(stack, config, *windows)
+        (height, width), origins = windows
+        for img, got in zip(stack, rows):
+            for view, (row, col, flipped) in zip(got, origins):
+                crop = img[row : row + height, col : col + width]
+                assert view.tobytes() == lbp_features(crop[:, ::-1] if flipped else crop, config).tobytes()

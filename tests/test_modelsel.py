@@ -35,7 +35,7 @@ from livecheck.seeds import derive_seed
 from livecheck.svm import SvmParams, train_smo
 from livecheck.synthdata import make_texture_dataset
 
-from conftest import PERFBENCH
+from conftest import PERFBENCH, count_extracted
 from oracles import classify_runner_per_image, transform_runner_per_image
 
 
@@ -526,6 +526,21 @@ def _closure_classify(sign):
     return classify
 
 
+def _count_work(monkeypatch) -> dict:
+    """Live counts of the images preprocessed and of the images, stacks
+    and views extracted (``count_extracted``)."""
+    calls = count_extracted(monkeypatch, pipeline)
+    calls["preprocess"] = 0
+    run = pipeline.preprocess_image
+
+    def counting(*args, **kwargs):
+        calls["preprocess"] += 1
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "preprocess_image", counting)
+    return calls
+
+
 class TestCacheKey:
     """An open memo scope outlives one search, and the stage memo lives
     for one call: neither may answer for other data, flags, seeds or
@@ -533,19 +548,9 @@ class TestCacheKey:
 
     @pytest.fixture
     def computed(self, monkeypatch):
-        """Images preprocessed and images whose features were extracted."""
-        calls = {"preprocess": 0, "extract": 0}
-
-        def count(name, run):
-            def counting(*args, **kwargs):
-                calls[name] += 1
-                return run(*args, **kwargs)
-
-            return counting
-
-        monkeypatch.setattr(pipeline, "preprocess_image", count("preprocess", pipeline.preprocess_image))
-        monkeypatch.setattr(pipeline, "image_features", count("extract", pipeline.image_features))
-        return calls
+        """Images preprocessed and images whose features were extracted,
+        one at a time or in a stack."""
+        return _count_work(monkeypatch)
 
     def _warm_then_cold(self, computed, first: dict, second: dict):
         """Run ``first`` then ``second`` in one memo scope, then ``second``
@@ -553,9 +558,9 @@ class TestCacheKey:
         one computed."""
         with pipeline._memo_scope():
             _tiny_search(**first)
-            computed.update(preprocess=0, extract=0)
+            computed.update(dict.fromkeys(computed, 0))
             warm = _tiny_search(**second)
-            work = dict(computed)
+            work = {"preprocess": computed["preprocess"], "extract": computed["images"]}
         cold = _tiny_search(**second)
         assert warm.executions == cold.executions == EVERY_STAGE_ONCE
         assert _tables(warm) == _tables(cold)
@@ -672,44 +677,31 @@ class TestPerImageMemo:
 
     @pytest.fixture
     def counted(self, monkeypatch):
-        """Preprocess calls, LBP calls, and LBP views: one image's views
-        go to ``lbp_window_features`` in one call, counted by its windows."""
-        calls = {"preprocess": 0, "lbp_calls": 0, "lbp": 0}
-
-        def count(name, run, views=None):
-            def counting(*args, **kwargs):
-                calls[name] += 1
-                if views is not None:
-                    calls[views] += len(args[3])
-                return run(*args, **kwargs)
-
-            return counting
-
-        monkeypatch.setattr(pipeline, "preprocess_image", count("preprocess", pipeline.preprocess_image))
-        monkeypatch.setattr(
-            pipeline, "lbp_window_features", count("lbp_calls", pipeline.lbp_window_features, "lbp")
-        )
-        return calls
+        """Preprocess calls, and the images, stacks and views that enter
+        extraction: augmented LBP counts a stack of images in one call."""
+        return _count_work(monkeypatch)
 
     def _search(self, **kwargs):
         images, labels = make_texture_dataset(6, size=24, seed=8, blur_sigma=0.6)
         return grid_search(images, labels, self.GRID, seed=2, augmented=True, **kwargs)
 
     def test_one_extraction_per_extractor_and_view(self, counted):
-        """12 images: one preprocess each, one LBP per (extractor, patch),
-        in one call per (extractor, image)."""
+        """12 images: one preprocess each, and each image's ten patches
+        extracted once per extractor, all 12 images in one stack."""
         for _ in range(2):  # nothing outlives a search
-            counted.update(preprocess=0, lbp_calls=0, lbp=0)
+            counted.update(dict.fromkeys(counted, 0))
             result = self._search()
-            assert counted == {"preprocess": 12, "lbp_calls": 2 * 12, "lbp": 2 * 12 * 10}
+            assert counted == {"preprocess": 12, "images": 2 * 12, "stacks": 2, "views": 2 * 12 * 10}
             assert result.executions == {"preprocess": 10, "extract": 20, "transform": 20, "classify": 40}
             assert result.cache_hits == {"preprocess": 30, "extract": 20, "transform": 20, "classify": 0}
 
     def test_uncached_search_recomputes_everything(self, counted):
         """4 candidates x 10 splits, each preprocessing 12 images and
-        extracting their 120 patches."""
+        extracting their 120 patches in one stack."""
         uncached = self._search(use_cache=False)
-        assert counted == {"preprocess": 4 * 10 * 12, "lbp_calls": 4 * 10 * 12, "lbp": 4 * 10 * 12 * 10}
+        assert counted == {
+            "preprocess": 4 * 10 * 12, "images": 4 * 10 * 12, "stacks": 4 * 10, "views": 4 * 10 * 12 * 10
+        }
         assert uncached.executions == {"preprocess": 40, "extract": 40, "transform": 40, "classify": 40}
         cached = self._search()
         assert [c.fold_aces for c in cached.candidates] == [c.fold_aces for c in uncached.candidates]

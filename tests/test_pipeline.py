@@ -515,9 +515,11 @@ def test_mid_size_augmented_convnet_memory():
 @pytest.mark.parametrize("variant", ["original", "uniform"])
 def test_sensor_sized_augmented_lbp_memory(variant, blocks):
     """Ten 384x512 views of a 480x640 frame through LBP: one label map of
-    the frame and one view's keys at a time.  The traced peak was 3.6-3.9
-    MiB when pinned, so 5 MiB leaves about 30%; the ten-view float patch
-    stack alone is 15.6 MiB, and ten views' intp keys would be too."""
+    the frame, counted in bands of rows.  The traced peak was 3.6-3.9 MiB
+    when pinned, so 5 MiB leaves about 30%; the ten-view float patch stack
+    alone is 15.6 MiB, and ten views' intp keys would be too.  With the
+    counts in bands it reads 3.2-4.3 MiB when the frame's 2.4 MB cell map
+    is built in the call, and 0.9-2.9 MiB when it is cached."""
     img = np.random.default_rng(0).uniform(0.0, 1.0, size=(480, 640))
     tracemalloc.start()
     try:
@@ -527,3 +529,23 @@ def test_sensor_sized_augmented_lbp_memory(variant, blocks):
         tracemalloc.stop()
     assert rows.shape == (10, LbpConfig(variant=variant, blocks=blocks).feature_length)
     assert peak < 5 * 2**20
+
+
+def test_many_images_augmented_lbp_memory():
+    """200 64x64 images through augmented uniform 2x2 LBP in one
+    ``feature_groups`` call: they are counted in stacks of at most
+    ``_BLOCK_BYTES`` of pixels, eight images here, so the traced peak is
+    the rows' 0.6 MiB, their stacked copy and one stack's work.  It read
+    1.5 MiB when pinned; all 200 as one stack would copy 6.3 MiB of
+    pixels alone."""
+    images, _ = make_texture_dataset(100, size=64, seed=0, blur_sigma=0.4)
+    config = LbpConfig(variant="uniform", blocks=(2, 2))
+    pipeline.feature_groups(images[:2], True, config, 0)  # the layout's plan and numpy's lazy imports
+    tracemalloc.start()
+    try:
+        groups = pipeline.feature_groups(images, True, config, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert groups.shape == (200, 10, config.feature_length)
+    assert peak < 2 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
