@@ -53,7 +53,6 @@ from .pipeline import (
     PreprocessConfig,
     TrainedPipeline,
     TransformConfig,
-    extract_features,
     fit_pipeline,
     preprocess_image,
 )

@@ -231,8 +231,9 @@ def _window_plan(map_shape, view_shape, windows, blocks, variant) -> _WindowPlan
 def lbp_window_features(img: np.ndarray, config: LbpConfig, shape: tuple[int, int], windows) -> np.ndarray:
     """``lbp_features`` of ``shape`` crops of a 2-D image, or of each image
     of an (N, H, W) stack: one row per ``(row, col, flipped)`` window, the
-    crop at that origin, mirrored when ``flipped``.  Returns (views, d)
-    for an image and (N, views, d) for a stack.
+    crop at that origin, mirrored when ``flipped``.  Returns (N, views, d)
+    for a stack, which is what the pipeline passes, and (views, d) for a
+    2-D image, which only direct callers pass.
 
     The stack's label map is computed once, and each image's is cut into
     cells at every window origin and block edge (``_WindowPlan``, cached

@@ -33,7 +33,6 @@ __all__ = [
     "TransformConfig",
     "PipelineConfig",
     "preprocess_image",
-    "extract_features",
     "resolve_components",
     "TrainedPipeline",
     "fit_pipeline",
@@ -120,20 +119,6 @@ def preprocess_image(img: np.ndarray, config: PreprocessConfig) -> np.ndarray:
     elif config.filter == "highpass":
         out = highpass(out)
     return out
-
-
-def extract_features(
-    img: np.ndarray,
-    extractor: LbpConfig | ConvNetConfig,
-    banks: list[np.ndarray] | None = None,
-) -> np.ndarray:
-    """Feature vector of a 2-D image, or one row per view of an (N, H, W)
-    stack."""
-    if isinstance(extractor, LbpConfig):
-        return lbp_features(img, extractor)
-    if isinstance(extractor, ConvNetConfig):
-        return convnet_features(img, extractor, banks=banks)
-    raise TypeError(f"unknown extractor config: {type(extractor).__name__}")
 
 
 def resolve_components(fraction: float, feature_dim: int, n_samples: int) -> int:
@@ -239,46 +224,6 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_drop_helper)
 
 
-def image_features(img: np.ndarray, augmented: bool, extractor, banks) -> np.ndarray:
-    """Feature matrix of one image, one row per view: the ten crop/flip
-    patches when augmented, otherwise the image itself.  LBP counts the
-    ten views from the image's one label map.  The convnet splits the
-    patches evenly into the fewest contiguous stacks whose first-layer
-    outputs take at most ``_STACK_BYTES`` each, and into two at least with
-    two usable cores.  It runs them in order, one at a time on the calling
-    thread, or with two usable cores in pairs, the first of a pair on the
-    calling thread and the second on a helper thread.  A view whose
-    first-layer output exceeds ``_VIEW_GROUP_BYTES`` runs alone instead,
-    one at a time on the calling thread.  Each row has the same bits as the
-    view extracted alone, and an error is the one the first failing view
-    raises alone."""
-    img = np.asarray(img, dtype=np.float64)
-    if augmented and isinstance(extractor, LbpConfig):
-        return lbp_window_features(img, extractor, *aug.patch_windows(img.shape))
-    if not isinstance(extractor, ConvNetConfig):
-        return extract_features(img[None], extractor, banks)
-    views = aug.make_patches(img) if augmented else img[None]
-    size = _first_layer_bytes(views.shape[1:], extractor)
-    alone = size > _VIEW_GROUP_BYTES
-    threads = 1 if alone or len(views) == 1 or _usable_cores() == 1 else 2
-    count = len(views) if alone else max(threads, -(-len(views) // max(1, _STACK_BYTES // size)))
-    edges = [k * len(views) // count for k in range(count + 1)]
-    stacks = [views[a:b] for a, b in zip(edges, edges[1:])]
-
-    def run(stack):
-        return extract_features(stack, extractor, banks)
-
-    if threads == 1:
-        rows = [run(stack) for stack in stacks]
-    else:
-        # One helper, not one per core: each thread's heap arena faulted its
-        # pages in again for every image (hundreds of faults at 4 threads).
-        rows = []
-        for i in range(0, count, 2):
-            rows += _helper().pair(run, *stacks[i : i + 2]) if i + 1 < count else [run(stacks[i])]
-    return rows[0] if count == 1 else np.concatenate(rows)
-
-
 _MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar("livecheck_memo", default=None)
 
 
@@ -298,14 +243,16 @@ def _memo_scope(enabled: bool = True):
 def _per_image(tag: tuple, images: list, compute) -> list:
     """One result an image from ``compute``, which maps a list of images to
     the list of their results, memoized under ``tag`` and the image's id.
-    The call's misses, each object once, go to one ``compute``; an entry
-    holds its image, so no id is reused meanwhile."""
+    The call's misses, each object once, go to one ``compute``, which is
+    not called when every image hits; an entry holds its image, so no id
+    is reused meanwhile."""
     memo = _MEMO.get()
     if memo is None:
         return compute(images)
     missing = {id(img): img for img in images if (*tag, id(img)) not in memo}
-    for img, result in zip(missing.values(), compute(list(missing.values())), strict=True):
-        memo[(*tag, id(img))] = (img, result)
+    if missing:
+        for img, result in zip(missing.values(), compute(list(missing.values())), strict=True):
+            memo[(*tag, id(img))] = (img, result)
     return [memo[(*tag, id(img))][1] for img in images]
 
 
@@ -316,39 +263,83 @@ def preprocess_images(images: list, config: PreprocessConfig) -> list[np.ndarray
     )
 
 
-def _images_features(images: list, augmented: bool, extractor, banks) -> list[np.ndarray]:
-    """``image_features`` of every image.  Augmented LBP counts the images
-    of each shape, in order of first appearance, as stacks of at most
-    ``_BLOCK_BYTES`` of pixels, one ``lbp_window_features`` call a stack;
-    LBP's errors follow the shape, so the first is the one the first
-    failing image raises alone."""
-    if not (augmented and isinstance(extractor, LbpConfig)):
-        return [image_features(img, augmented, extractor, banks) for img in images]
-    shapes: dict[tuple, list[int]] = {}
-    for index, img in enumerate(images):
-        shapes.setdefault(np.shape(img), []).append(index)
-    out = [None] * len(images)
-    for shape, indices in shapes.items():
-        windows = aug.patch_windows(shape)
-        for a, b in _row_blocks(len(indices), 8 * math.prod(shape))[1]:
-            stack = np.stack([images[i] for i in indices[a:b]])
-            for i, rows in zip(indices[a:b], lbp_window_features(stack, extractor, *windows)):
-                out[i] = rows
+def _image_rows(images: list, augmented: bool, extractor, banks) -> list[np.ndarray]:
+    """Feature matrix of each preprocessed image, one row per view: the ten
+    crop/flip patches when augmented, otherwise the image itself.  Each
+    row has the bits its view gets extracted alone, and an error is the
+    one the first failing image, and within it the first failing view,
+    raises alone.
+
+    LBP counts the images of each shape, in order of first appearance, as
+    stacks of at most ``_BLOCK_BYTES`` of pixels, one ``lbp_window_features``
+    call a stack when augmented and one ``lbp_features`` call otherwise;
+    an image alone in its stack goes as a view of itself.  LBP's errors
+    follow the shape, so the first is the first failing image's.
+
+    The convnet runs one image at a time.  It splits the views evenly into
+    the fewest contiguous stacks whose first-layer outputs take at most
+    ``_STACK_BYTES`` each, and into two at least with two usable cores.  It
+    runs them in order, one at a time on the calling thread, or with two
+    usable cores in pairs, the first of a pair on the calling thread and
+    the second on a helper thread.  A view whose first-layer output exceeds
+    ``_VIEW_GROUP_BYTES`` runs alone instead, one at a time on the calling
+    thread."""
+    if isinstance(extractor, LbpConfig):
+        shapes: dict[tuple, list[int]] = {}
+        for index, img in enumerate(images):
+            shapes.setdefault(np.shape(img), []).append(index)
+        out = [None] * len(images)
+        for shape, indices in shapes.items():
+            windows = aug.patch_windows(shape) if augmented else None
+            for a, b in _row_blocks(len(indices), 8 * math.prod(shape))[1]:
+                batch = [images[i] for i in indices[a:b]]
+                stack = np.stack(batch) if len(batch) > 1 else np.asarray(batch[0])[None]
+                if augmented:
+                    rows = lbp_window_features(stack, extractor, *windows)
+                else:
+                    rows = lbp_features(stack, extractor)[:, None]
+                for i, image_rows in zip(indices[a:b], rows):
+                    out[i] = image_rows
+        return out
+    if not isinstance(extractor, ConvNetConfig):
+        raise TypeError(f"unknown extractor config: {type(extractor).__name__}")
+
+    def run(stack):
+        return convnet_features(stack, extractor, banks)
+
+    out = []
+    for img in images:
+        img = np.asarray(img, dtype=np.float64)
+        views = aug.make_patches(img) if augmented else img[None]
+        size = _first_layer_bytes(views.shape[1:], extractor)
+        alone = size > _VIEW_GROUP_BYTES
+        threads = 1 if alone or len(views) == 1 or _usable_cores() == 1 else 2
+        count = len(views) if alone else max(threads, -(-len(views) // max(1, _STACK_BYTES // size)))
+        edges = [k * len(views) // count for k in range(count + 1)]
+        stacks = [views[a:b] for a, b in zip(edges, edges[1:])]
+        if threads == 1:
+            rows = [run(stack) for stack in stacks]
+        else:
+            # One helper, not one per core: each thread's heap arena faulted
+            # its pages in again for every image (hundreds of faults at 4 threads).
+            rows = []
+            for i in range(0, count, 2):
+                rows += _helper().pair(run, *stacks[i : i + 2]) if i + 1 < count else [run(stacks[i])]
+        out.append(rows[0] if count == 1 else np.concatenate(rows))
     return out
 
 
 def feature_groups(images: list, augmented: bool, extractor, seed: int) -> np.ndarray:
     """Feature rows of the images from ``extractor`` realized with
     ``seed``, as one (images, views, features) array whose ``[i]`` is
-    ``image_features`` of image ``i``; raises ``ValueError`` unless all
-    rows have one length, as the convnet's do for equally sized inputs.
-    The memo's misses are extracted together: augmented LBP counts them
-    in stacks of one shape (``_images_features``), each image once."""
-    realized, banks = realize_extractor(extractor, seed)
+    image ``i``'s rows from ``_image_rows``; raises ``ValueError`` unless
+    all rows have one length, as the convnet's do for equally sized
+    inputs.  The memo's misses go to ``_image_rows`` together, each image
+    once, and a convnet's banks are drawn only when some image misses."""
     groups = _per_image(
         ("extract", repr(extractor), int(seed), bool(augmented)),
         images,
-        lambda batch: _images_features(batch, augmented, realized, banks),
+        lambda batch: _image_rows(batch, augmented, *realize_extractor(extractor, seed)),
     )
     lengths = {group.shape[1] for group in groups}
     if len(lengths) > 1:
@@ -396,9 +387,11 @@ class TrainedPipeline:
         """Margin of a raw image; averages the ten patches when the
         pipeline was trained with augmentation.  Raises ``ValueError`` for
         an image that is not a finite 2-D array in [0, 1], or whose margin
-        comes out non-finite, so an unscorable input is never labelled."""
+        comes out non-finite, so an unscorable input is never labelled.
+        The rows come from ``_image_rows`` of the one preprocessed image,
+        as a grid search's folds and ``fit_pipeline``'s do."""
         pre = preprocess_image(img, self.config.preprocess)
-        rows = image_features(pre, self.config.augmented, self.config.extractor, self.banks)
+        rows = _image_rows([pre], self.config.augmented, self.config.extractor, self.banks)[0]
         score = float(group_margins(self.classifier, project(self.pca, self.standardizer.apply(rows[None])))[0])
         if not math.isfinite(score):
             raise ValueError(f"image cannot be scored: margin is {score}")

@@ -54,24 +54,22 @@ def perfbench_frames():
 
 
 def count_extracted(monkeypatch, pipeline) -> dict:
-    """Patch ``pipeline`` to count the images entering feature extraction:
-    one per ``image_features`` call, and each image of a stack that goes
-    to ``lbp_window_features``.  ``stacks`` counts those stacks and
+    """Patch ``pipeline`` to count the images entering feature extraction,
+    each image of a list that goes to the row builder ``_image_rows``.
+    ``stacks`` counts the stacks that go to ``lbp_window_features`` and
     ``views`` their images times their windows."""
     counts = {"images": 0, "stacks": 0, "views": 0}
-    one_image, stacked = pipeline.image_features, pipeline.lbp_window_features
+    build, stacked = pipeline._image_rows, pipeline.lbp_window_features
 
-    def image_features(*args, **kwargs):
-        counts["images"] += 1
-        return one_image(*args, **kwargs)
+    def image_rows(images, *args):
+        counts["images"] += len(images)
+        return build(images, *args)
 
     def lbp_window_features(img, config, shape, windows):
-        if np.ndim(img) == 3:
-            counts["images"] += len(img)
-            counts["stacks"] += 1
-            counts["views"] += len(img) * len(windows)
+        counts["stacks"] += 1
+        counts["views"] += len(img) * len(windows)
         return stacked(img, config, shape, windows)
 
-    monkeypatch.setattr(pipeline, "image_features", image_features)
+    monkeypatch.setattr(pipeline, "_image_rows", image_rows)
     monkeypatch.setattr(pipeline, "lbp_window_features", lbp_window_features)
     return counts

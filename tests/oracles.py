@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from livecheck.augment import make_patches
-from livecheck.convnet import conv_forward, init_banks, max_pool
+from livecheck.convnet import conv_forward, convnet_features, init_banks, max_pool
 from livecheck.imageproc import (
     ROI_BLOCK,
     ROI_SIGMA_FACTOR,
@@ -27,7 +27,8 @@ from livecheck.imageproc import (
     lowpass,
     resize_bilinear,
 )
-from livecheck.pipeline import extract_features, fit_transform
+from livecheck.lbp import LbpConfig, lbp_features
+from livecheck.pipeline import fit_transform
 from livecheck.seeds import derive_seed
 from livecheck.svm import decision_score, decision_scores, train_smo
 from livecheck.transform import project
@@ -506,10 +507,24 @@ def smo_reference(K, y, params, collect_objectives=False, max_sweeps=10_000):
     return alphas, bias, math.ceil(steps / n), objectives
 
 
+def features_alone(img, extractor, banks=None):
+    """Feature row of one 2-D image or view, extracted on its own."""
+    if isinstance(extractor, LbpConfig):
+        return lbp_features(img, extractor)
+    return convnet_features(img, extractor, banks)
+
+
+def view_rows(img, augmented, extractor, banks=None):
+    """One row per view of ``img``, each extracted on its own: the ten
+    crop/flip patches when augmented, otherwise the image itself."""
+    views = make_patches(img) if augmented else [img]
+    return np.vstack([features_alone(view, extractor, banks) for view in views])
+
+
 def score_image(model, img):
     """Margin of one already-preprocessed image (or patch) of a trained
     pipeline, through its stages one row at a time."""
-    row = extract_features(img, model.config.extractor, model.banks)
+    row = features_alone(img, model.config.extractor, model.banks)
     return decision_score(model.classifier, project(model.pca, model.standardizer.apply(row)))
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from livecheck.augment import PATCHES_PER_IMAGE, augment_training, make_patches, patch_windows
 from livecheck.lbp import LbpConfig
-from livecheck.pipeline import feature_groups, image_features
+from livecheck.pipeline import _image_rows, feature_groups
 
 from oracles import averaged_score, hflip
 
@@ -61,7 +61,7 @@ class TestMakePatches:
         calls = [
             lambda: patch_windows(shape),
             lambda: make_patches(np.zeros(shape)),
-            lambda: image_features(np.zeros(shape), True, LbpConfig(), None),
+            lambda: _image_rows([np.zeros(shape)], True, LbpConfig(), None),
             lambda: feature_groups([np.zeros(shape)], True, LbpConfig(), 0),
         ]
         for call in calls:

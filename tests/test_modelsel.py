@@ -26,9 +26,9 @@ from livecheck.pipeline import (
     PreprocessConfig,
     TrainedPipeline,
     TransformConfig,
+    _image_rows,
     feature_groups,
     fit_transform,
-    image_features,
     preprocess_images,
 )
 from livecheck.seeds import derive_seed
@@ -781,7 +781,7 @@ class TestPerImageMemo:
         for split_index, rows in seen:
             train_idx, test_idx = splits[split_index]
             expected = [
-                image_features(np.roll(img, split_index, axis=1), True, self.EXTRACTOR, None) for img in images
+                _image_rows([np.roll(img, split_index, axis=1)], True, self.EXTRACTOR, None)[0] for img in images
             ]
             np.testing.assert_array_equal(rows.train, np.vstack([expected[i] for i in train_idx]))
             assert len(rows.test_groups) == len(test_idx)

@@ -25,9 +25,8 @@ from livecheck.pipeline import (
     PreprocessConfig,
     TrainedPipeline,
     TransformConfig,
-    extract_features,
+    _image_rows,
     fit_pipeline,
-    image_features,
     preprocess_image,
     realize_extractor,
 )
@@ -36,7 +35,7 @@ from livecheck.svm import SvmModel, SvmParams, decision_scores
 from livecheck.synthdata import make_texture_dataset, write_dataset_tree
 
 from conftest import run_python
-from oracles import averaged_score, preprocess_stepwise, score_image
+from oracles import averaged_score, preprocess_stepwise, score_image, view_rows
 
 
 @pytest.fixture(scope="module")
@@ -179,15 +178,41 @@ SMALL_CONVNET = ConvNetConfig(
                          ids=["lbp", "convnet"])
 def test_feature_groups_stack_image_features(augmented, extractor):
     """One float64 (images, views, features) array whose ``[i]`` is image
-    i's own feature matrix, bit for bit."""
+    i's own feature matrix, each view extracted alone, bit for bit."""
     images, _ = make_texture_dataset(2, size=32, seed=6, blur_sigma=0.6)
     groups = pipeline.feature_groups(images, augmented, extractor, seed=5)
     realized, banks = realize_extractor(extractor, 5)
-    want = [image_features(img, augmented, realized, banks) for img in images]
+    want = [view_rows(img, augmented, realized, banks) for img in images]
     assert groups.dtype == np.float64 and groups.flags.c_contiguous
     assert groups.shape == (len(images), 10 if augmented else 1, want[0].shape[1])
     for got, rows in zip(groups, want, strict=True):
         assert got.tobytes() == rows.tobytes()
+
+
+@pytest.mark.parametrize("blocks", [(1, 1), (2, 2)])
+@pytest.mark.parametrize("variant", ["original", "uniform"])
+def test_plain_lbp_rows_stacked_by_shape(rng, monkeypatch, variant, blocks):
+    """Plain LBP counts the images of each shape, in order of first
+    appearance, as one ``lbp_features`` stack: every row is the image's
+    own ``lbp_features``, bit for bit, a repeated image included, and an
+    image alone in its shape goes as a view of itself, not a copy."""
+    square = [rng.uniform(0.0, 1.0, size=(24, 24)) for _ in range(3)]
+    odd = np.round(rng.uniform(0.0, 1.0, size=(17, 13)) * 3) / 3  # many exact ties
+    images = [square[0], odd, square[1], square[0], square[2]]
+    config = LbpConfig(variant=variant, blocks=blocks)
+    stacks, real = [], pipeline.lbp_features
+
+    def recording(stack, extractor):
+        stacks.append(stack)
+        return real(stack, extractor)
+
+    monkeypatch.setattr(pipeline, "lbp_features", recording)
+    rows = _image_rows(images, False, config, None)
+    for img, got in zip(images, rows, strict=True):
+        want = lbp_features(img, config)[None]
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert [stack.shape for stack in stacks] == [(4, 24, 24), (1, 17, 13)]
+    assert np.shares_memory(stacks[1], odd)
 
 
 @pytest.fixture(scope="module", params=["lbp", "convnet"])
@@ -236,13 +261,12 @@ class TestStackedViews:
         bound: the same rows as each view extracted alone."""
         model, held = augmented_model
         pre = preprocess_image(held[0], model.config.preprocess)
-        views = make_patches(pre)
-        want = np.vstack([extract_features(view, model.config.extractor, model.banks) for view in views])
+        want = view_rows(pre, True, model.config.extractor, model.banks)
         monkeypatch.setattr(pipeline, "_VIEW_GROUP_BYTES", budget)
         monkeypatch.setattr(pipeline, "_STACK_BYTES", stack)
         monkeypatch.setattr(pipeline, "_usable_cores", lambda: cores)
         calls, helper_calls, maps = [], [], []
-        real_extract, real_map = pipeline.extract_features, lbp.lbp_map
+        real_extract, real_map = pipeline.convnet_features, lbp.lbp_map
         caller = threading.get_ident()
 
         def counting_extract(stack, *args):
@@ -253,12 +277,12 @@ class TestStackedViews:
             maps.append(np.shape(img))
             return real_map(img)
 
-        monkeypatch.setattr(pipeline, "extract_features", counting_extract)
+        monkeypatch.setattr(pipeline, "convnet_features", counting_extract)
         monkeypatch.setattr(lbp, "lbp_map", counting_map)
-        rows = image_features(pre, True, model.config.extractor, model.banks)
+        rows = _image_rows([pre], True, model.config.extractor, model.banks)[0]
         np.testing.assert_array_equal(rows, want)
         if isinstance(model.config.extractor, LbpConfig):
-            assert (calls, helper_calls, maps) == ([], [], [pre.shape])
+            assert (calls, helper_calls, maps) == ([], [], [(1, *pre.shape)])
         elif budget < 8 * 4 * 23 * 23:
             assert (calls, helper_calls, maps) == ([1] * 10, [], [])
         elif stack < 1 << 30:
@@ -276,7 +300,7 @@ class TestViewParts:
         thread with the message the views run one by one would raise."""
         img = np.random.default_rng(2).uniform(0.0, 1.0, size=(32, 32))
         views = make_patches(img)
-        real_extract = pipeline.extract_features
+        real_extract = pipeline.convnet_features
 
         def failing_extract(stack, *args):
             for view in stack:
@@ -286,12 +310,12 @@ class TestViewParts:
             return real_extract(stack, *args)
 
         monkeypatch.setattr(pipeline, "_usable_cores", lambda: 2)
-        monkeypatch.setattr(pipeline, "extract_features", failing_extract)
+        monkeypatch.setattr(pipeline, "convnet_features", failing_extract)
         with pytest.raises(ValueError, match=f"^view {first} failed$"):
-            image_features(img, True, SMALL_CONVNET, None)
-        monkeypatch.setattr(pipeline, "extract_features", real_extract)
-        want = np.vstack([extract_features(view, SMALL_CONVNET) for view in views])
-        assert image_features(img, True, SMALL_CONVNET, None).tobytes() == want.tobytes()
+            _image_rows([img], True, SMALL_CONVNET, None)
+        monkeypatch.setattr(pipeline, "convnet_features", real_extract)
+        want = view_rows(img, True, SMALL_CONVNET)
+        assert _image_rows([img], True, SMALL_CONVNET, None)[0].tobytes() == want.tobytes()
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_scores_after_threaded_call(self):
@@ -307,12 +331,12 @@ class TestViewParts:
         rows of its own image."""
         monkeypatch.setattr(pipeline, "_usable_cores", lambda: 2)
         images = np.random.default_rng(3).uniform(0.0, 1.0, size=(6, 32, 32))
-        want = [image_features(img, True, SMALL_CONVNET, None).tobytes() for img in images]
+        want = [_image_rows([img], True, SMALL_CONVNET, None)[0].tobytes() for img in images]
         got = [[] for _ in images]
 
         def score(k):
             for _ in range(5):
-                got[k].append(image_features(images[k], True, SMALL_CONVNET, None).tobytes())
+                got[k].append(_image_rows([images[k]], True, SMALL_CONVNET, None)[0].tobytes())
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -342,7 +366,7 @@ class TestViewParts:
         deployed = parse_config_file(DEPLOYED_CONVNET)
         net, banks = realize_extractor(deployed.extract[0], deployed.seed)
         images, _ = make_texture_dataset(2, size=64, seed=3, blur_sigma=0.4)
-        rows = np.stack([image_features(highpass(img), True, net, banks) for img in images])
+        rows = np.stack(_image_rows([highpass(img) for img in images], True, net, banks))
         result = run_python("-c", _ONE_CPU, str(DEPLOYED_CONVNET), str(tmp_path), timeout=300)
         assert result.returncode == 0, result.stderr
         digest, threads, child_rows = result.stdout.split()
@@ -375,11 +399,11 @@ warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads alive
 pipeline._usable_cores = lambda: 2
 net = ConvNetConfig(layers=(ConvLayerConfig(num_filters=4, filter_size=3, pool_size=2, lcn_window=3),))
 img = np.random.default_rng(0).uniform(0.0, 1.0, size=(40, 40))
-want = pipeline.image_features(img, True, net, None)
+want = pipeline._image_rows([img], True, net, None)[0]
 pid = os.fork()
 if pid == 0:
     signal.alarm(30)
-    same = pipeline.image_features(img, True, net, None).tobytes() == want.tobytes()
+    same = pipeline._image_rows([img], True, net, None)[0].tobytes() == want.tobytes()
     print("child", "ok" if same else "differs", flush=True)
     os._exit(0 if same else 1)
 _, status = os.waitpid(pid, 0)
@@ -399,7 +423,7 @@ from livecheck import (
     parse_config, write_dataset_tree,
 )
 from livecheck.imageproc import highpass
-from livecheck.pipeline import image_features, realize_extractor
+from livecheck.pipeline import _image_rows, realize_extractor
 
 parsed = parse_config(open(sys.argv[1], encoding="utf-8").read())
 images, labels = make_texture_dataset(8, size=64, seed=derive_seed(2015, "scan-convnet-aug", "train"), blur_sigma=0.4)
@@ -408,7 +432,7 @@ images, labels = load_images(load_dataset(sys.argv[2]))
 digest = model_digest(model_bytes(fit_pipeline(images, labels, parsed.single_config())))
 net, banks = realize_extractor(parsed.extract[0], parsed.seed)
 held, _ = make_texture_dataset(2, size=64, seed=3, blur_sigma=0.4)
-rows = np.stack([image_features(highpass(img), True, net, banks) for img in held])
+rows = np.stack(_image_rows([highpass(img) for img in held], True, net, banks))
 print(digest, threading.active_count(), hashlib.sha256(rows.tobytes()).hexdigest())
 """
 
@@ -431,7 +455,7 @@ class TestAugmentedLbpViews:
     def test_rows_equal_per_view_features(self, rng, variant, blocks, shape, kind):
         img = _lbp_image(rng, shape, kind)
         config = LbpConfig(variant=variant, blocks=blocks)
-        rows = image_features(img, True, config, None)
+        rows = _image_rows([img], True, config, None)[0]
         want = np.vstack([lbp_features(view, config) for view in make_patches(img)])
         assert rows.shape == want.shape and rows.dtype == want.dtype
         assert rows.tobytes() == want.tobytes()
@@ -441,7 +465,7 @@ class TestAugmentedLbpViews:
         with pytest.raises(ValueError) as alone:
             lbp_features(make_patches(img)[0], config)
         with pytest.raises(ValueError) as shared:
-            image_features(img, True, config, None)
+            _image_rows([img], True, config, None)
         assert str(shared.value) == str(alone.value)
         return str(shared.value)
 
@@ -460,7 +484,7 @@ class TestAugmentedLbpViews:
 
     def test_image_too_small_to_crop_rejected(self):
         with pytest.raises(ValueError, match="too small to crop"):
-            image_features(np.zeros((1, 4)), True, LbpConfig(), None)
+            _image_rows([np.zeros((1, 4))], True, LbpConfig(), None)
 
 
 def test_sensor_model_digest_pinned(tmp_path, perfbench_frames):
@@ -474,6 +498,37 @@ def test_sensor_model_digest_pinned(tmp_path, perfbench_frames):
     assert model_digest(model_bytes(model))[:12] == "9002abbc7480"
 
 
+def test_sensor_frame_scoring_memory(tmp_path, perfbench_frames):
+    """``decision_score`` of a decoded 480x640 frame with that sensor
+    model, traced whole and from the preprocessed crop on.  The ROI crop's
+    plain LBP takes it as a one-image stack that is a view of the crop.
+    When pinned, the whole call peaked at 2.37-2.97 MiB on these six
+    frames, set by preprocessing, and the rows at 1.23x the crop's bytes
+    above it.  A copy of the crop added its own bytes to the rows' peak
+    (2.2x), but lifted the whole call's only to 2.37-3.22 MiB."""
+    images, labels = perfbench_frames.finger_frames(2, derive_seed(2015, "scan-sensor", "train"), 0.4)
+    write_dataset_tree(tmp_path / "train", images, labels)
+    images, labels = load_images(load_dataset(tmp_path / "train"))
+    model = fit_pipeline(images, labels, parse_config_file(DEPLOYED_SENSOR).single_config())
+    write_dataset_tree(tmp_path / "probe", *perfbench_frames.finger_frames(3, 5, 0.4))
+    frames, _ = load_images(load_dataset(tmp_path / "probe"))
+    peaks, ratios = [], []
+    for frame in frames:
+        assert frame.shape == (480, 640)
+        pre = preprocess_image(frame, model.config.preprocess)
+        tracemalloc.start()
+        try:
+            model.decision_score(frame)
+            peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
+            tracemalloc.reset_peak()
+            _image_rows([pre], False, model.config.extractor, None)
+            ratios.append(tracemalloc.get_traced_memory()[1] / pre.nbytes)
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 3.3, f"traced peaks {[round(peak, 2) for peak in peaks]} MiB"
+    assert max(ratios) < 1.6, f"rows' peaks {[round(ratio, 2) for ratio in ratios]} x the crop"
+
+
 def test_sensor_sized_augmented_convnet_memory():
     """Ten 384x512 patches of a 480x640 frame through the deployed 16/32
     network: each view is above the group budget and runs alone, so the
@@ -483,7 +538,7 @@ def test_sensor_sized_augmented_convnet_memory():
     img = np.random.default_rng(0).uniform(0.0, 1.0, size=(480, 640))
     tracemalloc.start()
     try:
-        rows = image_features(img, True, net, banks)
+        rows = _image_rows([img], True, net, banks)[0]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -503,7 +558,7 @@ def test_mid_size_augmented_convnet_memory():
     img = np.random.default_rng(0).uniform(0.0, 1.0, size=(117, 117))
     tracemalloc.start()
     try:
-        rows = image_features(img, True, net, banks)
+        rows = _image_rows([img], True, net, banks)[0]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -523,7 +578,7 @@ def test_sensor_sized_augmented_lbp_memory(variant, blocks):
     img = np.random.default_rng(0).uniform(0.0, 1.0, size=(480, 640))
     tracemalloc.start()
     try:
-        rows = image_features(img, True, LbpConfig(variant=variant, blocks=blocks), None)
+        rows = _image_rows([img], True, LbpConfig(variant=variant, blocks=blocks), None)[0]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -549,3 +604,21 @@ def test_many_images_augmented_lbp_memory():
         tracemalloc.stop()
     assert groups.shape == (200, 10, config.feature_length)
     assert peak < 2 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
+
+
+def test_banks_drawn_only_for_misses(monkeypatch):
+    """In a memo scope, ``feature_groups`` draws a convnet's banks once for
+    the images it extracts, and not again when every image hits."""
+    drawn, real = [], pipeline.init_banks
+
+    def drawing(config):
+        drawn.append(config)
+        return real(config)
+
+    monkeypatch.setattr(pipeline, "init_banks", drawing)
+    images, _ = make_texture_dataset(2, size=32, seed=6, blur_sigma=0.6)
+    with pipeline._memo_scope():
+        first = pipeline.feature_groups(images, False, SMALL_CONVNET, seed=5)
+        again = pipeline.feature_groups(images, False, SMALL_CONVNET, seed=5)
+    assert len(drawn) == 1
+    assert again.tobytes() == first.tobytes()

@@ -9,7 +9,7 @@ import pytest
 from livecheck import svm
 from livecheck.imageproc import highpass
 from livecheck.lbp import LbpConfig
-from livecheck.pipeline import TransformConfig, fit_transform, image_features
+from livecheck.pipeline import TransformConfig, _image_rows, fit_transform
 from livecheck.svm import (
     SvmParams,
     decision_score,
@@ -43,7 +43,7 @@ def lbp_rows(seed):
     per texture, and their labels."""
     images, labels = make_texture_dataset(6, size=64, seed=seed, blur_sigma=0.4)
     config = LbpConfig(variant="uniform", blocks=(2, 2))
-    X = np.vstack([image_features(highpass(img), True, config, None) for img in images])
+    X = np.vstack(_image_rows([highpass(img) for img in images], True, config, None))
     return X, np.repeat(labels, 10)
 
 
