@@ -10,7 +10,9 @@ the default runners for those stages go through the per-image memo of
 preprocessed once per config and extracted once per extractor.  The
 rows come as one (images, views, features) array in train-then-test
 order, and the split only chooses which images train and which test.
-The command line keeps that memo through the winner's refit.
+The command line keeps that memo through the winner's refit.  The
+default classify runner returns a fit request, and the search trains
+its requests together in lockstep batches.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .pipeline import (
     preprocess_images,
 )
 from .seeds import derive_seed
-from .svm import SvmParams, train_smo
+from .svm import SvmParams, _model, _solve, _solve_lockstep, _training_data, rbf_gram
 from .transform import project
 
 __all__ = [
@@ -52,6 +54,11 @@ STAGE_PREPROCESS = "preprocess"
 STAGE_EXTRACT = "extract"
 STAGE_TRANSFORM = "transform"
 STAGE_CLASSIFY = "classify"
+
+# A search trains its classify stage's fits together, in lockstep batches
+# whose distinct Grams take at most this many bytes (select-lbp-aug's 20
+# take 2.2 MiB); a fit whose Gram alone exceeds it trains at once, alone.
+_LOCKSTEP_GRAM_BYTES = 4 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +262,33 @@ def _run_transform(cfg, bundle: _SplitRows, ctx: StageContext):
     return _SplitRows(train_Z, bundle.train_y, project(pca, standardizer.apply(bundle.test_groups)))
 
 
+@dataclass(eq=False)
+class _FitRequest:
+    """The default classify runner's result: an SVM fit and the test fold
+    its model labels, resolved by ``grid_search`` with the search's other
+    fits.  ``outcome`` is then the fold's labels or a ``_Failure``, and
+    the inputs are dropped."""
+
+    train: np.ndarray | None
+    train_y: np.ndarray | None
+    params: SvmParams
+    test_groups: np.ndarray | None
+    outcome: object = None
+
+    def resolve(self, alphas: np.ndarray, bias: float, diag) -> None:
+        """Label the test fold with the model of a finished solve; an error,
+        or a warning raised as one, fails this request alone."""
+        try:
+            model = _model(self.train, self.train_y, self.params, alphas, bias, diag)
+            self.outcome = margin_labels(group_margins(model, self.test_groups))
+        except Exception as exc:  # scored, flagged, never fatal
+            self.outcome = _Failure(f"{type(exc).__name__}: {exc}")
+        self.train = self.train_y = self.test_groups = None
+
+
 def _run_classify(cfg, bundle: _SplitRows, ctx: StageContext):
-    model, _ = train_smo(bundle.train, bundle.train_y, cfg)
-    return margin_labels(group_margins(model, bundle.test_groups))
+    train, train_y = _training_data(bundle.train, bundle.train_y)
+    return _FitRequest(train, train_y, cfg, bundle.test_groups)
 
 
 def default_runners() -> dict:
@@ -276,6 +307,60 @@ def default_runners() -> dict:
 @dataclass
 class _Failure:
     message: str
+
+
+def _gram_key(request: _FitRequest) -> tuple:
+    return id(request.train), request.params.gamma
+
+
+def _resolve_alone(request: _FitRequest) -> None:
+    K = rbf_gram(request.train, request.train, request.params.gamma)
+    request.resolve(*_solve(K, request.train_y, request.params))
+
+
+class _Fits:
+    """The fit requests of one search, queued until their Grams would
+    exceed ``_LOCKSTEP_GRAM_BYTES``, then trained in lockstep, one batch
+    for each row count.  Requests on one train-rows object and gamma, such
+    as two values of C on one split, share a Gram; a request whose Gram
+    alone exceeds the budget, and a batch of one, train with ``_solve``."""
+
+    def __init__(self):
+        self.pending: list[_FitRequest] = []
+        self.grams: set = set()  # the Gram keys of the pending requests
+        self.bytes = 0
+
+    def add(self, request: _FitRequest) -> None:
+        size = 8 * len(request.train_y) ** 2
+        if size > _LOCKSTEP_GRAM_BYTES:
+            _resolve_alone(request)
+            return
+        if _gram_key(request) not in self.grams:
+            if self.bytes + size > _LOCKSTEP_GRAM_BYTES:
+                self.flush()
+            self.grams.add(_gram_key(request))
+            self.bytes += size
+        self.pending.append(request)
+
+    def flush(self) -> None:
+        batches: dict[int, list[_FitRequest]] = {}
+        for request in self.pending:
+            batches.setdefault(len(request.train_y), []).append(request)
+        self.pending, self.grams, self.bytes = [], set(), 0
+        for n, batch in batches.items():
+            if len(batch) == 1:
+                _resolve_alone(batch[0])
+                continue
+            sources: dict[tuple, _FitRequest] = {}  # each Gram's first request
+            for request in batch:
+                sources.setdefault(_gram_key(request), request)
+            grams = np.empty((len(sources), n, n))
+            for g, request in enumerate(sources.values()):
+                grams[g] = rbf_gram(request.train, request.train, request.params.gamma)
+            index = {key: g for g, key in enumerate(sources)}
+            problems = [(index[_gram_key(r)], r.train_y, r.params) for r in batch]
+            for request, solved in zip(batch, _solve_lockstep(grams, problems)):
+                request.resolve(*solved)
 
 
 def _tiebreak_key(result: CandidateResult, grid: GridSpec):
@@ -330,6 +415,21 @@ def grid_search(
     return +1/-1 predictions for the test fold.  Runners must not modify
     their upstream value in place, since cached values are shared.  A
     runner may read the split from the context.
+
+    The library's classify runner is the one exception to that contract:
+    it checks its training rows as ``train_smo`` does and returns a fit
+    request instead of labels.  The search queues its requests and trains
+    them in lockstep batches of one row count each
+    (``svm._solve_lockstep``) when their distinct Grams would pass
+    ``_LOCKSTEP_GRAM_BYTES``, and after the last split; requests on one
+    train-rows object and gamma share a Gram.  A request whose Gram alone
+    exceeds the budget trains at once, and a batch of one trains alone,
+    with ``train_smo``'s solver.  Each fit gets the bits it gets alone, so
+    the tables are those of one fit at a time.  A fit that fails when it
+    resolves, such as one stopped at the step cap while warnings are
+    errors, fails its own candidate with the message ``train_smo`` raises;
+    its runner call still counts in ``executions``.  A custom classify
+    runner returns labels as before.
     """
     labels = check_labels(images, labels)
     if splits is None:
@@ -341,6 +441,7 @@ def grid_search(
             raise ValueError(f"no runner for stage {stage.name!r}")
 
     memo: dict = {}  # the current split's stage results by key
+    fits = _Fits()
     executions = {stage.name: 0 for stage in grid.stages}
     hits = {stage.name: 0 for stage in grid.stages}
 
@@ -361,6 +462,8 @@ def grid_search(
                 try:
                     value = runners[stage.name](cfg, value, ctx)
                     executions[stage.name] += 1
+                    if isinstance(value, _FitRequest):
+                        fits.add(value)
                 except Exception as exc:  # scored, flagged, never fatal
                     value = _Failure(f"{type(exc).__name__}: {exc}")
             if use_cache:
@@ -368,8 +471,8 @@ def grid_search(
         return value
 
     combos = list(itertools.product(*[range(len(s.candidates)) for s in grid.stages]))
-    fold_tables: dict[tuple[int, ...], list[float]] = {c: [] for c in combos}
-    failures: dict[tuple[int, ...], str] = {}
+    outcomes: dict[tuple[int, ...], list] = {c: [] for c in combos}
+    truths = []
 
     with _memo_scope(use_cache):
         for split_index, (train_idx, test_idx) in enumerate(splits):
@@ -383,14 +486,25 @@ def grid_search(
                 root_seed=seed,
                 augmented=augmented,
             )
-            truth = labels[ctx.test_idx]
+            truths.append(labels[ctx.test_idx])
             for combo in combos:
-                outcome = run_chain(combo, ctx)
-                if isinstance(outcome, _Failure):
-                    fold_tables[combo].append(1.0)
-                    failures.setdefault(combo, outcome.message)
-                else:
-                    fold_tables[combo].append(ace(np.asarray(outcome), truth).ace)
+                outcomes[combo].append(run_chain(combo, ctx))
+    # The last batch trains after the memos are gone, so its Grams take
+    # the place of the search's per-image results.
+    memo.clear()
+    fits.flush()
+
+    fold_tables: dict[tuple[int, ...], list[float]] = {c: [] for c in combos}
+    failures: dict[tuple[int, ...], str] = {}
+    for combo in combos:
+        for outcome, truth in zip(outcomes[combo], truths):
+            if isinstance(outcome, _FitRequest):
+                outcome = outcome.outcome
+            if isinstance(outcome, _Failure):
+                fold_tables[combo].append(1.0)
+                failures.setdefault(combo, outcome.message)
+            else:
+                fold_tables[combo].append(ace(np.asarray(outcome), truth).ace)
 
     results = [
         CandidateResult(

@@ -329,17 +329,21 @@ def _image_rows(images: list, augmented: bool, extractor, banks) -> list[np.ndar
     return out
 
 
-def feature_groups(images: list, augmented: bool, extractor, seed: int) -> np.ndarray:
+def feature_groups(
+    images: list, augmented: bool, extractor, seed: int, realized: tuple | None = None
+) -> np.ndarray:
     """Feature rows of the images from ``extractor`` realized with
     ``seed``, as one (images, views, features) array whose ``[i]`` is
     image ``i``'s rows from ``_image_rows``; raises ``ValueError`` unless
     all rows have one length, as the convnet's do for equally sized
     inputs.  The memo's misses go to ``_image_rows`` together, each image
-    once, and a convnet's banks are drawn only when some image misses."""
+    once.  ``realized`` is ``realize_extractor(extractor, seed)`` when the
+    caller has drawn it already; otherwise a convnet's banks are drawn
+    only when some image misses."""
     groups = _per_image(
         ("extract", repr(extractor), int(seed), bool(augmented)),
         images,
-        lambda batch: _image_rows(batch, augmented, *realize_extractor(extractor, seed)),
+        lambda batch: _image_rows(batch, augmented, *(realized or realize_extractor(extractor, seed))),
     )
     lengths = {group.shape[1] for group in groups}
     if len(lengths) > 1:
@@ -427,8 +431,8 @@ def fit_pipeline(images: list[np.ndarray], labels: np.ndarray, config: PipelineC
     """
     labels = check_labels(images, labels)
     pre = preprocess_images(images, config.preprocess)
-    groups = feature_groups(pre, config.augmented, config.extractor, config.seed)
     extractor, banks = realize_extractor(config.extractor, config.seed)
+    groups = feature_groups(pre, config.augmented, config.extractor, config.seed, (extractor, banks))
     config = replace(config, extractor=extractor)
     rows = groups.reshape(-1, groups.shape[2])
     standardizer, pca, Z = fit_transform(rows, config.transform, derive_seed(config.seed, "pca"))

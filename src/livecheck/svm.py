@@ -7,7 +7,8 @@ JMLR 2005, the LIBSVM rule): the most violating variable first, then
 the partner whose step gains the most dual objective.  It stops when
 the maximal Karush-Kuhn-Tucker violation is at most ``tol``.  Every
 choice is deterministic, so training depends only on the data and the
-parameters.
+parameters.  ``_solve_lockstep`` steps several problems of one size at
+once, each to the bits that ``_solve`` gives it alone.
 """
 
 from __future__ import annotations
@@ -130,12 +131,6 @@ def _solve(
     inf = math.inf
     objectives: list[float] = []
 
-    def objective(values: list[float]) -> float:
-        # K (alpha * y) = y - s, so no Gram product is needed.
-        alpha = np.array(values)
-        s = np.where(s_up > -inf, s_up, s_low)
-        return float(alpha.sum() - 0.5 * ((alpha * y) @ (y - s)))
-
     steps = 0
     while steps < _MAX_SWEEPS * n:
         i = int(up_argmax())
@@ -204,20 +199,197 @@ def _solve(
         alphas[i], alphas[j] = alpha_i, alpha_j
         steps += 1
         if collect_objectives and steps % n == 0:
-            objectives.append(objective(alphas))
-    if collect_objectives:
-        objectives.append(objective(alphas))
+            objectives.append(_dual_objective(np.array(alphas), y, s_up, s_low))
+    return _finish(np.array(alphas), y, s_up, s_low, params, steps, objectives if collect_objectives else None)
+
+
+def _dual_objective(alpha: np.ndarray, y: np.ndarray, s_up: np.ndarray, s_low: np.ndarray) -> float:
+    # K (alpha * y) = y - s, so no Gram product is needed.
+    s = np.where(s_up > -math.inf, s_up, s_low)
+    return float(alpha.sum() - 0.5 * ((alpha * y) @ (y - s)))
+
+
+def _finish(
+    alphas: np.ndarray,
+    y: np.ndarray,
+    s_up: np.ndarray,
+    s_low: np.ndarray,
+    params: SvmParams,
+    steps: int,
+    objectives: list[float] | None,
+) -> tuple[np.ndarray, float, SmoDiagnostics]:
+    """Bias and diagnostics of a stopped solve; ``objectives`` gets the
+    final dual objective unless it is None."""
+    if objectives is None:
+        objectives = []
+    else:
+        objectives.append(_dual_objective(alphas, y, s_up, s_low))
     kkt_gap = float(s_up.max() - s_low.min())
-    result = np.array(alphas)
     # Free support vectors sit on the margin, where the bias equals s (and
     # s_up holds it); without any, the midpoint of the two extremes
     # satisfies KKT best.
-    free = (result > 0.0) & (result < C)
+    free = (alphas > 0.0) & (alphas < params.C)
     bias = float(s_up[free].mean() if free.any() else (s_up.max() + s_low.min()) / 2.0)
     diag = SmoDiagnostics(
-        result, objectives, sweeps=math.ceil(steps / n), kkt_gap=kkt_gap, converged=kkt_gap <= tol, steps=steps
+        alphas,
+        objectives,
+        sweeps=math.ceil(steps / len(alphas)),
+        kkt_gap=kkt_gap,
+        converged=kkt_gap <= params.tol,
+        steps=steps,
     )
-    return result, bias, diag
+    return alphas, bias, diag
+
+
+def _solve_lockstep(
+    grams: np.ndarray, problems: list[tuple[int, np.ndarray, SvmParams]], collect_objectives: bool = False
+) -> list[tuple[np.ndarray, float, SmoDiagnostics]]:
+    """``_solve`` of several problems of one size n at once.  Problem k is
+    ``(g, y, params)``, the SVM over the Gram ``grams[g]``; problems may
+    share a Gram.  The live problems' states are the rows of (problems, n)
+    arrays, and each step makes one numpy call over all of them for each
+    piece of ``_solve``'s vector work, then a few over the (problems, 2)
+    pairs for the step length, the bounds and the I_up/I_low update.  A
+    problem leaves the stack when it stops, and each gets exactly what
+    ``_solve`` returns for it alone, in the order given.
+
+    ``_solve``'s curvature block would hold a Gram's worth of rows per
+    problem at n = 120, so every step computes its curvature rows, with
+    the arithmetic of ``_solve``'s scratch rows."""
+    n = grams.shape[1]
+    gram_rows = grams.reshape(-1, n)
+    gram_of = np.array([g for g, _, _ in problems])
+    first_row = gram_of * n  # each live problem's row 0 in gram_rows
+    diagonal = np.diagonal(grams, axis1=1, axis2=2)[gram_of]
+    y = np.stack([labels for _, labels, _ in problems])
+    positive = y > 0
+    C = np.array([[params.C] for _, _, params in problems])
+    tol = np.array([params.tol for _, _, params in problems])
+    ids = np.arange(len(problems))  # each live row's problem
+    alphas = np.zeros(y.shape)
+    s_up = np.where(positive, y, -np.inf)
+    s_low = np.where(y < 0, y, np.inf)
+    buffers = [np.empty(y.shape) for _ in range(4)]
+    b, a, gain, dk = buffers
+    # A step's pair arrays hold i in column 0 and j in column 1.
+    pair_buffers = np.empty((len(problems), 2), dtype=np.intp), np.empty((len(problems), 2))
+    at, s_pair = pair_buffers
+    column_i = np.array([True, False])
+    column_j = ~column_i
+    offsets = ids * n  # each live row's start in the flattened state
+    add, subtract, multiply, divide, copysign, maximum, minimum, where = (
+        np.add, np.subtract, np.multiply, np.divide, np.copysign, np.maximum, np.minimum, np.where
+    )
+    inf = math.inf
+    objectives: list[list[float] | None] = [[] if collect_objectives else None for _ in problems]
+    results: list = [None] * len(problems)
+
+    def retire(stopped: np.ndarray) -> None:
+        for row in np.flatnonzero(stopped):
+            k = ids[row]
+            results[k] = _finish(
+                alphas[row].copy(), y[row], s_up[row], s_low[row], problems[k][2], steps, objectives[k]
+            )
+
+    steps = 0
+    while steps < _MAX_SWEEPS * n:
+        i = s_up.argmax(axis=1)
+        at_i = offsets + i
+        top = s_up.take(at_i)
+        subtract(top[:, None], s_low, b)
+        row_i = gram_rows.take(first_row + i, axis=0)
+        add(diagonal, diagonal.take(at_i)[:, None], a)
+        multiply(row_i, 2.0, dk)
+        subtract(a, dk, a)
+        maximum(a, _CURVATURE_FLOOR, out=a)
+        multiply(b, b, gain)
+        divide(gain, a, gain)
+        copysign(gain, b, gain)
+        j = gain.argmax(axis=1)
+        at_j = offsets + j
+        b_j = b.take(at_j)
+        a_j = a.take(at_j)
+        near = b_j <= tol
+        if near.any():
+            stopped = near & (top - s_low.min(axis=1) <= tol)
+            if stopped.any():
+                retire(stopped)
+                live = ~stopped
+                if not live.any():
+                    return results
+                ids, first_row, diagonal, y, positive, C, tol = (
+                    v[live] for v in (ids, first_row, diagonal, y, positive, C, tol)
+                )
+                alphas, s_up, s_low, i, j, b_j, a_j, row_i = (
+                    v[live] for v in (alphas, s_up, s_low, i, j, b_j, a_j, row_i)
+                )
+                b, a, gain, dk = (buffer[: len(ids)] for buffer in buffers)
+                at, s_pair = (buffer[: len(ids)] for buffer in pair_buffers)
+                offsets = np.arange(len(ids)) * n
+                at_i, at_j = offsets + i, offsets + j
+        # min(b_j / a_j, room_i, room_j) and the moves of _solve's step.
+        at[:, 0], at[:, 1] = at_i, at_j
+        pair_alphas = alphas.take(at)
+        pair_positive = positive.take(at)
+        grows = pair_positive ^ column_j  # alpha_i grows when y_i > 0, alpha_j when y_j < 0
+        room = where(grows, C - pair_alphas, pair_alphas)
+        t = minimum(minimum(b_j / a_j, room[:, 0]), room[:, 1])[:, None]
+        moved = where(room == t, grows * C, pair_alphas + where(grows, t, -t))
+        subtract(row_i, gram_rows.take(first_row + j, axis=0), dk)
+        multiply(dk, t, dk)
+        subtract(s_up, dk, s_up)
+        subtract(s_low, dk, s_low)
+        # s_i and s_j after the shift; then only i and j can change set,
+        # by _solve's rules for each.
+        s_pair[:, 0], s_pair[:, 1] = s_up.take(at_i), s_low.take(at_j)
+        above_zero = moved > 0.0
+        below_c = moved < C
+        alphas.put(at, moved)
+        s_up.put(at, where(where(pair_positive, below_c, above_zero | column_j), s_pair, -inf))
+        s_low.put(at, where(where(pair_positive, above_zero | column_i, below_c), s_pair, inf))
+        steps += 1
+        if collect_objectives and steps % n == 0:
+            for row, k in enumerate(ids):
+                objectives[k].append(_dual_objective(alphas[row].copy(), y[row], s_up[row], s_low[row]))
+    retire(np.ones(len(ids), dtype=bool))
+    return results
+
+
+def _training_data(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """``X`` and ``y`` as float64 arrays; raises ``ValueError`` unless they
+    pair up, ``X`` is finite and ``y`` holds both of -1 and +1 only."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
+        raise ValueError(f"inconsistent training data: X {X.shape}, y {y.shape}")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("training features contain non-finite values")
+    positive = y == 1.0
+    negative = y == -1.0
+    if not (positive | negative).all():
+        raise ValueError("labels must be -1 or +1")
+    if positive.all() or negative.all():
+        raise ValueError("training data contains a single class")
+    return X, y
+
+
+def _model(X: np.ndarray, y: np.ndarray, params: SvmParams, alphas: np.ndarray, bias: float, diag) -> SvmModel:
+    """The kernel expansion of a finished solve over ``X``; warns when the
+    step cap stopped the solve short of ``tol``."""
+    if not diag.converged:
+        warnings.warn(
+            f"SMO stopped at its cap of {diag.sweeps} sweeps with KKT gap {diag.kkt_gap:.3g} "
+            f"above tol {params.tol:g}; the model is not at the optimum",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    keep = alphas > _SV_EPS
+    return SvmModel(
+        support_vectors=X[keep].copy(),
+        dual_coefs=(alphas * y)[keep].copy(),
+        bias=bias,
+        gamma=params.gamma,
+    )
 
 
 def train_smo(
@@ -238,37 +410,10 @@ def train_smo(
     only finite values.  ``seed`` is accepted and unused: the solver is
     deterministic.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
-        raise ValueError(f"inconsistent training data: X {X.shape}, y {y.shape}")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("training features contain non-finite values")
-    positive = y == 1.0
-    negative = y == -1.0
-    if not (positive | negative).all():
-        raise ValueError("labels must be -1 or +1")
-    if positive.all() or negative.all():
-        raise ValueError("training data contains a single class")
-
-    K = rbf_gram(X, X, params.gamma)
-    alphas, bias, diag = _solve(K, y, params, collect_diagnostics)
-    if not diag.converged:
-        warnings.warn(
-            f"SMO stopped at its cap of {diag.sweeps} sweeps with KKT gap {diag.kkt_gap:.3g} "
-            f"above tol {params.tol:g}; the model is not at the optimum",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-
-    keep = alphas > _SV_EPS
-    model = SvmModel(
-        support_vectors=X[keep].copy(),
-        dual_coefs=(alphas * y)[keep].copy(),
-        bias=bias,
-        gamma=params.gamma,
-    )
-    return model, (diag if collect_diagnostics else None)
+    X, y = _training_data(X, y)
+    solved = _solve(rbf_gram(X, X, params.gamma), y, params, collect_diagnostics)
+    model = _model(X, y, params, *solved)
+    return model, (solved[2] if collect_diagnostics else None)
 
 
 def decision_score(model: SvmModel, x: np.ndarray) -> float:

@@ -4,12 +4,14 @@ import functools
 import hashlib
 import math
 import re
+import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
 import pytest
 
-from livecheck import load_dataset, load_images, modelsel, pipeline, write_dataset_tree
+from livecheck import load_dataset, load_images, modelsel, pipeline, svm, write_dataset_tree
 from livecheck.convnet import ConvLayerConfig, ConvNetConfig
 from livecheck.lbp import LbpConfig
 from livecheck.config import parse_config
@@ -511,17 +513,25 @@ class TestCacheDirIgnored:
         assert path.read_bytes() == b"kept"
 
 
+def _default_labels(cfg, rows, ctx):
+    """The labels that the default classify runner's fit request resolves
+    to, trained alone."""
+    request = modelsel._run_classify(cfg, rows, ctx)
+    modelsel._resolve_alone(request)
+    return request.outcome
+
+
 def _inverted_classify(cfg, rows, ctx):
-    return -modelsel._run_classify(cfg, rows, ctx)
+    return -_default_labels(cfg, rows, ctx)
 
 
 def _signed_classify(cfg, rows, ctx, sign):
-    return sign * modelsel._run_classify(cfg, rows, ctx)
+    return sign * _default_labels(cfg, rows, ctx)
 
 
 def _closure_classify(sign):
     def classify(cfg, rows, ctx):
-        return sign * modelsel._run_classify(cfg, rows, ctx)
+        return sign * _default_labels(cfg, rows, ctx)
 
     return classify
 
@@ -841,7 +851,7 @@ class TestBatchedFoldRunners:
         for got, want in zip(projected.test_groups, groups, strict=True):
             np.testing.assert_array_equal(got, want)
         for params in (SvmParams(C=1.0, gamma=0.05), SvmParams(C=10.0, gamma=0.5)):
-            predictions = modelsel._run_classify(params, projected, ctx)
+            predictions = _default_labels(params, projected, ctx)
             np.testing.assert_array_equal(predictions, classify_runner_per_image(params, projected, ctx))
 
 
@@ -886,8 +896,11 @@ class TestOneChain:
         splits = five_by_two_splits(labels, derive_seed(seed, "cv"))
         assert len(folds) == len(margins) == 2 * len(splits)
 
+        # Every train fold has one row count, so the requests resolve, and
+        # record their margins, in the order the runner made them.
         groups = feature_groups(preprocess_images(images, self.PREPROCESS), augmented, self.EXTRACTOR, seed)
-        for (split_index, params, fold_labels), fold_margins in zip(folds, margins):
+        for (split_index, params, request), fold_margins in zip(folds, margins):
+            fold_labels = request.outcome
             train_idx, test_idx = splits[split_index]
             standardizer, pca, train_Z = fit_transform(
                 np.vstack([groups[i] for i in train_idx]),
@@ -926,16 +939,24 @@ class TestSelectFits:
         write_dataset_tree(tmp_path, images, labels)
         images, labels = load_images(load_dataset(tmp_path))
 
-        fits = []
+        fits, batches = [], []
+        build, lockstep = svm._model, modelsel._solve_lockstep
 
-        def recording_train_smo(X, y, params, seed=0, collect_diagnostics=False):
-            model, diag = train_smo(X, y, params, seed=seed, collect_diagnostics=True)
-            fits.append((model, diag))
-            return model, (diag if collect_diagnostics else None)
+        def recording_model(X, y, params, alphas, bias, diag):
+            fits.append((build(X, y, params, alphas, bias, diag), diag))
+            return fits[-1][0]
 
-        monkeypatch.setattr(modelsel, "train_smo", recording_train_smo)
-        monkeypatch.setattr(pipeline, "train_smo", recording_train_smo)
+        def recording_lockstep(grams, problems, collect_objectives=False):
+            batches.append(len(problems))
+            return lockstep(grams, problems, collect_objectives)
+
+        # A fit finishes where its solve becomes a model: in modelsel for the
+        # search's lockstep batches, in train_smo for the refit.
+        monkeypatch.setattr(modelsel, "_model", recording_model)
+        monkeypatch.setattr(svm, "_model", recording_model)
+        monkeypatch.setattr(modelsel, "_solve_lockstep", recording_lockstep)
         result = grid_search(images, labels, parsed.grid_spec(), parsed.seed, augmented=parsed.augmented)
+        assert batches == [40]  # the grid's fits, one lockstep batch
         pipeline.fit_pipeline(images, labels, parsed.pipeline_config(*result.best_configs()))
 
         assert len(fits) == 41
@@ -946,3 +967,155 @@ class TestSelectFits:
             digest.update(model.dual_coefs.tobytes())
             digest.update(np.float64(model.bias).tobytes())
         assert digest.hexdigest().startswith(self.MODELS_DIGEST)
+
+
+class TestFailedFits:
+    """A fit that fails, at its runner or when its lockstep batch
+    resolves, fails its own candidate with the message the fit alone
+    gives, and the other candidates' fold tables are what they are in a
+    search without it."""
+
+    PREPROCESS = PreprocessConfig(filter="highpass")
+    EXTRACTOR = LbpConfig(variant="uniform", blocks=(1, 1))
+    TRANSFORM = TransformConfig(pca_fraction=0.5)
+    GOOD = (SvmParams(C=1.0, gamma=0.05), SvmParams(C=10.0, gamma=0.5))
+    # Takes 157 to 391 steps on these 50-row folds, where GOOD takes 22 to 58.
+    CAPPED = SvmParams(C=10.0, gamma=0.05, tol=1e-12)
+    SEED = 4
+
+    @staticmethod
+    def _data():
+        return make_texture_dataset(5, size=32, seed=8, blur_sigma=0.4)
+
+    def _search(self, transforms, classifiers, runners=None):
+        grid = GridSpec(
+            stages=(
+                GridStage("preprocess", (self.PREPROCESS,)),
+                GridStage("extract", (self.EXTRACTOR,)),
+                GridStage("transform", transforms),
+                GridStage("classify", classifiers),
+            )
+        )
+        return grid_search(*self._data(), grid, self.SEED, augmented=True, runners=runners)
+
+    def _first_fold_rows(self):
+        images, labels = self._data()
+        train_idx, test_idx = five_by_two_splits(labels, derive_seed(self.SEED, "cv"))[0]
+        ctx = modelsel.StageContext(images, labels, train_idx, test_idx, 0, self.SEED, True)
+        pre = modelsel._run_preprocess(self.PREPROCESS, None, ctx)
+        return modelsel._run_transform(self.TRANSFORM, modelsel._run_extract(self.EXTRACTOR, pre, ctx), ctx)
+
+    @staticmethod
+    def _fold_bytes(candidates) -> list[bytes]:
+        return [np.array(c.fold_aces).tobytes() for c in candidates]
+
+    def test_capped_fit_fails_alone_under_warnings_as_errors(self, monkeypatch):
+        monkeypatch.setattr(svm, "_MAX_SWEEPS", 2)
+        batches, lockstep = [], modelsel._solve_lockstep
+
+        def recording_lockstep(grams, problems, collect_objectives=False):
+            batches.append(len(problems))
+            return lockstep(grams, problems, collect_objectives)
+
+        monkeypatch.setattr(modelsel, "_solve_lockstep", recording_lockstep)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = self._search((self.TRANSFORM,), (self.GOOD[0], self.CAPPED, self.GOOD[1]))
+            rows = self._first_fold_rows()
+            with pytest.raises(RuntimeWarning) as alone:
+                train_smo(rows.train, rows.train_y, self.CAPPED)
+            without = self._search((self.TRANSFORM,), self.GOOD)
+        assert batches[0] == 30  # the capped fits shared the batch of the others
+        good, capped, other = result.candidates
+        assert capped.failed and capped.fold_aces == (1.0,) * 10
+        assert capped.message == f"RuntimeWarning: {alone.value}"
+        assert "SMO stopped at its cap of 2 sweeps" in capped.message
+        assert not any(c.failed for c in (good, other, *without.candidates))
+        assert self._fold_bytes((good, other)) == self._fold_bytes(without.candidates)
+        with pytest.warns(RuntimeWarning, match="SMO stopped at its cap"):
+            warned = self._search((self.TRANSFORM,), (self.GOOD[0], self.CAPPED, self.GOOD[1]))
+        assert not any(c.failed for c in warned.candidates)
+
+    def test_one_class_train_fold_fails_alone(self):
+        def run_transform(cfg, bundle, ctx):
+            rows = modelsel._run_transform(self.TRANSFORM, bundle, ctx)
+            if cfg == "live-only":
+                live = rows.train_y > 0
+                rows = modelsel._SplitRows(rows.train[live], rows.train_y[live], rows.test_groups)
+            return rows
+
+        runners = {**default_runners(), "transform": run_transform}
+        result = self._search(("all", "live-only"), self.GOOD, runners)
+        without = self._search(("all",), self.GOOD, runners)
+        failed = [c for c in result.candidates if c.failed]
+        assert [c.indices[2] for c in failed] == [1, 1]
+        for candidate in failed:
+            assert candidate.message == "ValueError: training data contains a single class"
+            assert candidate.fold_aces == (1.0,) * 10
+        kept = [c for c in result.candidates if not c.failed]
+        assert self._fold_bytes(kept) == self._fold_bytes(without.candidates)
+
+
+class TestLockstepMemory:
+    @staticmethod
+    def _traced_peak(search) -> int:
+        tracemalloc.start()
+        try:
+            search()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_select_search_peak(self, tmp_path, monkeypatch):
+        """On the select-lbp-aug tree, the lockstep batch's Grams add at most
+        their budget to the peak of a search whose fits each train alone as
+        their runner returns them (1.75 MiB, the peak of the search that
+        trained each fit inside its runner)."""
+        name = "select-lbp-aug"
+        parsed = parse_config((PERFBENCH / "configs" / f"{name}.ini").read_text(encoding="utf-8"))
+        images, labels = make_texture_dataset(
+            12, size=64, seed=derive_seed(2015, name, "train"), blur_sigma=0.4
+        )
+        write_dataset_tree(tmp_path, images, labels)
+        images, labels = load_images(load_dataset(tmp_path))
+        search = functools.partial(
+            grid_search, images, labels, parsed.grid_spec(), parsed.seed, augmented=parsed.augmented
+        )
+        search()  # first-call allocations stay out of the peaks
+        budget = modelsel._LOCKSTEP_GRAM_BYTES
+        batched = self._traced_peak(search)
+        monkeypatch.setattr(modelsel, "_LOCKSTEP_GRAM_BYTES", 0)
+        alone = self._traced_peak(search)
+        assert alone < 2 * 2**20, f"{alone / 2**20:.2f} MiB"
+        assert batched <= alone + budget, f"{batched / 2**20:.2f} against {alone / 2**20:.2f} MiB"
+
+    def test_oversized_grams_do_not_pile_up(self, monkeypatch):
+        """With every Gram past the budget, each request trains alone as the
+        runner makes it: one Gram at a time, and no batch."""
+        monkeypatch.setattr(modelsel, "_LOCKSTEP_GRAM_BYTES", 1)
+        grams, requests = [], []
+        gram, run_classify = modelsel.rbf_gram, modelsel._run_classify
+
+        def one_gram_at_a_time(A, B, gamma):
+            assert all(ref() is None for ref in grams)
+            K = gram(A, B, gamma)
+            grams.append(weakref.ref(K))
+            return K
+
+        def resolved_before_next(cfg, rows, ctx):
+            assert all(request.outcome is not None for request in requests)
+            requests.append(run_classify(cfg, rows, ctx))
+            return requests[-1]
+
+        def no_batch(*args):
+            raise AssertionError("no lockstep batch expected")
+
+        monkeypatch.setattr(modelsel, "rbf_gram", one_gram_at_a_time)
+        monkeypatch.setattr(modelsel, "_run_classify", resolved_before_next)
+        monkeypatch.setattr(modelsel, "_solve_lockstep", no_batch)
+        images, labels = make_texture_dataset(3, size=16, seed=0)
+        result = grid_search(images, labels, TestPerImageMemo.GRID, seed=0)
+        monkeypatch.undo()
+        assert len(requests) == len(grams) == 40  # 4 candidates x 10 splits
+        assert not any(c.failed for c in result.candidates)
+        assert _tables(result) == _tables(grid_search(images, labels, TestPerImageMemo.GRID, seed=0))

@@ -31,7 +31,7 @@ from livecheck.pipeline import (
     realize_extractor,
 )
 from livecheck.seeds import derive_seed
-from livecheck.svm import SvmModel, SvmParams, decision_scores
+from livecheck.svm import SvmModel, SvmParams, decision_scores, train_smo
 from livecheck.synthdata import make_texture_dataset, write_dataset_tree
 
 from conftest import run_python
@@ -622,3 +622,38 @@ def test_banks_drawn_only_for_misses(monkeypatch):
         again = pipeline.feature_groups(images, False, SMALL_CONVNET, seed=5)
     assert len(drawn) == 1
     assert again.tobytes() == first.tobytes()
+
+
+def test_fit_pipeline_draws_convnet_banks_once(monkeypatch):
+    """Outside a memo scope, and inside one where every image hits,
+    ``fit_pipeline`` draws a convnet's banks once, and its model has the
+    bytes of the same stages composed by hand."""
+    drawn, real = [], pipeline.init_banks
+
+    def drawing(config):
+        drawn.append(config)
+        return real(config)
+
+    monkeypatch.setattr(pipeline, "init_banks", drawing)
+    images, labels = make_texture_dataset(3, size=32, seed=6, blur_sigma=0.6)
+    config = PipelineConfig(
+        PreprocessConfig(filter="highpass"),
+        SMALL_CONVNET,
+        TransformConfig(pca_fraction=0.5),
+        SvmParams(C=10.0, gamma=0.05),
+        augmented=True,
+        seed=9,
+    )
+    model = fit_pipeline(images, labels, config)
+    assert len(drawn) == 1
+    with pipeline._memo_scope():
+        fit_pipeline(images, labels, config)
+        drawn.clear()
+        again = fit_pipeline(images, labels, config)
+    assert len(drawn) == 1
+    net, banks = realize_extractor(config.extractor, config.seed)
+    rows = np.concatenate(_image_rows([highpass(img) for img in images], True, net, banks))
+    standardizer, pca, Z = pipeline.fit_transform(rows, config.transform, derive_seed(config.seed, "pca"))
+    classifier, _ = train_smo(Z, np.repeat(labels, 10), config.classifier)
+    by_hand = TrainedPipeline(replace(config, extractor=net), banks, standardizer, pca, classifier)
+    assert model_bytes(model) == model_bytes(again) == model_bytes(by_hand)

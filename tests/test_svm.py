@@ -371,6 +371,94 @@ class TestSolverOracle:
         assert peak < 32 * n * 8  # an n x n temporary would be 31 MiB
 
 
+def lockstep_batch(cases):
+    """One lockstep batch from oracle cases of one size: each case under
+    its own params, with C / 10 and tol x 10 on the same Gram, at tol
+    1e-12, and at twice its gamma on a Gram of its own."""
+    grams, problems = [], []
+    for X, y, params in cases:
+        variants = [
+            params,
+            SvmParams(C=params.C / 10, gamma=params.gamma, tol=params.tol * 10),
+            SvmParams(C=params.C, gamma=params.gamma, tol=1e-12),
+            SvmParams(C=params.C, gamma=2 * params.gamma, tol=params.tol),
+        ]
+        for variant in variants:
+            if variant is params or variant.gamma != params.gamma:
+                grams.append(rbf_gram(X, X, variant.gamma))
+            problems.append((len(grams) - 1, y, variant))
+    return np.stack(grams), problems
+
+
+def assert_lockstep_matches_solve(grams, problems, collect_objectives=True):
+    """Each problem of the batch gets the bytes ``_solve`` gives it alone."""
+    solved = svm._solve_lockstep(grams, problems, collect_objectives)
+    assert len(solved) == len(problems)
+    for (g, y, params), (alphas, bias, diag) in zip(problems, solved, strict=True):
+        want_alphas, want_bias, want = svm._solve(grams[g], y, params, collect_objectives)
+        assert alphas.tobytes() == want_alphas.tobytes() == diag.alphas.tobytes()
+        assert np.float64(bias).tobytes() == np.float64(want_bias).tobytes()
+        assert (diag.steps, diag.sweeps, diag.converged) == (want.steps, want.sweeps, want.converged)
+        assert np.float64(diag.kkt_gap).tobytes() == np.float64(want.kkt_gap).tobytes()
+        assert np.array(diag.dual_objectives).tobytes() == np.array(want.dual_objectives).tobytes()
+    return solved
+
+
+def cases_by_size():
+    sizes: dict[int, list] = {}
+    for case in oracle_cases().values():
+        sizes.setdefault(len(case[1]), []).append(case)
+    return sizes
+
+
+class TestLockstep:
+    """Several problems of one size solved as one stack against ``_solve``
+    alone: every problem's alphas, bias, step count, KKT gap,
+    convergence flag and objectives, byte for byte."""
+
+    @pytest.mark.parametrize("n", sorted(cases_by_size()))
+    def test_oracle_cases_of_one_size(self, n):
+        grams, problems = lockstep_batch(cases_by_size()[n])
+        solved = assert_lockstep_matches_solve(grams, problems)
+        steps = {diag.steps for _, _, diag in solved}
+        assert len(steps) > 1 or n == 2  # with two samples each problem takes one step
+        if n == 20:
+            assert 0 in steps  # the no-steps case stops before its first step
+
+    def test_without_objectives(self):
+        grams, problems = lockstep_batch(cases_by_size()[40])
+        solved = assert_lockstep_matches_solve(grams, problems, collect_objectives=False)
+        assert all(diag.dual_objectives == [] for _, _, diag in solved)
+
+    def test_problems_in_any_order_and_alone(self):
+        """A problem's result does not depend on its batch: reversed, and
+        as a batch of one."""
+        grams, problems = lockstep_batch(cases_by_size()[40])
+        assert_lockstep_matches_solve(grams, problems[::-1])
+        for problem in problems:
+            assert_lockstep_matches_solve(grams, [problem])
+
+    @pytest.mark.filterwarnings("ignore:SMO stopped at its cap:RuntimeWarning")
+    def test_step_cap(self, monkeypatch):
+        """The cap stops every problem still stepping at 2 n steps, while
+        the others stop on their own before it."""
+        monkeypatch.setattr(svm, "_MAX_SWEEPS", 2)
+        X, y = lbp_pca_rows()
+        grams, problems = lockstep_batch([(X, y, SvmParams(C=10.0, gamma=0.05))])
+        solved = assert_lockstep_matches_solve(grams, problems)
+        flags = [(diag.converged, diag.steps) for _, _, diag in solved]
+        assert (False, 2 * len(y)) in flags
+        assert any(converged and steps < 2 * len(y) for converged, steps in flags)
+
+    @pytest.mark.filterwarnings("ignore:SMO stopped at its cap:RuntimeWarning")
+    def test_tiny_tol(self, monkeypatch):
+        monkeypatch.setattr(svm, "_MAX_SWEEPS", 3)
+        for cases in cases_by_size().values():
+            grams, problems = lockstep_batch(cases)
+            problems = [(g, y, SvmParams(C=p.C, gamma=p.gamma, tol=1e-200)) for g, y, p in problems]
+            assert_lockstep_matches_solve(grams, problems)
+
+
 class TestScoring:
     def test_matches_kernel_expansion_oracle(self, rng):
         X, y = blob_data(rng, n=20)
