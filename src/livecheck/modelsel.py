@@ -150,6 +150,31 @@ def five_by_two_splits(labels: np.ndarray, seed: int) -> list[tuple[np.ndarray, 
     return pairs
 
 
+def _check_splits(splits: list, labels: np.ndarray) -> None:
+    """Raise ``ValueError``, naming the split and the rule it breaks,
+    unless each split's train and test folds are nonempty 1-D integer
+    arrays of distinct indices into ``labels``, share no index, and the
+    test fold holds both classes."""
+    for index, (train, test) in enumerate(splits):
+        folds = {"train": np.asarray(train), "test": np.asarray(test)}
+        for name, fold in folds.items():
+            if fold.size == 0:
+                raise ValueError(f"split {index}: the {name} fold is empty")
+            if fold.ndim != 1 or fold.dtype.kind not in "iu":
+                raise ValueError(
+                    f"split {index}: the {name} fold must be a 1-D array of integer indices, "
+                    f"got {fold.dtype} of shape {fold.shape}"
+                )
+            if fold.min() < 0 or fold.max() >= len(labels):
+                raise ValueError(f"split {index}: the {name} fold has an index outside [0, {len(labels)})")
+            if np.unique(fold).size != fold.size:
+                raise ValueError(f"split {index}: the {name} fold repeats an index")
+        if np.intersect1d(folds["train"], folds["test"]).size:
+            raise ValueError(f"split {index}: the train and test folds share an index")
+        if np.unique(labels[folds["test"]]).size < 2:
+            raise ValueError(f"split {index}: the test fold holds only one class")
+
+
 # ---------------------------------------------------------------------------
 # Grid definition
 
@@ -322,8 +347,10 @@ class _Fits:
     """The fit requests of one search, queued until their Grams would
     exceed ``_LOCKSTEP_GRAM_BYTES``, then trained in lockstep, one batch
     for each row count.  Requests on one train-rows object and gamma, such
-    as two values of C on one split, share a Gram; a request whose Gram
-    alone exceeds the budget, and a batch of one, train with ``_solve``."""
+    as two values of C on one split, share a Gram.  A request whose Gram
+    alone exceeds the budget trains at once with ``_solve``, and the
+    lockstep hands its last few problems, or a batch that starts as few,
+    to ``_solve`` as well."""
 
     def __init__(self):
         self.pending: list[_FitRequest] = []
@@ -348,9 +375,6 @@ class _Fits:
             batches.setdefault(len(request.train_y), []).append(request)
         self.pending, self.grams, self.bytes = [], set(), 0
         for n, batch in batches.items():
-            if len(batch) == 1:
-                _resolve_alone(batch[0])
-                continue
             sources: dict[tuple, _FitRequest] = {}  # each Gram's first request
             for request in batch:
                 sources.setdefault(_gram_key(request), request)
@@ -392,8 +416,11 @@ def grid_search(
     """Score every stage combination with 5x2 cross-validation.
 
     ``images`` and ``labels`` must pair up one to one, and every label
-    must be +1 or -1; otherwise ``ValueError`` is raised before any
-    stage runs.
+    must be +1 or -1.  Each of the custom ``splits``, (train, test)
+    pairs that replace the 5x2 ones, must hold two nonempty 1-D integer
+    arrays of distinct indices into ``images`` that share no index, and
+    its test fold must hold both classes.  Otherwise ``ValueError`` is
+    raised before any stage runs.
 
     Stage outputs are memoized for one split at a time, keyed by the
     ``repr`` of every config up to and including the stage, so shared
@@ -423,17 +450,19 @@ def grid_search(
     (``svm._solve_lockstep``) when their distinct Grams would pass
     ``_LOCKSTEP_GRAM_BYTES``, and after the last split; requests on one
     train-rows object and gamma share a Gram.  A request whose Gram alone
-    exceeds the budget trains at once, and a batch of one trains alone,
-    with ``train_smo``'s solver.  Each fit gets the bits it gets alone, so
-    the tables are those of one fit at a time.  A fit that fails when it
-    resolves, such as one stopped at the step cap while warnings are
-    errors, fails its own candidate with the message ``train_smo`` raises;
-    its runner call still counts in ``executions``.  A custom classify
-    runner returns labels as before.
+    exceeds the budget trains at once with ``train_smo``'s solver, and a
+    batch finishes its last few fits in that solver.  Each fit gets the
+    bits it gets alone, so the tables are those of one fit at a time.  A
+    fit that fails when it resolves, such as one stopped at the step cap
+    while warnings are errors, fails its own candidate with the message
+    ``train_smo`` raises; its runner call still counts in ``executions``.
+    A custom classify runner returns labels as before.
     """
     labels = check_labels(images, labels)
     if splits is None:
         splits = five_by_two_splits(labels, derive_seed(seed, "cv"))
+    else:
+        _check_splits(splits, labels)
     if runners is None:
         runners = default_runners()
     for stage in grid.stages:

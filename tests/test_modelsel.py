@@ -445,6 +445,34 @@ class TestGridSearch:
         with pytest.raises(ValueError):
             grid_search(images, labels, grid, seed=0, splits=splits, runners={})
 
+    # A bad second split of the toy problem (train 0-4 and 10-14, test 5-9
+    # and 15-19; 0-9 live), and the rule the error names.
+    BAD_SPLITS = {
+        "index-past-the-end": (lambda train, test: (train, np.append(test[:-1], 99)), r"outside \[0, 20\)"),
+        "negative-index": (lambda train, test: (np.append(train[1:], -1), test), r"train fold has an index outside"),
+        "live-only-test": (lambda train, test: (train, test[:5]), "test fold holds only one class"),
+        "train-is-test": (lambda train, test: (test, test), "share an index"),
+        "overlap": (lambda train, test: (np.append(train, 5), test), "share an index"),
+        "empty-test": (lambda train, test: (train, []), "test fold is empty"),
+        "repeated-index": (lambda train, test: (np.append(train, 0), test), "train fold repeats an index"),
+        "float-indices": (lambda train, test: (train.astype(float), test), "1-D array of integer indices"),
+        "boolean-mask": (lambda train, test: (np.isin(np.arange(20), train), test), "integer indices"),
+        "two-dimensional": (lambda train, test: (train.reshape(2, 5), test), "of shape \\(2, 5\\)"),
+    }
+
+    @pytest.mark.parametrize("case", list(BAD_SPLITS))
+    def test_bad_custom_split_rejected_before_any_stage(self, case):
+        images, labels, splits = _toy_problem()
+        make_bad, message = self.BAD_SPLITS[case]
+        calls = {"extract": 0, "classify": 0}
+        grid = GridSpec(stages=(GridStage("extract", ("good",)), GridStage("classify", ("a",))))
+        with pytest.raises(ValueError, match=f"^split 1: .*{message}"):
+            grid_search(
+                images, labels, grid, seed=0, splits=[splits[0], make_bad(*splits[0])],
+                runners=_counting_runners(calls),
+            )
+        assert calls == {"extract": 0, "classify": 0}
+
     def test_results_cover_every_combo_in_order(self):
         images, labels, splits = _toy_problem()
         grid = GridSpec(
@@ -927,6 +955,8 @@ class TestSelectFits:
     # sha256 over each model's dual_coefs and bias bytes in call order.
     STEPS = 6819
     MODELS_DIGEST = "d86b0c8638e7"
+    # The lockstep batch hands its last five fits to _solve at step 257.
+    HANDED_OVER = [257] * 5
 
     def test_steps_and_models_are_pinned(self, tmp_path, monkeypatch):
         """A change in step order moves the step count or some fold's
@@ -939,8 +969,8 @@ class TestSelectFits:
         write_dataset_tree(tmp_path, images, labels)
         images, labels = load_images(load_dataset(tmp_path))
 
-        fits, batches = [], []
-        build, lockstep = svm._model, modelsel._solve_lockstep
+        fits, batches, resumed = [], [], []
+        build, lockstep, solve = svm._model, modelsel._solve_lockstep, svm._solve
 
         def recording_model(X, y, params, alphas, bias, diag):
             fits.append((build(X, y, params, alphas, bias, diag), diag))
@@ -950,13 +980,20 @@ class TestSelectFits:
             batches.append(len(problems))
             return lockstep(grams, problems, collect_objectives)
 
+        def recording_solve(K, y, params, collect_objectives=False, state=None):
+            if state is not None:
+                resumed.append(state.steps)
+            return solve(K, y, params, collect_objectives, state)
+
         # A fit finishes where its solve becomes a model: in modelsel for the
         # search's lockstep batches, in train_smo for the refit.
         monkeypatch.setattr(modelsel, "_model", recording_model)
         monkeypatch.setattr(svm, "_model", recording_model)
         monkeypatch.setattr(modelsel, "_solve_lockstep", recording_lockstep)
+        monkeypatch.setattr(svm, "_solve", recording_solve)
         result = grid_search(images, labels, parsed.grid_spec(), parsed.seed, augmented=parsed.augmented)
         assert batches == [40]  # the grid's fits, one lockstep batch
+        assert resumed == self.HANDED_OVER
         pipeline.fit_pipeline(images, labels, parsed.pipeline_config(*result.best_configs()))
 
         assert len(fits) == 41

@@ -353,6 +353,15 @@ class TestSolverOracle:
             assert quiet.dual_coefs.tobytes() == traced.dual_coefs.tobytes()
             assert quiet.bias == traced.bias
 
+    def test_explicit_zero_state(self):
+        """``_solve`` given every alpha at 0, no steps and no objectives
+        takes the steps it takes when it starts from zero."""
+        for X, y, params in oracle_cases().values():
+            K = rbf_gram(X, X, params.gamma)
+            s_up, s_low = np.where(y > 0, y, -np.inf), np.where(y < 0, y, np.inf)
+            state = svm._SmoState([0.0] * len(y), s_up, s_low, 0, [])
+            assert_same_solve(svm._solve(K, y, params, True, state), svm._solve(K, y, params, True))
+
     def test_solve_allocates_no_square_array(self):
         """Past the Gram, the solver holds only a handful of n-vectors."""
         n = 2000
@@ -390,18 +399,54 @@ def lockstep_batch(cases):
     return np.stack(grams), problems
 
 
+def assert_same_solve(got, want):
+    """Two solves' alphas, bias, step count, KKT gap, convergence flag and
+    objectives are byte-equal."""
+    (alphas, bias, diag), (want_alphas, want_bias, want) = got, want
+    assert alphas.tobytes() == want_alphas.tobytes() == diag.alphas.tobytes()
+    assert np.float64(bias).tobytes() == np.float64(want_bias).tobytes()
+    assert (diag.steps, diag.sweeps, diag.converged) == (want.steps, want.sweeps, want.converged)
+    assert np.float64(diag.kkt_gap).tobytes() == np.float64(want.kkt_gap).tobytes()
+    assert np.array(diag.dual_objectives).tobytes() == np.array(want.dual_objectives).tobytes()
+
+
+def expected_handoff(finals, cap):
+    """The problems the lockstep hands to ``_solve``, as (index, step)
+    pairs, from the step counts each takes alone.  A problem that stops
+    after f steps is live at the top of steps 0..f, and the lockstep hands
+    over every live one at the first top with at most ``_HANDOFF_LIVE``
+    live, unless none is live or the step cap came first."""
+    for top in sorted({0, *(f + 1 for f in finals)}):
+        live = [k for k, f in enumerate(finals) if f >= top]
+        if top >= cap or not live:
+            return []
+        if len(live) <= svm._HANDOFF_LIVE:
+            return [(k, top) for k in live]
+    return []
+
+
 def assert_lockstep_matches_solve(grams, problems, collect_objectives=True):
-    """Each problem of the batch gets the bytes ``_solve`` gives it alone."""
-    solved = svm._solve_lockstep(grams, problems, collect_objectives)
+    """Each problem of the batch gets the bytes ``_solve`` gives it alone,
+    and the lockstep hands to ``_solve`` the problems, at the step, that
+    ``expected_handoff`` names.  Returns the results and those pairs."""
+    resumed, solve = [], svm._solve
+
+    def recording_solve(K, y, params, collect_objectives=False, state=None):
+        resumed.append((id(y), params, state.steps))
+        return solve(K, y, params, collect_objectives, state)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(svm, "_solve", recording_solve)
+        solved = svm._solve_lockstep(grams, problems, collect_objectives)
     assert len(solved) == len(problems)
-    for (g, y, params), (alphas, bias, diag) in zip(problems, solved, strict=True):
-        want_alphas, want_bias, want = svm._solve(grams[g], y, params, collect_objectives)
-        assert alphas.tobytes() == want_alphas.tobytes() == diag.alphas.tobytes()
-        assert np.float64(bias).tobytes() == np.float64(want_bias).tobytes()
-        assert (diag.steps, diag.sweeps, diag.converged) == (want.steps, want.sweeps, want.converged)
-        assert np.float64(diag.kkt_gap).tobytes() == np.float64(want.kkt_gap).tobytes()
-        assert np.array(diag.dual_objectives).tobytes() == np.array(want.dual_objectives).tobytes()
-    return solved
+    finals = []
+    for (g, y, params), got in zip(problems, solved, strict=True):
+        want = svm._solve(grams[g], y, params, collect_objectives)
+        assert_same_solve(got, want)
+        finals.append(want[2].steps)
+    handed = expected_handoff(finals, svm._MAX_SWEEPS * grams.shape[1])
+    assert resumed == [(id(problems[k][1]), problems[k][2], top) for k, top in handed]
+    return solved, handed
 
 
 def cases_by_size():
@@ -411,23 +456,44 @@ def cases_by_size():
     return sizes
 
 
+HANDOFFS = {"never": 0, "default": svm._HANDOFF_LIVE, "at-once": 1000}
+
+
+@pytest.fixture(params=list(HANDOFFS))
+def handoff(request, monkeypatch):
+    """The lockstep's handoff count: 0, where it runs every problem to its
+    end, the default, and one past every batch here, where every problem
+    starts in ``_solve``."""
+    monkeypatch.setattr(svm, "_HANDOFF_LIVE", HANDOFFS[request.param])
+    return request.param
+
+
+@pytest.mark.usefixtures("handoff")
 class TestLockstep:
     """Several problems of one size solved as one stack against ``_solve``
     alone: every problem's alphas, bias, step count, KKT gap,
-    convergence flag and objectives, byte for byte."""
+    convergence flag and objectives, byte for byte, with the last few
+    problems handed to ``_solve`` mid-solve, with every problem handed
+    over at once, and with none."""
 
     @pytest.mark.parametrize("n", sorted(cases_by_size()))
-    def test_oracle_cases_of_one_size(self, n):
+    def test_oracle_cases_of_one_size(self, n, handoff):
         grams, problems = lockstep_batch(cases_by_size()[n])
-        solved = assert_lockstep_matches_solve(grams, problems)
+        solved, handed = assert_lockstep_matches_solve(grams, problems)
         steps = {diag.steps for _, _, diag in solved}
         assert len(steps) > 1 or n == 2  # with two samples each problem takes one step
         if n == 20:
             assert 0 in steps  # the no-steps case stops before its first step
+        if handoff == "at-once":
+            assert handed == [(k, 0) for k in range(len(problems))]
+        elif handoff == "never":
+            assert handed == []
+        elif n == 40:  # the one batch of more than five problems
+            assert handed == [(0, 21), (2, 21), (3, 21)]
 
     def test_without_objectives(self):
         grams, problems = lockstep_batch(cases_by_size()[40])
-        solved = assert_lockstep_matches_solve(grams, problems, collect_objectives=False)
+        solved, _ = assert_lockstep_matches_solve(grams, problems, collect_objectives=False)
         assert all(diag.dual_objectives == [] for _, _, diag in solved)
 
     def test_problems_in_any_order_and_alone(self):
@@ -439,16 +505,23 @@ class TestLockstep:
             assert_lockstep_matches_solve(grams, [problem])
 
     @pytest.mark.filterwarnings("ignore:SMO stopped at its cap:RuntimeWarning")
-    def test_step_cap(self, monkeypatch):
+    def test_step_cap(self, monkeypatch, handoff):
         """The cap stops every problem still stepping at 2 n steps, while
-        the others stop on their own before it."""
+        the others stop on their own before it; at the default handoff,
+        problems handed to ``_solve`` mid-solve reach the cap there."""
         monkeypatch.setattr(svm, "_MAX_SWEEPS", 2)
         X, y = lbp_pca_rows()
-        grams, problems = lockstep_batch([(X, y, SvmParams(C=10.0, gamma=0.05))])
-        solved = assert_lockstep_matches_solve(grams, problems)
+        cap = 2 * len(y)
+        grams, problems = lockstep_batch(
+            [(X, y, SvmParams(C=10.0, gamma=0.05)), (X, y, SvmParams(C=1.0, gamma=0.05))]
+        )
+        solved, handed = assert_lockstep_matches_solve(grams, problems)
         flags = [(diag.converged, diag.steps) for _, _, diag in solved]
-        assert (False, 2 * len(y)) in flags
-        assert any(converged and steps < 2 * len(y) for converged, steps in flags)
+        assert (False, cap) in flags
+        assert any(converged and steps < cap for converged, steps in flags)
+        if handoff == "default":
+            assert {top for _, top in handed} == {199}
+            assert sum(flags[k] == (False, cap) for k, _ in handed) == 3
 
     @pytest.mark.filterwarnings("ignore:SMO stopped at its cap:RuntimeWarning")
     def test_tiny_tol(self, monkeypatch):
