@@ -281,9 +281,7 @@ def _run_extract(cfg, pre_images, ctx: StageContext):
 
 
 def _run_transform(cfg, bundle: _SplitRows, ctx: StageContext):
-    standardizer, pca, train_Z = fit_transform(
-        bundle.train, cfg, derive_seed(ctx.root_seed, "pca", ctx.split_index)
-    )
+    standardizer, pca, train_Z = fit_transform(bundle.train, cfg)
     return _SplitRows(train_Z, bundle.train_y, project(pca, standardizer.apply(bundle.test_groups)))
 
 

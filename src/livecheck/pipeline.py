@@ -351,13 +351,13 @@ def feature_groups(
     return np.stack(groups)
 
 
-def fit_transform(X: np.ndarray, config: TransformConfig, seed: int):
+def fit_transform(X: np.ndarray, config: TransformConfig):
     """Fit standardizer and PCA on training rows; returns
     (standardizer, pca, projected rows)."""
     standardizer = Standardizer.fit(X)
     Xs = standardizer.apply(X)
     k = resolve_components(config.pca_fraction, Xs.shape[1], Xs.shape[0])
-    pca = fit_pca_randomized(Xs, k, seed=seed, whiten=config.whiten)
+    pca = fit_pca_randomized(Xs, k, whiten=config.whiten)
     return standardizer, pca, project(pca, Xs)
 
 
@@ -420,7 +420,7 @@ def check_labels(images: list, labels) -> np.ndarray:
 def fit_pipeline(images: list[np.ndarray], labels: np.ndarray, config: PipelineConfig) -> TrainedPipeline:
     """Train the full pipeline on raw labeled images.
 
-    All randomness (filter banks, PCA sketch) derives from
+    The one random draw, a convnet's filter banks, derives from
     ``config.seed``; inside a memo scope, rows a grid search made with
     that seed are reused.  The model also depends on the order of the
     images: SMO stops at a KKT gap of 1e-3 and its working-set argmax
@@ -435,7 +435,7 @@ def fit_pipeline(images: list[np.ndarray], labels: np.ndarray, config: PipelineC
     groups = feature_groups(pre, config.augmented, config.extractor, config.seed, (extractor, banks))
     config = replace(config, extractor=extractor)
     rows = groups.reshape(-1, groups.shape[2])
-    standardizer, pca, Z = fit_transform(rows, config.transform, derive_seed(config.seed, "pca"))
+    standardizer, pca, Z = fit_transform(rows, config.transform)
     y = np.repeat(labels, groups.shape[1])
     classifier, _ = train_smo(Z, y, config.classifier)
     return TrainedPipeline(config, banks, standardizer, pca, classifier)

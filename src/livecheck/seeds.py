@@ -1,8 +1,8 @@
 """Deterministic derivation of child seeds from a single root seed.
 
-Every random stage of the pipeline (filter banks, PCA sketching, SMO
-tie-breaking, cross-validation shuffles) receives its own seed derived
-from the run's root seed and a short namespace path.  Derivation is
+Every random stage of the pipeline (a convnet's filter banks, the
+cross-validation shuffles) receives its own seed derived from the
+run's root seed and a short namespace path.  Derivation is
 pure arithmetic, so the same root always expands to the same family of
 streams regardless of the order stages are executed in.
 """

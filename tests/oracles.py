@@ -29,7 +29,6 @@ from livecheck.imageproc import (
 )
 from livecheck.lbp import LbpConfig, lbp_features
 from livecheck.pipeline import fit_transform
-from livecheck.seeds import derive_seed
 from livecheck.svm import decision_score, decision_scores, train_smo
 from livecheck.transform import project
 
@@ -595,9 +594,7 @@ def roi_block_loops(img):
 def transform_runner_per_image(cfg, bundle, ctx):
     """The grid search's transform stage with one standardize and
     project call per test image; returns (train rows, test groups)."""
-    standardizer, pca, train_Z = fit_transform(
-        bundle.train, cfg, derive_seed(ctx.root_seed, "pca", ctx.split_index)
-    )
+    standardizer, pca, train_Z = fit_transform(bundle.train, cfg)
     return train_Z, [project(pca, standardizer.apply(g)) for g in bundle.test_groups]
 
 

@@ -223,7 +223,7 @@ def test_03_pca_subspace_and_whitening():
         worst_unit = max(worst_unit, float(np.abs(variances - 1.0).max()))
     elapsed = time.perf_counter() - started
     ok = worst_angle < 1e-6 and worst_unit < 1e-4 and elapsed < 10.0
-    _verdict(ok, "randomized PCA and whitening",
+    _verdict(ok, "exact PCA and whitening",
              f"20 matrices, worst angle {worst_angle:.2e} < 1e-6, "
              f"worst |var-1| {worst_unit:.2e} < 1e-4, {elapsed:.1f}s < 10s")
 

@@ -4,6 +4,7 @@ Each thread count needs its own process, because BLAS reads it once at
 start-up.  The two models are the benchmark's scan-convnet-aug model and
 its select-lbp-aug grid search plus refit, on the same trees.  Their
 digests are pinned, so any change to the convnet or select bits fails.
+PCA fits on their own cover shapes those models do not reach.
 """
 
 from pathlib import Path
@@ -12,7 +13,7 @@ from conftest import PERFBENCH, run_python
 
 CONFIGS = PERFBENCH / "configs"
 # Leading hex digits of the 1-thread digests: scan-convnet-aug, select job.
-DIGEST_PREFIXES = ("dedc24a5c91e", "73804de125d1")
+DIGEST_PREFIXES = ("4882df53b946", "d9543679d07c")
 
 _FIT_AND_DIGEST = """
 import sys
@@ -64,3 +65,42 @@ def test_model_digests_match_at_one_and_two_threads(tmp_path):
     assert len(one) == 2
     assert all(digest.startswith(prefix) for digest, prefix in zip(one, DIGEST_PREFIXES)), one
     assert two == one
+
+
+# (rows, features, components): d <= n and d > n, with cross-products of
+# order 40 and 64 (LAPACK's eigh, 64 its largest order) and 65 to 512 (the
+# tridiagonal reduction), and more than 32 components, where LAPACK's QR
+# blocks.  At 200 x 600, 201 x 600, 300 x 230 and 250 x 1,200 a
+# matrix-product cross-product rounded differently at 1 and 2 threads, and
+# at 180 x 150 LAPACK's eigh of the order-150 cross-product did.
+PCA_SHAPES = [
+    (120, 40, 20), (64, 300, 30), (65, 300, 30), (160, 512, 26), (180, 150, 40), (200, 600, 30),
+    (201, 600, 30), (240, 600, 40), (300, 230, 40), (250, 1200, 20), (600, 512, 40),
+]
+
+_PCA_DIGESTS = """
+import hashlib, sys
+import numpy as np
+from livecheck.transform import fit_pca_randomized
+
+rng = np.random.default_rng(11)
+for n, d, k in eval(sys.argv[1]):
+    X = rng.standard_normal((n, d)) * rng.uniform(0.5, 2.0, d)
+    model = fit_pca_randomized(X, k)
+    print(hashlib.sha256(model.components.tobytes() + model.component_variances.tobytes()).hexdigest())
+"""
+
+
+def test_pca_bits_match_at_one_and_two_threads():
+    """Each PCA fit has the same components and variances at 1 and 2
+    BLAS threads."""
+    digests = []
+    for threads in (1, 2):
+        result = run_python(
+            "-c", _PCA_DIGESTS, repr(PCA_SHAPES),
+            env={"OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads)},
+        )
+        assert result.returncode == 0, result.stderr
+        digests.append(result.stdout.split())
+    assert len(digests[0]) == len(PCA_SHAPES)
+    assert digests[0] == digests[1]

@@ -930,11 +930,7 @@ class TestOneChain:
         for (split_index, params, request), fold_margins in zip(folds, margins):
             fold_labels = request.outcome
             train_idx, test_idx = splits[split_index]
-            standardizer, pca, train_Z = fit_transform(
-                np.vstack([groups[i] for i in train_idx]),
-                self.TRANSFORM,
-                derive_seed(seed, "pca", split_index),
-            )
+            standardizer, pca, train_Z = fit_transform(np.vstack([groups[i] for i in train_idx]), self.TRANSFORM)
             train_y = np.repeat(labels[train_idx], [len(groups[i]) for i in train_idx])
             model, _ = train_smo(train_Z, train_y, params)
             config = PipelineConfig(
@@ -953,10 +949,10 @@ class TestSelectFits:
 
     # Pair steps over the job's 41 fits, and the leading hex digits of a
     # sha256 over each model's dual_coefs and bias bytes in call order.
-    STEPS = 6819
-    MODELS_DIGEST = "d86b0c8638e7"
-    # The lockstep batch hands its last five fits to _solve at step 257.
-    HANDED_OVER = [257] * 5
+    STEPS = 6792
+    MODELS_DIGEST = "510eb3b4c656"
+    # The lockstep batch hands its last four fits to _solve at step 274.
+    HANDED_OVER = [274] * 4
 
     def test_steps_and_models_are_pinned(self, tmp_path, monkeypatch):
         """A change in step order moves the step count or some fold's

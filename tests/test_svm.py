@@ -51,7 +51,7 @@ def lbp_pca_rows():
     """120 augmented uniform-LBP rows of 12 highpassed textures after
     standardization and PCA, as one select-lbp-aug fold fit sees them."""
     X, labels = lbp_rows(17)
-    _, _, Z = fit_transform(X, TransformConfig(pca_fraction=0.5), seed=3)
+    _, _, Z = fit_transform(X, TransformConfig(pca_fraction=0.5))
     return Z, labels
 
 
@@ -520,7 +520,7 @@ class TestLockstep:
         assert (False, cap) in flags
         assert any(converged and steps < cap for converged, steps in flags)
         if handoff == "default":
-            assert {top for _, top in handed} == {199}
+            assert {top for _, top in handed} == {186}
             assert sum(flags[k] == (False, cap) for k, _ in handed) == 3
 
     @pytest.mark.filterwarnings("ignore:SMO stopped at its cap:RuntimeWarning")

@@ -1,4 +1,4 @@
-"""Standardization and randomized PCA against exact decompositions."""
+"""Standardization and PCA against exact decompositions."""
 
 import numpy as np
 import pytest
@@ -52,8 +52,19 @@ class TestStandardizer:
         with pytest.raises(ValueError):
             std.apply(np.zeros(4))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, rng, bad):
+        """A NaN or infinite entry is a named ValueError, not NaN means
+        or an overflow warning."""
+        X = rng.standard_normal((6, 4))
+        X[2, 1] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            Standardizer.fit(X)
+
 
 class TestRandomizedPca:
+    """``fit_pca_randomized``, an exact PCA despite its name."""
+
     def test_components_match_exact_svd(self, rng):
         """Subspace and per-component agreement on gapped spectra."""
         for trial in range(10):
@@ -81,22 +92,23 @@ class TestRandomizedPca:
             assert row[np.argmax(np.abs(row))] > 0.0
 
     def test_sign_fix_matches_row_loop(self, rng, monkeypatch):
-        """The sign fix gives the per-row loop's bits on the SVD's own
-        rows, and on rows whose largest magnitude appears as both +x and
-        -x, where the first of the two decides."""
-        svd = np.linalg.svd
+        """The sign fix gives the per-row loop's bits on the eigenvectors'
+        own rows, and on rows whose largest magnitude appears as both +x
+        and -x, where the first of the two decides."""
+        eigh = np.linalg.eigh
         seen = []
 
-        def recording_svd(a, full_matrices=True):
-            u, s, vt = svd(a, full_matrices=full_matrices)
-            seen.append(vt.copy())
-            return u, s, vt
+        def recording_eigh(a):
+            w, v = eigh(a)
+            seen.append(v.copy())
+            return w, v
 
         X = rng.standard_normal((30, 6))
-        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
         for k in (1, 3, 5):
             model = fit_pca_randomized(X, k=k, seed=k)
-            assert model.components.tobytes() == sign_fixed_rows(seen[-1][:k]).tobytes()
+            top_rows = seen[-1][:, ::-1][:, :k].T
+            assert model.components.tobytes() == sign_fixed_rows(top_rows).tobytes()
 
         tied = np.array([
             [0.5, -0.5, 0.5, -0.5, 0.0, 0.0],
@@ -105,21 +117,84 @@ class TestRandomizedPca:
             [0.0, 0.3, -0.3, 0.0, 0.1, 0.2],
         ])
 
-        def tied_svd(a, full_matrices=True):
-            u, s, _ = svd(a, full_matrices=full_matrices)
-            return u, s, tied
+        def tied_eigh(a):
+            w, _ = eigh(a)
+            v = np.zeros((6, 6))
+            v[:, 2:] = tied[::-1].T  # ascending order: the top row comes last
+            return w, v
 
-        monkeypatch.setattr(np.linalg, "svd", tied_svd)
+        monkeypatch.setattr(np.linalg, "eigh", tied_eigh)
         model = fit_pca_randomized(X, k=4, seed=0)
         assert model.components.tobytes() == sign_fixed_rows(tied).tobytes()
         assert np.signbit(model.components[1, 4:]).all()  # flipped zeros are -0.0
 
     def test_seed_changes_nothing_on_gapped_data(self, rng):
-        """Different sketches recover the same subspace."""
+        """``seed`` is accepted and unused: any two seeds give the same bits."""
         X = gapped_matrix(rng, k=4)
         a = fit_pca_randomized(X, k=4, seed=10, whiten=False)
         b = fit_pca_randomized(X, k=4, seed=99, whiten=False)
-        assert principal_angles(a.components, b.components) < 1e-6
+        for field in ("mean", "components", "component_variances"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+
+    @pytest.mark.parametrize(
+        "n, d, k",
+        [(120, 40, 20), (120, 10, 5), (160, 512, 26), (30, 31, 29), (240, 512, 26), (300, 230, 40), (70, 65, 30)],
+    )
+    def test_matches_svd_on_flat_spectrum(self, rng, n, d, k):
+        """Without a spectral gap, components and variances still equal
+        an SVD of the centered data's, through both cross-products: d <= n
+        and d > n (the convnet's 160 x 512 training rows), by LAPACK's
+        eigh and, past order 64, by the tridiagonal reduction."""
+        X = rng.standard_normal((n, d)) + 3.0
+        model = fit_pca_randomized(X, k, seed=0, whiten=False)
+        exact_components, exact_vars = pca_exact(X, k)
+        np.testing.assert_allclose(model.components, sign_fixed_rows(exact_components), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(model.component_variances, exact_vars, rtol=1e-10)
+
+    @pytest.mark.parametrize(
+        "unique, repeats, d, k", [(4, 8, 6, 5), (5, 4, 40, 12), (4, 60, 220, 5), (5, 50, 300, 12)]
+    )
+    def test_rank_deficient_data(self, rng, unique, repeats, d, k):
+        """Duplicated rows, constant leading features and k above the
+        centered data's rank: the components stay orthonormal, the
+        variances non-negative, and the whitened projections finite."""
+        X = np.tile(rng.standard_normal((unique, d)), (repeats, 1))
+        X[:, :2] = 0.5  # their cross-product rows and columns are zero
+        assert k > np.linalg.matrix_rank(X - X.mean(axis=0))
+        model = fit_pca_randomized(X, k, seed=0, whiten=True)
+        gram = model.components @ model.components.T
+        np.testing.assert_allclose(gram, np.eye(k), rtol=0, atol=1e-12)
+        assert np.all(model.component_variances >= 0.0)
+        assert np.all(np.isfinite(project(model, X)))
+
+    @pytest.mark.parametrize("n, d, k", [(200, 40, 30), (200, 100, 30), (80, 150, 30)])
+    def test_repeated_eigenvalues(self, rng, n, d, k):
+        """Centered data whose smaller cross-product is 9 times a projector:
+        every variance is 9 / n, and the components are still orthonormal."""
+        centered_basis = np.linalg.qr(np.column_stack([np.ones(n), rng.standard_normal((n, n - 1))]))[0][:, 1:]
+        if d < n:
+            X = 3.0 * centered_basis[:, :d]
+        else:
+            X = 3.0 * centered_basis @ np.linalg.qr(rng.standard_normal((d, n - 1)))[0].T
+        model = fit_pca_randomized(X, k, whiten=False)
+        gram = model.components @ model.components.T
+        np.testing.assert_allclose(gram, np.eye(k), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(model.component_variances, 9.0 / n, rtol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, rng, bad, monkeypatch):
+        """A NaN or infinite entry is a named ValueError, raised before
+        any warning or LAPACK call."""
+
+        def no_lapack(*args, **kwargs):
+            raise AssertionError("LAPACK called on non-finite data")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_lapack)
+        monkeypatch.setattr(np.linalg, "qr", no_lapack)
+        X = rng.standard_normal((20, 5))
+        X[7, 3] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            fit_pca_randomized(X, k=3, seed=0)
 
     def test_same_seed_bitwise_identical(self, rng):
         X = gapped_matrix(rng)
