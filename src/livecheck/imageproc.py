@@ -40,9 +40,6 @@ _WHITESPACE = b" \t\r\n\x0b\x0c"
 # about 18 bytes a pixel, so this cap holds one frame near 300 MB.
 MAX_PIXELS = 1 << 24
 
-GAUSS_SIZE = 13
-GAUSS_SIGMA = 3.0
-
 ROI_BLOCK = 16
 ROI_SIGMA_FACTOR = 3.0
 
@@ -247,6 +244,15 @@ def gaussian_kernel(size: int, sigma: float) -> np.ndarray:
     return kernel / kernel.sum()
 
 
+# The fixed lowpass Gaussian, run as two passes of its unit-sum profile:
+# gaussian_kernel(GAUSS_SIZE, GAUSS_SIGMA) is this profile's outer product with itself.
+GAUSS_SIZE = 13
+GAUSS_SIGMA = 3.0
+_GAUSS_PROFILE = gaussian_profile(GAUSS_SIZE, GAUSS_SIGMA)
+_GAUSS_PROFILE /= _GAUSS_PROFILE.sum()
+_GAUSS_PROFILE.setflags(write=False)
+
+
 def convolve2d(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """True 2-D convolution (kernel flipped) with mirrored borders.
 
@@ -321,35 +327,54 @@ def _tap_sum(weights: np.ndarray, flat: np.ndarray, step: int, out: np.ndarray, 
     return out
 
 
-def _blur_same(plane: np.ndarray, profile: np.ndarray, residual: bool = False) -> np.ndarray:
-    """Same-size separable convolution of a 2-D map with mirrored borders, as a new
-    C-contiguous array; with ``residual``, the map minus that blur.
+def _blur_same(planes, profile: np.ndarray, residual: bool = False) -> np.ndarray:
+    """Same-size separable convolution with mirrored borders of one 2-D map, as a new
+    C-contiguous array, or of each map of a list or (maps, H, W) stack of same-shape
+    maps, as one new (maps, H, W) array; with ``residual``, each map minus its blur.
 
-    Row tap j and column tap i are the shifts k + j and k + i * pitch of the padded
-    map flattened at row pitch ``pitch``, each one call over a contiguous span; the
-    sums that wrap past a row edge fall in the columns that the result cuts off.
-    Output rows run in the blocks of ``_row_blocks``: rows [r0, r1) take the row
-    pass over padded rows [r0, r1 + 2 * radius), mirrored into one reused buffer,
-    so every pixel gets the same products and sums in any block.  A 64x64 map is
-    one block."""
+    Maps padded by ``radius`` on every side lie back to back in one reused buffer,
+    flattened at row pitch ``pitch``.  Row tap j and column tap i are the shifts
+    k + j and k + i * pitch, each one call over the whole contiguous span.  The sums
+    that wrap past a row edge fall in the columns that the result cuts off, and those
+    that reach the next map's rows fall in the padded rows that it cuts off, so every
+    pixel gets the products and left-to-right sums it gets alone.  Maps run in
+    stacks of whole maps, split evenly into the fewest stacks whose padded copies
+    take at most ``_BLOCK_BYTES`` each: five padded 64x64 maps.  A map larger than
+    that runs alone in the row blocks of ``_row_blocks``: rows [r0, r1) take the row
+    pass over padded rows [r0, r1 + 2 * radius), with the same bits in any block."""
+    single = isinstance(planes, np.ndarray) and planes.ndim == 2
+    if single:
+        planes = planes[None]
     radius = len(profile) // 2
-    height, width = plane.shape
+    height, width = planes[0].shape
     pitch = width + 2 * radius
-    most, blocks = _row_blocks(height, 8 * pitch, 2 * radius)
-    padded, rows, product = np.empty((3, (most + 2 * radius) * pitch))
-    out = np.empty((most, pitch))
-    result = np.empty((height, width))
-    for r0, r1 in blocks:
-        n_rows = (r1 - r0 + 2 * radius) * pitch - 2 * radius
-        n_out = (r1 - r0 - 1) * pitch + width
-        _mirror_rows(plane, r0 - radius, r1 + radius, radius, padded[: n_rows + 2 * radius].reshape(-1, pitch))
+    map_bytes = 8 * (height + 2 * radius) * pitch
+    if map_bytes <= _BLOCK_BYTES:
+        most, stacks = _row_blocks(len(planes), map_bytes)
+        blocks = [(m0, m1, 0, height) for m0, m1 in stacks]
+        most *= height + 2 * radius
+    else:
+        most, spans = _row_blocks(height, 8 * pitch, 2 * radius)
+        blocks = [(m, m + 1, r0, r1) for m in range(len(planes)) for r0, r1 in spans]
+        most += 2 * radius
+    padded, rows, product, out = np.empty((4, most * pitch))
+    result = np.empty((len(planes), height, width))
+    for m0, m1, r0, r1 in blocks:
+        seg = r1 - r0 + 2 * radius  # a map's padded rows in the buffer
+        n_rows = (m1 - m0) * seg * pitch - 2 * radius
+        n_out = ((m1 - m0 - 1) * seg + r1 - r0 - 1) * pitch + width
+        segs = padded[: (m1 - m0) * seg * pitch].reshape(m1 - m0, seg, pitch)
+        for m, seg_rows in enumerate(segs, m0):
+            _mirror_rows(planes[m], r0 - radius, r1 + radius, radius, seg_rows)
         _tap_sum(profile, padded, 1, rows[:n_rows], product[:n_rows])
-        _tap_sum(profile, rows, pitch, out.ravel()[:n_out], product[:n_out])
+        _tap_sum(profile, rows, pitch, out[:n_out], product[:n_out])
+        blurred = out[: (m1 - m0) * seg * pitch].reshape(m1 - m0, seg, pitch)[:, : r1 - r0, :width]
         if residual:
-            np.subtract(plane[r0:r1], out[: r1 - r0, :width], out=result[r0:r1])
+            for m, blur in enumerate(blurred, m0):
+                np.subtract(planes[m][r0:r1], blur, out=result[m, r0:r1])
         else:
-            result[r0:r1] = out[: r1 - r0, :width]
-    return result
+            result[m0:m1, r0:r1] = blurred
+    return result[0] if single else result
 
 
 def _mirror_rows(plane: np.ndarray, start: int, stop: int, radius: int, out: np.ndarray) -> np.ndarray:
@@ -367,15 +392,21 @@ def _mirror_rows(plane: np.ndarray, start: int, stop: int, radius: int, out: np.
     return out
 
 
-def _lowpass(img: np.ndarray, residual: bool) -> np.ndarray:
+def _check_lowpass_input(img: np.ndarray) -> None:
+    """Raise ``ValueError`` unless ``img`` is 2-D with both sides at least ``GAUSS_SIZE``."""
     if img.ndim != 2:
         raise ValueError("lowpass expects a 2-D image")
     if GAUSS_SIZE > min(img.shape):
         raise ValueError(f"kernel {GAUSS_SIZE}x{GAUSS_SIZE} larger than image {img.shape}")
-    # gaussian_kernel is the outer product of this unit-sum profile with itself
-    profile = gaussian_profile(GAUSS_SIZE, GAUSS_SIGMA)
+
+
+def _lowpass(images, residual: bool) -> np.ndarray:
+    """``lowpass``, or with ``residual`` ``highpass``, of one 2-D image, or of each
+    image of a list of same-shape 2-D images as one (images, H, W) array."""
+    for img in images if isinstance(images, list) else [images]:
+        _check_lowpass_input(img)
     # Separable passes round alike at every pixel, so flat regions stay exactly tied for LBP's >=.
-    return _blur_same(img, profile / profile.sum(), residual)
+    return _blur_same(images, _GAUSS_PROFILE, residual)
 
 
 def lowpass(img: np.ndarray) -> np.ndarray:

@@ -472,15 +472,17 @@ def grid_search(
     executions = {stage.name: 0 for stage in grid.stages}
     hits = {stage.name: 0 for stage in grid.stages}
 
+    # A config's repr is canonical: frozen dataclasses of plain values.
+    # Equal candidates share a key, and a candidate that cannot be hashed
+    # still gets one.
+    reprs = [[repr(cfg) for cfg in stage.candidates] for stage in grid.stages]
+
     def run_chain(combo: tuple[int, ...], ctx: StageContext):
         value = None
         key: tuple = ()
-        for stage, choice in zip(grid.stages, combo):
+        for stage, choice, names in zip(grid.stages, combo, reprs):
             cfg = stage.candidates[choice]
-            # A config's repr is canonical: frozen dataclasses of plain
-            # values.  Equal candidates share a key, and a candidate that
-            # cannot be hashed still gets one.
-            key += (repr(cfg),)
+            key += (names[choice],)
             if use_cache and key in memo:
                 hits[stage.name] += 1
                 value = memo[key]

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import augment as aug
 from .convnet import ConvNetConfig, convnet_features, init_banks
-from .imageproc import _clahe, _extract_roi, _image_range, _row_blocks, highpass, lowpass, resize_bilinear
+from .imageproc import _check_lowpass_input, _clahe, _extract_roi, _image_range, _lowpass, _row_blocks, resize_bilinear
 from .lbp import LbpConfig, lbp_features, lbp_window_features
 from .seeds import derive_seed
 from .svm import SvmModel, SvmParams, decision_scores, train_smo
@@ -102,7 +102,15 @@ def preprocess_image(img: np.ndarray, config: PreprocessConfig) -> np.ndarray:
     Raises ``ValueError`` for an image that is not a finite, real 2-D array
     in [0, 1], and for a flat one (every pixel the same intensity), which
     holds no texture to score; that is the only validation the image gets.
+    This is ``preprocess_images`` of the one image.
     """
+    return _filter_images([_prepare_image(img, config)], config.filter)[0]
+
+
+def _prepare_image(img, config: PreprocessConfig) -> np.ndarray:
+    """``preprocess_image`` up to its filter: validation, downscale, ROI crop
+    and CLAHE, then the check that the filter fits the result, so that an
+    image raises here whatever ``preprocess_image`` raises for it."""
     out, lo, hi = _image_range(img)
     if lo == hi:
         raise ValueError(f"image has no intensity variation: every pixel is {lo:g}")
@@ -114,11 +122,30 @@ def preprocess_image(img: np.ndarray, config: PreprocessConfig) -> np.ndarray:
             out = out.copy()  # no later step makes a new array
     if config.equalize:
         out = _clahe(out, config.clahe_tiles, config.clahe_clip)
-    if config.filter == "lowpass":
-        out = lowpass(out)
-    elif config.filter == "highpass":
-        out = highpass(out)
+    if config.filter != "none":
+        _check_lowpass_input(out)
     return out
+
+
+def _filter_images(images: list, mode: str) -> list[np.ndarray]:
+    """Each of the ``_prepare_image`` results after the ``mode`` filter.  The
+    images of each shape, in order of first appearance, go to one ``_lowpass``
+    call, which runs them as stacks; each gets the bits it gets alone."""
+    if mode == "none":
+        return images
+    out = [None] * len(images)
+    for indices in _shape_groups(images).values():
+        for i, filtered in zip(indices, _lowpass([images[i] for i in indices], mode == "highpass")):
+            out[i] = filtered
+    return out
+
+
+def _shape_groups(images: list) -> dict[tuple, list[int]]:
+    """The indices of ``images`` by shape, shapes in order of first appearance."""
+    groups: dict[tuple, list[int]] = {}
+    for index, img in enumerate(images):
+        groups.setdefault(np.shape(img), []).append(index)
+    return groups
 
 
 def resolve_components(fraction: float, feature_dim: int, n_samples: int) -> int:
@@ -257,9 +284,14 @@ def _per_image(tag: tuple, images: list, compute) -> list:
 
 
 def preprocess_images(images: list, config: PreprocessConfig) -> list[np.ndarray]:
-    """``preprocess_image`` of every image."""
+    """``preprocess_image`` of every image, with its bits.  The memo's misses
+    run ``_prepare_image`` one at a time, in order, so the first failing image
+    raises the error it raises alone; ``_filter_images`` then filters them
+    together, same-shape images as stacks."""
     return _per_image(
-        ("preprocess", repr(config)), images, lambda batch: [preprocess_image(img, config) for img in batch]
+        ("preprocess", repr(config)),
+        images,
+        lambda batch: _filter_images([_prepare_image(img, config) for img in batch], config.filter),
     )
 
 
@@ -285,11 +317,8 @@ def _image_rows(images: list, augmented: bool, extractor, banks) -> list[np.ndar
     ``_VIEW_GROUP_BYTES`` runs alone instead, one at a time on the calling
     thread."""
     if isinstance(extractor, LbpConfig):
-        shapes: dict[tuple, list[int]] = {}
-        for index, img in enumerate(images):
-            shapes.setdefault(np.shape(img), []).append(index)
         out = [None] * len(images)
-        for shape, indices in shapes.items():
+        for shape, indices in _shape_groups(images).items():
             windows = aug.patch_windows(shape) if augmented else None
             for a, b in _row_blocks(len(indices), 8 * math.prod(shape))[1]:
                 batch = [images[i] for i in indices[a:b]]

@@ -454,24 +454,28 @@ class TestRefitReusesSearch:
         assert alone[0] != alone[1]
 
     def test_memo_released_when_main_returns(self, tmp_path, data_dir, capsys, monkeypatch):
-        preprocessed = []
-        real = pipeline.preprocess_image
+        """Each of the 8 images is prepared once, and the 8 filtered results
+        that the memo holds are gone once main returns."""
+        prepared, preprocessed = [], []
+        monkeypatch.setattr(pipeline, "_prepare_image", _counted(prepared, pipeline._prepare_image))
+        real = pipeline._filter_images
 
-        def recording(img, config):
-            out = real(img, config)
-            preprocessed.append(weakref.ref(out))
+        def recording(images, mode):
+            out = real(images, mode)
+            preprocessed.extend(weakref.ref(img) for img in out)
             return out
 
-        monkeypatch.setattr(pipeline, "preprocess_image", recording)
+        monkeypatch.setattr(pipeline, "_filter_images", recording)
         argv, _ = _refit_argv("gridsearch", LBP_AUG_GRID, data_dir, tmp_path)
         assert main(argv) == 0
+        assert len(prepared) == 8
         assert len(preprocessed) == 8
         assert [ref() for ref in preprocessed] == [None] * 8
 
     def test_uncached_search_in_scope_recomputes_and_adds_nothing(self, data_dir, monkeypatch):
         """4 candidates x 10 splits, each preprocessing all 8 images."""
         calls = []
-        monkeypatch.setattr(pipeline, "preprocess_image", _counted(calls, pipeline.preprocess_image))
+        monkeypatch.setattr(pipeline, "_prepare_image", _counted(calls, pipeline._prepare_image))
         parsed = parse_config(LBP_AUG_GRID)
         images, labels = load_images(load_dataset(data_dir))
         with pipeline._memo_scope():

@@ -8,6 +8,7 @@ import pytest
 
 from livecheck.imageproc import (
     _BLOCK_BYTES,
+    _GAUSS_PROFILE,
     RoiRect,
     _blur_same,
     as_image,
@@ -384,6 +385,14 @@ class TestFiltering:
                     np.testing.assert_array_equal(got, expected)
                     assert got.flags.c_contiguous and not np.shares_memory(got, layout)
 
+    def test_lowpass_profile_is_a_read_only_constant(self):
+        """``lowpass`` runs one profile made at import, with the bits of the
+        unit-sum 13-tap, sigma 3 profile; no caller can write it."""
+        profile = gaussian_profile(13, 3.0)
+        assert _GAUSS_PROFILE.tobytes() == (profile / profile.sum()).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            _GAUSS_PROFILE[0] = 0.0
+
     def test_blur_bits_match_slices_in_row_blocks(self, rng):
         """``lowpass``, ``highpass`` and ``_blur_same`` run their rows in blocks of at
         most ``fit`` output rows and give the slice oracle's bits: heights fit - 1
@@ -403,6 +412,34 @@ class TestFiltering:
                 assert got.flags.c_contiguous and got.shape == img.shape
                 assert got.tobytes() == expected.tobytes(), img.shape
         assert np.signbit(highpass(-np.zeros((fit + 1, 150)))).sum() == 0
+
+    def test_blur_stack_matches_each_map_alone(self, rng):
+        """A list or (maps, H, W) stack of same-shape maps gives each map the bits
+        of the slice oracle: 1 to 12 maps of 3x3 to 64x65 with profiles up to 13
+        taps, so stacks of several maps (five padded 64x64 maps fit
+        ``_BLOCK_BYTES``), a last map alone, and maps in row blocks."""
+        profile = gaussian_profile(13, 3.0)
+        profile /= profile.sum()
+        cases = [((3, 4), 5, 7), ((13, 13), 13, 12), ((64, 64), 13, 11), ((64, 65), 13, 6), ((40, 90), 13, 1)]
+        cases += [((_BLOCK_BYTES // (8 * 162) - 11, 150), 13, 3)]  # past the budget by one padded row
+        for shape, taps, count in cases:
+            weights = profile if taps == 13 else rng.uniform(0.1, 1.0, taps)
+            maps = rng.uniform(0.0, 1.0, (count, *shape))
+            want = np.stack([blur_same_slices(m, weights) for m in maps])
+            for planes in (maps, list(maps), [np.asfortranarray(m) for m in maps], layouts(maps)[2]):
+                blurred = _blur_same(planes, weights)
+                residual = _blur_same(planes, weights, residual=True)
+                assert blurred.shape == residual.shape == maps.shape and blurred.flags.c_contiguous
+                assert blurred.tobytes() == want.tobytes(), (shape, count)
+                assert residual.tobytes() == (maps - want).tobytes(), (shape, count)
+
+    def test_blur_stack_peak_pinned(self, rng):
+        """24 maps of 64x64 take their 0.79 MB result and four buffers of at
+        most ``_BLOCK_BYTES``: five padded maps, not all 24."""
+        profile = gaussian_profile(13, 3.0)
+        maps = list(rng.uniform(0.0, 1.0, (24, 64, 64)))
+        peak = _traced_peak(lambda: _blur_same(maps, profile / profile.sum(), residual=True))
+        assert peak < 24 * 64 * 64 * 8 + 4 * _BLOCK_BYTES + 50_000, f"traced peak {peak / 1e6:.2f} MB"
 
     def test_blur_peak_pinned(self, rng):
         """A 356x283 ROI crop of a 480x640 frame: the result takes 0.8 MB and the four

@@ -430,6 +430,28 @@ class TestGridSearch:
         assert result.cache_hits == {"extract": 1, "classify": 0}
         assert _tables(result) == [(0.0,), (0.0,)]
 
+    def test_candidate_keys_made_once_per_search(self):
+        """Each candidate's repr is taken once a search, not once for every
+        stage of every combination on every split; equal reprs still share
+        a key, so the executions and hits are unchanged."""
+
+        class Named(str):
+            made = []
+
+            def __repr__(self):
+                Named.made.append(str(self))
+                return str.__repr__(self)
+
+        images, labels, (split,) = _toy_problem()
+        calls = {"extract": 0, "classify": 0}
+        extract = tuple(Named(name) for name in ("bad", "good", "good"))
+        grid = GridSpec(stages=(GridStage("extract", extract), GridStage("classify", (Named("a"), Named("b")))))
+        result = grid_search(images, labels, grid, seed=0, splits=[split] * 3, runners=_counting_runners(calls))
+        assert sorted(Named.made) == ["a", "b", "bad", "good", "good"]
+        assert calls == {"extract": 2 * 3, "classify": 4 * 3}
+        assert result.cache_hits == {"extract": 4 * 3, "classify": 2 * 3}
+        assert _tables(result) == [(1.0,) * 3] * 2 + [(0.0,) * 3] * 4
+
     def test_each_search_starts_an_empty_memo(self):
         images, labels, splits = _toy_problem()
         grid = GridSpec(stages=(GridStage("extract", ("bad", "good")), GridStage("classify", ("a", "b"))))
@@ -565,17 +587,18 @@ def _closure_classify(sign):
 
 
 def _count_work(monkeypatch) -> dict:
-    """Live counts of the images preprocessed and of the images, stacks
+    """Live counts of the images preprocessed, each a ``_prepare_image``
+    call before the filter takes them as stacks, and of the images, stacks
     and views extracted (``count_extracted``)."""
     calls = count_extracted(monkeypatch, pipeline)
     calls["preprocess"] = 0
-    run = pipeline.preprocess_image
+    run = pipeline._prepare_image
 
     def counting(*args, **kwargs):
         calls["preprocess"] += 1
         return run(*args, **kwargs)
 
-    monkeypatch.setattr(pipeline, "preprocess_image", counting)
+    monkeypatch.setattr(pipeline, "_prepare_image", counting)
     return calls
 
 

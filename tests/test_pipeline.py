@@ -1,7 +1,9 @@
 """A trained pipeline scores an image's views as one stack, and refuses
 what it cannot score instead of labelling it."""
 
+import contextlib
 import hashlib
+import math
 import os
 import sys
 import threading
@@ -160,6 +162,77 @@ class TestPreprocess:
         for bad in (_with_nan_pixel(img), img * 5.0, img - 0.5, img[None], np.zeros_like(img), img + 0.5j):
             with pytest.raises(ValueError):
                 preprocess_image(bad, config)
+
+
+def _mixed_batch(rng, scale: float) -> list:
+    """Seven 64x64 textures, then images that are 64x65, 40x90, 13x13,
+    120x150 (which stacks with no other) and 200x300 (which runs in row
+    blocks) after ``scale``, and the first image object again."""
+    textures, _ = make_texture_dataset(4, size=64, seed=11, blur_sigma=0.4)
+    batch = textures[:7]
+    for shape in ((64, 65), (40, 90), (13, 13), (120, 150), (200, 300)):
+        batch.append(rng.uniform(0.0, 1.0, [math.ceil(side / scale) for side in shape]))
+    return batch + [batch[0]]
+
+
+class TestStackedPreprocess:
+    """``preprocess_images`` filters same-shape images as stacks, with the
+    bits and the first error of ``preprocess_image`` one image at a time."""
+
+    @pytest.mark.parametrize("filter", ["none", "lowpass", "highpass"])
+    @pytest.mark.parametrize("equalize", [False, True])
+    @pytest.mark.parametrize("roi", [False, True])
+    @pytest.mark.parametrize("scale", [1.0, 0.75])
+    def test_equals_one_image_at_a_time(self, rng, scale, roi, equalize, filter, monkeypatch):
+        config = PreprocessConfig(scale=scale, filter=filter, roi=roi, equalize=equalize)
+        batch = _mixed_batch(rng, scale)
+        want = [preprocess_image(img, config) for img in batch]
+        stacks = []
+        lowpass = pipeline._lowpass
+
+        def recording(images, residual):
+            stacks.append(len(images))
+            return lowpass(images, residual)
+
+        monkeypatch.setattr(pipeline, "_lowpass", recording)
+        for scope in (contextlib.nullcontext(), pipeline._memo_scope()):
+            with scope:
+                got = pipeline.preprocess_images(batch, config)
+            assert len(got) == len(want)
+            for out, expected in zip(got, want):
+                assert out.shape == expected.shape and out.flags.c_contiguous
+                assert out.tobytes() == expected.tobytes()
+        assert got[-1] is got[0]  # the memo prepares a repeated object once
+        if filter != "none":
+            # The textures keep one shape through the ROI, so each run filters them
+            # as one group, with the repeated object only when there is no memo.
+            assert stacks == [8, 1, 1, 1, 1, 1] + [7, 1, 1, 1, 1, 1]
+
+    @pytest.mark.parametrize("filter", ["none", "highpass"])
+    @pytest.mark.parametrize("scale", [1.0, 0.75])
+    def test_first_failing_image_raises(self, rng, scale, filter):
+        """A flat, a 12x12 and a NaN image, in three orders, placed among
+        the 64x64 stack: the error is the one the per-image loop meets
+        first (a 12x12 image fails only when filtered)."""
+        config = PreprocessConfig(scale=scale, filter=filter)
+        batch = _mixed_batch(rng, scale)
+        bad = [np.full((64, 64), 0.5), rng.uniform(0.0, 1.0, (12, 12)), _with_nan_pixel(batch[1])]
+        for order in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            mixed = list(batch)
+            for position, k in zip((3, 5, 9), order):
+                mixed.insert(position, bad[k])
+            expected = None
+            for img in mixed:
+                try:
+                    preprocess_image(img, config)
+                except ValueError as exc:
+                    expected = str(exc)
+                    break
+            assert expected is not None
+            for scope in (contextlib.nullcontext(), pipeline._memo_scope()):
+                with scope, pytest.raises(ValueError) as info:
+                    pipeline.preprocess_images(mixed, config)
+                assert str(info.value) == expected
 
 
 DEPLOYED_CONVNET = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "scan-convnet-aug.ini"
