@@ -12,7 +12,11 @@ of the stage's config dataclass, so adding a field changes the format.
 Loading verifies the magic, version, digest, every declared length,
 the presence and JSON type of every header key and array, that arrays,
 ``epsilon`` and ``bias`` are finite, and that nothing trails the
-digest; any failure is a ``ValueError`` naming the stage and key.
+digest.  It also refuses a model that would fail at scoring or label
+every input alike: no PCA component, a negative feature std or
+component variance, or dual coefficients that do not take both signs
+(sum(alpha_i y_i) = 0, so a solve that moves any alpha off 0 gives
+both).  Any failure is a ``ValueError`` naming the stage and key.
 Stored filter banks are used as-is on load rather than re-derived from
 seeds, so a model file keeps scoring identically even if filter
 initialization ever changes.
@@ -95,6 +99,13 @@ def _array(arrays: dict, stage: str, name: str, shape: tuple, dims: dict) -> np.
         raise ValueError(
             f"corrupt model file: stage {stage} array {name} has shape {value.shape}, expected {shape}"
         )
+    return value
+
+
+def _nonnegative(value: np.ndarray, stage: str, name: str) -> np.ndarray:
+    """Array ``name`` of ``stage``, checked to hold no negative entry."""
+    if (value < 0.0).any():
+        raise ValueError(f"corrupt model file: stage {stage} array {name} holds a negative value")
     return value
 
 
@@ -271,21 +282,26 @@ def model_from_bytes(data: bytes) -> TrainedPipeline:
     dims: dict[str, int] = {}
     standardizer = Standardizer(
         means=_array(tr_arrays, tr, "feature_means", ("d",), dims),
-        stds=_array(tr_arrays, tr, "feature_stds", ("d",), dims),
+        stds=_nonnegative(_array(tr_arrays, tr, "feature_stds", ("d",), dims), tr, "feature_stds"),
     )
+    pca_mean = _array(tr_arrays, tr, "pca_mean", ("d",), dims)
+    components = _array(tr_arrays, tr, "components", ("k", "d"), dims)
+    if not len(components):
+        raise ValueError(f"corrupt model file: stage {tr} array components holds no component")
     pca = PcaModel(
-        mean=_array(tr_arrays, tr, "pca_mean", ("d",), dims),
-        components=_array(tr_arrays, tr, "components", ("k", "d"), dims),
-        component_variances=_array(tr_arrays, tr, "component_variances", ("k",), dims),
+        mean=pca_mean,
+        components=components,
+        component_variances=_nonnegative(
+            _array(tr_arrays, tr, "component_variances", ("k",), dims), tr, "component_variances"
+        ),
         whiten=config.transform.whiten,
         epsilon=_finite(tr_h, tr, "epsilon", low=0.0),
     )
-    classifier = SvmModel(
-        support_vectors=_array(cl_arrays, cl, "support_vectors", ("m", "k"), dims),
-        dual_coefs=_array(cl_arrays, cl, "dual_coefs", ("m",), dims),
-        bias=_finite(cl_h, cl, "bias"),
-        gamma=config.classifier.gamma,
-    )
+    support_vectors = _array(cl_arrays, cl, "support_vectors", ("m", "k"), dims)
+    dual_coefs = _array(cl_arrays, cl, "dual_coefs", ("m",), dims)
+    if not ((dual_coefs > 0.0).any() and (dual_coefs < 0.0).any()):
+        raise ValueError(f"corrupt model file: stage {cl} array dual_coefs lacks coefficients of both signs")
+    classifier = SvmModel(support_vectors, dual_coefs, _finite(cl_h, cl, "bias"), config.classifier.gamma)
     return TrainedPipeline(config, banks, standardizer, pca, classifier)
 
 

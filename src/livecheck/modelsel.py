@@ -11,8 +11,8 @@ preprocessed once per config and extracted once per extractor.  The
 rows come as one (images, views, features) array in train-then-test
 order, and the split only chooses which images train and which test.
 The command line keeps that memo through the winner's refit.  The
-default classify runner returns a fit request, and the search trains
-its requests together in lockstep batches.
+default classify runner returns a fit request, and the search hands its
+requests to ``svm._FitQueue``, which decides how each trains.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .pipeline import (
     preprocess_images,
 )
 from .seeds import derive_seed
-from .svm import SvmParams, _model, _solve, _solve_lockstep, _training_data, rbf_gram
+from .svm import SvmParams, _FitQueue, _training_data
 from .transform import project
 
 __all__ = [
@@ -54,11 +54,6 @@ STAGE_PREPROCESS = "preprocess"
 STAGE_EXTRACT = "extract"
 STAGE_TRANSFORM = "transform"
 STAGE_CLASSIFY = "classify"
-
-# A search trains its classify stage's fits together, in lockstep batches
-# whose distinct Grams take at most this many bytes (select-lbp-aug's 20
-# take 2.2 MiB); a fit whose Gram alone exceeds it trains at once, alone.
-_LOCKSTEP_GRAM_BYTES = 4 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +283,9 @@ def _run_transform(cfg, bundle: _SplitRows, ctx: StageContext):
 @dataclass(eq=False)
 class _FitRequest:
     """The default classify runner's result: an SVM fit and the test fold
-    its model labels, resolved by ``grid_search`` with the search's other
-    fits.  ``outcome`` is then the fold's labels or a ``_Failure``, and
-    the inputs are dropped."""
+    its model labels, resolved through the search's ``_FitQueue``.
+    ``outcome`` is then the fold's labels or a ``_Failure``, and the
+    inputs are dropped."""
 
     train: np.ndarray | None
     train_y: np.ndarray | None
@@ -298,12 +293,13 @@ class _FitRequest:
     test_groups: np.ndarray | None
     outcome: object = None
 
-    def resolve(self, alphas: np.ndarray, bias: float, diag) -> None:
-        """Label the test fold with the model of a finished solve; an error,
-        or a warning raised as one, fails this request alone."""
+    def resolve(self, fitted) -> None:
+        """Label the test fold with the fit's model; the fit's error, or
+        one in labelling, fails this request alone."""
         try:
-            model = _model(self.train, self.train_y, self.params, alphas, bias, diag)
-            self.outcome = margin_labels(group_margins(model, self.test_groups))
+            if isinstance(fitted, Exception):
+                raise fitted
+            self.outcome = margin_labels(group_margins(fitted, self.test_groups))
         except Exception as exc:  # scored, flagged, never fatal
             self.outcome = _Failure(f"{type(exc).__name__}: {exc}")
         self.train = self.train_y = self.test_groups = None
@@ -330,59 +326,6 @@ def default_runners() -> dict:
 @dataclass
 class _Failure:
     message: str
-
-
-def _gram_key(request: _FitRequest) -> tuple:
-    return id(request.train), request.params.gamma
-
-
-def _resolve_alone(request: _FitRequest) -> None:
-    K = rbf_gram(request.train, request.train, request.params.gamma)
-    request.resolve(*_solve(K, request.train_y, request.params))
-
-
-class _Fits:
-    """The fit requests of one search, queued until their Grams would
-    exceed ``_LOCKSTEP_GRAM_BYTES``, then trained in lockstep, one batch
-    for each row count.  Requests on one train-rows object and gamma, such
-    as two values of C on one split, share a Gram.  A request whose Gram
-    alone exceeds the budget trains at once with ``_solve``, and the
-    lockstep hands its last few problems, or a batch that starts as few,
-    to ``_solve`` as well."""
-
-    def __init__(self):
-        self.pending: list[_FitRequest] = []
-        self.grams: set = set()  # the Gram keys of the pending requests
-        self.bytes = 0
-
-    def add(self, request: _FitRequest) -> None:
-        size = 8 * len(request.train_y) ** 2
-        if size > _LOCKSTEP_GRAM_BYTES:
-            _resolve_alone(request)
-            return
-        if _gram_key(request) not in self.grams:
-            if self.bytes + size > _LOCKSTEP_GRAM_BYTES:
-                self.flush()
-            self.grams.add(_gram_key(request))
-            self.bytes += size
-        self.pending.append(request)
-
-    def flush(self) -> None:
-        batches: dict[int, list[_FitRequest]] = {}
-        for request in self.pending:
-            batches.setdefault(len(request.train_y), []).append(request)
-        self.pending, self.grams, self.bytes = [], set(), 0
-        for n, batch in batches.items():
-            sources: dict[tuple, _FitRequest] = {}  # each Gram's first request
-            for request in batch:
-                sources.setdefault(_gram_key(request), request)
-            grams = np.empty((len(sources), n, n))
-            for g, request in enumerate(sources.values()):
-                grams[g] = rbf_gram(request.train, request.train, request.params.gamma)
-            index = {key: g for g, key in enumerate(sources)}
-            problems = [(index[_gram_key(r)], r.train_y, r.params) for r in batch]
-            for request, solved in zip(batch, _solve_lockstep(grams, problems)):
-                request.resolve(*solved)
 
 
 def _tiebreak_key(result: CandidateResult, grid: GridSpec):
@@ -443,18 +386,15 @@ def grid_search(
 
     The library's classify runner is the one exception to that contract:
     it checks its training rows as ``train_smo`` does and returns a fit
-    request instead of labels.  The search queues its requests and trains
-    them in lockstep batches of one row count each
-    (``svm._solve_lockstep``) when their distinct Grams would pass
-    ``_LOCKSTEP_GRAM_BYTES``, and after the last split; requests on one
-    train-rows object and gamma share a Gram.  A request whose Gram alone
-    exceeds the budget trains at once with ``train_smo``'s solver, and a
-    batch finishes its last few fits in that solver.  Each fit gets the
-    bits it gets alone, so the tables are those of one fit at a time.  A
-    fit that fails when it resolves, such as one stopped at the step cap
-    while warnings are errors, fails its own candidate with the message
-    ``train_smo`` raises; its runner call still counts in ``executions``.
-    A custom classify runner returns labels as before.
+    request instead of labels.  The search hands its requests to an
+    ``svm._FitQueue`` and flushes it after the last split; the queue owns
+    the Gram budget and trains the fits in lockstep batches or alone.
+    Each fit gets the bits it gets alone, so the tables are those of one
+    fit at a time.  A fit that fails when it resolves, such as one
+    stopped at the step cap while warnings are errors, fails its own
+    candidate with the message ``train_smo`` raises; its runner call
+    still counts in ``executions``.  A custom classify runner returns
+    labels as before.
     """
     labels = check_labels(images, labels)
     if splits is None:
@@ -468,7 +408,7 @@ def grid_search(
             raise ValueError(f"no runner for stage {stage.name!r}")
 
     memo: dict = {}  # the current split's stage results by key
-    fits = _Fits()
+    fits = _FitQueue()
     executions = {stage.name: 0 for stage in grid.stages}
     hits = {stage.name: 0 for stage in grid.stages}
 
@@ -492,7 +432,7 @@ def grid_search(
                     value = runners[stage.name](cfg, value, ctx)
                     executions[stage.name] += 1
                     if isinstance(value, _FitRequest):
-                        fits.add(value)
+                        fits.add(value.train, value.train_y, value.params, value.resolve)
                 except Exception as exc:  # scored, flagged, never fatal
                     value = _Failure(f"{type(exc).__name__}: {exc}")
             if use_cache:

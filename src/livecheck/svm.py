@@ -10,7 +10,8 @@ choice is deterministic, so training depends only on the data and the
 parameters.  ``_solve`` starts from zero or resumes a given state.
 ``_solve_lockstep`` steps several problems of one size at once and
 hands each to ``_solve`` once few are left, so every problem gets the
-bits that ``_solve`` gives it alone.
+bits that ``_solve`` gives it alone.  ``_FitQueue`` decides which of a
+grid search's fits share a Gram and which train in lockstep or alone.
 """
 
 from __future__ import annotations
@@ -45,6 +46,10 @@ _CURVATURE_CACHE_BYTES = 128 << 10
 # median 21.5-21.8 ms at any value from 4 to 10, against 24.1 ms with no
 # handoff and 40.5 ms with every problem in _solve.
 _HANDOFF_LIVE = 5
+# A _FitQueue trains its fits in lockstep batches whose distinct Grams take
+# at most this many bytes (select-lbp-aug's 20 take 2.2 MiB); a fit whose
+# Gram alone exceeds it trains at once, alone.
+_LOCKSTEP_GRAM_BYTES = 4 << 20
 _SV_EPS = 1e-12
 
 
@@ -105,15 +110,13 @@ def rbf_gram(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
 
 class _SmoState(NamedTuple):
     """Where a solve stands: its alphas, ``s_up`` and ``s_low`` (see
-    ``_solve``), the pair steps taken and the dual objectives collected.
-    ``_solve`` writes over its alphas, ``s_up``, ``s_low`` and
-    objectives."""
+    ``_solve``) and the pair steps taken.  ``_solve`` writes over its
+    alphas, ``s_up`` and ``s_low``."""
 
     alphas: list[float]
     s_up: np.ndarray
     s_low: np.ndarray
     steps: int
-    objectives: list[float] | None
 
 
 def _bounds_at_zero(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -144,8 +147,9 @@ def _solve(
     # exactly the bits a rebuild from s would), and only i and j can change
     # set.
     if state is None:
-        state = _SmoState([0.0] * n, *_bounds_at_zero(y), 0, [])
-    alphas, s_up, s_low, steps, objectives = state
+        state = _SmoState([0.0] * n, *_bounds_at_zero(y), 0)
+    alphas, s_up, s_low, steps = state
+    objectives: list[float] | None = [] if collect_objectives else None
     b, a_scratch, gain, dk = (np.empty(n) for _ in range(4))
     # Curvature rows a_k = max(K_kk + K_ll - 2 K_kl, 1e-12) for working
     # indices k < m, built in one pass within a byte budget; a row past it
@@ -233,7 +237,7 @@ def _solve(
         steps += 1
         if collect_objectives and steps % n == 0:
             objectives.append(_dual_objective(np.array(alphas), y, s_up, s_low))
-    return _finish(np.array(alphas), y, s_up, s_low, params, steps, objectives if collect_objectives else None)
+    return _finish(np.array(alphas), y, s_up, s_low, params, steps, objectives)
 
 
 def _dual_objective(alpha: np.ndarray, y: np.ndarray, s_up: np.ndarray, s_low: np.ndarray) -> float:
@@ -275,7 +279,7 @@ def _finish(
 
 
 def _solve_lockstep(
-    grams: np.ndarray, problems: list[tuple[int, np.ndarray, SvmParams]], collect_objectives: bool = False
+    grams: np.ndarray, problems: list[tuple[int, np.ndarray, SvmParams]]
 ) -> list[tuple[np.ndarray, float, SmoDiagnostics]]:
     """``_solve`` of several problems of one size n at once.  Problem k is
     ``(g, y, params)``, the SVM over the Gram ``grams[g]``; problems may
@@ -316,23 +320,20 @@ def _solve_lockstep(
         np.add, np.subtract, np.multiply, np.divide, np.copysign, np.maximum, np.minimum, np.where
     )
     inf = math.inf
-    objectives: list[list[float] | None] = [[] if collect_objectives else None for _ in problems]
     results: list = [None] * len(problems)
 
     def retire(stopped: np.ndarray) -> None:
         for row in np.flatnonzero(stopped):
             k = ids[row]
-            results[k] = _finish(
-                alphas[row].copy(), y[row], s_up[row], s_low[row], problems[k][2], steps, objectives[k]
-            )
+            results[k] = _finish(alphas[row].copy(), y[row], s_up[row], s_low[row], problems[k][2], steps, None)
 
     steps = 0
     while steps < _MAX_SWEEPS * n:
         if len(ids) <= _HANDOFF_LIVE:
             for row, k in enumerate(ids):
                 g, labels, params = problems[k]
-                state = _SmoState(alphas[row].tolist(), s_up[row], s_low[row], steps, objectives[k])
-                results[k] = _solve(grams[g], labels, params, collect_objectives, state)
+                state = _SmoState(alphas[row].tolist(), s_up[row], s_low[row], steps)
+                results[k] = _solve(grams[g], labels, params, state=state)
             return results
         i = s_up.argmax(axis=1)
         at_i = offsets + i
@@ -389,9 +390,6 @@ def _solve_lockstep(
         s_up.put(at, where(where(pair_positive, below_c, above_zero | column_j), s_pair, -inf))
         s_low.put(at, where(where(pair_positive, above_zero | column_i, below_c), s_pair, inf))
         steps += 1
-        if collect_objectives and steps % n == 0:
-            for row, k in enumerate(ids):
-                objectives[k].append(_dual_objective(alphas[row].copy(), y[row], s_up[row], s_low[row]))
     retire(np.ones(len(ids), dtype=bool))
     return results
 
@@ -433,6 +431,67 @@ def _model(X: np.ndarray, y: np.ndarray, params: SvmParams, alphas: np.ndarray, 
     )
 
 
+def _solve_alone(X: np.ndarray, y: np.ndarray, params: SvmParams, collect_objectives: bool = False) -> tuple:
+    """``_solve`` of checked training rows over a Gram of their own."""
+    return _solve(rbf_gram(X, X, params.gamma), y, params, collect_objectives)
+
+
+def _deliver(X: np.ndarray, y: np.ndarray, params: SvmParams, done, solved) -> None:
+    """Hand ``done`` the model of a finished solve over ``X``, or the
+    step-cap warning that ``_model`` raised for it as an error."""
+    try:
+        fitted = _model(X, y, params, *solved)
+    except RuntimeWarning as exc:  # the fit's own failure, never the queue's
+        fitted = exc
+    done(fitted)
+
+
+class _FitQueue:
+    """SVM fits queued until their Grams would exceed ``_LOCKSTEP_GRAM_BYTES``,
+    then trained in lockstep, one batch per row count.  Fits on one ``X``
+    object and gamma, such as two values of C on one split, share a Gram.
+    A fit whose Gram alone exceeds the budget trains at once, alone.  Each
+    fit gets the bits that ``train_smo`` gives it alone."""
+
+    def __init__(self):
+        self.pending: list[tuple] = []  # (X, y, params, done) per fit
+        self.grams: set = set()  # the Gram keys of the pending fits
+        self.bytes = 0
+
+    def add(self, X: np.ndarray, y: np.ndarray, params: SvmParams, done) -> None:
+        """Queue a fit on rows that ``_training_data`` has checked;
+        ``done`` gets its ``SvmModel`` or its error (see ``_deliver``)."""
+        size = 8 * len(y) ** 2
+        if size > _LOCKSTEP_GRAM_BYTES:
+            _deliver(X, y, params, done, _solve_alone(X, y, params))
+            return
+        key = id(X), params.gamma
+        if key not in self.grams:
+            if self.bytes + size > _LOCKSTEP_GRAM_BYTES:
+                self.flush()
+            self.grams.add(key)
+            self.bytes += size
+        self.pending.append((X, y, params, done))
+
+    def flush(self) -> None:
+        """Train every pending fit."""
+        batches: dict[int, list[tuple]] = {}
+        for fit in self.pending:
+            batches.setdefault(len(fit[1]), []).append(fit)
+        self.pending, self.grams, self.bytes = [], set(), 0
+        for n, batch in batches.items():
+            sources: dict[tuple, np.ndarray] = {}  # each Gram's rows, in order of first use
+            for X, _, params, _ in batch:
+                sources.setdefault((id(X), params.gamma), X)
+            grams = np.empty((len(sources), n, n))
+            for g, ((_, gamma), X) in enumerate(sources.items()):
+                grams[g] = rbf_gram(X, X, gamma)
+            index = {key: g for g, key in enumerate(sources)}
+            problems = [(index[id(X), params.gamma], y, params) for X, y, params, _ in batch]
+            for (X, y, params, done), solved in zip(batch, _solve_lockstep(grams, problems)):
+                _deliver(X, y, params, done, solved)
+
+
 def train_smo(
     X: np.ndarray,
     y: np.ndarray,
@@ -452,7 +511,7 @@ def train_smo(
     deterministic.
     """
     X, y = _training_data(X, y)
-    solved = _solve(rbf_gram(X, X, params.gamma), y, params, collect_diagnostics)
+    solved = _solve_alone(X, y, params, collect_diagnostics)
     model = _model(X, y, params, *solved)
     return model, (solved[2] if collect_diagnostics else None)
 

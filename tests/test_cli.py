@@ -13,7 +13,7 @@ from livecheck.cli import main
 from livecheck.config import parse_config, parse_config_file
 from livecheck.dataset import load_dataset, load_images
 from livecheck.imageproc import write_pgm
-from livecheck.model_io import load_model, model_bytes
+from livecheck.model_io import load_model, model_bytes, save_model
 from livecheck.modelsel import grid_search
 from livecheck.pipeline import fit_pipeline
 from livecheck.synthdata import make_texture_dataset, write_dataset_tree
@@ -245,6 +245,29 @@ class TestPredict:
         code = main(["predict", "--model", str(tmp_path / "absent.lvck"), target])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_model_without_support_vectors_exits_two(self, tmp_path, data_dir, trained_model, capsys):
+        """A checksummed file whose classifier has no support vectors and a
+        positive bias would call every input live; predict refuses it and
+        prints no score."""
+        trained = load_model(trained_model)
+        classifier = trained.classifier
+        empty = dataclasses.replace(
+            classifier,
+            support_vectors=classifier.support_vectors[:0],
+            dual_coefs=classifier.dual_coefs[:0],
+            bias=0.5,
+        )
+        path = tmp_path / "empty.lvck"
+        save_model(path, dataclasses.replace(trained, classifier=empty))
+        noise = tmp_path / "noise.pgm"
+        noise.write_bytes(write_pgm(np.random.default_rng(3).uniform(size=(32, 32))))
+        capsys.readouterr()
+        code = main(["predict", "--model", str(path), str(noise)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "corrupt model file: stage classify array dual_coefs" in captured.err
 
 
 class TestEvaluate:

@@ -4,6 +4,7 @@ import functools
 import hashlib
 import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -252,6 +253,44 @@ class TestCorruption:
             blob = _join(stages[:index] + [({**header, key: value}, body)] + stages[index + 1 :])
             with pytest.raises(ValueError, match=f"corrupt model file: stage {stage} key {key}"):
                 model_from_bytes(blob)
+
+    def test_models_training_cannot_produce_rejected(self, lbp_trained):
+        """Checksummed files that would load and then score every input
+        alike, or fail in scoring: no support vectors, dual coefficients
+        of one sign, negative stds or variances, and no PCA component."""
+        pipeline, _ = lbp_trained
+        pca, classifier = pipeline.pca, pipeline.classifier
+        negative_variance = pca.component_variances.copy()
+        negative_variance[-1] = -1e-3
+        cases = {
+            "classify array dual_coefs lacks coefficients of both signs": [
+                dict(classifier=replace(
+                    classifier,
+                    support_vectors=classifier.support_vectors[:0],
+                    dual_coefs=classifier.dual_coefs[:0],
+                    bias=0.5,
+                )),
+                dict(classifier=replace(classifier, dual_coefs=np.abs(classifier.dual_coefs))),
+                dict(classifier=replace(classifier, dual_coefs=-np.abs(classifier.dual_coefs))),
+            ],
+            "transform array feature_stds holds a negative value": [
+                dict(standardizer=replace(pipeline.standardizer, stds=-pipeline.standardizer.stds)),
+            ],
+            "transform array component_variances holds a negative value": [
+                dict(pca=replace(pca, component_variances=negative_variance)),
+            ],
+            "transform array components holds no component": [
+                dict(
+                    pca=replace(pca, components=pca.components[:0], component_variances=pca.component_variances[:0]),
+                    classifier=replace(classifier, support_vectors=classifier.support_vectors[:, :0]),
+                ),
+            ],
+        }
+        for message, changes in cases.items():
+            for change in changes:
+                blob = model_bytes(replace(pipeline, **change))
+                with pytest.raises(ValueError, match=f"corrupt model file: stage {message}"):
+                    model_from_bytes(blob)
 
     def test_infinite_clahe_clip_is_valid(self, lbp_trained):
         """An unbounded clip is plain adaptive equalization, not corruption."""

@@ -127,6 +127,35 @@ class TestFiveByTwo:
             five_by_two_splits(np.array([1.0, 1.0, 1.0, -1.0]), seed=0)
 
 
+class TestDeriveSeed:
+    # Roots below 2**32 keep the streams they had when integers were masked
+    # to 32 bits, so no model or digest moves.
+    PINNED = {
+        (7, "cv"): 2477646526,
+        (2015, "select-lbp-aug", "train"): 3156142285,
+        (42, "filters", 1): 942406681,
+        (0, "pca", 3): 1459501428,
+        (2**32 - 1, "smo"): 1731113524,
+    }
+
+    def test_values_below_two_to_the_32_are_pinned(self):
+        assert {path: derive_seed(*path) for path in self.PINNED} == self.PINNED
+
+    def test_large_root_does_not_alias_its_low_bits(self):
+        assert derive_seed(7 + 2**32, "cv") != derive_seed(7, "cv")
+        labels = np.array([1.0] * 10 + [-1.0] * 10)
+        folds = [
+            [train.tolist() for train, _ in five_by_two_splits(labels, derive_seed(root, "cv"))]
+            for root in (7, 7 + 2**32)
+        ]
+        assert folds[0] != folds[1]
+
+    def test_negative_parts_rejected(self):
+        for path in ((-1, "cv"), (7, "filters", -1)):
+            with pytest.raises(ValueError, match="non-negative"):
+                derive_seed(*path)
+
+
 def _toy_problem():
     """Twenty samples, one deterministic split."""
     labels = np.concatenate([np.ones(10), -np.ones(10)])
@@ -567,7 +596,8 @@ def _default_labels(cfg, rows, ctx):
     """The labels that the default classify runner's fit request resolves
     to, trained alone."""
     request = modelsel._run_classify(cfg, rows, ctx)
-    modelsel._resolve_alone(request)
+    X, y, params = request.train, request.train_y, request.params
+    svm._deliver(X, y, params, request.resolve, svm._solve_alone(X, y, params))
     return request.outcome
 
 
@@ -989,26 +1019,25 @@ class TestSelectFits:
         images, labels = load_images(load_dataset(tmp_path))
 
         fits, batches, resumed = [], [], []
-        build, lockstep, solve = svm._model, modelsel._solve_lockstep, svm._solve
+        build, lockstep, solve = svm._model, svm._solve_lockstep, svm._solve
 
         def recording_model(X, y, params, alphas, bias, diag):
             fits.append((build(X, y, params, alphas, bias, diag), diag))
             return fits[-1][0]
 
-        def recording_lockstep(grams, problems, collect_objectives=False):
+        def recording_lockstep(grams, problems):
             batches.append(len(problems))
-            return lockstep(grams, problems, collect_objectives)
+            return lockstep(grams, problems)
 
         def recording_solve(K, y, params, collect_objectives=False, state=None):
             if state is not None:
                 resumed.append(state.steps)
             return solve(K, y, params, collect_objectives, state)
 
-        # A fit finishes where its solve becomes a model: in modelsel for the
-        # search's lockstep batches, in train_smo for the refit.
-        monkeypatch.setattr(modelsel, "_model", recording_model)
+        # A fit finishes where its solve becomes a model, in svm._model for
+        # the search's lockstep batch and for the refit alike.
         monkeypatch.setattr(svm, "_model", recording_model)
-        monkeypatch.setattr(modelsel, "_solve_lockstep", recording_lockstep)
+        monkeypatch.setattr(svm, "_solve_lockstep", recording_lockstep)
         monkeypatch.setattr(svm, "_solve", recording_solve)
         result = grid_search(images, labels, parsed.grid_spec(), parsed.seed, augmented=parsed.augmented)
         assert batches == [40]  # the grid's fits, one lockstep batch
@@ -1067,13 +1096,13 @@ class TestFailedFits:
 
     def test_capped_fit_fails_alone_under_warnings_as_errors(self, monkeypatch):
         monkeypatch.setattr(svm, "_MAX_SWEEPS", 2)
-        batches, lockstep = [], modelsel._solve_lockstep
+        batches, lockstep = [], svm._solve_lockstep
 
-        def recording_lockstep(grams, problems, collect_objectives=False):
+        def recording_lockstep(grams, problems):
             batches.append(len(problems))
-            return lockstep(grams, problems, collect_objectives)
+            return lockstep(grams, problems)
 
-        monkeypatch.setattr(modelsel, "_solve_lockstep", recording_lockstep)
+        monkeypatch.setattr(svm, "_solve_lockstep", recording_lockstep)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             result = self._search((self.TRANSFORM,), (self.GOOD[0], self.CAPPED, self.GOOD[1]))
@@ -1138,9 +1167,9 @@ class TestLockstepMemory:
             grid_search, images, labels, parsed.grid_spec(), parsed.seed, augmented=parsed.augmented
         )
         search()  # first-call allocations stay out of the peaks
-        budget = modelsel._LOCKSTEP_GRAM_BYTES
+        budget = svm._LOCKSTEP_GRAM_BYTES
         batched = self._traced_peak(search)
-        monkeypatch.setattr(modelsel, "_LOCKSTEP_GRAM_BYTES", 0)
+        monkeypatch.setattr(svm, "_LOCKSTEP_GRAM_BYTES", 0)
         alone = self._traced_peak(search)
         assert alone < 2 * 2**20, f"{alone / 2**20:.2f} MiB"
         assert batched <= alone + budget, f"{batched / 2**20:.2f} against {alone / 2**20:.2f} MiB"
@@ -1148,9 +1177,9 @@ class TestLockstepMemory:
     def test_oversized_grams_do_not_pile_up(self, monkeypatch):
         """With every Gram past the budget, each request trains alone as the
         runner makes it: one Gram at a time, and no batch."""
-        monkeypatch.setattr(modelsel, "_LOCKSTEP_GRAM_BYTES", 1)
+        monkeypatch.setattr(svm, "_LOCKSTEP_GRAM_BYTES", 1)
         grams, requests = [], []
-        gram, run_classify = modelsel.rbf_gram, modelsel._run_classify
+        gram, run_classify = svm.rbf_gram, modelsel._run_classify
 
         def one_gram_at_a_time(A, B, gamma):
             assert all(ref() is None for ref in grams)
@@ -1166,9 +1195,9 @@ class TestLockstepMemory:
         def no_batch(*args):
             raise AssertionError("no lockstep batch expected")
 
-        monkeypatch.setattr(modelsel, "rbf_gram", one_gram_at_a_time)
+        monkeypatch.setattr(svm, "rbf_gram", one_gram_at_a_time)
         monkeypatch.setattr(modelsel, "_run_classify", resolved_before_next)
-        monkeypatch.setattr(modelsel, "_solve_lockstep", no_batch)
+        monkeypatch.setattr(svm, "_solve_lockstep", no_batch)
         images, labels = make_texture_dataset(3, size=16, seed=0)
         result = grid_search(images, labels, TestPerImageMemo.GRID, seed=0)
         monkeypatch.undo()

@@ -2,6 +2,7 @@
 
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -354,12 +355,12 @@ class TestSolverOracle:
             assert quiet.bias == traced.bias
 
     def test_explicit_zero_state(self):
-        """``_solve`` given every alpha at 0, no steps and no objectives
-        takes the steps it takes when it starts from zero."""
+        """``_solve`` given every alpha at 0 and no steps takes the steps,
+        and collects the objectives, it does when it starts from zero."""
         for X, y, params in oracle_cases().values():
             K = rbf_gram(X, X, params.gamma)
             s_up, s_low = np.where(y > 0, y, -np.inf), np.where(y < 0, y, np.inf)
-            state = svm._SmoState([0.0] * len(y), s_up, s_low, 0, [])
+            state = svm._SmoState([0.0] * len(y), s_up, s_low, 0)
             assert_same_solve(svm._solve(K, y, params, True, state), svm._solve(K, y, params, True))
 
     def test_solve_allocates_no_square_array(self):
@@ -401,7 +402,7 @@ def lockstep_batch(cases):
 
 def assert_same_solve(got, want):
     """Two solves' alphas, bias, step count, KKT gap, convergence flag and
-    objectives are byte-equal."""
+    objectives, if either collected any, are byte-equal."""
     (alphas, bias, diag), (want_alphas, want_bias, want) = got, want
     assert alphas.tobytes() == want_alphas.tobytes() == diag.alphas.tobytes()
     assert np.float64(bias).tobytes() == np.float64(want_bias).tobytes()
@@ -425,23 +426,24 @@ def expected_handoff(finals, cap):
     return []
 
 
-def assert_lockstep_matches_solve(grams, problems, collect_objectives=True):
+def assert_lockstep_matches_solve(grams, problems):
     """Each problem of the batch gets the bytes ``_solve`` gives it alone,
     and the lockstep hands to ``_solve`` the problems, at the step, that
     ``expected_handoff`` names.  Returns the results and those pairs."""
     resumed, solve = [], svm._solve
 
     def recording_solve(K, y, params, collect_objectives=False, state=None):
+        assert not collect_objectives
         resumed.append((id(y), params, state.steps))
         return solve(K, y, params, collect_objectives, state)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(svm, "_solve", recording_solve)
-        solved = svm._solve_lockstep(grams, problems, collect_objectives)
+        solved = svm._solve_lockstep(grams, problems)
     assert len(solved) == len(problems)
     finals = []
     for (g, y, params), got in zip(problems, solved, strict=True):
-        want = svm._solve(grams[g], y, params, collect_objectives)
+        want = svm._solve(grams[g], y, params)
         assert_same_solve(got, want)
         finals.append(want[2].steps)
     handed = expected_handoff(finals, svm._MAX_SWEEPS * grams.shape[1])
@@ -471,10 +473,10 @@ def handoff(request, monkeypatch):
 @pytest.mark.usefixtures("handoff")
 class TestLockstep:
     """Several problems of one size solved as one stack against ``_solve``
-    alone: every problem's alphas, bias, step count, KKT gap,
-    convergence flag and objectives, byte for byte, with the last few
-    problems handed to ``_solve`` mid-solve, with every problem handed
-    over at once, and with none."""
+    alone: every problem's alphas, bias, step count, KKT gap and
+    convergence flag, byte for byte, with the last few problems handed to
+    ``_solve`` mid-solve, with every problem handed over at once, and
+    with none."""
 
     @pytest.mark.parametrize("n", sorted(cases_by_size()))
     def test_oracle_cases_of_one_size(self, n, handoff):
@@ -490,11 +492,6 @@ class TestLockstep:
             assert handed == []
         elif n == 40:  # the one batch of more than five problems
             assert handed == [(0, 21), (2, 21), (3, 21)]
-
-    def test_without_objectives(self):
-        grams, problems = lockstep_batch(cases_by_size()[40])
-        solved, _ = assert_lockstep_matches_solve(grams, problems, collect_objectives=False)
-        assert all(diag.dual_objectives == [] for _, _, diag in solved)
 
     def test_problems_in_any_order_and_alone(self):
         """A problem's result does not depend on its batch: reversed, and
@@ -530,6 +527,123 @@ class TestLockstep:
             grams, problems = lockstep_batch(cases)
             problems = [(g, y, SvmParams(C=p.C, gamma=p.gamma, tol=1e-200)) for g, y, p in problems]
             assert_lockstep_matches_solve(grams, problems)
+
+
+def fit_outcome(fitted):
+    """What a fit gave: its model's bytes, or its error's type and message."""
+    if isinstance(fitted, Exception):
+        return type(fitted).__name__, str(fitted)
+    return (
+        fitted.support_vectors.tobytes(),
+        fitted.dual_coefs.tobytes(),
+        np.float64(fitted.bias).tobytes(),
+        fitted.gamma,
+    )
+
+
+def alone_outcome(X, y, params):
+    """``fit_outcome`` of ``train_smo`` on one fit."""
+    try:
+        model, _ = train_smo(X, y, params)
+    except RuntimeWarning as exc:
+        return fit_outcome(exc)
+    return fit_outcome(model)
+
+
+def queue_fits(fits, events):
+    """Each fit's outcome from one ``_FitQueue`` given ``fits``, (name, X,
+    y, params) each, then flushed.  ``events`` logs every add, lockstep
+    batch (row count, problems), done and the final flush in order."""
+    outcomes, lockstep = {}, svm._solve_lockstep
+
+    def recording_lockstep(grams, problems):
+        events.append(("batch", grams.shape[1], len(problems)))
+        return lockstep(grams, problems)
+
+    def done_for(name):
+        def done(fitted):
+            assert name not in outcomes
+            outcomes[name] = fit_outcome(fitted)
+            events.append(("done", name))
+
+        return done
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(svm, "_solve_lockstep", recording_lockstep)
+        queue = svm._FitQueue()
+        for name, X, y, params in fits:
+            events.append(("add", name))
+            queue.add(X, y, params, done_for(name))
+        events.append(("flush",))
+        queue.flush()
+    return outcomes
+
+
+class TestFitQueue:
+    """The grid search's fit queue on its own: every fit's ``done`` gets
+    what ``train_smo`` gives that fit alone, whichever flush, batch or
+    solo path trains it."""
+
+    # Oracle cases in an order that fills the patched budget mid-stream.
+    ORDER = (
+        "blobs", "overlap-small-C", "lbp-pca", "unbalanced", "cache-overflow",
+        "xor", "duplicated-rows", "two-samples", "no-steps",
+    )
+    # Just over one 120-row Gram (112.5 KiB), so the 400-row one is oversized.
+    BUDGET = 120_000
+    # (rows, problems) of each lockstep batch: three flushes mid-stream, the
+    # first with the two 40-row cases' six fits, then the final flush.
+    BATCHES = [(40, 6), (120, 2), (120, 1), (43, 3), (4, 3), (30, 3), (2, 3), (20, 3)]
+
+    @classmethod
+    def fits(cls):
+        """Each case under its own params, at C / 10 on the same ``X``
+        object and gamma, so on one Gram, and at twice its gamma."""
+        cases, out = oracle_cases(), []
+        for name in cls.ORDER:
+            X, y, params = cases[name]
+            for label, variant in (
+                ("", params),
+                (" C/10", SvmParams(C=params.C / 10, gamma=params.gamma, tol=params.tol)),
+                (" 2gamma", SvmParams(C=params.C, gamma=2 * params.gamma, tol=params.tol)),
+            ):
+                out.append((name + label, X, y, variant))
+        return out
+
+    def test_every_fit_gets_its_model_alone(self, monkeypatch):
+        monkeypatch.setattr(svm, "_LOCKSTEP_GRAM_BYTES", self.BUDGET)
+        fits, events = self.fits(), []
+        outcomes = queue_fits(fits, events)
+        assert outcomes == {name: alone_outcome(X, y, params) for name, X, y, params in fits}
+        assert [event[1:] for event in events if event[0] == "batch"] == self.BATCHES
+        flush = events.index(("flush",))
+        assert sum(event[0] == "batch" for event in events[:flush]) == 3
+        for name, *_ in fits:
+            if name.startswith("cache-overflow"):  # oversized: trained at once, alone
+                at = events.index(("add", name))
+                assert events[at + 1] == ("done", name)
+
+    def test_capped_fit_fails_alone_under_warnings_as_errors(self, monkeypatch):
+        """At two sweeps, C = 10 on the 120 LBP rows stops at the cap: its
+        ``done`` gets ``train_smo``'s warning, and the fits that share its
+        batch and its Gram get their models."""
+        monkeypatch.setattr(svm, "_MAX_SWEEPS", 2)
+        X, y = lbp_pca_rows()
+        cases = oracle_cases()
+        fits = [
+            ("C=1", X, y, SvmParams(C=1.0, gamma=0.05)),
+            ("C=10", X, y, SvmParams(C=10.0, gamma=0.05)),
+            ("blobs", *cases["blobs"]),
+            ("unbalanced", *cases["unbalanced"]),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outcomes = queue_fits(fits, [])
+            alone = {name: alone_outcome(X, y, params) for name, X, y, params in fits}
+        assert outcomes == alone
+        capped = outcomes.pop("C=10")
+        assert capped[0] == "RuntimeWarning" and capped[1].startswith("SMO stopped at its cap of 2 sweeps")
+        assert all(len(outcome) == 4 for outcome in outcomes.values())
 
 
 class TestScoring:
